@@ -16,7 +16,6 @@ from .category import (
     braiding,
     compose,
     conjugation_pair,
-    dagger,
     hom_basis,
     identity,
     tensor,
@@ -33,7 +32,6 @@ from .characters import (
 from .classify import (
     CardySolution,
     Nimrep,
-    brute_force_invariants,
     cardy_solve,
     compatibility,
     enumerate_modular_invariants,
@@ -76,7 +74,6 @@ from .qsystems import (
 from .rings import (
     FusionRing,
     fp_dimensions,
-    fusion_matrix,
     global_dimension,
     validate_ring,
 )

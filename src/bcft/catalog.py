@@ -41,28 +41,8 @@ class CategoryData:
 
 def _full_fr_tables(ring: FusionRing, f_exceptions: dict, r_values: dict):
     """All-admissible F/R tables: exceptions override the default value 1."""
-    n = ring.size
-    N = ring.N
-    F = {}
-    for a in range(n):
-        for b in range(n):
-            for e in range(n):
-                if not N[a, b, e]:
-                    continue
-                for c in range(n):
-                    for d in range(n):
-                        if not N[e, c, d]:
-                            continue
-                        for f in range(n):
-                            if N[b, c, f] and N[a, f, d]:
-                                key = (a, b, c, d, e, f)
-                                F[key] = f_exceptions.get(key, 1.0)
-    R = {}
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if N[a, b, c]:
-                    R[(a, b, c)] = r_values.get((a, b, c), 1.0)
+    F = {key: f_exceptions.get(key, 1.0) for key in ring.f_keys}
+    R = {key: r_values.get(key, 1.0) for key in ring.r_keys}
     return F, R
 
 
@@ -223,35 +203,20 @@ def su2(k: int) -> CategoryData:
     T = np.array([np.exp(2j * np.pi * (a * (a + 2) / 4.0) / (k + 2)) for a in range(n)])
     md = ModularData(ring, S, T)
 
-    F = {}
-    for a in range(n):
-        for b in range(n):
-            for e in range(n):
-                if not N[a, b, e]:
-                    continue
-                for c in range(n):
-                    for d in range(n):
-                        if not N[e, c, d]:
-                            continue
-                        for f in range(n):
-                            if N[b, c, f] and N[a, f, d]:
-                                val = (
-                                    (-1.0) ** ((a + b + c + d) // 2)
-                                    * math.sqrt(_qint(e + 1, k) * _qint(f + 1, k))
-                                    * _q6j(a, b, e, c, d, f, k)
-                                )
-                                F[(a, b, c, d, e, f)] = val
-    R = {}
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if N[a, b, c]:
-                    # spins: x(x+2)/4 = j(j+1) with x twice the spin
-                    expo = (c * (c + 2) - a * (a + 2) - b * (b + 2)) / 4.0
-                    R[(a, b, c)] = (
-                        (-1.0) ** ((a + b - c) // 2)
-                        * np.exp(1j * np.pi * expo / (k + 2))
-                    )
+    F = {
+        (a, b, c, d, e, f): (
+            (-1.0) ** ((a + b + c + d) // 2)
+            * math.sqrt(_qint(e + 1, k) * _qint(f + 1, k))
+            * _q6j(a, b, e, c, d, f, k)
+        )
+        for a, b, c, d, e, f in ring.f_keys
+    }
+    # spins: x(x+2)/4 = j(j+1) with x twice the spin
+    R = {
+        (a, b, c): (-1.0) ** ((a + b - c) // 2)
+        * np.exp(1j * np.pi * ((c * (c + 2) - a * (a + 2) - b * (b + 2)) / 4.0) / (k + 2))
+        for a, b, c in ring.r_keys
+    }
     cat = CategoryPresentation(ring, F, R)
     c_charge = 3.0 * k / (k + 2)
     return CategoryData(f"su2_{k}", ring, md, cat, c_charge)

@@ -17,6 +17,7 @@ data is exactly what makes the engine consistent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -31,7 +32,6 @@ __all__ = [
     "identity",
     "compose",
     "tensor",
-    "dagger",
     "braiding",
     "conjugation_pair",
     "hom_basis",
@@ -39,12 +39,25 @@ __all__ = [
 ]
 
 
+def _symbol_table(name: str, supplied: dict, keys: tuple) -> MappingProxyType:
+    """Read-only ``{key: complex}`` over exactly the admissible ``keys``, in their order."""
+    for key in keys:
+        if key not in supplied:
+            raise StructuralError(f"missing admissible {name} entry {key}")
+    if len(supplied) != len(keys):
+        admissible = set(keys)
+        bad = next(k for k in supplied if k not in admissible)
+        raise StructuralError(f"inadmissible {name} entry supplied: {bad}")
+    return MappingProxyType({key: complex(supplied[key]) for key in keys})
+
+
 class CategoryPresentation:
     """Fusion ring plus unitary F and R symbol tables.
 
-    ``F`` maps admissible 6-tuples ``(a, b, c, d, e, f)`` to complex values,
-    ``R`` maps admissible triples ``(a, b, c)`` to unit-modulus values.  All
-    admissible entries must be present (including those with vacuum legs).
+    ``F`` maps the admissible 6-tuples ``ring.f_keys`` to complex values and
+    ``R`` maps the admissible triples ``ring.r_keys`` to unit-modulus values;
+    both are read-only mappings.  All admissible entries must be supplied
+    (including those with vacuum legs), and no others.
     """
 
     def __init__(self, ring: FusionRing, F: dict, R: dict, tol: float = DEFAULT_TOL):
@@ -56,55 +69,11 @@ class CategoryPresentation:
             )
         if not np.array_equal(ring.N, ring.N.transpose(1, 0, 2)):
             raise StructuralError("braidable fusion rules must be commutative")
-        n = ring.size
         self.ring = ring
         self.tol = tol
-        N = ring.N
-
-        F6 = np.zeros((n,) * 6, dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                for e in range(n):
-                    if not N[a, b, e]:
-                        continue
-                    for c in range(n):
-                        for d in range(n):
-                            if not N[e, c, d]:
-                                continue
-                            for f in range(n):
-                                if not (N[b, c, f] and N[a, f, d]):
-                                    continue
-                                key = (a, b, c, d, e, f)
-                                if key not in F:
-                                    raise StructuralError(
-                                        f"missing admissible F entry {key}"
-                                    )
-                                F6[key] = complex(F[key])
-        R3 = np.zeros((n,) * 3, dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if not N[a, b, c]:
-                        continue
-                    if (a, b, c) not in R:
-                        raise StructuralError(f"missing admissible R entry {(a, b, c)}")
-                    R3[a, b, c] = complex(R[(a, b, c)])
-        for k in F:
-            if len(k) != 6 or not all(0 <= int(x) < n for x in k) or not self._admissible_f(k):
-                raise StructuralError(f"inadmissible F entry supplied: {k}")
-        for k in R:
-            if len(k) != 3 or not all(0 <= int(x) < n for x in k) or not N[k]:
-                raise StructuralError(f"inadmissible R entry supplied: {k}")
-        F6.setflags(write=False)
-        R3.setflags(write=False)
-        self.F = F6
-        self.R = R3
+        self.F = _symbol_table("F", F, ring.f_keys)
+        self.R = _symbol_table("R", R, ring.r_keys)
         self._split_cache: dict = {}
-
-    def _admissible_f(self, key) -> bool:
-        a, b, c, d, e, f = key
-        N = self.ring.N
-        return bool(N[a, b, e] and N[e, c, d] and N[b, c, f] and N[a, f, d])
 
     # -- split isomorphism -------------------------------------------------
 
@@ -294,10 +263,6 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     return Morphism(
         f.cat, g.source, f.target, {c: f.blocks[c] @ g.blocks[c] for c in f.blocks}
     )
-
-
-def dagger(f: Morphism) -> Morphism:
-    return f.dagger()
 
 
 def tensor(f: Morphism, g: Morphism) -> Morphism:

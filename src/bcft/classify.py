@@ -25,7 +25,6 @@ __all__ = [
     "Nimrep",
     "CardySolution",
     "enumerate_modular_invariants",
-    "brute_force_invariants",
     "enumerate_nimreps",
     "regular_nimrep",
     "cardy_solve",
@@ -105,23 +104,6 @@ def enumerate_modular_invariants(
         out.append(Z)
     uniq = {tuple(Z.reshape(-1)): Z for Z in out}
     return [uniq[k] for k in sorted(uniq)]
-
-
-def brute_force_invariants(md: ModularData, max_entry: int, tol: float = 1e-7):
-    """Oracle: exhaustive scan over all integer matrices with bounded entries."""
-    n = md.size
-    out = []
-    for flat in itertools.product(range(max_entry + 1), repeat=n * n):
-        Z = np.array(flat, dtype=np.int64).reshape(n, n)
-        if Z[0, 0] != 1:
-            continue
-        Zf = Z.astype(float)
-        if np.max(np.abs(md.S @ Zf - Zf @ md.S)) > tol:
-            continue
-        if np.max(np.abs(md.T[:, None] * Zf - Zf * md.T[None, :])) > tol:
-            continue
-        out.append(Z)
-    return sorted(out, key=lambda Z: tuple(Z.reshape(-1)))
 
 
 # -- nimreps -----------------------------------------------------------------
@@ -225,7 +207,7 @@ def _candidate_generator_matrices(ring: FusionRing, g: int, size: int, tol: floa
 
     mat = np.zeros((size, size), dtype=np.int64)
 
-    def rows_ok(upto_cell):
+    def rows_ok():
         sq = mat**2
         return all(sq[i].sum() <= row_bound for i in range(size)) and all(
             sq[:, j].sum() <= row_bound for j in range(size)
@@ -240,7 +222,7 @@ def _candidate_generator_matrices(ring: FusionRing, g: int, size: int, tol: floa
             mat[i, j] = v
             if symmetric:
                 mat[j, i] = v
-            if rows_ok(idx):
+            if rows_ok():
                 rec(idx + 1)
         mat[i, j] = 0
         if symmetric:

@@ -84,6 +84,17 @@ def _check_keys(doc: dict, required, optional, what: str):
         raise StructuralError(f"{what}: unknown members {sorted(unknown)}")
 
 
+def _read_json(path, what: str) -> dict:
+    """Parse the JSON object in ``path``; malformed input is a StructuralError."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise StructuralError(f"{what}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise StructuralError(f"{what} must be a JSON object")
+    return doc
+
+
 def category_to_dict(data: CategoryData) -> dict:
     ring = data.ring
     n = ring.size
@@ -103,16 +114,8 @@ def category_to_dict(data: CategoryData) -> dict:
     if data.presentation is not None:
         F = data.presentation.F
         R = data.presentation.R
-        doc["F"] = [
-            {"labels": list(key), "value": _pair(F[key])}
-            for key in sorted(np.ndindex(*F.shape))
-            if data.presentation._admissible_f(key)
-        ]
-        doc["R"] = [
-            {"labels": list(key), "value": _pair(R[key])}
-            for key in sorted(np.ndindex(*R.shape))
-            if ring.N[key]
-        ]
+        doc["F"] = [{"labels": list(key), "value": _pair(F[key])} for key in ring.f_keys]
+        doc["R"] = [{"labels": list(key), "value": _pair(R[key])} for key in ring.r_keys]
     if data.central_charge is not None:
         doc["central_charge"] = float(data.central_charge)
     return doc
@@ -178,13 +181,7 @@ def save_category(data: CategoryData, path) -> None:
 
 
 def load_category(path) -> CategoryData:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise StructuralError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise StructuralError("category file must be a JSON object")
-    return dict_to_category(doc, name=Path(path).stem)
+    return dict_to_category(_read_json(path, "category file"), name=Path(path).stem)
 
 
 def qsystem_to_dict(q: QSystemSpec) -> dict:
@@ -220,18 +217,12 @@ def save_qsystem(q: QSystemSpec, path) -> None:
 
 
 def load_qsystem(path) -> QSystemSpec:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise StructuralError(f"not valid JSON: {exc}") from exc
-    return dict_to_qsystem(doc)
+    return dict_to_qsystem(_read_json(path, "q-system file"))
 
 
 def load_nimrep_matrices(path) -> list[np.ndarray]:
     """Nimrep file: ``{"n": [matrix per sector]}`` with integer entries."""
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise StructuralError("nimrep file must be a JSON object")
+    doc = _read_json(path, "nimrep file")
     _check_keys(doc, ("n",), (), "nimrep file")
     mats = [np.array(m, dtype=np.int64) for m in doc["n"]]
     if not mats or any(m.ndim != 2 or m.shape != mats[0].shape for m in mats):
@@ -241,9 +232,7 @@ def load_nimrep_matrices(path) -> list[np.ndarray]:
 
 def load_coupling_matrix(path) -> np.ndarray:
     """Coupling file: ``{"Z": matrix}`` with integer entries."""
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise StructuralError("coupling file must be a JSON object")
+    doc = _read_json(path, "coupling file")
     _check_keys(doc, ("Z",), (), "coupling file")
     Z = np.array(doc["Z"], dtype=np.int64)
     if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:

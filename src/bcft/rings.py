@@ -19,7 +19,6 @@ from .errors import StructuralError
 __all__ = [
     "FusionRing",
     "validate_ring",
-    "fusion_matrix",
     "fp_dimensions",
     "global_dimension",
 ]
@@ -30,7 +29,9 @@ DEFAULT_TOL = 1e-9
 class FusionRing:
     """Sector labels, conjugation and fusion multiplicities ``N[s, t, u]``.
 
-    Immutable after construction; all derived quantities are cached.
+    Immutable after construction; all derived quantities are cached on the
+    ring, including the fusion-tree tables of :mod:`bcft.words`, so they are
+    freed with it.
     """
 
     def __init__(self, labels, dual, N):
@@ -58,6 +59,9 @@ class FusionRing:
         self.labels = labels
         self.dual = dual
         self.N = N
+        # memo tables of words.trees and words.tree_index, keyed by (word, charge)
+        self.trees_memo: dict = {}
+        self.tree_index_memo: dict = {}
 
     @property
     def size(self) -> int:
@@ -84,6 +88,29 @@ class FusionRing:
     def channels(self, s: int, t: int):
         """Sectors ``u`` with ``N[s, t, u] > 0``, in index order."""
         return [u for u in range(self.size) if self.N[s, t, u] > 0]
+
+    @cached_property
+    def r_keys(self) -> tuple:
+        """Admissible R-symbol labels: triples ``(a, b, c)`` with ``N[a, b, c] > 0``, sorted."""
+        return tuple(map(tuple, np.argwhere(self.N > 0).tolist()))
+
+    @cached_property
+    def f_keys(self) -> tuple:
+        """Admissible F-symbol labels ``(a, b, c, d, e, f)``, sorted.
+
+        ``e`` is the intermediate of ``(a b) c -> d`` and ``f`` that of
+        ``a (b c) -> d``, so all of ``N[a,b,e]``, ``N[e,c,d]``, ``N[b,c,f]``
+        and ``N[a,f,d]`` are positive.  This is the package's one enumeration
+        of admissible F labels.
+        """
+        adm = self.N > 0
+        keys = [
+            (a, b, c, d, e, f)
+            for a, b, e in self.r_keys
+            for c, d in np.argwhere(adm[e]).tolist()
+            for f in np.flatnonzero(adm[b, c] & adm[a, :, d]).tolist()
+        ]
+        return tuple(sorted(keys))
 
     @cached_property
     def fp_dims(self) -> np.ndarray:
@@ -150,10 +177,6 @@ def validate_ring(ring: FusionRing, tol: float = DEFAULT_TOL) -> list[str]:
                     )
                     return bad
     return bad
-
-
-def fusion_matrix(ring: FusionRing, s: int) -> np.ndarray:
-    return ring.fusion_matrix(s)
 
 
 def fp_dimensions(ring: FusionRing, tol: float = DEFAULT_TOL) -> np.ndarray:

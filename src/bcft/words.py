@@ -13,8 +13,6 @@ relies on.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import StructuralError
 from .rings import FusionRing
 
@@ -90,14 +88,21 @@ def sum_word(multiplicities) -> Word:
     return Word([factor])
 
 
-@lru_cache(maxsize=None)
 def trees(ring: FusionRing, word: Word, c: int):
-    """Fusion trees of ``Hom(c, word)``.
+    """Fusion trees of ``Hom(c, word)``, memoized on the ring.
 
     A tree is a tuple of ``(slot_index, charge)`` pairs, one per factor;
     ``charge`` is the intermediate after fusing factors ``0..i`` and the last
     charge equals ``c``.  The empty word supports only the vacuum.
     """
+    key = (word, c)
+    hit = ring.trees_memo.get(key)
+    if hit is None:
+        hit = ring.trees_memo[key] = _enumerate_trees(ring, word, c)
+    return hit
+
+
+def _enumerate_trees(ring: FusionRing, word: Word, c: int):
     n = len(word)
     if n == 0:
         return ((),) if c == 0 else ()
@@ -123,9 +128,13 @@ def trees(ring: FusionRing, word: Word, c: int):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def tree_index(ring: FusionRing, word: Word, c: int):
-    return {t: i for i, t in enumerate(trees(ring, word, c))}
+    """Position of each tree in ``trees(ring, word, c)``, memoized on the ring."""
+    key = (word, c)
+    hit = ring.tree_index_memo.get(key)
+    if hit is None:
+        hit = ring.tree_index_memo[key] = {t: i for i, t in enumerate(trees(ring, word, c))}
+    return hit
 
 
 def hom_dim(ring: FusionRing, word: Word, c: int) -> int:

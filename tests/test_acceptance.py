@@ -11,12 +11,12 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from conftest import brute_force_invariants
 
 from bcft.catalog import fibonacci, ising, su2
 from bcft.category import braiding, validate_axioms
 from bcft.characters import cardy_transform_check
 from bcft.classify import (
-    brute_force_invariants,
     cardy_solve,
     enumerate_modular_invariants,
     enumerate_nimreps,

@@ -72,15 +72,7 @@ def test_broken_f_entry_fails_pentagon(ising_data):
 
 
 def _fr_dicts(data):
-    F = {}
-    for key in np.ndindex(*data.presentation.F.shape):
-        if data.presentation._admissible_f(key):
-            F[key] = complex(data.presentation.F[key])
-    R = {}
-    for key in np.ndindex(*data.presentation.R.shape):
-        if data.ring.N[key]:
-            R[key] = complex(data.presentation.R[key])
-    return F, R
+    return dict(data.presentation.F), dict(data.presentation.R)
 
 
 def test_missing_f_entry_is_structural(ising_data):
@@ -88,6 +80,24 @@ def test_missing_f_entry_is_structural(ising_data):
     del F[(1, 1, 1, 1, 0, 0)]
     with pytest.raises(StructuralError, match=r"missing admissible F entry"):
         CategoryPresentation(ising_data.ring, F, R)
+    F, R = _fr_dicts(ising_data)
+    F[(1, 1, 1, 1, 0, 1)] = 1.0  # N[1,1,1] = 0 in Ising
+    with pytest.raises(StructuralError, match=r"inadmissible F entry supplied"):
+        CategoryPresentation(ising_data.ring, F, R)
+    F, R = _fr_dicts(ising_data)
+    del R[(1, 2, 1)]
+    with pytest.raises(StructuralError, match=r"missing admissible R entry"):
+        CategoryPresentation(ising_data.ring, F, R)
+
+
+def test_symbol_tables_are_read_only(ising_data):
+    cat = ising_data.presentation
+    with pytest.raises(TypeError):
+        cat.F[1, 1, 1, 1, 0, 0] = 0.0
+    with pytest.raises(TypeError):
+        cat.R[1, 1, 0] = 1.0
+    with pytest.raises(KeyError):
+        cat.F[1, 1, 1, 1, 0, 1]  # inadmissible, not silently zero
 
 
 def test_multiplicity_rejected(fib_data):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from conftest import brute_force_invariants
 
 from bcft.classify import (
     Nimrep,
-    brute_force_invariants,
     cardy_solve,
     compatibility,
     enumerate_modular_invariants,

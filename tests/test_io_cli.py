@@ -1,9 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bcft.catalog import fibonacci, ising, su2
 from bcft.cli import main
 from bcft.errors import StructuralError
 from bcft.io import (
@@ -30,11 +32,13 @@ def car_file(tmp_path, ising_data):
     return path
 
 
-def test_category_round_trip_bytes(tmp_path, ising_file):
-    data = load_category(ising_file)
-    out = tmp_path / "again.json"
-    save_category(data, out)
-    assert out.read_bytes() == ising_file.read_bytes()
+def test_category_round_trip_bytes(tmp_path):
+    # several sizes, so the sorted F/R key order is covered beyond 3 sectors
+    for data in [ising(), fibonacci()] + [su2(k) for k in range(1, 7)]:
+        first, again = tmp_path / "first.json", tmp_path / "again.json"
+        save_category(data, first)
+        save_category(load_category(first), again)
+        assert again.read_bytes() == first.read_bytes(), data.name
 
 
 def test_loaded_catalog_passes_validators(ising_file, ising_data):
@@ -92,10 +96,22 @@ def test_cli_validate_broken_exits_1(tmp_path, ising_file, capsys):
     assert "unitary" in text or "symmetric" in text
 
 
-def test_cli_malformed_exits_2(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"labels": ["0"], "oops": 1}')
-    assert main(["validate", str(bad)]) == 2
+def test_cli_malformed_exits_2(tmp_path, ising_file, car_file, capsys):
+    bad = str(tmp_path / "bad.json")
+    cases = [
+        (["validate", bad], b'{"labels": ["0"], "oops": 1}'),
+        (["cardy", str(ising_file), bad], b"{not json"),
+        (["nimreps", str(ising_file), "--size", "3", "--invariant", bad], b"{not json"),
+        (["induce", str(ising_file), bad], b"5"),
+        (["induce", bad, str(car_file)], b"[1, 2]"),
+        (["validate", bad], b"\xff"),  # not UTF-8
+    ]
+    for argv, content in cases:
+        Path(bad).write_bytes(content)
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_cli_missing_file_exits_2(tmp_path):

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,10 +9,10 @@ from bcft.errors import StructuralError
 from bcft.rings import (
     FusionRing,
     fp_dimensions,
-    fusion_matrix,
     global_dimension,
     validate_ring,
 )
+from bcft.words import hom_dim, simple_word, tree_index
 
 
 def trivial_ring():
@@ -19,7 +21,7 @@ def trivial_ring():
 
 def test_trivial_ring_valid():
     assert validate_ring(trivial_ring()) == []
-    assert fusion_matrix(trivial_ring(), 0).tolist() == [[1]]
+    assert trivial_ring().fusion_matrix(0).tolist() == [[1]]
     assert global_dimension(trivial_ring()) == pytest.approx(1.0)
 
 
@@ -29,12 +31,12 @@ def test_ising_ring_valid(ising_data):
 
 def test_ising_sigma_matrix_is_a3_path(ising_data):
     # sigma row/column pattern of the A3 path graph
-    n_sigma = fusion_matrix(ising_data.ring, 1)
+    n_sigma = ising_data.ring.fusion_matrix(1)
     assert n_sigma.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
 
 
 def test_fibonacci_tau_matrix(fib_data):
-    assert fusion_matrix(fib_data.ring, 1).tolist() == [[0, 1], [1, 1]]
+    assert fib_data.ring.fusion_matrix(1).tolist() == [[0, 1], [1, 1]]
 
 
 def test_fp_dimensions(ising_data, fib_data):
@@ -73,6 +75,27 @@ def test_fusion_matrices_commute(all_catalogs):
         for s in range(data.ring.size):
             for t in range(data.ring.size):
                 assert np.array_equal(N[s] @ N[t], N[t] @ N[s])
+
+
+def test_admissible_key_counts(all_catalogs):
+    for data in all_catalogs:
+        ring = data.ring
+        M = (ring.N != 0).astype(np.int64)
+        for keys in (ring.f_keys, ring.r_keys):
+            assert list(keys) == sorted(set(keys)), data.name
+        assert len(ring.f_keys) == np.einsum("abe,ecd,bcf,afd->", M, M, M, M)
+        assert len(ring.r_keys) == np.count_nonzero(ring.N)
+
+
+def test_tree_cache_freed_with_ring(ising_data):
+    # labels unlike any other ring's, so no cache can hold an equal ring instead
+    ring = FusionRing(["vac", "sigma", "psi"], ising_data.ring.dual, ising_data.ring.N)
+    assert hom_dim(ring, simple_word(1, 1, 1), 1) == 2
+    assert tree_index(ring, simple_word(1, 1), 2)
+    ref = weakref.ref(ring)
+    del ring
+    gc.collect()
+    assert ref() is None
 
 
 def test_structural_errors():
