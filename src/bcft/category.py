@@ -17,6 +17,7 @@ data is exactly what makes the engine consistent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from types import MappingProxyType
 
 import numpy as np
@@ -420,93 +421,72 @@ class AxiomReport:
         )
 
 
+def _last_labels(ring: FusionRing) -> dict:
+    """``{key[:5]: [key[5], ...]}`` over ``ring.f_keys``; each list ascends."""
+    out: dict = {}
+    for key in ring.f_keys:
+        out.setdefault(key[:5], []).append(key[5])
+    return out
+
+
 def _pentagon_residual(cat: CategoryPresentation) -> float:
+    """Pentagon over every pair of F keys ``(f,c,d,e,g,l)``, ``(a,b,l,e,f,k)``."""
     ring, F = cat.ring, cat.F
-    n = ring.size
     N = ring.N
+    hs = _last_labels(ring)
+    by_fle: dict = {}
+    for key in ring.f_keys:
+        by_fle.setdefault((key[4], key[2], key[3]), []).append(key)
     worst = 0.0
-    for a in range(n):
-        for b in range(n):
-            for f in ring.channels(a, b):
-                for c in range(n):
-                    for g in ring.channels(f, c):
-                        for d in range(n):
-                            for e in ring.channels(g, d):
-                                for l in ring.channels(c, d):
-                                    if not N[f, l, e]:
-                                        continue
-                                    for k in range(n):
-                                        if not (N[b, l, k] and N[a, k, e]):
-                                            continue
-                                        lhs = F[f, c, d, e, g, l] * F[a, b, l, e, f, k]
-                                        rhs = 0.0
-                                        for h in ring.channels(b, c):
-                                            if N[a, h, g] and N[h, d, k]:
-                                                rhs += (
-                                                    F[a, b, c, g, f, h]
-                                                    * F[a, h, d, e, g, k]
-                                                    * F[b, c, d, k, h, l]
-                                                )
-                                        worst = max(worst, abs(lhs - rhs))
+    for f, c, d, e, g, l in ring.f_keys:
+        outer = F[f, c, d, e, g, l]
+        for a, b, _, _, _, k in by_fle.get((f, l, e), ()):
+            lhs = outer * F[a, b, l, e, f, k]
+            rhs = 0.0
+            for h in hs.get((a, b, c, g, f), ()):
+                if N[h, d, k]:
+                    rhs += F[a, b, c, g, f, h] * F[a, h, d, e, g, k] * F[b, c, d, k, h, l]
+            worst = max(worst, abs(lhs - rhs))
     return worst
 
 
 def _hexagon_residual(cat: CategoryPresentation) -> float:
-    """Both hexagon orientations for the braiding against the associator."""
+    """Both hexagon orientations for the braiding against the associator.
+
+    The rows ``(a,b,c,d,e,g)`` are the F keys ``(b,a,c,d,e,g)``, since the
+    fusion rules are commutative.
+    """
     ring, F, R = cat.ring, cat.F, cat.R
-    n = ring.size
-    N = ring.N
+    fs = _last_labels(ring)
     worst = 0.0
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    for e in ring.channels(a, b):
-                        if not N[e, c, d]:
-                            continue
-                        for g in ring.channels(a, c):
-                            if not N[b, g, d]:
-                                continue
-                            lhs_p = R[a, b, e] * F[b, a, c, d, e, g] * R[a, c, g]
-                            lhs_m = (
-                                np.conj(R[b, a, e])
-                                * F[b, a, c, d, e, g]
-                                * np.conj(R[c, a, g])
-                            )
-                            rhs_p = 0.0
-                            rhs_m = 0.0
-                            for f in ring.channels(b, c):
-                                if not N[a, f, d]:
-                                    continue
-                                term = F[a, b, c, d, e, f] * F[b, c, a, d, f, g]
-                                rhs_p += term * R[a, f, d]
-                                rhs_m += term * np.conj(R[f, a, d])
-                            worst = max(worst, abs(lhs_p - rhs_p), abs(lhs_m - rhs_m))
+    for b, a, c, d, e, g in ring.f_keys:
+        lhs_p = R[a, b, e] * F[b, a, c, d, e, g] * R[a, c, g]
+        lhs_m = np.conj(R[b, a, e]) * F[b, a, c, d, e, g] * np.conj(R[c, a, g])
+        rhs_p = 0.0
+        rhs_m = 0.0
+        for f in fs.get((a, b, c, d, e), ()):
+            term = F[a, b, c, d, e, f] * F[b, c, a, d, f, g]
+            rhs_p += term * R[a, f, d]
+            rhs_m += term * np.conj(R[f, a, d])
+        worst = max(worst, abs(lhs_p - rhs_p), abs(lhs_m - rhs_m))
     return worst
 
 
 def _unitarity_residual(cat: CategoryPresentation) -> float:
+    """R moduli and the F blocks ``F[a,b,c,d]``; ``inf`` if a block is not square."""
     ring, F, R = cat.ring, cat.F, cat.R
-    n = ring.size
     N = ring.N
+    rows = np.einsum("abe,ecd->abcd", N, N)
+    if np.any(rows != np.einsum("bcf,afd->abcd", N, N)):
+        return np.inf
     worst = 0.0
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if N[a, b, c]:
-                    worst = max(worst, abs(abs(R[a, b, c]) - 1.0))
-                for d in range(n):
-                    es = [e for e in ring.channels(a, b) if N[e, c, d]]
-                    fs = [f for f in ring.channels(b, c) if N[a, f, d]]
-                    if not es:
-                        continue
-                    M = np.array([[F[a, b, c, d, e, f] for f in fs] for e in es])
-                    if M.shape[0] != M.shape[1]:
-                        return np.inf
-                    worst = max(
-                        worst,
-                        float(np.max(np.abs(M @ M.conj().T - np.eye(len(es))))),
-                    )
+    for r in R.values():
+        worst = max(worst, abs(abs(r) - 1.0))
+    # sorted f_keys: each (a,b,c,d) block is one run, row-major in (e, f)
+    for abcd, block in groupby(ring.f_keys, key=lambda key: key[:4]):
+        m = rows[abcd]
+        M = np.array([F[key] for key in block]).reshape(m, m)
+        worst = max(worst, float(np.max(np.abs(M @ M.conj().T - np.eye(m)))))
     return worst
 
 

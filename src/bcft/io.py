@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -85,9 +86,20 @@ def _check_keys(doc: dict, required, optional, what: str):
 
 
 def _read_json(path, what: str) -> dict:
-    """Parse the JSON object in ``path``; malformed input is a StructuralError."""
+    """Parse the JSON object in ``path``; malformed input is a StructuralError.
+
+    Non-finite numbers are malformed too: the ``NaN``/``Infinity`` constants
+    Python's json accepts, and literals such as ``1e999`` that overflow a float.
+    """
+
+    def finite(text):
+        x = float(text)
+        if not math.isfinite(x):
+            raise StructuralError(f"{what}: non-finite number {text}")
+        return x
+
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(), parse_float=finite, parse_constant=finite)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise StructuralError(f"{what}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -95,19 +107,29 @@ def _read_json(path, what: str) -> dict:
     return doc
 
 
+@contextmanager
+def _document(what: str):
+    """Report a wrong-typed value met while building objects from a parsed
+    document as malformed input (one-line StructuralError), not a traceback."""
+    try:
+        yield
+    except (TypeError, ValueError, OverflowError) as exc:
+        msg = " ".join(str(exc).split())
+        raise StructuralError(f"{what}: malformed value: {msg}") from exc
+
+
+def _complex(pair, what):
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise StructuralError(f"{what} must be [re, im], got {pair!r}")
+    return complex(float(pair[0]), float(pair[1]))
+
+
 def category_to_dict(data: CategoryData) -> dict:
     ring = data.ring
-    n = ring.size
     doc = {
         "labels": list(ring.labels),
         "dual": list(ring.dual),
-        "N": [
-            [s, t, u, int(ring.N[s, t, u])]
-            for s in range(n)
-            for t in range(n)
-            for u in range(n)
-            if ring.N[s, t, u]
-        ],
+        "N": [[s, t, u, int(ring.N[s, t, u])] for s, t, u in ring.r_keys],
         "S": [[_pair(z) for z in row] for row in data.modular.S],
         "T": [_pair(z) for z in data.modular.T],
     }
@@ -121,6 +143,7 @@ def category_to_dict(data: CategoryData) -> dict:
     return doc
 
 
+@_document("category file")
 def dict_to_category(doc: dict, name: str = "file") -> CategoryData:
     _check_keys(
         doc,
@@ -141,12 +164,6 @@ def dict_to_category(doc: dict, name: str = "file") -> CategoryData:
             raise StructuralError(f"N entry out of range: {quad}")
         N[s, t, u] = mult
     ring = FusionRing(labels, doc["dual"], N)
-
-    def _complex(pair, what):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise StructuralError(f"{what} must be [re, im], got {pair}")
-        return complex(float(pair[0]), float(pair[1]))
-
     S = np.array(
         [[_complex(z, "S entry") for z in row] for row in doc["S"]], dtype=complex
     )
@@ -194,6 +211,7 @@ def qsystem_to_dict(q: QSystemSpec) -> dict:
     }
 
 
+@_document("q-system file")
 def dict_to_qsystem(doc: dict) -> QSystemSpec:
     _check_keys(doc, ("theta", "lambda"), (), "q-system file")
     lam = {}
@@ -207,8 +225,7 @@ def dict_to_qsystem(doc: dict) -> QSystemSpec:
                 "multiplicity-free categories have a single fusion channel; "
                 "channel must be 0"
             )
-        pair = item["value"]
-        lam[key] = complex(float(pair[0]), float(pair[1]))
+        lam[key] = _complex(item["value"], "lambda value")
     return QSystemSpec(doc["theta"], lam)
 
 
@@ -220,6 +237,7 @@ def load_qsystem(path) -> QSystemSpec:
     return dict_to_qsystem(_read_json(path, "q-system file"))
 
 
+@_document("nimrep file")
 def load_nimrep_matrices(path) -> list[np.ndarray]:
     """Nimrep file: ``{"n": [matrix per sector]}`` with integer entries."""
     doc = _read_json(path, "nimrep file")
@@ -230,6 +248,7 @@ def load_nimrep_matrices(path) -> list[np.ndarray]:
     return mats
 
 
+@_document("coupling file")
 def load_coupling_matrix(path) -> np.ndarray:
     """Coupling file: ``{"Z": matrix}`` with integer entries."""
     doc = _read_json(path, "coupling file")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -53,10 +54,7 @@ class QSystemSpec:
             raise StructuralError("theta must have vacuum multiplicity exactly 1")
         if any(m < 0 for m in theta):
             raise StructuralError("theta multiplicities must be non-negative")
-        slots = tuple(
-            (s, copy) for s, mult in enumerate(theta) for copy in range(mult)
-        )
-        nslots = len(slots)
+        nslots = sum(theta)
         clean = {}
         for key, val in lam.items():
             p, q, r = (int(i) for i in key)
@@ -64,8 +62,13 @@ class QSystemSpec:
                 raise StructuralError(f"lambda key {key} out of slot range")
             clean[(p, q, r)] = complex(val)
         self.theta = theta
-        self.slots = slots
         self.lam = clean
+
+    @cached_property
+    def slots(self) -> tuple:
+        """``(sector, copy)`` per summand of theta; built on first use, so an
+        oversized theta is rejected by the multiplicity bound before it exists."""
+        return tuple((s, copy) for s, mult in enumerate(self.theta) for copy in range(mult))
 
     @property
     def size(self) -> int:
@@ -141,18 +144,21 @@ def _qsystem_residuals(q: QSystemSpec, cat: CategoryPresentation):
 def validate_qsystem(q: QSystemSpec, cat: CategoryPresentation, tol: float = DEFAULT_TOL) -> dict:
     """Residuals of the Q-system axioms; ``valid`` iff all below tolerance."""
     ring = cat.ring
+    if len(q.theta) != ring.size:
+        raise StructuralError("theta length must equal the number of sectors")
     report: dict = {}
     for s, m in enumerate(q.theta):
         if m > math.floor(ring.fp_dims[s] + tol):
             report[f"bound_sector_{s}"] = float(m)
+    if report:  # not a Q-system; the residuals would need all of theta^3
+        report["valid"] = False
+        return report
     iso, ul, ur, assoc = _qsystem_residuals(q, cat)
     report["isometry"] = iso.norm_inf()
     report["unit_left"] = ul.norm_inf()
     report["unit_right"] = ur.norm_inf()
     report["associativity"] = assoc.norm_inf()
-    report["valid"] = all(
-        isinstance(v, float) and v < tol for k, v in report.items() if k != "valid"
-    ) and not any(k.startswith("bound_") for k in report)
+    report["valid"] = all(v < tol for v in report.values())
     return report
 
 

@@ -149,13 +149,10 @@ def validate_ring(ring: FusionRing, tol: float = DEFAULT_TOL) -> list[str]:
         if dual[dual[s]] != s:
             bad.append(f"dual is not an involution at sector {s}")
             break
-    for s in range(n):
-        for t in range(n):
-            want = 1 if t == dual[s] else 0
-            if N[s, t, 0] != want:
-                bad.append(
-                    f"conjugation: N[{s},{t},0] = {N[s, t, 0]}, expected {want}"
-                )
+    conj = list(dual)
+    want = eye[conj]  # want[s, t] = 1 iff t == dual(s)
+    for s, t in np.argwhere(N[:, :, 0] != want):
+        bad.append(f"conjugation: N[{s},{t},0] = {N[s, t, 0]}, expected {want[s, t]}")
 
     # associativity: sum_e N[s,t,e] N[e,u,f] == sum_e N[t,u,e] N[s,e,f]
     left = np.einsum("ste,euf->stuf", N, N)
@@ -168,14 +165,10 @@ def validate_ring(ring: FusionRing, tol: float = DEFAULT_TOL) -> list[str]:
         )
 
     # Frobenius reciprocity: N[s,t,u] = N[dual(s),u,t] = N[u,dual(t),s]
-    for s in range(n):
-        for t in range(n):
-            for u in range(n):
-                if N[s, t, u] != N[dual[s], u, t] or N[s, t, u] != N[u, dual[t], s]:
-                    bad.append(
-                        f"Frobenius reciprocity fails at (s,t,u)=({s},{t},{u})"
-                    )
-                    return bad
+    fails = (N != N[conj].transpose(0, 2, 1)) | (N != N[:, conj].transpose(2, 1, 0))
+    if np.any(fails):
+        s, t, u = np.argwhere(fails)[0]
+        bad.append(f"Frobenius reciprocity fails at (s,t,u)=({s},{t},{u})")
     return bad
 
 

@@ -71,6 +71,24 @@ def test_broken_f_entry_fails_pentagon(ising_data):
     assert not rep.valid
 
 
+def test_broken_r_entry_fails_hexagon(ising_data):
+    F, R = _fr_dicts(ising_data)
+    R[1, 1, 0] = -R[1, 1, 0]
+    rep = validate_axioms(CategoryPresentation(ising_data.ring, F, R))
+    assert rep.hexagon_residual >= 0.1
+    assert not rep.valid
+
+
+def test_non_square_f_block_fails_unitarity(ising_data):
+    N = ising_data.ring.N.copy()
+    N[2, 2, 2] = 1  # psi x psi = 1 + psi: (psi psi) psi and psi (psi psi) differ
+    ring = FusionRing(ising_data.ring.labels, ising_data.ring.dual, N)
+    F, R = dict.fromkeys(ring.f_keys, 1.0), dict.fromkeys(ring.r_keys, 1.0)
+    rep = validate_axioms(CategoryPresentation(ring, F, R))
+    assert rep.unitarity_residual == math.inf
+    assert not rep.valid
+
+
 def _fr_dicts(data):
     return dict(data.presentation.F), dict(data.presentation.R)
 

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcft.catalog import fibonacci, ising, su2
 from bcft.cli import main
@@ -96,8 +100,21 @@ def test_cli_validate_broken_exits_1(tmp_path, ising_file, capsys):
     assert "unitary" in text or "symmetric" in text
 
 
+def _replaced(path, keys, value) -> bytes:
+    """The JSON document in ``path`` with the member at ``keys`` set to ``value``."""
+    if not keys:
+        return json.dumps(value).encode()
+    doc = json.loads(path.read_text())
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return json.dumps(doc).encode()
+
+
 def test_cli_malformed_exits_2(tmp_path, ising_file, car_file, capsys):
     bad = str(tmp_path / "bad.json")
+    nan = [math.nan, 0.0]  # json writes NaN, which Python's json reads back
     cases = [
         (["validate", bad], b'{"labels": ["0"], "oops": 1}'),
         (["cardy", str(ising_file), bad], b"{not json"),
@@ -105,6 +122,23 @@ def test_cli_malformed_exits_2(tmp_path, ising_file, car_file, capsys):
         (["induce", str(ising_file), bad], b"5"),
         (["induce", bad, str(car_file)], b"[1, 2]"),
         (["validate", bad], b"\xff"),  # not UTF-8
+        # non-finite numbers
+        (["validate", bad], _replaced(ising_file, ("F", 0, "value"), nan)),
+        (["validate", bad], _replaced(ising_file, ("R", 0, "value"), nan)),
+        (["validate", bad], _replaced(ising_file, ("T", 1), nan)),
+        (["validate", bad], ising_file.read_bytes().replace(b":0.5}", b":1e999}")),
+        # wrong-typed values inside the document
+        (["validate", bad], _replaced(ising_file, ("N",), 7)),
+        (["validate", bad], _replaced(ising_file, ("N", 0), ["zz", 0, 0, 1])),
+        (["validate", bad], _replaced(ising_file, ("dual",), 5)),
+        (["validate", bad], _replaced(ising_file, ("S",), 5)),
+        (["validate", bad], _replaced(ising_file, ("F", 0, "labels"), "abcdef")),
+        (["validate", bad], _replaced(ising_file, ("central_charge",), "x")),
+        (["validate", bad], _replaced(ising_file, ("S", 0, 0), "a\nb")),  # still one line
+        (["induce", str(ising_file), bad], _replaced(car_file, ("theta",), 5)),
+        (["induce", str(ising_file), bad], _replaced(car_file, ("lambda", 0, "value"), 5)),
+        (["induce", str(ising_file), bad], _replaced(car_file, ("lambda", 0, "value"), [])),
+        (["induce", str(ising_file), bad], _replaced(car_file, ("theta",), [1, 0, 1, 0])),
     ]
     for argv, content in cases:
         Path(bad).write_bytes(content)
@@ -217,3 +251,45 @@ def test_cli_su2_catalog_level_required(tmp_path):
     out = tmp_path / "su2_4.json"
     assert main(["catalog", "su2", "--level", "4", "--out", str(out)]) == 0
     assert main(["validate", str(out)]) == 0
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory, ising_data):
+    path = tmp_path_factory.mktemp("fuzz")
+    save_category(ising_data, path / "category.json")
+    save_qsystem(car_qsystem(ising_data.presentation), path / "qsystem.json")
+    return path
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(which=st.sampled_from(["category", "qsystem"]), data=st.data())
+def test_cli_fuzzed_file_exits_cleanly(fuzz_dir, which, data):
+    """Any one value replaced anywhere: a documented exit code, never a traceback."""
+    files = {w: fuzz_dir / f"{w}.json" for w in ("category", "qsystem")}
+    node, keys = json.loads(files[which].read_text()), []
+    for _ in range(data.draw(st.integers(0, 4))):
+        if not (isinstance(node, (dict, list)) and node):
+            break
+        members = sorted(node) if isinstance(node, dict) else range(len(node))
+        key = data.draw(st.sampled_from(members))
+        keys.append(key)
+        node = node[key]
+    bad = fuzz_dir / "bad.json"
+    bad.write_bytes(_replaced(files[which], keys, data.draw(_json_values)))
+    files[which] = bad
+    category, qsystem = str(files["category"]), str(files["qsystem"])
+    for argv in (["validate", category], ["induce", category, qsystem]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), argv
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

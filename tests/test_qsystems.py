@@ -162,6 +162,12 @@ def test_search_rejects_bound_violation(ising_data):
         search_qsystems(ising_data.presentation, [1, 2, 0])
 
 
+def test_validate_reports_bound_violation_without_residuals(ising_data):
+    # a theta above the bound is no Q-system; its theta^3 is never built
+    q = QSystemSpec([1, 2, 0], {(0, 0, 0): 1.0})
+    assert validate_qsystem(q, ising_data.presentation) == {"bound_sector_1": 2.0, "valid": False}
+
+
 def test_su2_4_simple_current_extension_is_local():
     s4 = su2(4)
     res = search_qsystems(s4.presentation, [1, 0, 0, 0, 1], n_starts=10, seed=3)
