@@ -48,7 +48,8 @@ EXIT_DEGENERATE = 3
 
 
 def _settings(args) -> dict:
-    # runtime-only knobs (threads, seed) never enter reports
+    # runtime-only knobs (the search seed) never enter reports, so reports are
+    # byte-identical across reruns
     return {"tolerance": args.tolerance}
 
 
@@ -106,6 +107,8 @@ def cmd_nimreps(args) -> int:
     nims = enumerate_nimreps(data.ring, args.size, args.tolerance)
     if args.invariant:
         Z = load_coupling_matrix(args.invariant)
+        if Z.shape != data.modular.S.shape:
+            raise StructuralError(f"Z has shape {Z.shape}, the category has {data.ring.size} sectors")
         nims = [nr for nr in nims if compatibility(Z, nr, data.modular)[0]]
     print(f"{len(nims)} nimrep orbit(s) of size {args.size}")
     if args.out:
@@ -131,9 +134,7 @@ def cmd_induce(args) -> int:
     if not rep["valid"]:
         print(f"q-system invalid: {rep}")
         return EXIT_INVALID
-    Z = coupling_from_qsystem(
-        data.presentation, q, args.handedness, threads=args.threads
-    )
+    Z = coupling_from_qsystem(data.presentation, q, args.handedness)
     m, d_total = theta_plus(data.ring, Z)
     ledger = index_ledger(data.ring, q, Z, args.tolerance)
     print("Z =")
@@ -278,14 +279,18 @@ def cmd_qsearch(args) -> int:
     data = load_category(args.category)
     if data.presentation is None:
         raise StructuralError("qsearch requires F/R data in the category file")
-    theta = [int(x) for x in args.theta.split(",")]
+    try:
+        theta = [int(x) for x in args.theta.split(",")]
+    except ValueError:
+        raise StructuralError(
+            f"--theta must be comma-separated integers, got {args.theta!r}"
+        ) from None
     result = search_qsystems(
         data.presentation,
         theta,
         n_starts=args.starts,
         seed=args.seed,
         tol=max(args.tolerance, 1e-12),
-        threads=args.threads,
     )
     print(f"status: {result.status}; {len(result.solutions)} solution class(es)")
     for fp in result.fingerprints:
@@ -327,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Boundary CFT classification pipeline over braided fusion categories",
     )
     ap.add_argument("--tolerance", type=float, default=1e-9, help="numeric tolerance")
-    ap.add_argument("--threads", type=int, default=1, help="worker threads")
     ap.add_argument("--seed", type=int, default=0, help="search seed (runtime only)")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -17,7 +17,6 @@ singular-value spectrum shows a clean gap.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,28 +149,17 @@ def coupling_from_qsystem(
     cat: CategoryPresentation,
     q: QSystemSpec,
     handedness: str = "plus",
-    threads: int = 1,
     sv_rtol: float = SV_RTOL,
     gap_min: float = GAP_MIN,
 ) -> np.ndarray:
     """Coupling matrix ``Z[sigma, tau] = dim ker L`` over all sector pairs."""
-    ring = cat.ring
-    n = ring.size
+    n = cat.ring.size
     x = assemble_x(q, cat)
-
-    def entry(pair):
-        sigma, tau = pair
-        M, _ = _linear_problem_matrix(cat, q, x, sigma, tau, handedness)
-        dim, _, _ = kernel_split(M, sv_rtol, gap_min)
-        return dim
-
-    pairs = [(s, t) for s in range(n) for t in range(n)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(entry, pairs))
-    else:
-        vals = [entry(p) for p in pairs]
-    Z = np.array(vals, dtype=np.int64).reshape(n, n)
+    Z = np.zeros((n, n), dtype=np.int64)
+    for sigma in range(n):
+        for tau in range(n):
+            M, _ = _linear_problem_matrix(cat, q, x, sigma, tau, handedness)
+            Z[sigma, tau], _, _ = kernel_split(M, sv_rtol, gap_min)
     if Z[0, 0] != 1:
         raise DataInconsistencyError(
             f"Z[0,0] = {Z[0, 0]} != 1: the Q-system is not irreducible or the "

@@ -118,6 +118,17 @@ def _document(what: str):
         raise StructuralError(f"{what}: malformed value: {msg}") from exc
 
 
+def _int(value, what) -> int:
+    """A JSON integer; a fractional value or a boolean is malformed, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise StructuralError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _int_matrix(rows, what) -> np.ndarray:
+    return np.array([[_int(v, what) for v in row] for row in rows], dtype=np.int64)
+
+
 def _complex(pair, what):
     if not (isinstance(pair, list) and len(pair) == 2):
         raise StructuralError(f"{what} must be [re, im], got {pair!r}")
@@ -159,11 +170,11 @@ def dict_to_category(doc: dict, name: str = "file") -> CategoryData:
     for quad in doc["N"]:
         if not (isinstance(quad, list) and len(quad) == 4):
             raise StructuralError(f"N entries must be [s,t,u,mult], got {quad}")
-        s, t, u, mult = (int(v) for v in quad)
+        s, t, u, mult = (_int(v, "N entry") for v in quad)
         if not all(0 <= i < n for i in (s, t, u)) or mult < 0:
             raise StructuralError(f"N entry out of range: {quad}")
         N[s, t, u] = mult
-    ring = FusionRing(labels, doc["dual"], N)
+    ring = FusionRing(labels, [_int(d, "dual entry") for d in doc["dual"]], N)
     S = np.array(
         [[_complex(z, "S entry") for z in row] for row in doc["S"]], dtype=complex
     )
@@ -177,14 +188,14 @@ def dict_to_category(doc: dict, name: str = "file") -> CategoryData:
         F = {}
         for item in doc["F"]:
             _check_keys(item, ("labels", "value"), (), "F entry")
-            key = tuple(int(v) for v in item["labels"])
+            key = tuple(_int(v, "F label") for v in item["labels"])
             if len(key) != 6:
                 raise StructuralError(f"F labels must have 6 entries: {item}")
             F[key] = _complex(item["value"], "F value")
         R = {}
         for item in doc["R"]:
             _check_keys(item, ("labels", "value"), (), "R entry")
-            key = tuple(int(v) for v in item["labels"])
+            key = tuple(_int(v, "R label") for v in item["labels"])
             if len(key) != 3:
                 raise StructuralError(f"R labels must have 3 entries: {item}")
             R[key] = _complex(item["value"], "R value")
@@ -217,16 +228,16 @@ def dict_to_qsystem(doc: dict) -> QSystemSpec:
     lam = {}
     for item in doc["lambda"]:
         _check_keys(item, ("summands", "channel", "value"), (), "lambda entry")
-        key = tuple(int(v) for v in item["summands"])
+        key = tuple(_int(v, "lambda summand") for v in item["summands"])
         if len(key) != 3:
             raise StructuralError(f"lambda summands must have 3 entries: {item}")
-        if int(item["channel"]) != 0:
+        if _int(item["channel"], "lambda channel") != 0:
             raise StructuralError(
                 "multiplicity-free categories have a single fusion channel; "
                 "channel must be 0"
             )
         lam[key] = _complex(item["value"], "lambda value")
-    return QSystemSpec(doc["theta"], lam)
+    return QSystemSpec([_int(m, "theta entry") for m in doc["theta"]], lam)
 
 
 def save_qsystem(q: QSystemSpec, path) -> None:
@@ -242,7 +253,7 @@ def load_nimrep_matrices(path) -> list[np.ndarray]:
     """Nimrep file: ``{"n": [matrix per sector]}`` with integer entries."""
     doc = _read_json(path, "nimrep file")
     _check_keys(doc, ("n",), (), "nimrep file")
-    mats = [np.array(m, dtype=np.int64) for m in doc["n"]]
+    mats = [_int_matrix(m, "nimrep entry") for m in doc["n"]]
     if not mats or any(m.ndim != 2 or m.shape != mats[0].shape for m in mats):
         raise StructuralError("nimrep matrices must be square and same-sized")
     return mats
@@ -253,7 +264,7 @@ def load_coupling_matrix(path) -> np.ndarray:
     """Coupling file: ``{"Z": matrix}`` with integer entries."""
     doc = _read_json(path, "coupling file")
     _check_keys(doc, ("Z",), (), "coupling file")
-    Z = np.array(doc["Z"], dtype=np.int64)
+    Z = _int_matrix(doc["Z"], "Z entry")
     if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
         raise StructuralError("Z must be a square matrix")
     return Z

@@ -14,7 +14,6 @@ never silently drops a non-converged branch.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -24,7 +23,7 @@ from scipy.optimize import least_squares
 from .category import CategoryPresentation, Morphism, braiding, compose, identity, tensor
 from .errors import DataInconsistencyError, StructuralError
 from .rings import DEFAULT_TOL
-from .words import Word, simple_word, sum_word, tree_index
+from .words import Word, sum_word, tree_index
 
 __all__ = [
     "QSystemSpec",
@@ -141,23 +140,32 @@ def _qsystem_residuals(q: QSystemSpec, cat: CategoryPresentation):
     return iso, unit_left, unit_right, assoc
 
 
+def _over_bound(theta, ring, tol) -> dict:
+    """``{sector: m}`` where theta breaks the multiplicity bound ``m_s <= floor(d_s)``.
+
+    A theta whose length is not the ring's size is malformed.
+    """
+    if len(theta) != ring.size:
+        raise StructuralError("theta length must equal the number of sectors")
+    return {s: m for s, m in enumerate(theta) if m > math.floor(ring.fp_dims[s] + tol)}
+
+
+def _require_bound(theta, ring, tol) -> None:
+    over = _over_bound(theta, ring, tol)
+    if over:
+        s = min(over)
+        raise StructuralError(
+            f"theta violates the multiplicity bound at sector {s}: {over[s]} > floor(d_{s})"
+        )
+
+
 def validate_qsystem(q: QSystemSpec, cat: CategoryPresentation, tol: float = DEFAULT_TOL) -> dict:
     """Residuals of the Q-system axioms; ``valid`` iff all below tolerance."""
-    ring = cat.ring
-    if len(q.theta) != ring.size:
-        raise StructuralError("theta length must equal the number of sectors")
-    report: dict = {}
-    for s, m in enumerate(q.theta):
-        if m > math.floor(ring.fp_dims[s] + tol):
-            report[f"bound_sector_{s}"] = float(m)
-    if report:  # not a Q-system; the residuals would need all of theta^3
-        report["valid"] = False
-        return report
-    iso, ul, ur, assoc = _qsystem_residuals(q, cat)
-    report["isometry"] = iso.norm_inf()
-    report["unit_left"] = ul.norm_inf()
-    report["unit_right"] = ur.norm_inf()
-    report["associativity"] = assoc.norm_inf()
+    over = _over_bound(q.theta, cat.ring, tol)
+    if over:  # not a Q-system; the residuals would need all of theta^3
+        return {**{f"bound_sector_{s}": float(m) for s, m in over.items()}, "valid": False}
+    iso, ul, ur, assoc = (m.norm_inf() for m in _qsystem_residuals(q, cat))
+    report = {"isometry": iso, "unit_left": ul, "unit_right": ur, "associativity": assoc}
     report["valid"] = all(v < tol for v in report.values())
     return report
 
@@ -192,84 +200,32 @@ class ChargedIntertwinerAlgebra:
 
 
 def charged_algebra(q: QSystemSpec, cat: CategoryPresentation, tol: float = DEFAULT_TOL) -> ChargedIntertwinerAlgebra:
-    """Extract Gamma^k_{ij} from x and verify the algebra relations."""
+    """Extract ``Gamma^k_{ij} = sqrt(d(theta)) lam`` and verify the algebra relations.
+
+    They are the Q-system axioms rescaled: associativity by ``d(theta)``, the
+    completeness sum rule ``sum_ij Gamma*Gamma = d(theta) delta`` is
+    ``d(theta)`` times the isometry residual, and the unit laws
+    ``Gamma^k_{0j} = Gamma^k_{j0} = delta_jk`` are ``sqrt(d(theta))`` times
+    the unit residuals.
+    """
     ring = cat.ring
+    _require_bound(q.theta, ring, tol)
     dth = q.d_theta(ring)
     root = math.sqrt(dth)
-    gamma = {(p, qq, r): root * val for (p, qq, r), val in q.lam.items()}
-    nslots = q.size
-
-    # unit constraints from the expansion
-    for j in range(nslots):
-        for k in range(nslots):
-            want = 1.0 if j == k else 0.0
-            for (val, key) in ((gamma.get((0, j, k), 0.0), "left"),
-                               (gamma.get((j, 0, k), 0.0), "right")):
-                if abs(val - want) > 1e-6:
-                    raise DataInconsistencyError(
-                        f"unit constraint fails at slots (j={j}, k={k}, {key})"
-                    )
-
-    def gamma_morphism(i, j, k) -> Morphism:
-        src = simple_word(q.sector(k))
-        tgt = simple_word(q.sector(i), q.sector(j))
-        val = gamma.get((i, j, k), 0.0)
-        blocks = {}
-        if val != 0.0:
-            c = q.sector(k)
-            blocks[c] = np.array([[val]])
-        return Morphism(cat, src, tgt, blocks)
-
-    # associativity of the expansion
-    worst_assoc = 0.0
-    for i in range(nslots):
-        for j in range(nslots):
-            for k in range(nslots):
-                for l in range(nslots):
-                    id_k = identity(cat, simple_word(q.sector(k)))
-                    id_i = identity(cat, simple_word(q.sector(i)))
-                    lhs = None
-                    for m in range(nslots):
-                        if (i, j, m) not in gamma or (m, k, l) not in gamma:
-                            continue
-                        term = compose(tensor(gamma_morphism(i, j, m), id_k), gamma_morphism(m, k, l))
-                        lhs = term if lhs is None else lhs + term
-                    rhs = None
-                    for m in range(nslots):
-                        if (j, k, m) not in gamma or (i, m, l) not in gamma:
-                            continue
-                        term = compose(tensor(id_i, gamma_morphism(j, k, m)), gamma_morphism(i, m, l))
-                        rhs = term if rhs is None else rhs + term
-                    if lhs is None and rhs is None:
-                        continue
-                    if lhs is None:
-                        worst_assoc = max(worst_assoc, rhs.norm_inf())
-                    elif rhs is None:
-                        worst_assoc = max(worst_assoc, lhs.norm_inf())
-                    else:
-                        worst_assoc = max(worst_assoc, lhs.residual(rhs))
-
-    # completeness sum rule
-    worst_sum = 0.0
-    for k in range(nslots):
-        for kp in range(nslots):
-            if q.sector(k) != q.sector(kp):
-                continue
-            total = 0.0
-            for i in range(nslots):
-                for j in range(nslots):
-                    total += np.conj(gamma.get((i, j, k), 0.0)) * gamma.get((i, j, kp), 0.0)
-            want = dth if k == kp else 0.0
-            worst_sum = max(worst_sum, abs(total - want))
-
+    iso, unit_left, unit_right, assoc = (m.norm_inf() for m in _qsystem_residuals(q, cat))
+    unit = root * max(unit_left, unit_right)
+    if unit > 1e-6:
+        raise DataInconsistencyError(f"unit constraint fails (residual {unit:.2e})")
+    worst_assoc = dth * assoc
+    worst_sum = dth * iso
     if worst_assoc > 1e3 * tol or worst_sum > 1e3 * tol:
         raise DataInconsistencyError(
             f"charged-intertwiner relations fail "
             f"(associativity {worst_assoc:.2e}, completeness {worst_sum:.2e})"
         )
     return ChargedIntertwinerAlgebra(
-        sectors=tuple(q.sector(i) for i in range(nslots)),
-        gamma=gamma,
+        sectors=tuple(s for s, _copy in q.slots),
+        gamma={key: root * val for key, val in q.lam.items()},
         d_theta=dth,
         associativity_residual=worst_assoc,
         completeness_residual=worst_sum,
@@ -441,20 +397,11 @@ def search_qsystems(
     n_starts: int = 24,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
-    threads: int = 1,
 ) -> SearchResult:
     """Best-effort search for all Q-systems with the given theta, up to gauge."""
-    ring = cat.ring
     theta = tuple(int(m) for m in theta)
-    if len(theta) != ring.size:
-        raise StructuralError("theta length must equal the number of sectors")
+    _require_bound(theta, cat.ring, tol)
     template = QSystemSpec(theta, {(0, 0, 0): 1.0})
-    for s, m in enumerate(theta):
-        if m > math.floor(ring.fp_dims[s] + tol):
-            raise StructuralError(
-                f"theta violates the multiplicity bound at sector {s}: "
-                f"{m} > floor(d_{s})"
-            )
     fixed = _unit_entries(template, cat)
     free = _free_channels(template, cat)
     nfree = len(free)
@@ -487,43 +434,23 @@ def search_qsystems(
 
     method = "lm" if residual_vec(np.zeros(2 * nfree)).size >= 2 * nfree else "trf"
 
-    def one_start(i: int):
-        rng = np.random.default_rng((seed, i))
-        scale = 1.0 if i else 0.5
-        x0 = rng.normal(scale=scale, size=2 * nfree)
-        res = least_squares(residual_vec, x0, method=method, xtol=1e-14, ftol=1e-14, gtol=1e-14)
-        final = float(np.max(np.abs(res.fun)))
-        return final, res.x, res.status
-
-    indices = list(range(n_starts))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one_start, indices))
-    else:
-        outcomes = [one_start(i) for i in indices]
-
-    solutions = []
-    prints = set()
+    found = {}  # fingerprint -> first solution with it
     best = np.inf
     any_nonconverged = False
-    for final, xvec, status in outcomes:
+    for i in range(n_starts):
+        rng = np.random.default_rng((seed, i))
+        x0 = rng.normal(scale=1.0 if i else 0.5, size=2 * nfree)
+        res = least_squares(residual_vec, x0, method=method, xtol=1e-14, ftol=1e-14, gtol=1e-14)
+        final = float(np.max(np.abs(res.fun)))
         best = min(best, final)
-        if status <= 0:
+        if res.status <= 0:
             any_nonconverged = True
         if final < tol:
-            qq = build(xvec)
-            fp = fingerprint(qq, cat)
-            if fp not in prints:
-                prints.add(fp)
-                solutions.append(qq)
-    order = sorted(range(len(solutions)), key=lambda i: fingerprint(solutions[i], cat))
-    solutions = [solutions[i] for i in order]
+            qq = build(res.x)
+            found.setdefault(fingerprint(qq, cat), qq)
+    prints = tuple(sorted(found))
+    solutions = [found[fp] for fp in prints]
     status = "ok"
     if not solutions and (best < 1e-3 or any_nonconverged):
         status = "inconclusive"
-    return SearchResult(
-        solutions,
-        status,
-        best,
-        tuple(fingerprint(s, cat) for s in solutions),
-    )
+    return SearchResult(solutions, status, best, prints)

@@ -255,8 +255,8 @@ def test_orbit_invariance_su2_4_multiplicity_two(su2_4_data):
     assert np.array_equal(coupling_from_qsystem(cat, gauged), want)
 
 
-def test_coupling_threads_deterministic(ising_cat):
+def test_coupling_reruns_deterministic(ising_cat):
     q = car_qsystem(ising_cat)
-    Z1 = coupling_from_qsystem(ising_cat, q, threads=1)
-    Z4 = coupling_from_qsystem(ising_cat, q, threads=4)
-    assert np.array_equal(Z1, Z4)
+    Z1 = coupling_from_qsystem(ising_cat, q)
+    Z2 = coupling_from_qsystem(ising_cat, q)
+    assert Z1.dtype == Z2.dtype and Z1.tobytes() == Z2.tobytes()

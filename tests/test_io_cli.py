@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcft.catalog import fibonacci, ising, su2
+from bcft.classify import regular_nimrep
 from bcft.cli import main
 from bcft.errors import StructuralError
 from bcft.io import (
@@ -33,6 +34,20 @@ def ising_file(tmp_path, ising_data):
 def car_file(tmp_path, ising_data):
     path = tmp_path / "car.json"
     save_qsystem(car_qsystem(ising_data.presentation), path)
+    return path
+
+
+@pytest.fixture()
+def nimrep_file(tmp_path, ising_data):
+    path = tmp_path / "nimrep.json"
+    path.write_text(json.dumps({"n": [m.tolist() for m in regular_nimrep(ising_data.ring).matrices]}))
+    return path
+
+
+@pytest.fixture()
+def coupling_file(tmp_path):
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps({"Z": np.eye(3, dtype=int).tolist()}))
     return path
 
 
@@ -112,7 +127,7 @@ def _replaced(path, keys, value) -> bytes:
     return json.dumps(doc).encode()
 
 
-def test_cli_malformed_exits_2(tmp_path, ising_file, car_file, capsys):
+def test_cli_malformed_exits_2(tmp_path, ising_file, car_file, nimrep_file, coupling_file, capsys):
     bad = str(tmp_path / "bad.json")
     nan = [math.nan, 0.0]  # json writes NaN, which Python's json reads back
     cases = [
@@ -139,6 +154,22 @@ def test_cli_malformed_exits_2(tmp_path, ising_file, car_file, capsys):
         (["induce", str(ising_file), bad], _replaced(car_file, ("lambda", 0, "value"), 5)),
         (["induce", str(ising_file), bad], _replaced(car_file, ("lambda", 0, "value"), [])),
         (["induce", str(ising_file), bad], _replaced(car_file, ("theta",), [1, 0, 1, 0])),
+        # integer fields take JSON integers only: no truncated fractions, no booleans
+        (["validate", bad], _replaced(ising_file, ("F", 0, "labels"), [0.7, 0, 0, 0, 0, 0])),
+        (["validate", bad], _replaced(ising_file, ("R", 0, "labels", 0), 0.0)),
+        (["validate", bad], _replaced(ising_file, ("N", 0), [0.2, 0, 0, 1.9])),
+        (["validate", bad], _replaced(ising_file, ("N", 0, 3), True)),
+        (["validate", bad], _replaced(ising_file, ("dual", 1), 1.5)),
+        (["induce", str(ising_file), bad], _replaced(car_file, ("theta", 2), 1.5)),
+        (["induce", str(ising_file), bad], _replaced(car_file, ("theta", 0), True)),
+        (["induce", str(ising_file), bad], _replaced(car_file, ("lambda", 1, "summands", 1), 1.2)),
+        (["induce", str(ising_file), bad], _replaced(car_file, ("lambda", 0, "channel"), 0.5)),
+        (["cardy", str(ising_file), bad], _replaced(nimrep_file, ("n", 1, 1, 0), 1.6)),
+        (["nimreps", str(ising_file), "--size", "3", "--invariant", bad],
+         _replaced(coupling_file, ("Z", 0, 0), 1.6)),
+        (["nimreps", str(ising_file), "--size", "3", "--invariant", bad],
+         _replaced(coupling_file, ("Z",), [[1, 0], [0, 1]])),  # a 2x2 Z for 3 sectors
+        (["qsearch", str(ising_file), "--theta", "1,x,1"], b"{}"),
     ]
     for argv, content in cases:
         Path(bad).write_bytes(content)
@@ -166,11 +197,14 @@ def test_cli_induce_report(tmp_path, ising_file, car_file, capsys):
     assert set(doc["inputs"]) == {"category", "qsystem"}
 
 
-def test_cli_induce_deterministic_across_threads(tmp_path, ising_file, car_file):
-    out1, out4 = tmp_path / "r1.json", tmp_path / "r4.json"
-    assert main(["--threads", "1", "induce", str(ising_file), str(car_file), "--out", str(out1)]) == 0
-    assert main(["--threads", "4", "induce", str(ising_file), str(car_file), "--out", str(out4)]) == 0
-    assert out1.read_bytes() == out4.read_bytes()
+def test_cli_induce_reruns_identical(tmp_path, ising_file, car_file):
+    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    assert main(["induce", str(ising_file), str(car_file), "--out", str(out1)]) == 0
+    assert main(["induce", str(ising_file), str(car_file), "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    with pytest.raises(SystemExit) as exc:  # there is no thread option
+        main(["--threads", "2", "induce", str(ising_file), str(car_file)])
+    assert exc.value.code == 2
 
 
 def test_cli_invariants_and_reruns_identical(tmp_path, ising_file):
@@ -220,25 +254,16 @@ def test_cli_nimreps_cardy_partition(tmp_path, ising_file, capsys):
     assert "transform residual" in text
 
 
-def test_cli_nimreps_invariant_filter(tmp_path, ising_file):
-    zfile = tmp_path / "z.json"
-    zfile.write_text(json.dumps({"Z": np.eye(3, dtype=int).tolist()}))
+def test_cli_nimreps_invariant_filter(tmp_path, ising_file, coupling_file):
     out = tmp_path / "nims.json"
-    assert main(["nimreps", str(ising_file), "--size", "3", "--invariant", str(zfile), "--out", str(out)]) == 0
+    assert main(["nimreps", str(ising_file), "--size", "3", "--invariant", str(coupling_file), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["payload"]["count"] == 1
 
 
-def test_cli_partition_short_order_exits_3(tmp_path, ising_file):
-    nim = tmp_path / "nimrep.json"
-    from bcft.classify import regular_nimrep
-
-    data = load_category(ising_file)
-    nim.write_text(
-        json.dumps({"n": [m.tolist() for m in regular_nimrep(data.ring).matrices]})
-    )
+def test_cli_partition_short_order_exits_3(ising_file, nimrep_file):
     code = main(
         [
-            "partition", str(ising_file), str(nim),
+            "partition", str(ising_file), str(nimrep_file),
             "--a", "0", "--b", "0", "--beta", "3.2",
             "--order", "5", "--check-transform",
         ]
@@ -266,14 +291,20 @@ def fuzz_dir(tmp_path_factory, ising_data):
     path = tmp_path_factory.mktemp("fuzz")
     save_category(ising_data, path / "category.json")
     save_qsystem(car_qsystem(ising_data.presentation), path / "qsystem.json")
+    nimrep = {"n": [m.tolist() for m in regular_nimrep(ising_data.ring).matrices]}
+    (path / "nimrep.json").write_text(json.dumps(nimrep))
+    (path / "coupling.json").write_text(json.dumps({"Z": np.eye(3, dtype=int).tolist()}))
     return path
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
-@given(which=st.sampled_from(["category", "qsystem"]), data=st.data())
+_FUZZED_KINDS = ("category", "qsystem", "nimrep", "coupling")
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(which=st.sampled_from(_FUZZED_KINDS), data=st.data())
 def test_cli_fuzzed_file_exits_cleanly(fuzz_dir, which, data):
     """Any one value replaced anywhere: a documented exit code, never a traceback."""
-    files = {w: fuzz_dir / f"{w}.json" for w in ("category", "qsystem")}
+    files = {w: fuzz_dir / f"{w}.json" for w in _FUZZED_KINDS}
     node, keys = json.loads(files[which].read_text()), []
     for _ in range(data.draw(st.integers(0, 4))):
         if not (isinstance(node, (dict, list)) and node):
@@ -285,8 +316,14 @@ def test_cli_fuzzed_file_exits_cleanly(fuzz_dir, which, data):
     bad = fuzz_dir / "bad.json"
     bad.write_bytes(_replaced(files[which], keys, data.draw(_json_values)))
     files[which] = bad
-    category, qsystem = str(files["category"]), str(files["qsystem"])
-    for argv in (["validate", category], ["induce", category, qsystem]):
+    category, qsystem, nimrep, coupling = (str(files[w]) for w in _FUZZED_KINDS)
+    commands = {
+        "category": (["validate", category], ["induce", category, qsystem]),
+        "qsystem": (["induce", category, qsystem],),
+        "nimrep": (["cardy", category, nimrep],),
+        "coupling": (["nimreps", category, "--size", "3", "--invariant", coupling],),
+    }
+    for argv in commands[which]:
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)

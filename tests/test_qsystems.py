@@ -6,6 +6,7 @@ import pytest
 from bcft.catalog import su2
 from bcft.category import compose, identity, tensor
 from bcft.errors import DataInconsistencyError, StructuralError
+from bcft.io import dump_canonical, qsystem_to_dict
 from bcft.qsystems import (
     QSystemSpec,
     assemble_x,
@@ -112,6 +113,23 @@ def test_inadmissible_lambda_channel(ising_data):
         assemble_x(q, cat, require_isometry=False)
 
 
+def test_charged_algebra_rejects_broken_qsystems(ising_data, fib_data):
+    # a phase on Gamma^tau_{tau tau} alone keeps the isometry but breaks associativity
+    fib = fib_data.presentation
+    q = regular_qsystem(fib)
+    twisted = QSystemSpec(q.theta, {**q.lam, (1, 1, 1): 1j * q.lam[(1, 1, 1)]})
+    rep = validate_qsystem(twisted, fib)
+    assert rep["isometry"] < 1e-12 and rep["associativity"] > 0.1
+    with pytest.raises(DataInconsistencyError, match="associativity"):
+        charged_algebra(twisted, fib)
+    cat = ising_data.presentation
+    with pytest.raises(StructuralError, match="multiplicity bound"):
+        charged_algebra(QSystemSpec([1, 2, 0], {(0, 0, 0): 1.0}), cat)
+    car = car_qsystem(cat)
+    with pytest.raises(StructuralError, match="no fusion channel"):
+        charged_algebra(QSystemSpec(car.theta, {**car.lam, (1, 1, 1): 0.3}), cat)
+
+
 def test_search_trivial_theta(ising_data):
     res = search_qsystems(ising_data.presentation, [1, 0, 0], n_starts=4)
     assert res.status == "ok"
@@ -150,11 +168,14 @@ def test_search_seed_independent(fib_data):
     assert a.fingerprints == b.fingerprints
 
 
-def test_search_threads_deterministic(ising_data):
+def test_search_reruns_deterministic(ising_data):
     cat = ising_data.presentation
-    a = search_qsystems(cat, [1, 0, 1], n_starts=8, seed=1, threads=1)
-    b = search_qsystems(cat, [1, 0, 1], n_starts=8, seed=1, threads=4)
+    a = search_qsystems(cat, [1, 0, 1], n_starts=8, seed=1)
+    b = search_qsystems(cat, [1, 0, 1], n_starts=8, seed=1)
     assert a.fingerprints == b.fingerprints
+    assert [dump_canonical(qsystem_to_dict(q)) for q in a.solutions] == [
+        dump_canonical(qsystem_to_dict(q)) for q in b.solutions
+    ]
 
 
 def test_search_rejects_bound_violation(ising_data):
