@@ -197,9 +197,6 @@ class Morphism:
             full[c] = blk
         self.blocks = full
 
-    def block(self, c: int) -> np.ndarray:
-        return self.blocks[c]
-
     def dagger(self) -> "Morphism":
         return Morphism(
             self.cat,

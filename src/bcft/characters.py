@@ -72,6 +72,8 @@ def minimal_model_characters(p: int, pp: int, order: int) -> dict:
         raise StructuralError("need coprime 2 <= p < p'")
     if order > 10**4:
         raise StructuralError("truncation order too large")
+    if order < 0:
+        raise StructuralError(f"truncation order must be non-negative, got {order}")
     c = 1.0 - 6.0 * (pp - p) ** 2 / (p * pp)
     part = _partitions(order)
     out = {}

@@ -149,9 +149,6 @@ class Nimrep:
                     return bad
         return bad
 
-    def key(self):
-        return tuple(tuple(m.reshape(-1)) for m in self.matrices)
-
 
 def regular_nimrep(ring: FusionRing) -> Nimrep:
     """Boundaries labeled by sectors; ``n^s = N^s`` (the Cardy case)."""

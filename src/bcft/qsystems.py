@@ -6,9 +6,13 @@ coefficient tensor ``lam[(p, q, r)]`` over summand slots of ``theta``
 (vacuum slot fixed to index 0, unit entries carrying the ``d(theta)^-1/2``
 prefactor), and ``w`` is the canonical isometry onto the vacuum summand.
 
-``search_qsystems`` solves the unit + associativity constraints numerically
-by randomized multi-start least squares and reports an explicit status; it
-never silently drops a non-converged branch.
+The axioms are polynomials of degree at most 2 in ``lam``; ``_AxiomMap`` writes
+them once per theta as a sparse quadratic map, which ``validate_qsystem``,
+``is_local``, ``charged_algebra`` and ``search_qsystems`` evaluate.  The
+morphism calculus (``assemble_x``, ``frobenius_check``) is the independent
+check.  ``search_qsystems`` solves the unit + associativity constraints by
+randomized multi-start least squares and reports an explicit status; it never
+silently drops a non-converged branch.
 """
 
 from __future__ import annotations
@@ -16,21 +20,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 from scipy.optimize import least_squares
+from scipy.sparse import csr_matrix
 
-from .category import CategoryPresentation, Morphism, braiding, compose, identity, tensor
+from .category import CategoryPresentation, Morphism, compose, identity, tensor
 from .errors import DataInconsistencyError, StructuralError
 from .rings import DEFAULT_TOL
-from .words import Word, sum_word, tree_index
+from .words import Word, hom_dim, sum_word, tree_index
 
 __all__ = [
     "QSystemSpec",
     "ChargedIntertwinerAlgebra",
     "SearchResult",
     "assemble_x",
-    "unit_morphism",
     "validate_qsystem",
     "frobenius_check",
     "is_local",
@@ -69,10 +74,6 @@ class QSystemSpec:
         oversized theta is rejected by the multiplicity bound before it exists."""
         return tuple((s, copy) for s, mult in enumerate(self.theta) for copy in range(mult))
 
-    @property
-    def size(self) -> int:
-        return len(self.slots)
-
     def sector(self, slot: int) -> int:
         return self.slots[slot][0]
 
@@ -86,33 +87,22 @@ class QSystemSpec:
         return f"QSystemSpec(theta={self.theta})"
 
 
-def unit_morphism(q: QSystemSpec, cat: CategoryPresentation) -> Morphism:
-    """The isometry w onto the vacuum summand of theta."""
-    return Morphism(cat, Word(), q.theta_word(), {0: np.array([[1.0]])})
-
-
 def assemble_x(q: QSystemSpec, cat: CategoryPresentation, require_isometry: bool = True) -> Morphism:
     """Coefficient tensor -> morphism ``x: theta -> theta theta``."""
     ring = cat.ring
     th = q.theta_word()
     word2 = th + th
-    for (p, qq, r) in q.lam:
-        if not ring.N[q.sector(p), q.sector(qq), q.sector(r)]:
-            raise StructuralError(
-                f"lambda entry {(p, qq, r)} has no fusion channel "
-                f"{q.sector(p)} x {q.sector(qq)} -> {q.sector(r)}"
-            )
-    blocks = {}
-    for c in range(ring.size):
-        cols = [i for i, (s, _) in enumerate(q.slots) if s == c]
-        tidx = tree_index(ring, word2, c)
-        blk = np.zeros((len(tidx), len(cols)), dtype=complex)
-        for (p, qq, r), val in q.lam.items():
-            if q.sector(r) != c:
-                continue
-            tree = ((p, q.sector(p)), (qq, c))
-            blk[tidx[tree], cols.index(r)] = val
-        blocks[c] = blk
+    for key in q.lam:
+        p, qq, r = (q.sector(t) for t in key)
+        if not ring.N[p, qq, r]:
+            raise StructuralError(f"lambda entry {key} has no fusion channel {p} x {qq} -> {r}")
+    # the block at charge c has one column per copy of sector c in theta
+    blocks = {
+        c: np.zeros((hom_dim(ring, word2, c), m), dtype=complex) for c, m in enumerate(q.theta)
+    }
+    for (p, qq, r), val in q.lam.items():
+        c, copy = q.slots[r]
+        blocks[c][tree_index(ring, word2, c)[(p, q.sector(p)), (qq, c)], copy] = val
     x = Morphism(cat, th, word2, blocks)
     if require_isometry:
         resid = compose(x.dagger(), x).residual(identity(cat, th))
@@ -123,21 +113,88 @@ def assemble_x(q: QSystemSpec, cat: CategoryPresentation, require_isometry: bool
     return x
 
 
-def _qsystem_residuals(q: QSystemSpec, cat: CategoryPresentation):
-    """Isometry, unit-law and associativity residual morphisms."""
-    ring = cat.ring
-    th = q.theta_word()
-    x = assemble_x(q, cat, require_isometry=False)
-    w = unit_morphism(q, cat)
-    id_th = identity(cat, th)
-    dth = q.d_theta(ring)
-    scale = dth ** -0.5
+class _AxiomMap:
+    """The Q-system axioms at the theta of ``spec``, as a sparse quadratic map of lambda.
 
-    iso = compose(x.dagger(), x) - id_th
-    unit_left = compose(tensor(w.dagger(), id_th), x) - scale * id_th
-    unit_right = compose(tensor(id_th, w.dagger()), x) - scale * id_th
-    assoc = compose(tensor(x, id_th), x) - compose(tensor(id_th, x), x)
-    return iso, unit_left, unit_right, assoc
+    ``lam`` is a vector over ``channels``, the admissible slot triples
+    ``(p, q, r)`` with ``N[sec p, sec q, sec r] > 0``, and
+    ``y = (lam, conj(lam), 1)``.  Each complex row is
+    ``r0 + sum coef * y[i] * y[j]``.  The rows are the entries of the
+    isometry, left-unit, right-unit and associativity residual morphisms, in
+    the morphism calculus' layout: blocks by ascending charge, each row-major.
+    """
+
+    PARTS = ("isometry", "unit_left", "unit_right", "associativity")
+
+    def __init__(self, cat: CategoryPresentation, spec: QSystemSpec):
+        ring, N = cat.ring, cat.ring.N
+        sec = self.sectors = [s for s, _copy in spec.slots]
+        of = [[t for t, s in enumerate(sec) if s == c] for c in range(ring.size)]
+        self.channels = [
+            ch for ch in product(range(len(sec)), repeat=3) if N[tuple(sec[t] for t in ch)]
+        ]
+        idx = self.index = {ch: i for i, ch in enumerate(self.channels)}
+        bar, one = len(idx), 2 * len(idx)  # where conj(lam) and 1 sit in y
+        scale = self.scale = spec.d_theta(ring) ** -0.5
+
+        def square(entry):  # the block over the slot pairs (a, b) of sector c
+            return lambda c: (entry(a, b) for a, b in product(of[c], of[c]))
+
+        isometry = square(lambda a, b: (
+            -float(a == b), [(bar + idx[p, q, a], idx[p, q, b], 1) for p, q, r in idx if r == a]
+        ))
+        unit_left = square(lambda a, b: (-scale * (a == b), [(idx[0, a, b], one, 1)]))
+        unit_right = square(lambda a, b: (-scale * (a == b), [(idx[a, 0, b], one, 1)]))
+
+        def associativity(c):
+            """``(x (x) id) x - (id (x) x) x`` at the tree ``((p), (q, e), (r, c))``, slot ``t``."""
+            for p, q in product(range(len(sec)), repeat=2):
+                for e, r, t in product(ring.channels(sec[p], sec[q]), range(len(sec)), of[c]):
+                    if not N[e, sec[r], c]:
+                        continue
+                    ijc = [(idx[p, q, s], idx[s, r, t], 1) for s in of[e]]
+                    for f in ring.channels(sec[q], sec[r]):
+                        if N[sec[p], f, c]:
+                            coef = -np.conj(cat.F[sec[p], sec[q], sec[r], c, e, f])
+                            ijc += [(idx[q, r, s], idx[p, s, t], coef) for s in of[f]]
+                    yield 0.0, ijc
+
+        r0, terms, bounds = [], [], [0]  # bounds: the row offset after each block
+        for part in (isometry, unit_left, unit_right, associativity):
+            for c in range(ring.size):
+                for const, ijc in part(c):
+                    terms += [(len(r0), i, j, coef) for i, j, coef in ijc]
+                    r0.append(const)
+                bounds.append(len(r0))
+        rows, self.i, self.j, coef = (np.array(v) for v in zip(*terms))
+        self.r0 = np.array(r0, dtype=complex)
+        m = len(r0)
+        cols = np.arange(len(rows))
+        self.coef = csr_matrix((coef.astype(complex), (rows, cols)), shape=(m, len(cols)))
+        ends = bounds[:: ring.size]  # the row offset after each axiom
+        self.parts = dict(zip(self.PARTS, map(slice, ends, ends[1:])))
+        # the search's real vector: per block, its real parts and then its imaginary parts
+        self.order = np.concatenate([np.r_[a:b, m + a : m + b] for a, b in zip(bounds, bounds[1:])])
+
+    def vector(self, lam: dict) -> np.ndarray:
+        """``lam`` as a vector over ``channels``; a key off every channel is structural."""
+        out = np.zeros(len(self.channels), dtype=complex)
+        for key, val in lam.items():
+            if key not in self.index:
+                p, q, r = (self.sectors[t] for t in key)
+                raise StructuralError(f"lambda entry {key} has no fusion channel {p} x {q} -> {r}")
+            out[self.index[key]] = val
+        return out
+
+    def rows(self, lam: np.ndarray) -> np.ndarray:
+        """The complex residual rows at ``lam``."""
+        y = np.concatenate([lam, lam.conj(), [1.0]])
+        return self.r0 + self.coef @ (y[self.i] * y[self.j])
+
+    def norms(self, lam: np.ndarray) -> dict:
+        """Largest residual modulus of each axiom."""
+        z = np.abs(self.rows(lam))
+        return {name: float(np.max(z[part], initial=0.0)) for name, part in self.parts.items()}
 
 
 def _over_bound(theta, ring, tol) -> dict:
@@ -164,8 +221,8 @@ def validate_qsystem(q: QSystemSpec, cat: CategoryPresentation, tol: float = DEF
     over = _over_bound(q.theta, cat.ring, tol)
     if over:  # not a Q-system; the residuals would need all of theta^3
         return {**{f"bound_sector_{s}": float(m) for s, m in over.items()}, "valid": False}
-    iso, ul, ur, assoc = (m.norm_inf() for m in _qsystem_residuals(q, cat))
-    report = {"isometry": iso, "unit_left": ul, "unit_right": ur, "associativity": assoc}
+    axioms = _AxiomMap(cat, q)
+    report = axioms.norms(axioms.vector(q.lam))
     report["valid"] = all(v < tol for v in report.values())
     return report
 
@@ -181,10 +238,18 @@ def frobenius_check(q: QSystemSpec, cat: CategoryPresentation) -> float:
 
 
 def is_local(q: QSystemSpec, cat: CategoryPresentation, tol: float = DEFAULT_TOL):
-    """Chiral locality test ``eps(theta, theta) x = x``; returns (bool, residual)."""
-    th = q.theta_word()
-    x = assemble_x(q, cat, require_isometry=False)
-    resid = compose(braiding(cat, th, th), x).residual(x)
+    """Chiral locality test ``eps(theta, theta) x = x``; returns (bool, residual).
+
+    The braiding moves ``lam[a, b, c]`` to the tree of ``lam[b, a, c]``, times
+    ``R[sec a, sec b, sec c]``.
+    """
+    _require_bound(q.theta, cat.ring, tol)
+    axioms = _AxiomMap(cat, q)
+    lam, sec, at = axioms.vector(q.lam), axioms.sectors, axioms.index
+    resid = float(max(
+        abs(cat.R[sec[a], sec[b], sec[c]] * lam[k] - lam[at[b, a, c]])
+        for k, (a, b, c) in enumerate(axioms.channels)
+    ))
     return resid < tol, resid
 
 
@@ -212,12 +277,13 @@ def charged_algebra(q: QSystemSpec, cat: CategoryPresentation, tol: float = DEFA
     _require_bound(q.theta, ring, tol)
     dth = q.d_theta(ring)
     root = math.sqrt(dth)
-    iso, unit_left, unit_right, assoc = (m.norm_inf() for m in _qsystem_residuals(q, cat))
-    unit = root * max(unit_left, unit_right)
+    axioms = _AxiomMap(cat, q)
+    res = axioms.norms(axioms.vector(q.lam))
+    unit = root * max(res["unit_left"], res["unit_right"])
     if unit > 1e-6:
         raise DataInconsistencyError(f"unit constraint fails (residual {unit:.2e})")
-    worst_assoc = dth * assoc
-    worst_sum = dth * iso
+    worst_assoc = dth * res["associativity"]
+    worst_sum = dth * res["isometry"]
     if worst_assoc > 1e3 * tol or worst_sum > 1e3 * tol:
         raise DataInconsistencyError(
             f"charged-intertwiner relations fail "
@@ -237,9 +303,7 @@ def gauge_transform(q: QSystemSpec, unitaries: dict) -> QSystemSpec:
 
     ``unitaries[s]`` is an ``n_s x n_s`` unitary; the vacuum block must be 1.
     """
-    slot_of = {}
-    for idx, (s, copy) in enumerate(q.slots):
-        slot_of[(s, copy)] = idx
+    slot_of = {slot: idx for idx, slot in enumerate(q.slots)}
     U = {}
     for s, m in enumerate(q.theta):
         if m == 0:
@@ -252,22 +316,12 @@ def gauge_transform(q: QSystemSpec, unitaries: dict) -> QSystemSpec:
         raise StructuralError("gauge must fix the vacuum summand")
     new_lam: dict = {}
     for (p, qq, r), val in q.lam.items():
-        sp, cp = q.slots[p]
-        sq, cq = q.slots[qq]
-        sr, cr = q.slots[r]
-        for cp2 in range(q.theta[sp]):
-            for cq2 in range(q.theta[sq]):
-                for cr2 in range(q.theta[sr]):
-                    coef = (
-                        U[sp][cp2, cp]
-                        * U[sq][cq2, cq]
-                        * np.conj(U[sr][cr2, cr])
-                        * val
-                    )
-                    if coef == 0.0:
-                        continue
-                    key = (slot_of[(sp, cp2)], slot_of[(sq, cq2)], slot_of[(sr, cr2)])
-                    new_lam[key] = new_lam.get(key, 0.0) + coef
+        (sp, cp), (sq, cq), (sr, cr) = q.slots[p], q.slots[qq], q.slots[r]
+        for cp2, cq2, cr2 in product(range(q.theta[sp]), range(q.theta[sq]), range(q.theta[sr])):
+            coef = U[sp][cp2, cp] * U[sq][cq2, cq] * np.conj(U[sr][cr2, cr]) * val
+            if coef != 0.0:
+                key = (slot_of[sp, cp2], slot_of[sq, cq2], slot_of[sr, cr2])
+                new_lam[key] = new_lam.get(key, 0.0) + coef
     return QSystemSpec(q.theta, {k: v for k, v in new_lam.items() if abs(v) > 1e-15})
 
 
@@ -280,20 +334,11 @@ def fingerprint(q: QSystemSpec, cat: CategoryPresentation, digits: int = 6):
     theta this reduces to the channel moduli (squared).
     """
     dth = q.d_theta(cat.ring)
-    copies: dict[int, list[int]] = {}
-    for slot, (s, _copy) in enumerate(q.slots):
-        copies.setdefault(s, []).append(slot)
-    triples: dict[tuple, np.ndarray] = {}
+    triples: dict[tuple, np.ndarray] = {}  # (sector triple) -> Gamma over the copies
     for (p, qq, r), v in q.lam.items():
-        key = (q.sector(p), q.sector(qq), q.sector(r))
-        T = triples.get(key)
-        if T is None:
-            shape = (len(copies[key[0]]), len(copies[key[1]]), len(copies[key[2]]))
-            T = triples.setdefault(key, np.zeros(shape, dtype=complex))
-        i = copies[key[0]].index(p)
-        j = copies[key[1]].index(qq)
-        k = copies[key[2]].index(r)
-        T[i, j, k] = math.sqrt(dth) * v
+        (a, i), (b, j), (c, k) = q.slots[p], q.slots[qq], q.slots[r]
+        shape = (q.theta[a], q.theta[b], q.theta[c])
+        triples.setdefault((a, b, c), np.zeros(shape, dtype=complex))[i, j, k] = math.sqrt(dth) * v
     items = []
     for key in sorted(triples):
         T = triples[key]
@@ -327,13 +372,7 @@ def car_qsystem(cat: CategoryPresentation) -> QSystemSpec:
         raise StructuralError("car_qsystem expects the Ising category")
     inv = 1.0 / math.sqrt(2.0)
     theta = [1, 0, 1]
-    lam = {
-        (0, 0, 0): inv,
-        (0, 1, 1): inv,
-        (1, 0, 1): inv,
-        (1, 1, 0): inv,
-    }
-    return QSystemSpec(theta, lam)
+    return QSystemSpec(theta, dict.fromkeys([(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)], inv))
 
 
 def regular_qsystem(cat: CategoryPresentation) -> QSystemSpec:
@@ -363,34 +402,6 @@ class SearchResult:
     fingerprints: tuple = field(default_factory=tuple)
 
 
-def _free_channels(q_template: QSystemSpec, cat: CategoryPresentation):
-    """Admissible lambda channels that are not fixed by the unit laws."""
-    ring = cat.ring
-    chans = []
-    n = q_template.size
-    for p in range(n):
-        for qq in range(n):
-            for r in range(n):
-                if not ring.N[q_template.sector(p), q_template.sector(qq), q_template.sector(r)]:
-                    continue
-                if p == 0 or qq == 0:
-                    continue
-                chans.append((p, qq, r))
-    return chans
-
-
-def _unit_entries(q_template: QSystemSpec, cat: CategoryPresentation):
-    dth = q_template.d_theta(cat.ring)
-    scale = dth ** -0.5
-    lam = {}
-    n = q_template.size
-    for r in range(n):
-        lam[(0, r, r)] = scale
-        if r != 0:
-            lam[(r, 0, r)] = scale
-    return lam
-
-
 def search_qsystems(
     cat: CategoryPresentation,
     theta,
@@ -400,46 +411,35 @@ def search_qsystems(
 ) -> SearchResult:
     """Best-effort search for all Q-systems with the given theta, up to gauge."""
     theta = tuple(int(m) for m in theta)
+    if n_starts < 1:
+        raise StructuralError(f"the search needs at least one start, got {n_starts}")
     _require_bound(theta, cat.ring, tol)
-    template = QSystemSpec(theta, {(0, 0, 0): 1.0})
-    fixed = _unit_entries(template, cat)
-    free = _free_channels(template, cat)
-    nfree = len(free)
+    axioms = _AxiomMap(cat, QSystemSpec(theta, {}))
+    unit = {ch: axioms.scale for r in range(len(axioms.sectors)) for ch in ((0, r, r), (r, 0, r))}
+    free = [ch for ch in axioms.channels if ch[0] and ch[1]]  # the unit laws fix the rest
+    lam0 = axioms.vector(unit)
+    where = [axioms.index[ch] for ch in free]
 
     def build(vec: np.ndarray) -> QSystemSpec:
-        lam = dict(fixed)
-        for idx, ch in enumerate(free):
-            val = vec[2 * idx] + 1j * vec[2 * idx + 1]
-            lam[ch] = lam.get(ch, 0.0) + val
-        return QSystemSpec(theta, lam)
+        return QSystemSpec(theta, {**unit, **dict(zip(free, vec[0::2] + 1j * vec[1::2]))})
 
     def residual_vec(vec: np.ndarray) -> np.ndarray:
-        qq = build(vec)
-        parts = []
-        for morph in _qsystem_residuals(qq, cat):
-            for blk in morph.blocks.values():
-                if blk.size:
-                    parts.append(blk.real.ravel())
-                    parts.append(blk.imag.ravel())
-        return np.concatenate(parts) if parts else np.zeros(1)
+        lam = lam0.copy()
+        lam[where] = vec[0::2] + 1j * vec[1::2]
+        z = axioms.rows(lam)
+        return np.concatenate([z.real, z.imag])[axioms.order]
 
-    if nfree == 0:
-        qq = build(np.zeros(0))
-        rep = validate_qsystem(qq, cat, tol)
-        sols = [qq] if rep["valid"] else []
-        return SearchResult(
-            sols, "ok", 0.0 if sols else np.inf,
-            tuple(fingerprint(s, cat) for s in sols),
-        )
+    if not free:  # the unit laws fix every channel
+        sols = [build(np.zeros(0))] if max(axioms.norms(lam0).values()) < tol else []
+        fps = tuple(fingerprint(s, cat) for s in sols)
+        return SearchResult(sols, "ok", 0.0 if sols else np.inf, fps)
 
-    method = "lm" if residual_vec(np.zeros(2 * nfree)).size >= 2 * nfree else "trf"
-
+    method = "lm" if len(axioms.r0) >= len(free) else "trf"
     found = {}  # fingerprint -> first solution with it
     best = np.inf
     any_nonconverged = False
     for i in range(n_starts):
-        rng = np.random.default_rng((seed, i))
-        x0 = rng.normal(scale=1.0 if i else 0.5, size=2 * nfree)
+        x0 = np.random.default_rng((seed, i)).normal(scale=1.0 if i else 0.5, size=2 * len(free))
         res = least_squares(residual_vec, x0, method=method, xtol=1e-14, ftol=1e-14, gtol=1e-14)
         final = float(np.max(np.abs(res.fun)))
         best = min(best, final)
@@ -450,7 +450,5 @@ def search_qsystems(
             found.setdefault(fingerprint(qq, cat), qq)
     prints = tuple(sorted(found))
     solutions = [found[fp] for fp in prints]
-    status = "ok"
-    if not solutions and (best < 1e-3 or any_nonconverged):
-        status = "inconclusive"
+    status = "inconclusive" if not solutions and (best < 1e-3 or any_nonconverged) else "ok"
     return SearchResult(solutions, status, best, prints)

@@ -13,6 +13,8 @@ relies on.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .errors import StructuralError
 from .rings import FusionRing
 
@@ -129,11 +131,13 @@ def _enumerate_trees(ring: FusionRing, word: Word, c: int):
 
 
 def tree_index(ring: FusionRing, word: Word, c: int):
-    """Position of each tree in ``trees(ring, word, c)``, memoized on the ring."""
+    """Read-only position of each tree in ``trees(ring, word, c)``, memoized on the ring."""
     key = (word, c)
     hit = ring.tree_index_memo.get(key)
     if hit is None:
-        hit = ring.tree_index_memo[key] = {t: i for i, t in enumerate(trees(ring, word, c))}
+        hit = ring.tree_index_memo[key] = MappingProxyType(
+            {t: i for i, t in enumerate(trees(ring, word, c))}
+        )
     return hit
 
 

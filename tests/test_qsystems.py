@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from bcft.catalog import su2
-from bcft.category import compose, identity, tensor
+from bcft.category import (
+    CategoryPresentation,
+    Morphism,
+    braiding,
+    compose,
+    identity,
+    tensor,
+    validate_axioms,
+)
 from bcft.errors import DataInconsistencyError, StructuralError
 from bcft.io import dump_canonical, qsystem_to_dict
 from bcft.qsystems import (
@@ -19,9 +27,10 @@ from bcft.qsystems import (
     regular_qsystem,
     search_qsystems,
     trivial_qsystem,
-    unit_morphism,
     validate_qsystem,
 )
+from bcft.qsystems import _AxiomMap
+from bcft.words import Word
 
 
 def test_trivial_qsystem(ising_data):
@@ -77,7 +86,7 @@ def test_unit_normalization_is_d_theta(ising_data, fib_data):
     ]:
         cat = data.presentation
         x = assemble_x(q, cat)
-        w = unit_morphism(q, cat)
+        w = Morphism(cat, Word(), q.theta_word(), {0: np.array([[1.0]])})  # onto the vacuum
         th_id = identity(cat, q.theta_word())
         val = compose(tensor(w.dagger(), th_id), x)
         dth = q.d_theta(data.ring)
@@ -85,6 +94,71 @@ def test_unit_normalization_is_d_theta(ising_data, fib_data):
             sum(m * data.ring.fp_dims[s] for s, m in enumerate(q.theta))
         )
         assert val.residual(dth**-0.5 * th_id) < 1e-12
+
+
+def _morphism_residuals(q, cat):
+    """Reference: the isometry, unit and associativity residuals through compose/tensor."""
+    th = q.theta_word()
+    x = assemble_x(q, cat, require_isometry=False)
+    w = Morphism(cat, Word(), th, {0: np.array([[1.0]])})
+    id_th = identity(cat, th)
+    scale = q.d_theta(cat.ring) ** -0.5
+    return [
+        compose(x.dagger(), x) - id_th,
+        compose(tensor(w.dagger(), id_th), x) - scale * id_th,
+        compose(tensor(id_th, w.dagger()), x) - scale * id_th,
+        compose(tensor(x, id_th), x) - compose(tensor(id_th, x), x),
+    ]
+
+
+def _gauged(cat, rng):
+    """The same category in a random vertex gauge, so that F is complex."""
+    u = {k: 1.0 if 0 in k[:2] else np.exp(2j * np.pi * rng.random()) for k in cat.ring.r_keys}
+    F = {
+        (a, b, c, d, e, f): v * u[a, b, e] * u[e, c, d] / (u[b, c, f] * u[a, f, d])
+        for (a, b, c, d, e, f), v in cat.F.items()
+    }
+    R = {(a, b, c): v * u[a, b, c] / u[b, a, c] for (a, b, c), v in cat.R.items()}
+    gauged = CategoryPresentation(cat.ring, F, R)
+    assert validate_axioms(gauged).valid
+    return gauged
+
+
+def test_axiom_map_matches_morphism_residuals(ising_data, fib_data, su2_4_data, rng):
+    ising_cat, fib = ising_data.presentation, fib_data.presentation
+    s4, s10 = su2_4_data.presentation, su2(10).presentation
+    fib_q = regular_qsystem(fib)
+    e6 = [1 if a in (0, 6) else 0 for a in range(11)]
+    cases = [
+        (car_qsystem(ising_cat), ising_cat),
+        (fib_q, fib),
+        (QSystemSpec(fib_q.theta, {**fib_q.lam, (1, 1, 1): 1j * fib_q.lam[(1, 1, 1)]}), fib),
+        (search_qsystems(s4, [1, 0, 0, 0, 1], n_starts=8, seed=4).solutions[0], s4),
+        (search_qsystems(s4, [1, 0, 2, 0, 1], n_starts=12, seed=9).solutions[0], s4),
+        (search_qsystems(s10, e6, n_starts=12, seed=1).solutions[0], s10),
+        # the catalogs' F are real; a complex gauge of them tests the conjugation of F
+        (car_qsystem(ising_cat), _gauged(ising_cat, rng)),
+        (fib_q, _gauged(fib, rng)),
+    ]
+    # complex noise on every admissible channel, the zero ones included
+    for q, cat in list(cases):
+        channels = _AxiomMap(cat, q).channels
+        noise = rng.normal(size=(len(channels), 2)) @ np.array([0.1, 0.1j])
+        lam = {ch: q.lam.get(ch, 0.0) + z for ch, z in zip(channels, noise)}
+        cases.append((QSystemSpec(q.theta, lam), cat))
+    for q, cat in cases:
+        axioms = _AxiomMap(cat, q)
+        z = axioms.rows(axioms.vector(q.lam))
+        blocks = [b for m in _morphism_residuals(q, cat) for b in m.blocks.values() if b.size]
+        want = np.concatenate([b.ravel() for b in blocks])
+        assert z.shape == want.shape and np.max(np.abs(z - want)) <= 1e-13, q
+        # the search's real vector: per block, the real parts and then the imaginary ones
+        real = np.concatenate([part for b in blocks for part in (b.real.ravel(), b.imag.ravel())])
+        assert np.max(np.abs(np.concatenate([z.real, z.imag])[axioms.order] - real)) <= 1e-13, q
+        th = q.theta_word()
+        x = assemble_x(q, cat, require_isometry=False)
+        want = compose(braiding(cat, th, th), x).residual(x)
+        assert is_local(q, cat)[1] == pytest.approx(want, abs=1e-13)
 
 
 def test_alternative_normalization_fails_the_sum_rule(ising_data):
@@ -187,6 +261,14 @@ def test_validate_reports_bound_violation_without_residuals(ising_data):
     # a theta above the bound is no Q-system; its theta^3 is never built
     q = QSystemSpec([1, 2, 0], {(0, 0, 0): 1.0})
     assert validate_qsystem(q, ising_data.presentation) == {"bound_sector_1": 2.0, "valid": False}
+
+
+def test_is_local_rejects_malformed_theta(ising_data):
+    cat = ising_data.presentation
+    with pytest.raises(StructuralError, match="multiplicity bound"):
+        is_local(QSystemSpec([1, 2, 0], {(0, 0, 0): 1.0}), cat)
+    with pytest.raises(StructuralError, match="theta length"):
+        is_local(QSystemSpec([1, 0, 1, 0], {(0, 0, 0): 1.0}), cat)
 
 
 def test_su2_4_simple_current_extension_is_local():

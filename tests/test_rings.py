@@ -87,6 +87,15 @@ def test_admissible_key_counts(all_catalogs):
         assert len(ring.r_keys) == np.count_nonzero(ring.N)
 
 
+def test_tree_index_is_read_only(ising_data):
+    # the index is the ring's shared memo, so a caller must not be able to change it
+    tidx = tree_index(ising_data.ring, simple_word(1, 1), 2)
+    tree = next(iter(tidx))
+    with pytest.raises(TypeError):
+        tidx[tree] = 7
+    assert tree_index(ising_data.ring, simple_word(1, 1), 2)[tree] == 0
+
+
 def test_tree_cache_freed_with_ring(ising_data):
     # labels unlike any other ring's, so no cache can hold an equal ring instead
     ring = FusionRing(["vac", "sigma", "psi"], ising_data.ring.dual, ising_data.ring.N)
