@@ -4,8 +4,12 @@ Modular invariants are enumerated completely: a numeric basis of the
 commutant of {S, T} is computed by SVD, integer points of the bounded
 polytope are found by backtracking over pivot entries, and every candidate
 is re-verified after integer rounding.  Nimreps are enumerated by
-backtracking over the entries of generator matrices with row-norm pruning,
-then deduplicated up to simultaneous boundary relabeling.
+backtracking over the entries of generator matrices, pruned by spectrum: a
+partial matrix whose spectral radius exceeds the Frobenius-Perron dimension
+ends its branch, and a complete one is kept only if the minimal polynomial
+of the fusion matrix annihilates it exactly.  The rest are derived from the
+representation identity, verified exactly and deduplicated up to
+simultaneous boundary relabeling.
 """
 
 from __future__ import annotations
@@ -189,12 +193,61 @@ def _select_generators(ring: FusionRing):
     raise StructuralError("fusion ring admits no derivation plan (degenerate N)")
 
 
+def _annihilates(coeffs, M) -> bool:
+    """Exact ``p(M) == 0`` by Horner's rule, ``coeffs`` leading first.
+
+    Each Horner step multiplies by M, whose infinity norm R is its largest
+    absolute row sum, so ``sum |c_k| R^(deg-k)`` bounds every intermediate
+    entry: int64 when that bound fits, Python integers otherwise.
+    """
+    R = int(np.abs(M).sum(axis=1).max())
+    deg = len(coeffs) - 1
+    if sum(abs(c) * R ** (deg - k) for k, c in enumerate(coeffs)) >= 2**63:
+        M = M.astype(object)
+    eye = np.eye(len(M), dtype=M.dtype)
+    P = np.zeros_like(M)
+    for c in coeffs:
+        P = P @ M + c * eye
+    return not P.any()
+
+
+def _minimal_polynomial(ring: FusionRing, g: int) -> tuple[int, ...]:
+    """Integer coefficients, leading first, of the minimal polynomial of N^g.
+
+    N^g is normal, so its minimal polynomial is the product of ``x - lam``
+    over its distinct eigenvalues lam; monic with algebraic-integer roots,
+    it has integer coefficients.  The rounded polynomial is accepted only if
+    it annihilates N^g exactly.
+    """
+    Ng = ring.N[g]
+    distinct = []
+    for lam in np.linalg.eigvals(Ng.astype(float)):
+        if all(abs(lam - mu) > 1e-6 for mu in distinct):
+            distinct.append(lam)
+    coeffs = tuple(int(c) for c in np.rint(np.poly(distinct).real))
+    if not _annihilates(coeffs, Ng):
+        raise NumericDegeneracyError(
+            f"rounded minimal polynomial of N^{g} does not annihilate it"
+        )
+    return coeffs
+
+
 def _candidate_generator_matrices(ring: FusionRing, g: int, size: int, tol: float):
-    """All candidate n^g: bounded entries, row square sums <= floor(d_g^2)."""
-    d = ring.fp_dims
-    entry_bound = int(math.floor(d[g] + tol))
-    row_bound = int(math.floor(d[g] ** 2 + tol))
+    """All n^g that pass the spectral conditions every nimrep meets.
+
+    A nimrep matrix n^g is normal with eigenvalues among those of N^g, so
+    the minimal polynomial of N^g annihilates it and its spectral radius is
+    at most d_g.  Entries are set in order (mirrored when g is self-dual),
+    each in increasing value, and unset entries are 0, so a partial matrix
+    is entrywise below all its completions.  Row and column square sums
+    above ``floor(d_g^2)`` or a spectral radius above d_g (Perron-Frobenius
+    monotonicity) therefore end the loop over larger values.
+    """
+    d = ring.fp_dims[g]
+    entry_bound = int(math.floor(d + tol))
+    row_bound = int(math.floor(d**2 + tol))
     symmetric = ring.dual[g] == g
+    minpoly = _minimal_polynomial(ring, g)
     mats = []
     cells = (
         [(i, j) for i in range(size) for j in range(i, size)]
@@ -203,27 +256,35 @@ def _candidate_generator_matrices(ring: FusionRing, g: int, size: int, tol: floa
     )
 
     mat = np.zeros((size, size), dtype=np.int64)
+    row_sq = [0] * size
+    col_sq = [0] * size
 
-    def rows_ok():
-        sq = mat**2
-        return all(sq[i].sum() <= row_bound for i in range(size)) and all(
-            sq[:, j].sum() <= row_bound for j in range(size)
-        )
+    def put(i, j, v) -> bool:
+        """Set entry (i, j), mirrored if symmetric; False if a square sum exceeds its bound."""
+        for a, b in {(i, j), (j, i)} if symmetric else {(i, j)}:
+            step = v * v - int(mat[a, b]) ** 2
+            mat[a, b] = v
+            row_sq[a] += step
+            col_sq[b] += step
+        return max(row_sq[i], row_sq[j], col_sq[i], col_sq[j]) <= row_bound
+
+    def spectral_radius() -> float:
+        if symmetric:
+            return np.linalg.eigvalsh(mat)[-1]
+        return np.max(np.abs(np.linalg.eigvals(mat)))
 
     def rec(idx):
         if idx == len(cells):
-            mats.append(mat.copy())
+            if _annihilates(minpoly, mat):
+                mats.append(mat.copy())
             return
         i, j = cells[idx]
-        for v in range(entry_bound + 1):
-            mat[i, j] = v
-            if symmetric:
-                mat[j, i] = v
-            if rows_ok():
-                rec(idx + 1)
-        mat[i, j] = 0
-        if symmetric:
-            mat[j, i] = 0
+        rec(idx + 1)  # value 0 leaves the partial matrix unchanged
+        for v in range(1, entry_bound + 1):
+            if not put(i, j, v) or spectral_radius() > d + tol:
+                break
+            rec(idx + 1)
+        put(i, j, 0)
 
     rec(0)
     return mats
@@ -278,7 +339,9 @@ def _canonical_key(matrices, size):
 def enumerate_nimreps(ring: FusionRing, size: int, tol: float = DEFAULT_TOL) -> list[Nimrep]:
     """All nimreps of the given boundary count, up to relabeling.
 
-    Backtracks over generator-matrix entries (bounded by ``floor(d_s)``),
+    Reducible nimreps (direct sums) are included: Fibonacci at size 4 gives
+    the regular nimrep taken twice.  Backtracks over generator-matrix
+    entries with spectral pruning (see :func:`_candidate_generator_matrices`),
     derives the remaining matrices from the representation identity and
     verifies everything exactly.
     """

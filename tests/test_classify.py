@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
-from conftest import brute_force_invariants
+import scipy.linalg
+from conftest import brute_force_invariants, brute_force_nimreps
 
+from bcft.catalog import catalog
 from bcft.classify import (
     Nimrep,
+    _canonical_key,
+    _minimal_polynomial,
     cardy_solve,
     compatibility,
     enumerate_modular_invariants,
@@ -160,3 +164,87 @@ def test_su2_4_block_invariant_has_d4_nimrep(su2_4_data):
     nims = enumerate_nimreps(su2_4_data.ring, 4)
     compatible = [nr for nr in nims if compatibility(block, nr, su2_4_data.modular)[0]]
     assert len(compatible) >= 1
+
+
+def _catalog(name):
+    return catalog("su2", int(name[4:])) if name.startswith("su2_") else catalog(name)
+
+
+def _cyclic_ring(order):
+    N = np.zeros((order,) * 3, dtype=np.int64)
+    for a in range(order):
+        for b in range(order):
+            N[a, b, (a + b) % order] = 1
+    return FusionRing([str(a) for a in range(order)], [-a % order for a in range(order)], N)
+
+
+@pytest.mark.parametrize(
+    "name, first, last",
+    [
+        ("ising", 1, 4),
+        ("su2_2", 1, 4),
+        ("fibonacci", 1, 4),
+        ("su2_3", 1, 4),
+        ("su2_4", 3, 4),
+        # Z_3 and Z_4 have sectors that are not self-dual: n^1 is not symmetric
+        ("z3", 1, 4),
+        ("z4", 1, 4),
+    ],
+)
+def test_nimreps_match_row_norm_oracle(name, first, last):
+    # the spectral pruning drops no nimrep and keeps the orbit order
+    ring = _cyclic_ring(int(name[1:])) if name.startswith("z") else _catalog(name).ring
+    for size in range(first, last + 1):
+        fast = [nr.matrices for nr in enumerate_nimreps(ring, size)]
+        slow = brute_force_nimreps(ring, size)
+        assert [[m.tolist() for m in t] for t in fast] == [
+            [m.tolist() for m in t] for t in slow
+        ], (name, size)
+
+
+@pytest.mark.parametrize("name", ["ising", "fibonacci"] + [f"su2_{k}" for k in range(1, 11)])
+def test_minimal_polynomial_is_exact_with_modular_roots(name):
+    data = _catalog(name)
+    ring, S = data.ring, data.modular.S
+    for g in range(ring.size):
+        coeffs = _minimal_polynomial(ring, g)
+        assert all(type(c) is int for c in coeffs) and coeffs[0] == 1
+        Ng = ring.N[g].astype(object)
+        P = np.zeros_like(Ng)
+        for c in coeffs:
+            P = P @ Ng + c * np.eye(ring.size, dtype=object)
+        assert not P.any(), (data.name, g)
+        ratios = S[g] / S[0]
+        assert np.max(np.abs(ratios.imag)) < 1e-9  # self-dual catalogs
+        roots = np.roots(coeffs)
+        assert len(roots) == len({round(r, 6) for r in ratios.real}), (data.name, g)
+        assert max(np.min(np.abs(roots - r)) for r in ratios) < 1e-9, (data.name, g)
+        assert max(np.min(np.abs(ratios - r)) for r in roots) < 1e-9, (data.name, g)
+
+
+@pytest.mark.parametrize("name, size", [("fibonacci", 4), ("ising", 6)])
+def test_reducible_nimreps_are_enumerated(name, size):
+    # the only orbit is the regular nimrep (tadpole, A3) taken twice
+    data = _catalog(name)
+    nims = enumerate_nimreps(data.ring, size)
+    reg = regular_nimrep(data.ring).matrices
+    double = tuple(scipy.linalg.block_diag(m, m) for m in reg)
+    assert len(nims) == 1
+    assert _canonical_key(nims[0].matrices, size) == _canonical_key(double, size)
+
+
+def test_su2_4_ade_nimreps(su2_4_data):
+    # A5 at size 5 (the identity invariant), D4 at size 4 (the block one)
+    d4 = np.zeros((5, 5), dtype=np.int64)
+    d4[0, 0] = d4[0, 4] = d4[4, 0] = d4[4, 4] = 1
+    d4[2, 2] = 2
+    invariants = {"A5": np.eye(5, dtype=np.int64), "D4": d4}
+    want = {3: [], 4: [["D4"]], 5: [["A5"]], 6: []}
+    for size, labels in want.items():
+        nims = enumerate_nimreps(su2_4_data.ring, size)
+        got = [
+            [k for k, Z in invariants.items() if compatibility(Z, nr, su2_4_data.modular)[0]]
+            for nr in nims
+        ]
+        assert got == labels, size
+
