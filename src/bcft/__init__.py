@@ -16,7 +16,6 @@ from .category import (
     braiding,
     compose,
     conjugation_pair,
-    hom_basis,
     identity,
     tensor,
     validate_axioms,
@@ -50,7 +49,6 @@ from .induction import (
     charged_field_basis,
     coupling_from_qsystem,
     dhr_orbit_thetas,
-    exchange_operator,
     index_ledger,
     theta_plus,
 )

@@ -35,7 +35,6 @@ __all__ = [
     "tensor",
     "braiding",
     "conjugation_pair",
-    "hom_basis",
     "validate_axioms",
 ]
 
@@ -370,36 +369,6 @@ def conjugation_pair(cat: CategoryPresentation, rho: int):
     if r > 100 * cat.tol:
         raise DataInconsistencyError(f"conjugate equations fail (residual {r:.2e})")
     return R, Rbar
-
-
-@dataclass
-class HomBasis:
-    """Elementary-matrix basis of ``Hom(source, target)``, deterministically ordered."""
-
-    source: Word
-    target: Word
-    index: tuple  # tuples (charge, source_tree_pos, target_tree_pos)
-    morphisms: tuple
-
-    @property
-    def dimension(self) -> int:
-        return len(self.index)
-
-
-def hom_basis(cat: CategoryPresentation, source: Word, target: Word) -> HomBasis:
-    ring = cat.ring
-    index = []
-    morphs = []
-    for c in range(ring.size):
-        ds = hom_dim(ring, source, c)
-        dt = hom_dim(ring, target, c)
-        for i in range(ds):
-            for j in range(dt):
-                blk = np.zeros((dt, ds), dtype=complex)
-                blk[j, i] = 1.0
-                index.append((c, i, j))
-                morphs.append(Morphism(cat, source, target, {c: blk}))
-    return HomBasis(source, target, tuple(index), tuple(morphs))
 
 
 @dataclass

@@ -143,14 +143,15 @@ class Nimrep:
         for s in range(n):
             if not np.array_equal(self.matrices[ring.dual[s]], self.matrices[s].T):
                 bad.append(f"duality fails: n^dual({s}) != transpose(n^{s})")
-        for s in range(n):
-            for t in range(n):
-                want = sum(
-                    int(ring.N[s, t, u]) * self.matrices[u] for u in range(n)
-                )
-                if not np.array_equal(self.matrices[s] @ self.matrices[t], want):
-                    bad.append(f"representation property fails at ({s},{t})")
-                    return bad
+        # n^s n^t against sum_u N_st^u n^u, for all (s, t) at once
+        mats = np.array(self.matrices)
+        fails = np.any(
+            np.einsum("sij,tjk->stik", mats, mats) != np.einsum("stu,uik->stik", ring.N, mats),
+            axis=(2, 3),
+        )
+        if fails.any():
+            s, t = np.argwhere(fails)[0]  # the first pair in row-major order
+            bad.append(f"representation property fails at ({s},{t})")
         return bad
 
 

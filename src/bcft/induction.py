@@ -2,42 +2,62 @@
 
 A boundary charged field at sector pair ``(sigma, tau)`` corresponds to an
 intertwiner between the two oppositely braided extensions of ``sigma`` and
-``tau``.  Expanding it over the canonical charged isometry reduces this to a
-finite kernel problem on ``n in Hom(theta tau, sigma)``:
+``tau``.  Expanding it over the canonical charged isometry ``x`` (the
+coefficients ``lam`` of the Q-system) reduces this to a finite kernel problem
+on ``n in Hom(theta tau, sigma)``:
 
     ``K(n) = (n (x) id) . (id (x) eps+(theta,tau)) . (x (x) id)
              - eps-(theta,sigma) . (id (x) n) . (x (x) id)``
 
+Both maps of this module are written in fusion-tree coordinates, as explicit
+expressions in ``lam``, F and R; ``s(p)`` is the sector of the theta slot
+``p``.
+
+* The kernel matrix (``_kernel_matrix``).  Its columns are the slots ``p0``
+  with ``N[s(p0), tau, sigma]``, i.e. the basis of ``Hom(theta tau, sigma)``.
+  Its rows are the entries of ``K(n): theta tau -> sigma theta``, in blocks
+  by ascending charge ``c``, each row-major over the target slot ``r``
+  (``N[sigma, s(r), c]``) and the source slot ``p`` (``N[s(p), tau, c]``).
+  With ``handedness="plus"`` the entry is
+
+      ``lam[p0,r,p] sum_f F[s p0, s r, tau, c, s p, f] R[s r, tau, f]
+                          conj(F[s p0, tau, s r, c, sigma, f])
+        - lam[r,p0,p] F[s r, s p0, tau, c, s p, sigma] conj(R[sigma, s r, c])``;
+
+  ``"minus"`` swaps the two braidings: ``R[s r, tau, f]`` becomes
+  ``conj(R[tau, s r, f])`` and ``conj(R[sigma, s r, c])`` becomes
+  ``R[s r, sigma, c]``.
+* The field lift (``_lift_matrix``).  A kernel vector ``n`` gives the field
+  ``phi = (id (x) n (x) id) . (x (x) id) . (id (x) cup_tau)`` in
+  ``Hom(theta, theta sigma tau-bar)``, with the standard cup
+  ``sqrt(d_tau)``.  Its coefficient at the slot ``p`` and the tree
+  ``((a), (sigma, g), (tau-bar, s p))`` is
+
+      ``sqrt(d_tau) conj(F[s p, tau, tau-bar, s p, g, 0])
+        sum_b n_b lam[a,b,p] F[s a, s b, tau, g, s p, sigma]``.
+
 Kernel dimensions assemble into the coupling matrix Z (a modular invariant);
-the kernel vectors, pushed to ``Hom(theta, theta sigma tau-bar)`` with a
-conjugation cup and normalized on the vacuum channel, give the boundary
-field coefficients.  Integer outputs are only accepted when the
-singular-value spectrum shows a clean gap.
+the lifted kernel vectors, normalized on the vacuum channel (the Gram matrix
+of their ``p = 0`` coefficients), give the boundary field coefficients.
+Integer outputs are only accepted when the singular-value spectrum shows a
+clean gap.  The morphism calculus of :mod:`bcft.category` is the independent
+reference for both maps (see the tests).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
-from .category import (
-    CategoryPresentation,
-    Morphism,
-    braiding,
-    compose,
-    conjugation_pair,
-    hom_basis,
-    identity,
-    tensor,
-)
+from .category import CategoryPresentation, Morphism
 from .errors import DataInconsistencyError, NumericDegeneracyError, StructuralError
-from .qsystems import QSystemSpec, assemble_x
+from .qsystems import QSystemSpec, _check_lambda
 from .rings import DEFAULT_TOL, FusionRing
-from .words import simple_word, trees
+from .words import hom_dim, simple_word, trees
 
 __all__ = [
-    "exchange_operator",
     "coupling_from_qsystem",
     "charged_field_basis",
     "BoundaryFieldBasis",
@@ -52,57 +72,76 @@ SV_RTOL = 1e-7
 GAP_MIN = 1e3
 
 
-def exchange_operator(
-    cat: CategoryPresentation,
-    q: QSystemSpec,
-    sigma: int,
-    tau: int,
-    handedness: str = "plus",
-) -> Morphism:
-    """Unitary ``c: theta sigma tau-bar -> sigma tau-bar theta``."""
-    ring = cat.ring
-    th = q.theta_word()
-    tb = ring.dual[tau]
-    w_sig, w_tb = simple_word(sigma), simple_word(tb)
-    eps_sig_th = braiding(cat, w_sig, th, handedness)
-    eps_th_tb = braiding(cat, th, w_tb, handedness)
-    return compose(
-        tensor(identity(cat, w_sig), eps_th_tb),
-        tensor(eps_sig_th.dagger(), identity(cat, w_tb)),
-    )
+def _check_inputs(cat: CategoryPresentation, q: QSystemSpec, handedness: str) -> None:
+    if handedness not in ("plus", "minus"):
+        raise StructuralError("handedness must be 'plus' or 'minus'")
+    _check_lambda(q, cat)
 
 
-def _vectorize(m: Morphism) -> np.ndarray:
-    parts = [m.blocks[c].ravel() for c in sorted(m.blocks) if m.blocks[c].size]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
-
-
-def _linear_problem_matrix(cat, q, x, sigma, tau, handedness):
-    """Matrix of K on Hom(theta tau, sigma); returns (M, basis).
+def _kernel_matrix(cat, q, sigma, tau, handedness) -> np.ndarray:
+    """Matrix of K on Hom(theta tau, sigma), in the layout of the module docstring.
 
     With ``handedness="plus"``, ``theta`` braids forward past ``tau`` and
     backward past ``sigma`` (the kernel counts intertwiners between the two
     opposite inductions); ``"minus"`` swaps the two orientations.
     """
-    th = q.theta_word()
-    w_tau = simple_word(tau)
-    w_sig = simple_word(sigma)
-    basis = hom_basis(cat, th + w_tau, w_sig)
-    if basis.dimension == 0:
-        return np.zeros((0, 0), dtype=complex), basis
-    if handedness not in ("plus", "minus"):
-        raise StructuralError("handedness must be 'plus' or 'minus'")
-    other = "minus" if handedness == "plus" else "plus"
-    id_th = identity(cat, th)
-    x_ext = tensor(x, identity(cat, w_tau))
-    braid_tau = compose(tensor(id_th, braiding(cat, th, w_tau, handedness)), x_ext)
-    braid_sig = braiding(cat, th, w_sig, other)
-    cols = []
-    for n in basis.morphisms:
-        lhs = compose(tensor(n, id_th), braid_tau)
-        rhs = compose(braid_sig, compose(tensor(id_th, n), x_ext))
-        cols.append(_vectorize(lhs - rhs))
-    return np.stack(cols, axis=1), basis
+    ring, F, R, lam = cat.ring, cat.F, cat.R, q.lam
+    N = ring.N
+    plus = handedness == "plus"
+    sec = [s for s, _copy in q.slots]
+    cols = [p0 for p0, s in enumerate(sec) if N[s, tau, sigma]]
+    rows = []
+    for c in range(ring.size):
+        for r, p in product(range(len(sec)), repeat=2):
+            sr, sp = sec[r], sec[p]
+            if not (N[sigma, sr, c] and N[sp, tau, c]):
+                continue
+            row = []
+            for p0 in cols:
+                s0 = sec[p0]
+                entry = 0.0
+                if (p0, r, p) in lam:
+                    entry += lam[p0, r, p] * sum(
+                        F[s0, sr, tau, c, sp, f]
+                        * (R[sr, tau, f] if plus else np.conj(R[tau, sr, f]))
+                        * np.conj(F[s0, tau, sr, c, sigma, f])
+                        for f in ring.channels(sr, tau)
+                        if N[s0, f, c]
+                    )
+                if (r, p0, p) in lam:
+                    entry -= (
+                        lam[r, p0, p]
+                        * F[sr, s0, tau, c, sp, sigma]
+                        * (np.conj(R[sigma, sr, c]) if plus else R[sr, sigma, c])
+                    )
+                row.append(entry)
+            rows.append(row)
+    return np.array(rows, dtype=complex).reshape(len(rows), len(cols))
+
+
+def _lift_matrix(cat, q, sigma, tau):
+    """The field lift ``n -> phi`` as a matrix over the kernel columns; also the row index.
+
+    Row ``(p, a, g)`` is the coefficient of ``phi`` at the theta slot ``p``
+    and the tree ``((a), (sigma, g), (tau-bar, s p))``; the rows run over
+    ``p`` and then over ``trees(theta sigma tau-bar, s p)``.
+    """
+    ring, F, lam = cat.ring, cat.F, q.lam
+    sec = [s for s, _copy in q.slots]
+    tb = ring.dual[tau]
+    word = q.theta_word() + simple_word(sigma, tb)
+    cols = [b for b, s in enumerate(sec) if ring.N[s, tau, sigma]]
+    root = np.sqrt(float(ring.fp_dims[tau]))
+    rows, index = [], []
+    for p, sp in enumerate(sec):
+        for (a, _), (_, g), _ in trees(ring, word, sp):
+            cup = root * np.conj(F[sp, tau, tb, sp, g, 0])
+            rows.append([
+                cup * lam[a, b, p] * F[sec[a], sec[b], tau, g, sp, sigma] if (a, b, p) in lam else 0.0
+                for b in cols
+            ])
+            index.append((p, a, g))
+    return np.array(rows, dtype=complex).reshape(len(rows), len(cols)), tuple(index)
 
 
 def kernel_split(M: np.ndarray, sv_rtol: float = SV_RTOL, gap_min: float = GAP_MIN):
@@ -152,13 +191,13 @@ def coupling_from_qsystem(
     sv_rtol: float = SV_RTOL,
     gap_min: float = GAP_MIN,
 ) -> np.ndarray:
-    """Coupling matrix ``Z[sigma, tau] = dim ker L`` over all sector pairs."""
+    """Coupling matrix ``Z[sigma, tau] = dim ker K`` over all sector pairs."""
+    _check_inputs(cat, q, handedness)
     n = cat.ring.size
-    x = assemble_x(q, cat)
     Z = np.zeros((n, n), dtype=np.int64)
     for sigma in range(n):
         for tau in range(n):
-            M, _ = _linear_problem_matrix(cat, q, x, sigma, tau, handedness)
+            M = _kernel_matrix(cat, q, sigma, tau, handedness)
             Z[sigma, tau], _, _ = kernel_split(M, sv_rtol, gap_min)
     if Z[0, 0] != 1:
         raise DataInconsistencyError(
@@ -175,7 +214,7 @@ class BoundaryFieldBasis:
     sigma: int
     tau: int
     fields: tuple  # Morphisms phi_i: theta -> theta sigma tau-bar
-    coefficients: np.ndarray  # [i, p_slot, tree(q_slot, intermediate)] blocks, see below
+    coefficients: np.ndarray  # [i, (p_slot, q_slot, intermediate)]: the lift's rows
     coefficient_index: tuple  # (p_slot, q_slot, intermediate) per column
     projector: np.ndarray  # kernel projector in coefficient space (basis-free)
     gram_residual: float
@@ -192,90 +231,52 @@ def charged_field_basis(
 ) -> BoundaryFieldBasis:
     """Kernel basis at ``(sigma, tau)`` normalized per the vacuum channel.
 
-    Kernel vectors ``n: theta tau -> sigma`` are pushed to charged-field
+    Kernel vectors ``n: theta tau -> sigma`` are lifted to charged-field
     morphisms ``phi: theta -> theta sigma tau-bar`` by
-    ``phi = (id (x) n (x) id) . (x (x) id) . (id_theta (x) R_tau)`` with the
-    standard cup ``R_tau: 1 -> tau tau-bar``.
+    ``phi = (id (x) n (x) id) . (x (x) id) . (id_theta (x) cup_tau)``
+    (``_lift_matrix``), and normalized so that the vacuum-channel Gram matrix
+    of ``phi_i* phi_j`` is ``d_sigma d_tau`` times the identity.
     """
+    _check_inputs(cat, q, handedness)
     ring = cat.ring
-    x = assemble_x(q, cat)
-    M, basis = _linear_problem_matrix(cat, q, x, sigma, tau, handedness)
+    M = _kernel_matrix(cat, q, sigma, tau, handedness)
     dim, kernel, _ = kernel_split(M, sv_rtol, gap_min)
-    d_st = float(ring.fp_dims[sigma] * ring.fp_dims[tau])
+    lift, index = _lift_matrix(cat, q, sigma, tau)
     th = q.theta_word()
-    tb = ring.dual[tau]
-    word = th + simple_word(sigma, tb)
-    id_th = identity(cat, th)
-    id_tb = identity(cat, simple_word(tb))
-    if dim:
-        cup = conjugation_pair(cat, tb)[0]  # 1 -> tau tau-bar
-        lift_const = compose(
-            tensor(x, identity(cat, simple_word(tau, tb))),
-            tensor(id_th, cup),
-        )
-
-    def from_coeffs(vec):
-        n = None
-        for coef, elem in zip(vec, basis.morphisms):
-            if coef == 0:
-                continue
-            term = coef * elem
-            n = term if n is None else n + term
-        if n is None:
-            return Morphism(cat, th, word, {})
-        return compose(tensor(tensor(id_th, n), id_tb), lift_const)
-
-    raw = [from_coeffs(kernel[:, i]) for i in range(dim)]
-    # Gram matrix on the vacuum channel of phi_i* phi_j
-    G = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            prod = compose(raw[i].dagger(), raw[j])
-            G[i, j] = prod.blocks[0][0, 0] if prod.blocks[0].size else 0.0
+    word = th + simple_word(sigma, ring.dual[tau])
+    n_vac = hom_dim(ring, word, 0)  # the vacuum slot's rows come first
+    d_st = float(ring.fp_dims[sigma] * ring.fp_dims[tau])
+    coeffs = np.zeros((0, len(index)), dtype=complex)
     gram_resid = 0.0
     if dim:
+        vac = lift[:n_vac] @ kernel
+        G = vac.conj().T @ vac
         evals = np.linalg.eigvalsh((G + G.conj().T) / 2)
         if evals[0] <= 1e-10:
             raise NumericDegeneracyError(
                 f"vacuum-channel Gram matrix is numerically singular ({evals})"
             )
         Ginv_half = np.linalg.inv(_sqrtm_hermitian(G))
-        fields = []
-        for i in range(dim):
-            vec = kernel @ (Ginv_half[:, i] * np.sqrt(d_st))
-            fields.append(from_coeffs(vec))
-        for i in range(dim):
-            for j in range(dim):
-                prod = compose(fields[i].dagger(), fields[j])
-                want = d_st if i == j else 0.0
-                gram_resid = max(gram_resid, abs(prod.blocks[0][0, 0] - want))
-    else:
-        fields = []
-
-    # tree coefficients phi^p_{q,i}(g,h): block entries over the tree basis
-    col_index = []
-    for p_slot, (sp, _) in enumerate(q.slots):
-        for tree in trees(ring, word, sp):
-            (q_slot, _), (_, t_mid), _ = tree
-            col_index.append((p_slot, q_slot, t_mid))
-    coeffs = np.zeros((dim, len(col_index)), dtype=complex)
-    for i, phi in enumerate(fields):
-        pos = 0
-        for p_slot, (sp, _) in enumerate(q.slots):
-            blk = phi.blocks[sp]
-            p_col = [k for k, (s, _) in enumerate(q.slots) if s == sp].index(p_slot)
-            for trow in range(blk.shape[0]):
-                coeffs[i, pos] = blk[trow, p_col]
-                pos += 1
-    projector = kernel @ kernel.conj().T
+        coeffs = (lift @ (kernel @ (Ginv_half * np.sqrt(d_st)))).T
+        gram = coeffs[:, :n_vac].conj() @ coeffs[:, :n_vac].T
+        gram_resid = float(np.max(np.abs(gram - d_st * np.eye(dim))))
+    # phi's block at charge c has one column per copy of c in theta: the rows of that slot
+    shapes = [(m, hom_dim(ring, word, c)) for c, m in enumerate(q.theta)]
+    ends = np.cumsum([m * d for m, d in shapes])
+    fields = tuple(
+        Morphism(cat, th, word, {
+            c: part.reshape(shape).T for c, (part, shape) in enumerate(zip(np.split(vec, ends[:-1]), shapes))
+        })
+        for vec in coeffs
+    )
     return BoundaryFieldBasis(
         sigma=sigma,
         tau=tau,
-        fields=tuple(fields),
+        fields=fields,
         coefficients=coeffs,
-        coefficient_index=tuple(col_index),
-        projector=projector,
-        gram_residual=float(gram_resid),
+        coefficient_index=index,
+        projector=kernel @ kernel.conj().T,
+        gram_residual=gram_resid,
     )
 
 

@@ -87,15 +87,34 @@ class QSystemSpec:
         return f"QSystemSpec(theta={self.theta})"
 
 
+def _check_lambda(q: QSystemSpec, cat: CategoryPresentation, require_isometry: bool = True) -> None:
+    """Every key of ``lam`` is a fusion channel and, if required, ``x* x = id``.
+
+    ``x* x`` is block diagonal over charge: its entry at two slots ``(a, b)``
+    of one sector is ``sum_{p,q} conj(lam[p,q,a]) lam[p,q,b]``.
+    """
+    for key in q.lam:
+        p, qq, r = (q.sector(t) for t in key)
+        if not cat.ring.N[p, qq, r]:
+            raise StructuralError(f"lambda entry {key} has no fusion channel {p} x {qq} -> {r}")
+    if not require_isometry:
+        return
+    sec = np.array([s for s, _copy in q.slots])
+    lam = np.zeros((len(sec),) * 3, dtype=complex)
+    for key, val in q.lam.items():
+        lam[key] = val
+    gram = np.einsum("pqa,pqb->ab", lam.conj(), lam) - np.eye(len(sec))
+    resid = float(np.max(np.abs(gram[sec[:, None] == sec])))
+    if resid > 1e-6:
+        raise DataInconsistencyError(f"lambda does not define an isometry (residual {resid:.2e})")
+
+
 def assemble_x(q: QSystemSpec, cat: CategoryPresentation, require_isometry: bool = True) -> Morphism:
     """Coefficient tensor -> morphism ``x: theta -> theta theta``."""
+    _check_lambda(q, cat, require_isometry)
     ring = cat.ring
     th = q.theta_word()
     word2 = th + th
-    for key in q.lam:
-        p, qq, r = (q.sector(t) for t in key)
-        if not ring.N[p, qq, r]:
-            raise StructuralError(f"lambda entry {key} has no fusion channel {p} x {qq} -> {r}")
     # the block at charge c has one column per copy of sector c in theta
     blocks = {
         c: np.zeros((hom_dim(ring, word2, c), m), dtype=complex) for c, m in enumerate(q.theta)
@@ -103,14 +122,7 @@ def assemble_x(q: QSystemSpec, cat: CategoryPresentation, require_isometry: bool
     for (p, qq, r), val in q.lam.items():
         c, copy = q.slots[r]
         blocks[c][tree_index(ring, word2, c)[(p, q.sector(p)), (qq, c)], copy] = val
-    x = Morphism(cat, th, word2, blocks)
-    if require_isometry:
-        resid = compose(x.dagger(), x).residual(identity(cat, th))
-        if resid > 1e-6:
-            raise DataInconsistencyError(
-                f"lambda does not define an isometry (residual {resid:.2e})"
-            )
-    return x
+    return Morphism(cat, th, word2, blocks)
 
 
 class _AxiomMap:

@@ -72,6 +72,30 @@ def test_regular_nimrep_valid(all_catalogs):
         assert regular_nimrep(data.ring).validate() == []
 
 
+def test_nimrep_validate_messages(ising_data):
+    """Every message of ``Nimrep.validate`` on broken Ising regular nimreps."""
+    ring = ising_data.ring
+    reg = regular_nimrep(ring).matrices
+
+    def check(matrices, want, **edits):
+        mats = list(matrices)
+        for name, mat in edits.items():
+            mats[int(name[1:])] = np.array(mat, dtype=np.int64)
+        assert Nimrep(ring, tuple(mats)).validate() == want
+
+    check(reg[:2], ["expected 3 matrices, got 2"])
+    check(reg, ["matrix 1 has shape (2, 2)"], n1=np.eye(2))
+    check(reg, ["matrix 2 has negative entries"], n2=[[0, 0, 1], [0, -1, 0], [1, 0, 0]])
+    check(reg, ["vacuum matrix is not the identity", "representation property fails at (0,0)"], n0=reg[2])
+    check(
+        reg,
+        ["duality fails: n^dual(1) != transpose(n^1)", "representation property fails at (1,1)"],
+        n1=[[0, 1, 1], [1, 0, 1], [0, 1, 0]],
+    )
+    # n^1 n^1 = n^0 + n^2 holds, n^1 n^2 = n^1 fails: (1,2) comes before (2,1) row-major
+    check(reg, ["representation property fails at (1,2)"], n1=[[0, 1, 0], [1, 0, 0], [0, 0, 1]], n2=np.zeros((3, 3)))
+
+
 def test_fibonacci_regular_nimrep(fib_data):
     nr = regular_nimrep(fib_data.ring)
     assert nr.matrices[1].tolist() == [[0, 1], [1, 1]]

@@ -17,3 +17,5 @@ def test_boundary_induction_demo_runs():
     assert run.returncode == 0, run.stderr
     assert "Gamma(1, 1, 0) = 1.000000+0.000000j" in run.stdout
     assert run.stdout.count("Z identical to the original: True") == 3
+    # the whole stdout, recorded from the morphism-calculus implementation of induction
+    assert run.stdout == (ROOT / "tests" / "golden" / "03_boundary_induction.stdout").read_text()
