@@ -478,7 +478,7 @@ def cardy_solve(nimrep: Nimrep, md: ModularData, tol: float = DEFAULT_TOL) -> Ca
     return CardySolution(nimrep, psi, tuple(exponents), residual)
 
 
-def compatibility(Z, nimrep: Nimrep, md: ModularData, tol: float = 1e-6):
+def compatibility(Z, nimrep: Nimrep, md: ModularData):
     """Exponent multiplicities of the nimrep vs the diagonal of Z.
 
     Returns ``(ok, table)`` with ``table[t]`` the number of joint eigenvalue

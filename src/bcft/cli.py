@@ -134,7 +134,7 @@ def cmd_induce(args) -> int:
     if not rep["valid"]:
         print(f"q-system invalid: {rep}")
         return EXIT_INVALID
-    Z = coupling_from_qsystem(data.presentation, q, args.handedness)
+    Z = coupling_from_qsystem(data.presentation, q)
     m, d_total = theta_plus(data.ring, Z)
     ledger = index_ledger(data.ring, q, Z, args.tolerance)
     print("Z =")
@@ -147,9 +147,7 @@ def cmd_induce(args) -> int:
         for tau in range(data.ring.size):
             if Z[sigma, tau] == 0:
                 continue
-            basis = charged_field_basis(
-                data.presentation, q, sigma, tau, args.handedness
-            )
+            basis = charged_field_basis(data.presentation, q, sigma, tau)
             fields[f"{sigma},{tau}"] = {
                 "dim": int(Z[sigma, tau]),
                 "projector": [
@@ -163,7 +161,7 @@ def cmd_induce(args) -> int:
             args.out,
             "induce",
             {"category": args.category, "qsystem": args.qsystem},
-            {**_settings(args), "handedness": args.handedness},
+            _settings(args),
             {
                 "Z": Z.tolist(),
                 "theta_plus": {"multiplicities": m.tolist(), "dimension": d_total},
@@ -309,8 +307,9 @@ def cmd_qsearch(args) -> int:
                         {
                             "sectors": [int(x) for x in key],
                             "gram_spectra": [[float(e) for e in mode] for mode in spectra],
+                            "exchange": list(exchange),
                         }
-                        for key, spectra in fp
+                        for key, spectra, exchange in fp
                     ]
                     for fp in result.fingerprints
                 ],
@@ -355,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("induce", help="coupling matrix, Theta_plus and index ledger")
     p.add_argument("category")
     p.add_argument("qsystem")
-    p.add_argument("--handedness", choices=("plus", "minus"), default="plus")
     p.add_argument("--out")
     p.set_defaults(func=cmd_induce)
 

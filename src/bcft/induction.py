@@ -18,15 +18,16 @@ expressions in ``lam``, F and R; ``s(p)`` is the sector of the theta slot
   Its rows are the entries of ``K(n): theta tau -> sigma theta``, in blocks
   by ascending charge ``c``, each row-major over the target slot ``r``
   (``N[sigma, s(r), c]``) and the source slot ``p`` (``N[s(p), tau, c]``).
-  With ``handedness="plus"`` the entry is
+  The entry is
 
       ``lam[p0,r,p] sum_f F[s p0, s r, tau, c, s p, f] R[s r, tau, f]
                           conj(F[s p0, tau, s r, c, sigma, f])
-        - lam[r,p0,p] F[s r, s p0, tau, c, s p, sigma] conj(R[sigma, s r, c])``;
+        - lam[r,p0,p] F[s r, s p0, tau, c, s p, sigma] conj(R[sigma, s r, c])``.
 
-  ``"minus"`` swaps the two braidings: ``R[s r, tau, f]`` becomes
-  ``conj(R[tau, s r, f])`` and ``conj(R[sigma, s r, c])`` becomes
-  ``R[s r, sigma, c]``.
+  ``theta`` braids forward past ``tau`` and backward past ``sigma``.  The
+  opposite choice counts the same intertwiners with ``sigma`` and ``tau``
+  exchanged, so it gives Z transposed (Z = <alpha+, alpha->); the tests show
+  this on the non-symmetric Z of Spin(8)_1.
 * The field lift (``_lift_matrix``).  A kernel vector ``n`` gives the field
   ``phi = (id (x) n (x) id) . (x (x) id) . (id (x) cup_tau)`` in
   ``Hom(theta, theta sigma tau-bar)``, with the standard cup
@@ -72,22 +73,10 @@ SV_RTOL = 1e-7
 GAP_MIN = 1e3
 
 
-def _check_inputs(cat: CategoryPresentation, q: QSystemSpec, handedness: str) -> None:
-    if handedness not in ("plus", "minus"):
-        raise StructuralError("handedness must be 'plus' or 'minus'")
-    _check_lambda(q, cat)
-
-
-def _kernel_matrix(cat, q, sigma, tau, handedness) -> np.ndarray:
-    """Matrix of K on Hom(theta tau, sigma), in the layout of the module docstring.
-
-    With ``handedness="plus"``, ``theta`` braids forward past ``tau`` and
-    backward past ``sigma`` (the kernel counts intertwiners between the two
-    opposite inductions); ``"minus"`` swaps the two orientations.
-    """
+def _kernel_matrix(cat, q, sigma, tau) -> np.ndarray:
+    """Matrix of K on Hom(theta tau, sigma), in the layout of the module docstring."""
     ring, F, R, lam = cat.ring, cat.F, cat.R, q.lam
     N = ring.N
-    plus = handedness == "plus"
     sec = [s for s, _copy in q.slots]
     cols = [p0 for p0, s in enumerate(sec) if N[s, tau, sigma]]
     rows = []
@@ -103,7 +92,7 @@ def _kernel_matrix(cat, q, sigma, tau, handedness) -> np.ndarray:
                 if (p0, r, p) in lam:
                     entry += lam[p0, r, p] * sum(
                         F[s0, sr, tau, c, sp, f]
-                        * (R[sr, tau, f] if plus else np.conj(R[tau, sr, f]))
+                        * R[sr, tau, f]
                         * np.conj(F[s0, tau, sr, c, sigma, f])
                         for f in ring.channels(sr, tau)
                         if N[s0, f, c]
@@ -112,7 +101,7 @@ def _kernel_matrix(cat, q, sigma, tau, handedness) -> np.ndarray:
                     entry -= (
                         lam[r, p0, p]
                         * F[sr, s0, tau, c, sp, sigma]
-                        * (np.conj(R[sigma, sr, c]) if plus else R[sr, sigma, c])
+                        * np.conj(R[sigma, sr, c])
                     )
                 row.append(entry)
             rows.append(row)
@@ -144,7 +133,7 @@ def _lift_matrix(cat, q, sigma, tau):
     return np.array(rows, dtype=complex).reshape(len(rows), len(cols)), tuple(index)
 
 
-def kernel_split(M: np.ndarray, sv_rtol: float = SV_RTOL, gap_min: float = GAP_MIN):
+def kernel_split(M: np.ndarray):
     """Kernel dimension and basis by singular-value thresholding.
 
     Requires a clean spectral gap across the cut; ambiguous spectra raise
@@ -160,18 +149,18 @@ def kernel_split(M: np.ndarray, sv_rtol: float = SV_RTOL, gap_min: float = GAP_M
     smax = svals[0] if len(svals) else 0.0
     if smax < 1e-12:
         return k, np.eye(k, dtype=complex), np.inf
-    cut = svals < sv_rtol * smax
+    cut = svals < SV_RTOL * smax
     dim = int(np.sum(cut))
     if 0 < dim < k:
         s_kept = svals[k - dim - 1]
         s_drop = svals[k - dim]
         gap = s_kept / max(s_drop, 1e-300)
-        if gap < gap_min:
+        if gap < GAP_MIN:
             raise NumericDegeneracyError(
-                f"no clear singular-value gap (ratio {gap:.1f} < {gap_min:g}); "
+                f"no clear singular-value gap (ratio {gap:.1f} < {GAP_MIN:g}); "
                 f"spectrum {svals}"
             )
-    elif dim == 0 and svals[-1] < 10 * sv_rtol * smax:
+    elif dim == 0 and svals[-1] < 10 * SV_RTOL * smax:
         raise NumericDegeneracyError(
             f"smallest singular value {svals[-1]:.2e} sits at the zero threshold; "
             f"spectrum {svals}"
@@ -184,21 +173,14 @@ def kernel_split(M: np.ndarray, sv_rtol: float = SV_RTOL, gap_min: float = GAP_M
     return dim, kernel, gap
 
 
-def coupling_from_qsystem(
-    cat: CategoryPresentation,
-    q: QSystemSpec,
-    handedness: str = "plus",
-    sv_rtol: float = SV_RTOL,
-    gap_min: float = GAP_MIN,
-) -> np.ndarray:
+def coupling_from_qsystem(cat: CategoryPresentation, q: QSystemSpec) -> np.ndarray:
     """Coupling matrix ``Z[sigma, tau] = dim ker K`` over all sector pairs."""
-    _check_inputs(cat, q, handedness)
+    _check_lambda(q, cat)
     n = cat.ring.size
     Z = np.zeros((n, n), dtype=np.int64)
     for sigma in range(n):
         for tau in range(n):
-            M = _kernel_matrix(cat, q, sigma, tau, handedness)
-            Z[sigma, tau], _, _ = kernel_split(M, sv_rtol, gap_min)
+            Z[sigma, tau], _, _ = kernel_split(_kernel_matrix(cat, q, sigma, tau))
     if Z[0, 0] != 1:
         raise DataInconsistencyError(
             f"Z[0,0] = {Z[0, 0]} != 1: the Q-system is not irreducible or the "
@@ -225,9 +207,6 @@ def charged_field_basis(
     q: QSystemSpec,
     sigma: int,
     tau: int,
-    handedness: str = "plus",
-    sv_rtol: float = SV_RTOL,
-    gap_min: float = GAP_MIN,
 ) -> BoundaryFieldBasis:
     """Kernel basis at ``(sigma, tau)`` normalized per the vacuum channel.
 
@@ -237,10 +216,9 @@ def charged_field_basis(
     (``_lift_matrix``), and normalized so that the vacuum-channel Gram matrix
     of ``phi_i* phi_j`` is ``d_sigma d_tau`` times the identity.
     """
-    _check_inputs(cat, q, handedness)
+    _check_lambda(q, cat)
     ring = cat.ring
-    M = _kernel_matrix(cat, q, sigma, tau, handedness)
-    dim, kernel, _ = kernel_split(M, sv_rtol, gap_min)
+    dim, kernel, _ = kernel_split(_kernel_matrix(cat, q, sigma, tau))
     lift, index = _lift_matrix(cat, q, sigma, tau)
     th = q.theta_word()
     word = th + simple_word(sigma, ring.dual[tau])

@@ -337,13 +337,16 @@ def gauge_transform(q: QSystemSpec, unitaries: dict) -> QSystemSpec:
     return QSystemSpec(q.theta, {k: v for k, v in new_lam.items() if abs(v) > 1e-15})
 
 
-def fingerprint(q: QSystemSpec, cat: CategoryPresentation, digits: int = 6):
+def fingerprint(q: QSystemSpec, cat: CategoryPresentation):
     """Gauge-invariant fingerprint of the Gamma tensor.
 
-    For each sector triple, the Gamma entries over multiplicity copies form
-    a 3-tensor; a gauge rotation acts by one unitary per sector on each
-    mode, so the mode-wise Gram spectra are invariant.  For multiplicity-free
-    theta this reduces to the channel moduli (squared).
+    For each sector triple ``(a, b, c)``, the Gamma entries over
+    multiplicity copies form a 3-tensor; a gauge rotation acts by one unitary
+    per sector on each mode, so the mode-wise Gram spectra are invariant, and
+    so is the exchange ``sum_ijk Gamma_abc[i,j,k] conj(Gamma_bac[j,i,k])``.
+    The spectra alone cannot tell Q-systems whose Gamma differ only by phases
+    (the two cocycle classes of the Z2 x Z2 algebra); the exchange can.  For
+    multiplicity-free theta the spectra reduce to the channel moduli (squared).
     """
     dth = q.d_theta(cat.ring)
     triples: dict[tuple, np.ndarray] = {}  # (sector triple) -> Gamma over the copies
@@ -352,16 +355,19 @@ def fingerprint(q: QSystemSpec, cat: CategoryPresentation, digits: int = 6):
         shape = (q.theta[a], q.theta[b], q.theta[c])
         triples.setdefault((a, b, c), np.zeros(shape, dtype=complex))[i, j, k] = math.sqrt(dth) * v
     items = []
-    for key in sorted(triples):
-        T = triples[key]
-        if np.max(np.abs(T)) <= 10 ** (-digits):
+    for (a, b, c), T in sorted(triples.items()):
+        if np.max(np.abs(T)) <= 1e-6:
             continue
         spectra = []
         for mode in range(3):
             M = np.moveaxis(T, mode, 0).reshape(T.shape[mode], -1)
             eigs = np.linalg.eigvalsh(M @ M.conj().T)
-            spectra.append(tuple(round(float(e), digits) for e in sorted(eigs)))
-        items.append((key, tuple(spectra)))
+            spectra.append(tuple(round(float(e), 6) for e in sorted(eigs)))
+        swapped = triples.get((b, a, c))
+        z = 0j if swapped is None else np.vdot(swapped.transpose(1, 0, 2), T)
+        # + 0.0 turns a rounded -0.0 into 0.0, so reports do not carry the sign of noise
+        exchange = (round(float(z.real), 6) + 0.0, round(float(z.imag), 6) + 0.0)
+        items.append(((a, b, c), tuple(spectra), exchange))
     return tuple(items)
 
 

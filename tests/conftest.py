@@ -4,8 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from bcft.catalog import fibonacci, ising, su2
+from bcft.catalog import CategoryData, fibonacci, ising, su2
+from bcft.category import CategoryPresentation
 from bcft.classify import Nimrep, _canonical_key, _derive_all, _select_generators
+from bcft.modular import ModularData
+from bcft.qsystems import QSystemSpec
+from bcft.rings import FusionRing
 
 
 @pytest.fixture(scope="session")
@@ -23,9 +27,71 @@ def su2_4_data():
     return su2(4)
 
 
+def pointed_category(name, order, add, c, central_charge):
+    """Pointed modular category on an abelian group of ``order`` elements, with
+    trivial F and the braiding bicharacter ``c``: R[a, b] = c(a, b), T_a = c(a, a),
+    S_ab = conj(c(a, b) c(b, a)) / sqrt(order)."""
+    N = np.zeros((order,) * 3, dtype=np.int64)
+    for a, b in itertools.product(range(order), repeat=2):
+        N[a, b, add(a, b)] = 1
+    dual = [next(b for b in range(order) if add(a, b) == 0) for a in range(order)]
+    ring = FusionRing([str(a) for a in range(order)], dual, N)
+    S = np.array([[np.conj(c(a, b) * c(b, a)) for b in range(order)] for a in range(order)])
+    md = ModularData(ring, S / math.sqrt(order), [c(a, a) for a in range(order)])
+    F = dict.fromkeys(ring.f_keys, 1.0)
+    R = {(a, b, ab): c(a, b) for a, b, ab in ring.r_keys}
+    return CategoryData(name, ring, md, CategoryPresentation(ring, F, R), central_charge)
+
+
+def group_algebra(data, subgroup, psi=lambda a, b: 1.0):
+    """The Q-system theta = sum of the sectors in ``subgroup``, twisted by the
+    2-cocycle ``psi``: lam = psi(a, b) / sqrt|H| on each channel a b -> ab."""
+    ring = data.ring
+    theta = [int(s in subgroup) for s in range(ring.size)]
+    slot = {s: i for i, s in enumerate(sorted(subgroup))}
+    lam = {
+        (slot[a], slot[b], slot[int(np.argmax(ring.N[a, b]))]): psi(a, b) / math.sqrt(len(subgroup))
+        for a, b in itertools.product(subgroup, repeat=2)
+    }
+    return QSystemSpec(theta, lam)
+
+
 @pytest.fixture(scope="session")
-def all_catalogs(ising_data, fib_data, su2_4_data):
-    return [ising_data, fib_data, su2(2), su2_4_data]
+def spin8_data():
+    """Spin(8)_1: Z2 x Z2 (sector a is (a & 1, a >> 1)) with
+    c(a, b) = (-1)^(a1 b1 + a2 b2 + a1 b2), so T = (1, -1, -1, -1)."""
+    def c(a, b):
+        a1, a2, b1, b2 = a & 1, a >> 1, b & 1, b >> 1
+        return (-1.0) ** (a1 * b1 + a2 * b2 + a1 * b2)
+
+    return pointed_category("spin8_1", 4, lambda a, b: a ^ b, c, 4.0)
+
+
+@pytest.fixture(scope="session")
+def spin8_qsystems(spin8_data):
+    """The six Q-systems of Spin(8)_1: trivial, 1+g for each g, and 1+v+s+c
+    untwisted and twisted by psi(a, b) = (-1)^(a1 b2)."""
+    def twist(a, b):
+        return (-1.0) ** ((a & 1) * (b >> 1))
+
+    return {
+        "trivial": group_algebra(spin8_data, [0]),
+        **{f"1+{g}": group_algebra(spin8_data, [0, g]) for g in (1, 2, 3)},
+        "1+v+s+c": group_algebra(spin8_data, [0, 1, 2, 3]),
+        "1+v+s+c twisted": group_algebra(spin8_data, [0, 1, 2, 3], twist),
+    }
+
+
+@pytest.fixture(scope="session")
+def z3_data():
+    """Z_3 with c(a, b) = w^(ab), w = exp(2 pi i / 3): sectors 1 and 2 are dual."""
+    w = np.exp(2j * np.pi / 3)
+    return pointed_category("z3", 3, lambda a, b: (a + b) % 3, lambda a, b: w ** (a * b), 2.0)
+
+
+@pytest.fixture(scope="session")
+def all_catalogs(ising_data, fib_data, su2_4_data, z3_data, spin8_data):
+    return [ising_data, fib_data, su2(2), su2_4_data, z3_data, spin8_data]
 
 
 @pytest.fixture()

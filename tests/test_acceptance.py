@@ -87,7 +87,7 @@ def test_criterion_3_linear_problem_and_orbit():
         gaps = []
         for sigma in range(3):
             for tau in range(3):
-                M = _kernel_matrix(cat, car_qsystem(cat), sigma, tau, "plus")
+                M = _kernel_matrix(cat, car_qsystem(cat), sigma, tau)
                 if M.shape[1]:
                     dim, _, gap = kernel_split(M)
                     if 0 < dim < M.shape[1]:

@@ -166,7 +166,7 @@ def test_cardy_rejects_foreign_spectrum(ising_data, fib_data):
         )
 
 
-def test_compatibility_tables(ising_data, fib_data):
+def test_compatibility_tables(ising_data, fib_data, z3_data):
     reg = regular_nimrep(ising_data.ring)
     ok, table = compatibility(np.eye(3, dtype=np.int64), reg, ising_data.modular)
     assert ok and table == {0: 1, 1: 1, 2: 1}
@@ -178,6 +178,13 @@ def test_compatibility_tables(ising_data, fib_data):
         np.eye(2, dtype=np.int64), regular_nimrep(fib_data.ring), fib_data.modular
     )
     assert ok
+    # Z_3: Z = C has trace 1, and its one boundary is the size-1 nimrep n^s = (1)
+    C = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=np.int64)
+    size_one = Nimrep(z3_data.ring, tuple(np.ones((1, 1), dtype=np.int64) for _ in range(3)))
+    assert size_one.validate() == []
+    ok, table = compatibility(C, size_one, z3_data.modular)
+    assert ok and table == {0: 1, 1: 0, 2: 0}
+    assert not compatibility(C, regular_nimrep(z3_data.ring), z3_data.modular)[0]
 
 
 def test_su2_4_block_invariant_has_d4_nimrep(su2_4_data):

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import group_algebra
 
 from bcft.catalog import su2
 from bcft.category import compose
@@ -24,23 +25,18 @@ def ising_cat(ising_data):
 
 
 def test_trivial_theta_gives_identity(ising_data, ising_cat):
-    for hand in ("plus", "minus"):
-        Z = coupling_from_qsystem(ising_cat, trivial_qsystem(ising_cat), hand)
-        assert np.array_equal(Z, np.eye(3, dtype=np.int64))
+    Z = coupling_from_qsystem(ising_cat, trivial_qsystem(ising_cat))
+    assert np.array_equal(Z, np.eye(3, dtype=np.int64))
 
 
 def test_car_gives_identity(ising_data, ising_cat):
-    for hand in ("plus", "minus"):
-        Z = coupling_from_qsystem(ising_cat, car_qsystem(ising_cat), hand)
-        assert np.array_equal(Z, np.eye(3, dtype=np.int64))
+    Z = coupling_from_qsystem(ising_cat, car_qsystem(ising_cat))
+    assert np.array_equal(Z, np.eye(3, dtype=np.int64))
 
 
 def test_fibonacci_regular_gives_identity(fib_data):
-    for hand in ("plus", "minus"):
-        Z = coupling_from_qsystem(
-            fib_data.presentation, regular_qsystem(fib_data.presentation), hand
-        )
-        assert np.array_equal(Z, np.eye(2, dtype=np.int64))
+    Z = coupling_from_qsystem(fib_data.presentation, regular_qsystem(fib_data.presentation))
+    assert np.array_equal(Z, np.eye(2, dtype=np.int64))
 
 
 def test_su2_4_extension_gives_block_invariant(su2_4_data):
@@ -92,7 +88,7 @@ def test_kernel_gap_is_clean(ising_data, ising_cat):
     gaps = []
     for sigma in range(3):
         for tau in range(3):
-            M = _kernel_matrix(ising_cat, q, sigma, tau, "plus")
+            M = _kernel_matrix(ising_cat, q, sigma, tau)
             if M.shape[1] == 0:
                 continue
             dim, _, gap = kernel_split(M)
@@ -260,7 +256,8 @@ def _elementary_basis(cat, src, tgt):
 
 def _reference_maps(cat, q, sigma, tau, handedness, basis):
     """Kernel and lift matrices on ``basis`` of Hom(theta tau, sigma), through
-    tensor/compose/braiding and the standard cup."""
+    tensor/compose/braiding and the standard cup.  ``handedness`` is the braid
+    orientation of theta past tau; theta passes sigma the other way."""
     from bcft.category import braiding, conjugation_pair, identity, tensor
     from bcft.qsystems import assemble_x
     from bcft.words import simple_word
@@ -314,7 +311,7 @@ def _noisy(cat, q, rng):
 
 
 @pytest.fixture(scope="module")
-def induction_cases(ising_data, fib_data, su2_4_data, su2_4_multiplicity_two):
+def induction_cases(ising_data, fib_data, su2_4_data, su2_4_multiplicity_two, z3_data, spin8_data, spin8_qsystems):
     s4 = su2_4_data.presentation
     su2_10 = su2(10)
     e6_theta = tuple(1 if a in (0, 6) else 0 for a in range(11))
@@ -324,13 +321,17 @@ def induction_cases(ising_data, fib_data, su2_4_data, su2_4_multiplicity_two):
         ("su2_4 0+4", su2_4_data, search_qsystems(s4, [1, 0, 0, 0, 1], n_starts=10, seed=3).solutions[0]),
         ("su2_4 0+2+2+4", su2_4_data, su2_4_multiplicity_two.solutions[0]),
         ("E6", su2_10, search_qsystems(su2_10.presentation, e6_theta, n_starts=12, seed=1).solutions[0]),
+        # sectors 1 and 2 of Z_3 are dual: the lift reads ring.dual[tau] != tau
+        ("Z_3 regular", z3_data, group_algebra(z3_data, [0, 1, 2])),
+        ("spin8_1 twisted", spin8_data, spin8_qsystems["1+v+s+c twisted"]),
     ]
 
 
 def test_kernel_and_lift_match_morphism_calculus(induction_cases):
     """Both coordinate maps agree entry by entry with the morphism calculus, in the
     catalog gauge and in a random complex vertex gauge with complex noise on
-    lambda (real catalogs have R[a,b,c] = R[b,a,c]; the gauge does not)."""
+    lambda (real catalogs have R[a,b,c] = R[b,a,c]; the gauge does not).  The
+    reference braids theta forward past tau, as ``_kernel_matrix`` does."""
     from bcft.category import validate_axioms
     from bcft.induction import _kernel_matrix, _lift_matrix
     from bcft.words import simple_word
@@ -342,27 +343,56 @@ def test_kernel_and_lift_match_morphism_calculus(induction_cases):
         if n <= 5:  # the gauge formula is the same for every catalog; su2_10 takes seconds
             assert validate_axioms(gauged).valid, name
         for cat, qq in [(data.presentation, q), (gauged, _noisy(gauged, q, rng))]:
-            for handedness in ("plus", "minus"):
-                for sigma, tau in itertools.product(range(n), repeat=2):
-                    basis = list(_elementary_basis(cat, qq.theta_word() + simple_word(tau), simple_word(sigma)))
-                    K = _kernel_matrix(cat, qq, sigma, tau, handedness)
-                    L, _ = _lift_matrix(cat, qq, sigma, tau)
-                    where = (name, cat is gauged, handedness, sigma, tau)
-                    assert K.shape[1] == L.shape[1] == len(basis), where
-                    if basis:
-                        K_ref, L_ref = _reference_maps(cat, qq, sigma, tau, handedness, basis)
-                        assert K.shape == K_ref.shape and L.shape == L_ref.shape, where
-                        assert np.max(np.abs(K - K_ref)) < 1e-13, where
-                        assert np.max(np.abs(L - L_ref)) < 1e-13, where
+            for sigma, tau in itertools.product(range(n), repeat=2):
+                basis = list(_elementary_basis(cat, qq.theta_word() + simple_word(tau), simple_word(sigma)))
+                K = _kernel_matrix(cat, qq, sigma, tau)
+                L, _ = _lift_matrix(cat, qq, sigma, tau)
+                where = (name, cat is gauged, sigma, tau)
+                assert K.shape[1] == L.shape[1] == len(basis), where
+                if basis:
+                    K_ref, L_ref = _reference_maps(cat, qq, sigma, tau, "plus", basis)
+                    assert K.shape == K_ref.shape and L.shape == L_ref.shape, where
+                    assert np.max(np.abs(K - K_ref)) < 1e-13, where
+                    assert np.max(np.abs(L - L_ref)) < 1e-13, where
 
 
-def test_bad_handedness_is_structural(ising_cat):
-    q0 = trivial_qsystem(ising_cat)
-    with pytest.raises(StructuralError, match="handedness must be"):
-        coupling_from_qsystem(ising_cat, q0, "sideways")
-    # Hom(theta psi, sigma) = 0 here, so only an up-front check sees the flag
-    with pytest.raises(StructuralError, match="handedness must be"):
-        charged_field_basis(ising_cat, q0, 1, 2, handedness="sideways")
+def test_spin8_1_qsystems_give_all_six_invariants(spin8_data, spin8_qsystems):
+    """The six Q-systems of Spin(8)_1 give its six modular invariants, the
+    permutations of v, s, c.  The two 3-cycles are not symmetric, so they settle
+    the braid convention: the opposite orientation (the reference with theta
+    braided backward past tau) has kernel dimensions Z transposed."""
+    from bcft.words import simple_word
+
+    cat, n = spin8_data.presentation, spin8_data.ring.size
+    Zs = {name: coupling_from_qsystem(cat, q) for name, q in spin8_qsystems.items()}
+    want = {tuple(M.reshape(-1)) for M in enumerate_modular_invariants(spin8_data.modular)}
+    assert len(want) == 6 and {tuple(Z.reshape(-1)) for Z in Zs.values()} == want
+    cycle, twisted = Zs["1+v+s+c"], Zs["1+v+s+c twisted"]
+    assert not np.array_equal(cycle, cycle.T) and np.array_equal(twisted, cycle.T)
+    for name, q in spin8_qsystems.items():
+        Z = Zs[name]
+        for sigma, tau in itertools.product(range(n), repeat=2):
+            basis = list(_elementary_basis(cat, q.theta_word() + simple_word(tau), simple_word(sigma)))
+            dim = kernel_split(_reference_maps(cat, q, sigma, tau, "minus", basis)[0])[0] if basis else 0
+            assert dim == Z[tau, sigma], (name, sigma, tau)
+            if Z[sigma, tau]:
+                assert charged_field_basis(cat, q, sigma, tau).gram_residual < 1e-12, (name, sigma, tau)
+
+
+def test_z3_regular_algebra_gives_charge_conjugation(z3_data):
+    """The regular algebra of Z_3 gives Z = C, the conjugation of the non-self-dual
+    sectors 1 and 2, with Theta_plus = 1 + 1 + 2 of dimension 3 and a Haag-dual ledger."""
+    q = group_algebra(z3_data, [0, 1, 2])
+    Z = coupling_from_qsystem(z3_data.presentation, q)
+    assert Z.tolist() == [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
+    assert tuple(Z.reshape(-1)) in {
+        tuple(M.reshape(-1)) for M in enumerate_modular_invariants(z3_data.modular)
+    }
+    m, d = theta_plus(z3_data.ring, Z)
+    assert m.tolist() == [1, 1, 1] and d == pytest.approx(3.0)
+    led = index_ledger(z3_data.ring, q, Z)
+    assert (led.lam, led.lam_plus, led.mu_A) == pytest.approx((3.0, 3.0, 3.0))
+    assert led.haag_dual
 
 
 def test_lambda_errors_from_induction(ising_cat):

@@ -207,9 +207,11 @@ def test_cli_induce_reruns_identical(tmp_path, ising_file, car_file):
     assert main(["induce", str(ising_file), str(car_file), "--out", str(out1)]) == 0
     assert main(["induce", str(ising_file), str(car_file), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    with pytest.raises(SystemExit) as exc:  # there is no thread option
-        main(["--threads", "2", "induce", str(ising_file), str(car_file)])
-    assert exc.value.code == 2
+    induce = ["induce", str(ising_file), str(car_file)]
+    for argv in (["--threads", "2", *induce], [*induce, "--handedness", "minus"]):  # neither option exists
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_cli_invariants_and_reruns_identical(tmp_path, ising_file):
@@ -230,6 +232,9 @@ def test_cli_qsearch_seed_independent_reports(tmp_path, ising_file):
     assert a["payload"] == b["payload"]
     assert a["payload"]["count"] == 1
     assert a["payload"]["status"] == "ok"
+    assert a["payload"]["fingerprints"][0][0] == {
+        "sectors": [0, 0, 0], "gram_spectra": [[1], [1], [1]], "exchange": [1, 0]
+    }
 
 
 def test_cli_nimreps_cardy_partition(tmp_path, ising_file, capsys):

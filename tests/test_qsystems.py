@@ -235,6 +235,18 @@ def test_search_fibonacci_regular(fib_data):
     assert res.fingerprints[0] == fingerprint(regular_qsystem(cat), cat)
 
 
+def test_search_tells_the_two_cocycle_classes_apart(spin8_data, spin8_qsystems):
+    """The untwisted and twisted Z2 x Z2 algebras of Spin(8)_1 give different Z,
+    but every Gamma entry is a phase, so their Gram spectra agree; the exchange
+    part of the fingerprint separates them, and the search finds both."""
+    cat = spin8_data.presentation
+    prints = {fingerprint(spin8_qsystems[k], cat) for k in ("1+v+s+c", "1+v+s+c twisted")}
+    assert len(prints) == 2
+    for seed in (0, 1, 2):
+        res = search_qsystems(cat, [1, 1, 1, 1], n_starts=12, seed=seed)
+        assert res.status == "ok" and set(res.fingerprints) == prints, seed
+
+
 def test_search_seed_independent(fib_data):
     cat = fib_data.presentation
     a = search_qsystems(cat, [1, 1], n_starts=10, seed=11)
@@ -280,10 +292,11 @@ def test_su2_4_simple_current_extension_is_local():
     assert local and resid < 1e-9
 
 
-def test_gauge_transform_preserves_validity_and_fingerprint(ising_data, fib_data, rng):
+def test_gauge_transform_preserves_validity_and_fingerprint(ising_data, fib_data, spin8_data, spin8_qsystems, rng):
     for data, q in [
         (ising_data, car_qsystem(ising_data.presentation)),
         (fib_data, regular_qsystem(fib_data.presentation)),
+        (spin8_data, spin8_qsystems["1+v+s+c twisted"]),
     ]:
         cat = data.presentation
         for _ in range(5):
