@@ -17,7 +17,7 @@ data is exactly what makes the engine consistent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from functools import cached_property, reduce
 from types import MappingProxyType
 
 import numpy as np
@@ -39,8 +39,9 @@ __all__ = [
 ]
 
 
-def _symbol_table(name: str, supplied: dict, keys: tuple) -> MappingProxyType:
-    """Read-only ``{key: complex}`` over exactly the admissible ``keys``, in their order."""
+def _symbol_table(name: str, supplied: dict, keys: tuple):
+    """Read-only ``{key: complex}`` over exactly the admissible ``keys``, in
+    their order, and its values as an array; every value must be finite."""
     for key in keys:
         if key not in supplied:
             raise StructuralError(f"missing admissible {name} entry {key}")
@@ -48,7 +49,17 @@ def _symbol_table(name: str, supplied: dict, keys: tuple) -> MappingProxyType:
         admissible = set(keys)
         bad = next(k for k in supplied if k not in admissible)
         raise StructuralError(f"inadmissible {name} entry supplied: {bad}")
-    return MappingProxyType({key: complex(supplied[key]) for key in keys})
+    table = {key: complex(supplied[key]) for key in keys}
+    values = np.fromiter(table.values(), complex, len(keys))
+    if not np.isfinite(values).all():
+        key = keys[int(np.argmin(np.isfinite(values)))]
+        raise StructuralError(f"non-finite {name} entry {key}: {table[key]}")
+    return MappingProxyType(table), values
+
+
+def _code(n: int, *labels):
+    """Mixed-radix code base ``n`` of label columns; it ascends with the label tuples."""
+    return reduce(lambda code, label: code * n + label, labels)
 
 
 class CategoryPresentation:
@@ -57,7 +68,7 @@ class CategoryPresentation:
     ``F`` maps the admissible 6-tuples ``ring.f_keys`` to complex values and
     ``R`` maps the admissible triples ``ring.r_keys`` to unit-modulus values;
     both are read-only mappings.  All admissible entries must be supplied
-    (including those with vacuum legs), and no others.
+    (including those with vacuum legs), and no others, and all must be finite.
     """
 
     def __init__(self, ring: FusionRing, F: dict, R: dict, tol: float = DEFAULT_TOL):
@@ -71,9 +82,17 @@ class CategoryPresentation:
             raise StructuralError("braidable fusion rules must be commutative")
         self.ring = ring
         self.tol = tol
-        self.F = _symbol_table("F", F, ring.f_keys)
-        self.R = _symbol_table("R", R, ring.r_keys)
+        self.F, self._f_values = _symbol_table("F", F, ring.f_keys)
+        self.R, self._r_values = _symbol_table("R", R, ring.r_keys)
         self._split_cache: dict = {}
+
+    @cached_property
+    def f_array(self):
+        """``ring.f_keys`` as an int64 ``(M, 6)`` array (column-major, so each
+        label is contiguous), their ascending codes (see ``_code``) and the F
+        values aligned with them."""
+        keys = np.array(self.ring.f_keys, dtype=np.int64, order="F")
+        return keys, _code(self.ring.size, *keys.T), self._f_values
 
     # -- split isomorphism -------------------------------------------------
 
@@ -387,73 +406,89 @@ class AxiomReport:
         )
 
 
-def _last_labels(ring: FusionRing) -> dict:
-    """``{key[:5]: [key[5], ...]}`` over ``ring.f_keys``; each list ascends."""
-    out: dict = {}
-    for key in ring.f_keys:
-        out.setdefault(key[:5], []).append(key[5])
-    return out
+# F keys per pentagon and hexagon chunk: bounds the pair and term arrays
+_CHUNK = 32
+
+
+def _matches(sorted_codes, query):
+    """``(owner, pos)``: each ``pos`` with ``sorted_codes[pos] == query[owner]``, in order."""
+    lo, hi = np.searchsorted(sorted_codes, query), np.searchsorted(sorted_codes, query, "right")
+    owner = np.repeat(np.arange(len(query)), hi - lo)
+    return owner, np.arange(owner.size) + np.repeat(hi - np.cumsum(hi - lo), hi - lo)
+
+
+def _worst(worst, lhs, owner, terms):
+    """Max of ``worst`` and ``|lhs[i] - sum(terms[owner == i])|``, summed in array order."""
+    re, im = (np.bincount(owner, part, len(lhs)) for part in (terms.real, terms.imag))
+    return np.max(np.hypot(lhs.real - re, lhs.imag - im), initial=worst)
 
 
 def _pentagon_residual(cat: CategoryPresentation) -> float:
-    """Pentagon over every pair of F keys ``(f,c,d,e,g,l)``, ``(a,b,l,e,f,k)``."""
-    ring, F = cat.ring, cat.F
-    N = ring.N
-    hs = _last_labels(ring)
-    by_fle: dict = {}
-    for key in ring.f_keys:
-        by_fle.setdefault((key[4], key[2], key[3]), []).append(key)
+    """Pentagon over every pair of F keys ``(f,c,d,e,g,l)``, ``(a,b,l,e,f,k)``: the
+    right side sums ``F[a,b,c,g,f,h] F[a,h,d,e,g,k] F[b,c,d,k,h,l]`` over ascending ``h``."""
+    keys, codes, F = cat.f_array
+    n, N = cat.ring.size, cat.ring.N
+    labels, prefix = keys.T, codes // n
+    # the inner keys grouped by (f, l, e), each group in ascending key order
+    fle = _code(n, labels[4], labels[2], labels[3])
+    by_fle = np.argsort(fle, kind="stable")
+    fle = fle[by_fle]
     worst = 0.0
-    for f, c, d, e, g, l in ring.f_keys:
-        outer = F[f, c, d, e, g, l]
-        for a, b, _, _, _, k in by_fle.get((f, l, e), ()):
-            lhs = outer * F[a, b, l, e, f, k]
-            rhs = 0.0
-            for h in hs.get((a, b, c, g, f), ()):
-                if N[h, d, k]:
-                    rhs += F[a, b, c, g, f, h] * F[a, h, d, e, g, k] * F[b, c, d, k, h, l]
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    for start in range(0, len(keys), _CHUNK):
+        f, c, d, e, g, l = labels[:, start : start + _CHUNK]
+        pair, pos = _matches(fle, _code(n, f, l, e))
+        outer, inner = start + pair, by_fle[pos]
+        (f, c, d, e, g, l), (a, b, _, _, _, k) = labels[:, outer], labels[:, inner]
+        term, h_pos = _matches(prefix, _code(n, a, b, c, g, f))
+        keep = N[labels[5, h_pos], d[term], k[term]] > 0
+        term, h_pos = term[keep], h_pos[keep]
+        (a, b, c, g, _, h), (d, e, k, l) = labels[:, h_pos], (d[term], e[term], k[term], l[term])
+        rhs = F[h_pos] * F[np.searchsorted(codes, _code(n, a, h, d, e, g, k))]
+        rhs *= F[np.searchsorted(codes, _code(n, b, c, d, k, h, l))]
+        worst = _worst(worst, F[outer] * F[inner], term, rhs)
+    return float(worst)
 
 
 def _hexagon_residual(cat: CategoryPresentation) -> float:
     """Both hexagon orientations for the braiding against the associator.
 
     The rows ``(a,b,c,d,e,g)`` are the F keys ``(b,a,c,d,e,g)``, since the
-    fusion rules are commutative.
+    fusion rules are commutative; the right sides sum over ascending ``f``.
     """
-    ring, F, R = cat.ring, cat.F, cat.R
-    fs = _last_labels(ring)
+    keys, codes, F = cat.f_array
+    n, N = cat.ring.size, cat.ring.N
+    labels, prefix = keys.T, codes // n
+    R = np.zeros(N.shape, dtype=complex)
+    R[N > 0] = cat._r_values  # r_keys are the nonzero entries of N, in order
     worst = 0.0
-    for b, a, c, d, e, g in ring.f_keys:
-        lhs_p = R[a, b, e] * F[b, a, c, d, e, g] * R[a, c, g]
-        lhs_m = np.conj(R[b, a, e]) * F[b, a, c, d, e, g] * np.conj(R[c, a, g])
-        rhs_p = 0.0
-        rhs_m = 0.0
-        for f in fs.get((a, b, c, d, e), ()):
-            term = F[a, b, c, d, e, f] * F[b, c, a, d, f, g]
-            rhs_p += term * R[a, f, d]
-            rhs_m += term * np.conj(R[f, a, d])
-        worst = max(worst, abs(lhs_p - rhs_p), abs(lhs_m - rhs_m))
-    return worst
+    for start in range(0, len(keys), _CHUNK):
+        b, a, c, d, e, g = labels[:, start : start + _CHUNK]
+        row = F[start : start + _CHUNK]
+        lhs_p = R[a, b, e] * row * R[a, c, g]
+        lhs_m = np.conj(R[b, a, e]) * row * np.conj(R[c, a, g])
+        term, f_pos = _matches(prefix, _code(n, a, b, c, d, e))
+        (a, b, c, d, _, f), g = labels[:, f_pos], g[term]
+        prod = F[f_pos] * F[np.searchsorted(codes, _code(n, b, c, a, d, f, g))]
+        worst = _worst(worst, lhs_p, term, prod * R[a, f, d])
+        worst = _worst(worst, lhs_m, term, prod * np.conj(R[f, a, d]))
+    return float(worst)
 
 
 def _unitarity_residual(cat: CategoryPresentation) -> float:
     """R moduli and the F blocks ``F[a,b,c,d]``; ``inf`` if a block is not square."""
-    ring, F, R = cat.ring, cat.F, cat.R
-    N = ring.N
+    N = cat.ring.N
     rows = np.einsum("abe,ecd->abcd", N, N)
     if np.any(rows != np.einsum("bcf,afd->abcd", N, N)):
         return np.inf
-    worst = 0.0
-    for r in R.values():
-        worst = max(worst, abs(abs(r) - 1.0))
+    keys, codes, F = cat.f_array
+    worst = np.max(np.abs(np.abs(cat._r_values) - 1.0))
     # sorted f_keys: each (a,b,c,d) block is one run, row-major in (e, f)
-    for abcd, block in groupby(ring.f_keys, key=lambda key: key[:4]):
-        m = rows[abcd]
-        M = np.array([F[key] for key in block]).reshape(m, m)
-        worst = max(worst, float(np.max(np.abs(M @ M.conj().T - np.eye(m)))))
-    return worst
+    starts = np.flatnonzero(np.diff(codes // cat.ring.size**2, prepend=-1))
+    sizes = rows[tuple(keys[starts, :4].T)]
+    for m in set(sizes.tolist()):
+        blocks = F[starts[sizes == m, None] + np.arange(m * m)].reshape(-1, m, m)
+        worst = np.max(np.abs(blocks @ blocks.conj().transpose(0, 2, 1) - np.eye(m)), initial=worst)
+    return float(worst)
 
 
 def validate_axioms(cat: CategoryPresentation, tol: float | None = None) -> AxiomReport:

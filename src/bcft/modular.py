@@ -32,6 +32,10 @@ class ModularData:
             raise StructuralError(f"S must be {n}x{n}, got {S.shape}")
         if T.shape != (n,):
             raise StructuralError(f"T must have {n} diagonal entries, got {T.shape}")
+        for name, M in (("S", S), ("T", T)):
+            if not np.isfinite(M).all():
+                index = tuple(np.argwhere(~np.isfinite(M))[0].tolist())
+                raise StructuralError(f"non-finite {name} entry {index}")
         S.setflags(write=False)
         T.setflags(write=False)
         self.ring = ring

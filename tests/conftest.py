@@ -1,5 +1,6 @@
 import itertools
 import math
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -176,3 +177,46 @@ def brute_force_nimreps(ring, size: int, tol: float = 1e-9):
         tuple(np.array(k, dtype=np.int64).reshape(size, size) for k in key)
         for key in sorted(found)
     ]
+
+
+def reference_axiom_residuals(cat):
+    """Oracle: pentagon, hexagon and unitarity residuals of ``validate_axioms``
+    as plain loops over ``cat.F`` and ``cat.R``, with a dict join of the F keys."""
+    ring, F, R, N = cat.ring, cat.F, cat.R, cat.ring.N
+    last: dict = {}
+    by_fle: dict = {}
+    for key in ring.f_keys:
+        last.setdefault(key[:5], []).append(key[5])
+        by_fle.setdefault((key[4], key[2], key[3]), []).append(key)
+
+    pentagon = 0.0
+    for f, c, d, e, g, l in ring.f_keys:
+        for a, b, _, _, _, k in by_fle.get((f, l, e), ()):
+            lhs = F[f, c, d, e, g, l] * F[a, b, l, e, f, k]
+            rhs = 0.0
+            for h in last.get((a, b, c, g, f), ()):
+                if N[h, d, k]:
+                    rhs += F[a, b, c, g, f, h] * F[a, h, d, e, g, k] * F[b, c, d, k, h, l]
+            pentagon = max(pentagon, abs(lhs - rhs))
+
+    # hexagon rows (a,b,c,d,e,g) are the F keys (b,a,c,d,e,g): the fusion rules commute
+    hexagon = 0.0
+    for b, a, c, d, e, g in ring.f_keys:
+        lhs_p = R[a, b, e] * F[b, a, c, d, e, g] * R[a, c, g]
+        lhs_m = np.conj(R[b, a, e]) * F[b, a, c, d, e, g] * np.conj(R[c, a, g])
+        rhs_p = rhs_m = 0.0
+        for f in last.get((a, b, c, d, e), ()):
+            term = F[a, b, c, d, e, f] * F[b, c, a, d, f, g]
+            rhs_p += term * R[a, f, d]
+            rhs_m += term * np.conj(R[f, a, d])
+        hexagon = max(hexagon, abs(lhs_p - rhs_p), abs(lhs_m - rhs_m))
+
+    rows = np.einsum("abe,ecd->abcd", N, N)
+    if np.any(rows != np.einsum("bcf,afd->abcd", N, N)):
+        return pentagon, hexagon, math.inf
+    unitarity = max(abs(abs(r) - 1.0) for r in R.values())
+    for abcd, block in groupby(ring.f_keys, key=lambda key: key[:4]):
+        m = rows[abcd]
+        M = np.array([F[key] for key in block]).reshape(m, m)
+        unitarity = max(unitarity, float(np.max(np.abs(M @ M.conj().T - np.eye(m)))))
+    return pentagon, hexagon, unitarity

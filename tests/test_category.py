@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import reference_axiom_residuals
 
+from bcft.catalog import su2
 from bcft.category import (
     CategoryPresentation,
     Morphism,
@@ -90,6 +92,58 @@ def test_non_square_f_block_fails_unitarity(ising_data):
 
 def _fr_dicts(data):
     return dict(data.presentation.F), dict(data.presentation.R)
+
+
+def _residuals(cat):
+    rep = validate_axioms(cat)
+    return rep.pentagon_residual, rep.hexagon_residual, rep.unitarity_residual
+
+
+def test_axioms_match_reference_on_catalogs(all_catalogs):
+    # su2_6 and su2_8 have 1680 and 6105 F keys, so their outer keys span many chunks
+    for cat in [data.presentation for data in all_catalogs] + [su2(6).presentation, su2(8).presentation]:
+        assert _residuals(cat) == pytest.approx(reference_axiom_residuals(cat), rel=1e-12, abs=1e-15)
+
+
+def test_axioms_match_reference_in_noisy_gauge(all_catalogs, rng):
+    # a complex vertex gauge keeps the pentagon and hexagon; the noise breaks
+    # them at O(1), so every summed term and both braid orientations count
+    for data in all_catalogs:
+        ring, cat = data.ring, data.presentation
+        u = {key: rng.normal() + 1j * rng.normal() if key[0] and key[1] else 1.0 for key in ring.r_keys}
+        F = {
+            (a, b, c, d, e, f): val * u[a, b, e] * u[e, c, d] / (u[b, c, f] * u[a, f, d])
+            + 0.1 * (rng.normal() + 1j * rng.normal())
+            for (a, b, c, d, e, f), val in cat.F.items()
+        }
+        R = {
+            (a, b, c): val * u[a, b, c] / u[b, a, c] + 0.1 * (rng.normal() + 1j * rng.normal())
+            for (a, b, c), val in cat.R.items()
+        }
+        noisy = CategoryPresentation(ring, F, R)
+        got, want = _residuals(noisy), reference_axiom_residuals(noisy)
+        assert min(want) > 1e-3, data.name
+        assert got == pytest.approx(want, rel=1e-12, abs=0), data.name
+
+
+def test_axioms_match_reference_per_entry(ising_data, fib_data, z3_data, spin8_data):
+    for data in (ising_data, fib_data, z3_data, spin8_data):
+        F, R = _fr_dicts(data)
+        cases = [({**F, key: F[key] + 0.5j}, R) for key in F]
+        cases += [(F, {**R, key: R[key] + 0.5j}) for key in R]
+        for F_case, R_case in cases:
+            cat = CategoryPresentation(data.ring, F_case, R_case)
+            got, want = _residuals(cat), reference_axiom_residuals(cat)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15), data.name
+
+
+@pytest.mark.parametrize("symbol, key", [("F", (1, 1, 1, 1, 2, 2)), ("R", (1, 1, 0))])
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(1.0, -math.inf)])
+def test_non_finite_symbol_is_structural(ising_data, symbol, key, value):
+    F, R = _fr_dicts(ising_data)
+    {"F": F, "R": R}[symbol][key] = value
+    with pytest.raises(StructuralError, match=rf"non-finite {symbol} entry \({key[0]}, {key[1]}"):
+        CategoryPresentation(ising_data.ring, F, R)
 
 
 def test_missing_f_entry_is_structural(ising_data):

@@ -21,6 +21,17 @@ def test_trivial_modular_data():
     assert quantum_dimensions(md) == pytest.approx([1.0])
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_non_finite_modular_entry_is_structural(ising_data, value):
+    S, T = ising_data.modular.S.copy(), ising_data.modular.T.copy()
+    S[1, 1] = value
+    with pytest.raises(StructuralError, match=r"non-finite S entry \(1, 1\)"):
+        ModularData(ising_data.ring, S, T)
+    T[1] = value
+    with pytest.raises(StructuralError, match=r"non-finite T entry \(1,\)"):
+        ModularData(ising_data.ring, ising_data.modular.S, T)
+
+
 def test_catalog_modular_valid(all_catalogs):
     for data in all_catalogs:
         assert validate_modular(data.modular) == [], data.name
