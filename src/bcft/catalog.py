@@ -122,55 +122,39 @@ def fibonacci() -> CategoryData:
 # -- SU(2)_k via quantum 6j symbols ----------------------------------------
 
 
-def _qint(m: int, k: int) -> float:
-    """Quantum integer [m] at q = exp(2 pi i / (k+2))."""
-    return math.sin(math.pi * m / (k + 2)) / math.sin(math.pi / (k + 2))
+def _su2_f_values(keys: np.ndarray, k: int) -> np.ndarray:
+    """Unitary-gauge F values at the admissible ``keys`` (rows ``(a,b,c,d,e,f)``
+    of twice the spins): ``(-1)^((a+b+c+d)/2) sqrt([e+1][f+1]) {a b e; c d f}_q``.
 
-
-def _qfact(m: int, k: int) -> float:
-    out = 1.0
-    for j in range(2, m + 1):
-        out *= _qint(j, k)
-    return out
-
-
-def _admissible_triple(a: int, b: int, c: int, k: int) -> bool:
-    # a, b, c are twice the spins
-    return (
-        abs(a - b) <= c <= a + b
-        and (a + b + c) % 2 == 0
-        and a + b + c <= 2 * k
-    )
-
-
-def _q6j(a, b, e, c, d, f, k) -> float:
-    """Quantum 6j symbol {a b e; c d f}; arguments are twice the spins."""
+    The quantum integers ``[m]`` at ``q = exp(2 pi i / (k+2))`` and the
+    factorials ``[m]!`` are tabulated once for ``m <= 2k+3``.  The Racah sum
+    steps over ``z`` in ascending order and every product runs left to right,
+    so each value is the same float whatever the other keys are.
+    """
+    qint = np.array([math.sin(math.pi * m / (k + 2)) / math.sin(math.pi / (k + 2)) for m in range(2 * k + 4)])
+    fact = np.cumprod(np.r_[1.0, qint[1:]])  # [0]! = [1]! = 1, [m]! = [m-1]! [m]
+    a, b, c, d, e, f = keys.T
 
     def tri(x, y, z):
-        return math.sqrt(
-            _qfact((-x + y + z) // 2, k)
-            * _qfact((x - y + z) // 2, k)
-            * _qfact((x + y - z) // 2, k)
-            / _qfact((x + y + z) // 2 + 1, k)
+        return np.sqrt(
+            fact[(-x + y + z) // 2] * fact[(x - y + z) // 2] * fact[(x + y - z) // 2]
+            / fact[(x + y + z) // 2 + 1]
         )
 
     pref = tri(a, b, e) * tri(e, c, d) * tri(b, c, f) * tri(a, f, d)
-    z_min = max(a + b + e, e + c + d, b + c + f, a + f + d) // 2
-    z_max = min(a + b + c + d, a + e + c + f, b + e + d + f) // 2
-    total = 0.0
-    for z in range(z_min, z_max + 1):
-        num = (-1.0) ** z * _qfact(z + 1, k)
-        den = (
-            _qfact(z - (a + b + e) // 2, k)
-            * _qfact(z - (e + c + d) // 2, k)
-            * _qfact(z - (b + c + f) // 2, k)
-            * _qfact(z - (a + f + d) // 2, k)
-            * _qfact((a + b + c + d) // 2 - z, k)
-            * _qfact((a + e + c + f) // 2 - z, k)
-            * _qfact((b + e + d + f) // 2 - z, k)
-        )
-        total += num / den
-    return pref * total
+    low = [(a + b + e) // 2, (e + c + d) // 2, (b + c + f) // 2, (a + f + d) // 2]
+    high = [(a + b + c + d) // 2, (a + e + c + f) // 2, (b + e + d + f) // 2]
+    z_min, z_max = np.maximum.reduce(low), np.minimum.reduce(high)
+    total = np.zeros(len(keys))
+    for z in range(z_min.min(), z_max.max() + 1):
+        on = np.flatnonzero((z_min <= z) & (z <= z_max))
+        den = fact[z - low[0][on]]
+        for x in low[1:]:
+            den = den * fact[z - x[on]]
+        for x in high:
+            den = den * fact[x[on] - z]
+        total[on] += (-1.0) ** z * fact[z + 1] / den
+    return (-1.0) ** ((a + b + c + d) // 2) * np.sqrt(qint[e + 1] * qint[f + 1]) * (pref * total)
 
 
 @lru_cache(maxsize=None)
@@ -181,13 +165,9 @@ def su2(k: int) -> CategoryData:
     n = k + 1  # label index a corresponds to twice the spin
     labels = tuple(str(a // 2) if a % 2 == 0 else f"{a}/2" for a in range(n))
     dual = tuple(range(n))
-    N = np.zeros((n, n, n), dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if _admissible_triple(a, b, c, k):
-                    N[a, b, c] = 1
-    ring = FusionRing(labels, dual, N)
+    a, b, c = np.ogrid[:n, :n, :n]
+    N = (abs(a - b) <= c) & (c <= a + b) & ((a + b + c) % 2 == 0) & (a + b + c <= 2 * k)
+    ring = FusionRing(labels, dual, N.astype(np.int64))
 
     S = np.array(
         [
@@ -203,14 +183,7 @@ def su2(k: int) -> CategoryData:
     T = np.array([np.exp(2j * np.pi * (a * (a + 2) / 4.0) / (k + 2)) for a in range(n)])
     md = ModularData(ring, S, T)
 
-    F = {
-        (a, b, c, d, e, f): (
-            (-1.0) ** ((a + b + c + d) // 2)
-            * math.sqrt(_qint(e + 1, k) * _qint(f + 1, k))
-            * _q6j(a, b, e, c, d, f, k)
-        )
-        for a, b, c, d, e, f in ring.f_keys
-    }
+    F = dict(zip(ring.f_keys, _su2_f_values(np.array(ring.f_keys), k).tolist()))
     # spins: x(x+2)/4 = j(j+1) with x twice the spin
     R = {
         (a, b, c): (-1.0) ** ((a + b - c) // 2)
@@ -223,14 +196,14 @@ def su2(k: int) -> CategoryData:
 
 
 def catalog(name: str, level: int | None = None) -> CategoryData:
-    """Look up a catalog category by name (and level, for su2)."""
+    """Look up a catalog category by name (and integer level, for su2 only)."""
     name = name.lower()
-    if name == "ising":
-        return ising()
-    if name == "fibonacci":
-        return fibonacci()
+    if name in ("ising", "fibonacci"):
+        if level is not None:
+            raise StructuralError(f"the {name} catalog takes no level, got {level!r}")
+        return ising() if name == "ising" else fibonacci()
     if name == "su2":
-        if level is None:
-            raise StructuralError("su2 catalog requires a level >= 1")
+        if isinstance(level, bool) or not isinstance(level, (int, np.integer)):
+            raise StructuralError(f"su2 catalog requires an integer level >= 1, got {level!r}")
         return su2(int(level))
     raise StructuralError(f"unknown catalog {name!r}; choose from {CATALOG_NAMES}")

@@ -71,7 +71,7 @@ class CategoryPresentation:
     (including those with vacuum legs), and no others, and all must be finite.
     """
 
-    def __init__(self, ring: FusionRing, F: dict, R: dict, tol: float = DEFAULT_TOL):
+    def __init__(self, ring: FusionRing, F: dict, R: dict):
         if np.any(ring.N > 1):
             s, t, u = np.argwhere(ring.N > 1)[0]
             raise StructuralError(
@@ -81,7 +81,6 @@ class CategoryPresentation:
         if not np.array_equal(ring.N, ring.N.transpose(1, 0, 2)):
             raise StructuralError("braidable fusion rules must be commutative")
         self.ring = ring
-        self.tol = tol
         self.F, self._f_values = _symbol_table("F", F, ring.f_keys)
         self.R, self._r_values = _symbol_table("R", R, ring.r_keys)
         self._split_cache: dict = {}
@@ -375,7 +374,7 @@ def conjugation_pair(cat: CategoryPresentation, rho: int):
     # zig-zag (E* x id) . (id x R) is a scalar on rho; absorb it into Rbar
     zig = compose(tensor(E.dagger(), id_rho), tensor(id_rho, R))
     s = zig.blocks[rho][0, 0]
-    if abs(abs(s) - 1.0) > 100 * cat.tol:
+    if abs(abs(s) - 1.0) > 100 * DEFAULT_TOL:
         raise DataInconsistencyError(
             f"no standard conjugation solution at tolerance (zig-zag modulus {abs(s):.6f})"
         )
@@ -385,7 +384,7 @@ def conjugation_pair(cat: CategoryPresentation, rho: int):
     eq1 = compose(tensor(Rbar.dagger(), id_rho), tensor(id_rho, R))
     eq2 = compose(tensor(R.dagger(), id_rbar), tensor(id_rbar, Rbar))
     r = max(eq1.residual(id_rho), eq2.residual(id_rbar))
-    if r > 100 * cat.tol:
+    if r > 100 * DEFAULT_TOL:
         raise DataInconsistencyError(f"conjugate equations fail (residual {r:.2e})")
     return R, Rbar
 
@@ -491,11 +490,11 @@ def _unitarity_residual(cat: CategoryPresentation) -> float:
     return float(worst)
 
 
-def validate_axioms(cat: CategoryPresentation, tol: float | None = None) -> AxiomReport:
+def validate_axioms(cat: CategoryPresentation, tol: float = DEFAULT_TOL) -> AxiomReport:
     """Pentagon, hexagon (both orientations) and unitarity residuals."""
     return AxiomReport(
         pentagon_residual=_pentagon_residual(cat),
         hexagon_residual=_hexagon_residual(cat),
         unitarity_residual=_unitarity_residual(cat),
-        tol=cat.tol if tol is None else tol,
+        tol=tol,
     )

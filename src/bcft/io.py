@@ -129,10 +129,17 @@ def _int_matrix(rows, what) -> np.ndarray:
     return np.array([[_int(v, what) for v in row] for row in rows], dtype=np.int64)
 
 
+def _real(value, what) -> float:
+    """A JSON number; a string or a boolean is malformed, never converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise StructuralError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _complex(pair, what):
     if not (isinstance(pair, list) and len(pair) == 2):
         raise StructuralError(f"{what} must be [re, im], got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    return complex(_real(pair[0], what), _real(pair[1], what))
 
 
 def category_to_dict(data: CategoryData) -> dict:
@@ -200,7 +207,7 @@ def dict_to_category(doc: dict, name: str = "file") -> CategoryData:
                 raise StructuralError(f"R labels must have 3 entries: {item}")
             R[key] = _complex(item["value"], "R value")
         cat = CategoryPresentation(ring, F, R)
-    cc = float(doc["central_charge"]) if "central_charge" in doc else None
+    cc = _real(doc["central_charge"], "central_charge") if "central_charge" in doc else None
     return CategoryData(name, ring, md, cat, cc)
 
 

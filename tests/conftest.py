@@ -179,6 +179,17 @@ def brute_force_nimreps(ring, size: int, tol: float = 1e-9):
     ]
 
 
+def vertex_gauge(cat, u):
+    """F and R of ``cat`` in the vertex gauge ``u``, a number on each splitting
+    vertex ``a b -> c`` (keyed by ``ring.r_keys``)."""
+    F = {
+        (a, b, c, d, e, f): val * u[a, b, e] * u[e, c, d] / (u[b, c, f] * u[a, f, d])
+        for (a, b, c, d, e, f), val in cat.F.items()
+    }
+    R = {(a, b, c): val * u[a, b, c] / u[b, a, c] for (a, b, c), val in cat.R.items()}
+    return F, R
+
+
 def reference_axiom_residuals(cat):
     """Oracle: pentagon, hexagon and unitarity residuals of ``validate_axioms``
     as plain loops over ``cat.F`` and ``cat.R``, with a dict join of the F keys."""

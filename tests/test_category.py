@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import reference_axiom_residuals
+from conftest import reference_axiom_residuals, vertex_gauge
 
 from bcft.catalog import su2
 from bcft.category import (
@@ -61,6 +61,19 @@ def test_axioms_valid_on_catalogs(all_catalogs):
         assert rep.valid
 
 
+def test_su2_spin_half_block_closed_form():
+    # twice-spin labels: F[1,1,1,1] over e, f in (0, 2) is
+    # [[-1, sqrt[3]], [sqrt[3], 1]] / [2]; at k = 1 only e = f = 0 is admissible
+    for k in range(1, 17):
+        q = [math.sin(math.pi * m / (k + 2)) / math.sin(math.pi / (k + 2)) for m in range(4)]
+        want = np.array([[-1.0, math.sqrt(q[3])], [math.sqrt(q[3]), 1.0]]) / q[2]
+        F = su2(k).presentation.F
+        m = 1 if k == 1 else 2
+        got = np.array([[F[1, 1, 1, 1, e, f] for f in (0, 2)[:m]] for e in (0, 2)[:m]])
+        assert np.max(np.abs(got - want[:m, :m])) <= 1e-14, k
+        assert ((1, 1, 1, 1, 0, 2) in F) == (k > 1), k
+
+
 def test_broken_f_entry_fails_pentagon(ising_data):
     F = {
         k: (v if k != (1, 1, 1, 1, 0, 0) else -v)
@@ -111,15 +124,9 @@ def test_axioms_match_reference_in_noisy_gauge(all_catalogs, rng):
     for data in all_catalogs:
         ring, cat = data.ring, data.presentation
         u = {key: rng.normal() + 1j * rng.normal() if key[0] and key[1] else 1.0 for key in ring.r_keys}
-        F = {
-            (a, b, c, d, e, f): val * u[a, b, e] * u[e, c, d] / (u[b, c, f] * u[a, f, d])
-            + 0.1 * (rng.normal() + 1j * rng.normal())
-            for (a, b, c, d, e, f), val in cat.F.items()
-        }
-        R = {
-            (a, b, c): val * u[a, b, c] / u[b, a, c] + 0.1 * (rng.normal() + 1j * rng.normal())
-            for (a, b, c), val in cat.R.items()
-        }
+        F, R = vertex_gauge(cat, u)
+        F = {key: val + 0.1 * (rng.normal() + 1j * rng.normal()) for key, val in F.items()}
+        R = {key: val + 0.1 * (rng.normal() + 1j * rng.normal()) for key, val in R.items()}
         noisy = CategoryPresentation(ring, F, R)
         got, want = _residuals(noisy), reference_axiom_residuals(noisy)
         assert min(want) > 1e-3, data.name

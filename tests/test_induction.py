@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import group_algebra
+from conftest import group_algebra, vertex_gauge
 
 from bcft.catalog import su2
 from bcft.category import compose
@@ -16,7 +16,7 @@ from bcft.induction import (
     kernel_split,
     theta_plus,
 )
-from bcft.qsystems import car_qsystem, regular_qsystem, search_qsystems, trivial_qsystem
+from bcft.qsystems import car_qsystem, is_local, regular_qsystem, search_qsystems, trivial_qsystem
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +47,26 @@ def test_su2_4_extension_gives_block_invariant(su2_4_data):
     want[0, 0] = want[0, 4] = want[4, 0] = want[4, 4] = 1
     want[2, 2] = 2
     assert np.array_equal(Z, want)
+
+
+def test_su2_16_e7_extension():
+    """theta = 0 + 8 + 16 (twice the spins) of SU(2)_16: one non-local Q-system
+    whose coupling matrix is the exceptional E7 invariant."""
+    data = su2(16)
+    cat = data.presentation
+    res = search_qsystems(cat, [1 if a in (0, 8, 16) else 0 for a in range(17)])
+    assert len(res.solutions) == 1
+    assert not is_local(res.solutions[0], cat)[0]
+    Z = coupling_from_qsystem(cat, res.solutions[0])
+    # |x0+x16|^2 + |x4+x12|^2 + |x6+x10|^2 + |x8|^2 + (x2+x14) conj(x8) + x8 conj(x2+x14)
+    want = np.zeros((17, 17), dtype=np.int64)
+    for block in [(0, 16), (4, 12), (6, 10), (8,)]:
+        want[np.ix_(block, block)] = 1
+    want[[2, 14], 8] = want[8, [2, 14]] = 1
+    assert np.array_equal(Z, want)
+    invariants = enumerate_modular_invariants(data.modular)
+    assert len(invariants) == 3
+    assert any(np.array_equal(Z, M) for M in invariants)
 
 
 def test_every_z_is_a_modular_invariant(ising_data, fib_data, su2_4_data):
@@ -289,12 +309,7 @@ def _vertex_gauge(data, rng):
 
     ring, cat = data.ring, data.presentation
     u = {key: np.exp(2j * np.pi * rng.random()) if key[0] and key[1] else 1.0 for key in ring.r_keys}
-    F = {
-        (a, b, c, d, e, f): val * u[a, b, e] * u[e, c, d] / (u[b, c, f] * u[a, f, d])
-        for (a, b, c, d, e, f), val in cat.F.items()
-    }
-    R = {(a, b, c): val * u[a, b, c] / u[b, a, c] for (a, b, c), val in cat.R.items()}
-    return CategoryPresentation(ring, F, R)
+    return CategoryPresentation(ring, *vertex_gauge(cat, u))
 
 
 def _noisy(cat, q, rng):

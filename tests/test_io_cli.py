@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcft.catalog import fibonacci, ising, su2
+from bcft.catalog import catalog, fibonacci, ising, su2
 from bcft.classify import regular_nimrep
 from bcft.cli import main
 from bcft.errors import StructuralError
@@ -175,6 +175,19 @@ def test_cli_malformed_exits_2(tmp_path, ising_file, car_file, nimrep_file, coup
         (["qsearch", str(ising_file), "--theta", "1,0,1", "--starts", "-3"], b"{}"),
         (["partition", str(ising_file), str(nimrep_file), "--a", "0", "--b", "0",
           "--beta", "3.2", "--order", "-1"], b"{}"),
+        # real fields take JSON numbers only: no numeric strings, no booleans
+        (["validate", bad], _replaced(ising_file, ("central_charge",), "nan")),
+        (["validate", bad], _replaced(ising_file, ("central_charge",), True)),
+        (["validate", bad], _replaced(ising_file, ("S", 0, 0, 0), "0.5")),
+        (["validate", bad], _replaced(ising_file, ("S", 0, 0, 1), False)),
+        (["validate", bad], _replaced(ising_file, ("T", 0, 0), "1")),
+        (["validate", bad], _replaced(ising_file, ("F", 0, "value", 0), "0.5")),
+        (["validate", bad], _replaced(ising_file, ("F", 0, "value", 1), False)),
+        (["validate", bad], _replaced(ising_file, ("R", 0, "value", 0), True)),
+        (["induce", str(ising_file), bad], _replaced(car_file, ("lambda", 0, "value", 0), "1")),
+        # a level for a catalog without levels
+        (["catalog", "ising", "--level", "5", "--out", bad], b"{}"),
+        (["catalog", "fibonacci", "--level", "1", "--out", bad], b"{}"),
     ]
     for argv, content in cases:
         Path(bad).write_bytes(content)
@@ -279,6 +292,14 @@ def test_cli_partition_short_order_exits_3(ising_file, nimrep_file):
         ]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "name, level", [("ising", 5), ("fibonacci", 0), ("su2", 2.7), ("su2", True), ("su2", "4")]
+)
+def test_catalog_rejects_bad_level(name, level):
+    with pytest.raises(StructuralError, match="level"):
+        catalog(name, level)
 
 
 def test_cli_su2_catalog_level_required(tmp_path):

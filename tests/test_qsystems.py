@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import vertex_gauge
 
 from bcft.catalog import su2
 from bcft.category import (
@@ -114,12 +115,7 @@ def _morphism_residuals(q, cat):
 def _gauged(cat, rng):
     """The same category in a random vertex gauge, so that F is complex."""
     u = {k: 1.0 if 0 in k[:2] else np.exp(2j * np.pi * rng.random()) for k in cat.ring.r_keys}
-    F = {
-        (a, b, c, d, e, f): v * u[a, b, e] * u[e, c, d] / (u[b, c, f] * u[a, f, d])
-        for (a, b, c, d, e, f), v in cat.F.items()
-    }
-    R = {(a, b, c): v * u[a, b, c] / u[b, a, c] for (a, b, c), v in cat.R.items()}
-    gauged = CategoryPresentation(cat.ring, F, R)
+    gauged = CategoryPresentation(cat.ring, *vertex_gauge(cat, u))
     assert validate_axioms(gauged).valid
     return gauged
 
