@@ -183,14 +183,15 @@ def su2(k: int) -> CategoryData:
     T = np.array([np.exp(2j * np.pi * (a * (a + 2) / 4.0) / (k + 2)) for a in range(n)])
     md = ModularData(ring, S, T)
 
-    F = dict(zip(ring.f_keys, _su2_f_values(np.array(ring.f_keys), k).tolist()))
-    # spins: x(x+2)/4 = j(j+1) with x twice the spin
-    R = {
-        (a, b, c): (-1.0) ** ((a + b - c) // 2)
+    # spins: x(x+2)/4 = j(j+1) with x twice the spin; one scalar exp per entry,
+    # since numpy's vectorized exp may round differently
+    R = [
+        (-1.0) ** ((a + b - c) // 2)
         * np.exp(1j * np.pi * ((c * (c + 2) - a * (a + 2) - b * (b + 2)) / 4.0) / (k + 2))
         for a, b, c in ring.r_keys
-    }
-    cat = CategoryPresentation(ring, F, R)
+    ]
+    F = _su2_f_values(ring.f_key_array, k)
+    cat = CategoryPresentation(ring, (ring.f_key_array, F), (ring.r_key_array, R))
     c_charge = 3.0 * k / (k + 2)
     return CategoryData(f"su2_{k}", ring, md, cat, c_charge)
 

@@ -16,8 +16,9 @@ data is exactly what makes the engine consistent.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from types import MappingProxyType
 
 import numpy as np
@@ -39,22 +40,52 @@ __all__ = [
 ]
 
 
-def _symbol_table(name: str, supplied: dict, keys: tuple):
-    """Read-only ``{key: complex}`` over exactly the admissible ``keys``, in
-    their order, and its values as an array; every value must be finite."""
-    for key in keys:
-        if key not in supplied:
+_TABLE_CHUNK = 1 << 16  # rows turned into Python tuples at a time, to bound the temporary lists
+
+
+def _symbol_table(name: str, supplied, keys: np.ndarray, n: int):
+    """Read-only ``{key: complex}`` over exactly the admissible ``keys`` (an
+    ascending label array of a ring with ``n`` sectors), the codes of ``keys``
+    and the values as an array aligned with them.
+
+    ``supplied`` maps label tuples to values, or is a pair of a label array with
+    one row per entry and the values, in any order.  Every admissible key must
+    be supplied exactly once, and nothing else, and every value must be finite.
+    """
+    width = keys.shape[1]
+    if isinstance(supplied, Mapping):
+        bad = next((key for key in supplied if len(key) != width), None)
+        if bad is not None:
+            raise StructuralError(f"inadmissible {name} entry supplied: {bad}")
+        supplied = list(supplied), list(supplied.values())
+    values = np.asarray(supplied[1], dtype=complex)
+    labels = np.asarray(supplied[0], dtype=np.int64).reshape(len(values), width)
+    codes = _code(n, *keys.T)
+    # a label outside 0..n-1 gets code -1, which no admissible key has
+    given = np.where(((labels >= 0) & (labels < n)).all(axis=1), _code(n, *labels.T), -1)
+    if not np.array_equal(given, codes):
+        present = np.isin(codes, given)
+        if not present.all():
+            key = tuple(keys[np.argmin(present)].tolist())
             raise StructuralError(f"missing admissible {name} entry {key}")
-    if len(supplied) != len(keys):
-        admissible = set(keys)
-        bad = next(k for k in supplied if k not in admissible)
-        raise StructuralError(f"inadmissible {name} entry supplied: {bad}")
-    table = {key: complex(supplied[key]) for key in keys}
-    values = np.fromiter(table.values(), complex, len(keys))
+        known = np.isin(given, codes)
+        if not known.all():
+            key = tuple(labels[np.argmin(known)].tolist())
+            raise StructuralError(f"inadmissible {name} entry supplied: {key}")
+        order = np.argsort(given, kind="stable")
+        repeat = np.flatnonzero(given[order][1:] == given[order][:-1])
+        if len(repeat):
+            key = tuple(labels[order[repeat[0]]].tolist())
+            raise StructuralError(f"duplicate {name} entry {key}")
+        values = values[order]
     if not np.isfinite(values).all():
-        key = keys[int(np.argmin(np.isfinite(values)))]
-        raise StructuralError(f"non-finite {name} entry {key}: {table[key]}")
-    return MappingProxyType(table), values
+        i = int(np.argmin(np.isfinite(values)))
+        raise StructuralError(f"non-finite {name} entry {tuple(keys[i].tolist())}: {values[i]}")
+    table = {}
+    for start in range(0, len(keys), _TABLE_CHUNK):
+        rows = slice(start, start + _TABLE_CHUNK)
+        table.update(zip(zip(*keys[rows].T.tolist()), values[rows].tolist()))
+    return MappingProxyType(table), codes, values
 
 
 def _code(n: int, *labels):
@@ -67,8 +98,11 @@ class CategoryPresentation:
 
     ``F`` maps the admissible 6-tuples ``ring.f_keys`` to complex values and
     ``R`` maps the admissible triples ``ring.r_keys`` to unit-modulus values;
-    both are read-only mappings.  All admissible entries must be supplied
-    (including those with vacuum legs), and no others, and all must be finite.
+    both are read-only mappings.  Each is supplied as a mapping, or as a pair
+    of a label array and the values in the same row order (as the category
+    file loader and the su2 catalog do).  All admissible entries must be
+    supplied once (including those with vacuum legs), and no others, and all
+    must be finite.
     """
 
     def __init__(self, ring: FusionRing, F: dict, R: dict):
@@ -81,17 +115,20 @@ class CategoryPresentation:
         if not np.array_equal(ring.N, ring.N.transpose(1, 0, 2)):
             raise StructuralError("braidable fusion rules must be commutative")
         self.ring = ring
-        self.F, self._f_values = _symbol_table("F", F, ring.f_keys)
-        self.R, self._r_values = _symbol_table("R", R, ring.r_keys)
+        self.F, self._f_codes, self._f_values = _symbol_table("F", F, ring.f_key_array, ring.size)
+        self.R, _, self._r_values = _symbol_table("R", R, ring.r_key_array, ring.size)
         self._split_cache: dict = {}
 
-    @cached_property
+    @property
     def f_array(self):
-        """``ring.f_keys`` as an int64 ``(M, 6)`` array (column-major, so each
-        label is contiguous), their ascending codes (see ``_code``) and the F
-        values aligned with them."""
-        keys = np.array(self.ring.f_keys, dtype=np.int64, order="F")
-        return keys, _code(self.ring.size, *keys.T), self._f_values
+        """``ring.f_key_array`` (column-major, so each label is contiguous),
+        its ascending codes (see ``_code``) and the F values aligned with them."""
+        return self.ring.f_key_array, self._f_codes, self._f_values
+
+    @property
+    def r_array(self):
+        """``ring.r_key_array`` and the R values aligned with it."""
+        return self.ring.r_key_array, self._r_values
 
     # -- split isomorphism -------------------------------------------------
 

@@ -8,10 +8,12 @@ save(load(f)) is byte-identical and report fingerprints are stable.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,6 @@ from .qsystems import QSystemSpec
 from .rings import FusionRing
 
 __all__ = [
-    "category_to_dict",
     "dict_to_category",
     "save_category",
     "load_category",
@@ -40,7 +41,16 @@ __all__ = [
 ]
 
 
+_ROWS_PER_CHUNK = 1 << 16  # F/R rows formatted at a time, to bound the temporary lists
+
+
+class _Json(str):
+    """Text that is already canonical JSON; ``_fmt`` emits it unchanged."""
+
+
 def _fmt(value) -> str:
+    if isinstance(value, _Json):
+        return value
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -108,6 +118,20 @@ def _read_json(path, what: str) -> dict:
 
 
 @contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector.  A category file parses into
+    millions of containers and builds a table as large, none of them in a
+    reference cycle, so the collector's passes over them would only cost time."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
+@contextmanager
 def _document(what: str):
     """Report a wrong-typed value met while building objects from a parsed
     document as malformed input (one-line StructuralError), not a traceback."""
@@ -142,7 +166,58 @@ def _complex(pair, what):
     return complex(_real(pair[0], what), _real(pair[1], what))
 
 
-def category_to_dict(data: CategoryData) -> dict:
+def _entry_rows(labels: np.ndarray, values: np.ndarray) -> _Json:
+    """F or R entries ``{"labels": [...], "value": [re, im]}`` as canonical JSON:
+    one row template filled from the label columns and the value columns, with
+    the floats of ``_fmt`` (17 digits, ``-0.0`` written as ``0.0``)."""
+    pairs = np.stack([values.real, values.imag], axis=1)
+    if not np.isfinite(pairs).all():
+        raise StructuralError("cannot serialize non-finite float")
+    pairs += 0.0  # canonicalize the sign of zero
+    row = '{"labels":[' + ",".join(["%d"] * labels.shape[1]) + '],"value":[%.17g,%.17g]}'
+    text = []
+    for start in range(0, len(labels), _ROWS_PER_CHUNK):
+        part = slice(start, start + _ROWS_PER_CHUNK)
+        columns = [*labels[part].T.tolist(), *pairs[part].T.tolist()]
+        text.append(",".join(map(row.__mod__, zip(*columns))))
+    return _Json("[" + ",".join(text) + "]")
+
+
+def _entry_columns(items, width: int, what: str):
+    """The entries ``{"labels": [width integers], "value": [re, im]}`` of a
+    category file's F or R section as an int64 ``(M, width)`` label array and
+    the M complex values, in file order.  The checks are those of reading one
+    entry at a time, made on whole columns; a failure names the first
+    offending entry."""
+    if not isinstance(items, list):
+        raise StructuralError(f"{what} must be an array of entries, got {type(items).__name__}")
+    if set(map(type, items)) - {dict}:
+        bad = next(item for item in items if type(item) is not dict)
+        raise StructuralError(f"{what} entries must be objects, got {bad!r}")
+    members = {"labels", "value"}
+    if set(map(frozenset, items)) - {frozenset(members)}:
+        _check_keys(next(item for item in items if item.keys() != members), members, (), f"{what} entry")
+    labels = [item["labels"] for item in items]
+    if set(map(type, labels)) - {list} or set(map(len, labels)) - {width}:
+        bad = next(item for item in items if type(item["labels"]) is not list or len(item["labels"]) != width)
+        raise StructuralError(f"{what} labels must have {width} entries: {bad}")
+    if set(map(type, chain.from_iterable(labels))) - {int}:
+        for v in chain.from_iterable(labels):
+            _int(v, f"{what} label")
+    values = [item["value"] for item in items]
+    if set(map(type, values)) - {list} or set(map(len, values)) - {2}:
+        bad = next(v for v in values if type(v) is not list or len(v) != 2)
+        raise StructuralError(f"{what} value must be [re, im], got {bad!r}")
+    if set(map(type, chain.from_iterable(values))) - {int, float}:
+        for v in chain.from_iterable(values):
+            _real(v, f"{what} value")
+    return (
+        np.fromiter(chain.from_iterable(labels), np.int64, width * len(items)).reshape(-1, width),
+        np.fromiter(chain.from_iterable(values), float, 2 * len(items)).view(complex),
+    )
+
+
+def _category_doc(data: CategoryData) -> dict:
     ring = data.ring
     doc = {
         "labels": list(ring.labels),
@@ -152,10 +227,9 @@ def category_to_dict(data: CategoryData) -> dict:
         "T": [_pair(z) for z in data.modular.T],
     }
     if data.presentation is not None:
-        F = data.presentation.F
-        R = data.presentation.R
-        doc["F"] = [{"labels": list(key), "value": _pair(F[key])} for key in ring.f_keys]
-        doc["R"] = [{"labels": list(key), "value": _pair(R[key])} for key in ring.r_keys]
+        f_keys, _, f_values = data.presentation.f_array
+        doc["F"] = _entry_rows(f_keys, f_values)
+        doc["R"] = _entry_rows(*data.presentation.r_array)
     if data.central_charge is not None:
         doc["central_charge"] = float(data.central_charge)
     return doc
@@ -174,12 +248,16 @@ def dict_to_category(doc: dict, name: str = "file") -> CategoryData:
         raise StructuralError("labels must be an array of strings")
     n = len(labels)
     N = np.zeros((n, n, n), dtype=np.int64)
+    seen = set()
     for quad in doc["N"]:
         if not (isinstance(quad, list) and len(quad) == 4):
             raise StructuralError(f"N entries must be [s,t,u,mult], got {quad}")
         s, t, u, mult = (_int(v, "N entry") for v in quad)
         if not all(0 <= i < n for i in (s, t, u)) or mult < 0:
             raise StructuralError(f"N entry out of range: {quad}")
+        if (s, t, u) in seen:
+            raise StructuralError(f"duplicate N entry {(s, t, u)}")
+        seen.add((s, t, u))
         N[s, t, u] = mult
     ring = FusionRing(labels, [_int(d, "dual entry") for d in doc["dual"]], N)
     S = np.array(
@@ -192,31 +270,20 @@ def dict_to_category(doc: dict, name: str = "file") -> CategoryData:
     if ("F" in doc) != ("R" in doc):
         raise StructuralError("F and R must be supplied together")
     if "F" in doc:
-        F = {}
-        for item in doc["F"]:
-            _check_keys(item, ("labels", "value"), (), "F entry")
-            key = tuple(_int(v, "F label") for v in item["labels"])
-            if len(key) != 6:
-                raise StructuralError(f"F labels must have 6 entries: {item}")
-            F[key] = _complex(item["value"], "F value")
-        R = {}
-        for item in doc["R"]:
-            _check_keys(item, ("labels", "value"), (), "R entry")
-            key = tuple(_int(v, "R label") for v in item["labels"])
-            if len(key) != 3:
-                raise StructuralError(f"R labels must have 3 entries: {item}")
-            R[key] = _complex(item["value"], "R value")
+        F = _entry_columns(doc["F"], 6, "F")
+        R = _entry_columns(doc["R"], 3, "R")
         cat = CategoryPresentation(ring, F, R)
     cc = _real(doc["central_charge"], "central_charge") if "central_charge" in doc else None
     return CategoryData(name, ring, md, cat, cc)
 
 
 def save_category(data: CategoryData, path) -> None:
-    Path(path).write_text(dump_canonical(category_to_dict(data)))
+    Path(path).write_text(dump_canonical(_category_doc(data)))
 
 
 def load_category(path) -> CategoryData:
-    return dict_to_category(_read_json(path, "category file"), name=Path(path).stem)
+    with _collector_paused():
+        return dict_to_category(_read_json(path, "category file"), name=Path(path).stem)
 
 
 def qsystem_to_dict(q: QSystemSpec) -> dict:
@@ -238,6 +305,8 @@ def dict_to_qsystem(doc: dict) -> QSystemSpec:
         key = tuple(_int(v, "lambda summand") for v in item["summands"])
         if len(key) != 3:
             raise StructuralError(f"lambda summands must have 3 entries: {item}")
+        if key in lam:
+            raise StructuralError(f"duplicate lambda entry {key}")
         if _int(item["channel"], "lambda channel") != 0:
             raise StructuralError(
                 "multiplicity-free categories have a single fusion channel; "

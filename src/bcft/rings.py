@@ -90,27 +90,47 @@ class FusionRing:
         return [u for u in range(self.size) if self.N[s, t, u] > 0]
 
     @cached_property
-    def r_keys(self) -> tuple:
-        """Admissible R-symbol labels: triples ``(a, b, c)`` with ``N[a, b, c] > 0``, sorted."""
-        return tuple(map(tuple, np.argwhere(self.N > 0).tolist()))
+    def r_key_array(self) -> np.ndarray:
+        """Admissible R-symbol labels as a read-only int64 ``(M, 3)`` array: the
+        triples ``(a, b, c)`` with ``N[a, b, c] > 0``, in ascending order."""
+        keys = np.argwhere(self.N > 0)
+        keys.setflags(write=False)
+        return keys
 
     @cached_property
-    def f_keys(self) -> tuple:
-        """Admissible F-symbol labels ``(a, b, c, d, e, f)``, sorted.
+    def r_keys(self) -> tuple:
+        """``r_key_array`` as a tuple of label tuples."""
+        return tuple(zip(*self.r_key_array.T.tolist()))
+
+    @cached_property
+    def f_key_array(self) -> np.ndarray:
+        """Admissible F-symbol labels ``(a, b, c, d, e, f)`` as a read-only int64
+        ``(M, 6)`` array in ascending order, column-major so that each label is
+        contiguous.
 
         ``e`` is the intermediate of ``(a b) c -> d`` and ``f`` that of
         ``a (b c) -> d``, so all of ``N[a,b,e]``, ``N[e,c,d]``, ``N[b,c,f]``
         and ``N[a,f,d]`` are positive.  This is the package's one enumeration
-        of admissible F labels.
+        of admissible F labels: for each ``a``, one broadcast of the four
+        conditions over the axes ``(b, c, d, e, f)``, an ``n^5`` temporary.
         """
         adm = self.N > 0
-        keys = [
-            (a, b, c, d, e, f)
-            for a, b, e in self.r_keys
-            for c, d in np.argwhere(adm[e]).tolist()
-            for f in np.flatnonzero(adm[b, c] & adm[a, :, d]).tolist()
+        ecd = adm.transpose(1, 2, 0)[None, :, :, :, None]  # [., c, d, e, .] = N[e,c,d] > 0
+        bcf = adm[:, :, None, None, :]
+        rows = [
+            np.argwhere(adm[a][:, None, None, :, None] & ecd & bcf & adm[a].T[None, None, :, None, :])
+            for a in range(self.size)
         ]
-        return tuple(sorted(keys))
+        keys = np.empty((sum(map(len, rows)), 6), dtype=np.int64, order="F")
+        keys[:, 0] = np.repeat(np.arange(self.size), list(map(len, rows)))
+        np.concatenate(rows, out=keys[:, 1:])
+        keys.setflags(write=False)
+        return keys
+
+    @cached_property
+    def f_keys(self) -> tuple:
+        """``f_key_array`` as a tuple of label tuples."""
+        return tuple(zip(*self.f_key_array.T.tolist()))
 
     @cached_property
     def fp_dims(self) -> np.ndarray:

@@ -179,6 +179,19 @@ def brute_force_nimreps(ring, size: int, tol: float = 1e-9):
     ]
 
 
+def reference_f_keys(ring):
+    """Oracle: the admissible F labels by the former enumeration, one
+    ``flatnonzero`` per admissible prefix ``(a, b, e, c, d)`` and a Python sort."""
+    adm = ring.N > 0
+    keys = [
+        (a, b, c, d, e, f)
+        for a, b, e in ring.r_keys
+        for c, d in np.argwhere(adm[e]).tolist()
+        for f in np.flatnonzero(adm[b, c] & adm[a, :, d]).tolist()
+    ]
+    return tuple(sorted(keys))
+
+
 def vertex_gauge(cat, u):
     """F and R of ``cat`` in the vertex gauge ``u``, a number on each splitting
     vertex ``a b -> c`` (keyed by ``ring.r_keys``)."""

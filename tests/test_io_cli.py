@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from bcft.cli import main
 from bcft.errors import StructuralError
 from bcft.io import (
     dict_to_category,
+    file_fingerprint,
     load_category,
     load_qsystem,
     save_category,
@@ -51,9 +53,40 @@ def coupling_file(tmp_path):
     return path
 
 
+# SHA-256 of the category files written by save_category; these bytes are the
+# file format, so a writer that changed them, even consistently, fails here
+CATEGORY_FILE_SHA256 = {
+    "ising": "d99b28a1628f5e5c44991d67eb16aa3c01021422c792c3956bad29c7a70f2278",
+    "fibonacci": "5bbb6caf12bd79b1126ed47b4f53b04d3624b679f55a2506830ab3bb01f5b5d2",
+    "spin8_1": "7bc206e0d2d97a6494d1ba35ebc461219e235930bf2cec000a2c28d3e3a59b92",
+    "z3": "0780437e4eb43f7631527af8eb75772eabeb1c60ba61cd10d368431e3d8c650a",
+    "su2_1": "65c73519d8874bf8b068117744c631c1820eea4ac41bc627f8ca6a000192f77f",
+    "su2_2": "fe3a1ce4be3d7bfb071942a3b191f1fb261eb09cd6428ede763489bf95cccde2",
+    "su2_3": "364bcc4958d4b2720b13362b69a59c1cddb461cedc559faf949a1eef345a5e6d",
+    "su2_4": "84b8b3c98e584c8bd43cd8460c96b96028d21a43ed2f314a1a0f22074672f5ec",
+    "su2_5": "be8fb0c3083ce696432084e2135ec3eb68f444b949264c4f573c445c764f4413",
+    "su2_6": "70d26075782bc5298ed5b4b97647efeeece660f71d8257c4174bcb2d06dbe422",
+    "su2_7": "095b7e3ac42024d8367f3e451ecef470d5867ed35c326267a91e4a2c87e4b1ce",
+    "su2_8": "143d44b535c07934ebf872e3c889e670636ce454b92f618f65607c624afbd951",
+    "su2_9": "fd3659a72f48183c66eadffe0a82363cf587aed4c8c9f1b5469d5f1000748a7f",
+    "su2_10": "9ae7c1a03fe20295bc35f658b171339c12aa47c19ed9c5a680b6e9a7dd2b1cc4",
+    "su2_11": "57a9c76f92d863144a287fddb046ab8516fcbe005a25673b2826c8325ecd623f",
+    "su2_12": "41ba5dcdcf4d0e6770a4060bbcf9a0acf593197d3bb1c3c8735adc23351c6ced",
+}
+
+
+def test_category_file_bytes_pinned(tmp_path, spin8_data, z3_data):
+    cats = {"ising": ising(), "fibonacci": fibonacci(), "spin8_1": spin8_data, "z3": z3_data}
+    for name, want in CATEGORY_FILE_SHA256.items():
+        data = cats[name] if name in cats else su2(int(name.removeprefix("su2_")))
+        path = tmp_path / f"{name}.json"
+        save_category(data, path)
+        assert file_fingerprint(path) == want, name
+
+
 def test_category_round_trip_bytes(tmp_path):
     # several sizes, so the sorted F/R key order is covered beyond 3 sectors
-    for data in [ising(), fibonacci()] + [su2(k) for k in range(1, 7)]:
+    for data in [ising(), fibonacci()] + [su2(k) for k in range(1, 11)]:
         first, again = tmp_path / "first.json", tmp_path / "again.json"
         save_category(data, first)
         save_category(load_category(first), again)
@@ -127,6 +160,14 @@ def _replaced(path, keys, value) -> bytes:
     return json.dumps(doc).encode()
 
 
+def _repeated(path, member, index, edit=lambda entry: entry) -> bytes:
+    """The JSON document in ``path`` with entry ``index`` of ``member`` listed
+    again at the end, passed through ``edit``."""
+    doc = json.loads(path.read_text())
+    doc[member].append(edit(doc[member][index]))
+    return json.dumps(doc).encode()
+
+
 def test_cli_malformed_exits_2(tmp_path, ising_file, car_file, nimrep_file, coupling_file, capsys):
     bad = str(tmp_path / "bad.json")
     nan = [math.nan, 0.0]  # json writes NaN, which Python's json reads back
@@ -185,6 +226,18 @@ def test_cli_malformed_exits_2(tmp_path, ising_file, car_file, nimrep_file, coup
         (["validate", bad], _replaced(ising_file, ("F", 0, "value", 1), False)),
         (["validate", bad], _replaced(ising_file, ("R", 0, "value", 0), True)),
         (["induce", str(ising_file), bad], _replaced(car_file, ("lambda", 0, "value", 0), "1")),
+        # malformed F rows
+        (["validate", bad], _replaced(ising_file, ("F", 0, "labels"), [0, 0, 0, 0, 0])),
+        (["validate", bad], _replaced(ising_file, ("F", 0, "labels"), [0, 0, 0, 0, 0, 0, 0])),
+        (["validate", bad], _replaced(ising_file, ("F", 0, "extra"), 1)),
+        (["validate", bad], _replaced(ising_file, ("F", 0), 5)),
+        (["validate", bad], _replaced(ising_file, ("F", 0, "value"), [1.0, 0.0, 0.0])),
+        # an entry listed twice, even with another value, is not a silent overwrite
+        (["validate", bad], _repeated(ising_file, "F", 5, lambda entry: {**entry, "value": [0.123, 0]})),
+        (["validate", bad], _repeated(ising_file, "F", 0)),
+        (["validate", bad], _repeated(ising_file, "R", 0)),
+        (["validate", bad], _repeated(ising_file, "N", 0)),
+        (["induce", str(ising_file), bad], _repeated(car_file, "lambda", 0)),
         # a level for a catalog without levels
         (["catalog", "ising", "--level", "5", "--out", bad], b"{}"),
         (["catalog", "fibonacci", "--level", "1", "--out", bad], b"{}"),
@@ -195,6 +248,39 @@ def test_cli_malformed_exits_2(tmp_path, ising_file, car_file, nimrep_file, coup
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_duplicate_entries_name_their_labels(ising_file, car_file, tmp_path):
+    for member, index in (("F", 5), ("R", 0), ("N", 0)):
+        doc = json.loads(_repeated(ising_file, member, index))
+        entry = doc[member][index]
+        labels = tuple(entry[:3] if member == "N" else entry["labels"])
+        with pytest.raises(StructuralError, match=re.escape(f"duplicate {member} entry {labels}")):
+            dict_to_category(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(_repeated(car_file, "lambda", 0))
+    labels = tuple(json.loads(car_file.read_text())["lambda"][0]["summands"])
+    with pytest.raises(StructuralError, match=re.escape(f"duplicate lambda entry {labels}")):
+        load_qsystem(bad)
+
+
+def test_category_entries_load_in_any_order(tmp_path, rng):
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    save_category(su2(4), first)
+    doc = json.loads(first.read_text())
+    for member in ("N", "F", "R"):
+        doc[member] = [doc[member][i] for i in rng.permutation(len(doc[member]))]
+    doc["F"] = [{"value": entry["value"], "labels": entry["labels"]} for entry in doc["F"]]
+    save_category(dict_to_category(doc), again)
+    assert again.read_bytes() == first.read_bytes()
+
+
+def test_cli_catalog_writes_library_bytes(tmp_path):
+    cli, library = tmp_path / "cli.json", tmp_path / "library.json"
+    assert main(["catalog", "su2", "--level", "10", "--out", str(cli)]) == 0
+    save_category(su2(10), library)
+    assert cli.read_bytes() == library.read_bytes()
+    assert main(["validate", str(cli)]) == 0
 
 
 def test_cli_missing_file_exits_2(tmp_path):

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -13,6 +14,7 @@ from bcft.rings import (
     validate_ring,
 )
 from bcft.words import hom_dim, simple_word, tree_index
+from conftest import reference_f_keys
 
 
 def trivial_ring():
@@ -85,6 +87,40 @@ def test_admissible_key_counts(all_catalogs):
             assert list(keys) == sorted(set(keys)), data.name
         assert len(ring.f_keys) == np.einsum("abe,ecd,bcf,afd->", M, M, M, M)
         assert len(ring.r_keys) == np.count_nonzero(ring.N)
+
+
+def _su2_ring(k):
+    """The su(2)_k fusion ring alone: labels twice the spin, truncated Clebsch-Gordan rules."""
+    a, b, c = np.ogrid[: k + 1, : k + 1, : k + 1]
+    N = (abs(a - b) <= c) & (c <= a + b) & ((a + b + c) % 2 == 0) & (a + b + c <= 2 * k)
+    return FusionRing([str(x) for x in range(k + 1)], range(k + 1), N.astype(np.int64))
+
+
+def test_f_keys_match_reference(all_catalogs):
+    rings = [data.ring for data in all_catalogs] + [_su2_ring(k) for k in range(1, 17)]
+    for ring in rings:
+        assert ring.f_keys == reference_f_keys(ring), ring
+        keys = ring.f_key_array
+        assert keys.dtype == np.int64 and keys.shape == (len(ring.f_keys), 6)
+        assert not keys.flags.writeable and keys.flags.f_contiguous
+        assert ring.r_keys == tuple(map(tuple, np.argwhere(ring.N > 0).tolist()))
+
+
+def test_f_key_enumeration_has_no_n6_temporary():
+    # Z_20 has n^6 = 64M label tuples but only n^3 = 8000 admissible F keys
+    n = 20
+    a, b = np.indices((n, n))
+    N = np.zeros((n, n, n), dtype=np.int64)
+    N[a, b, (a + b) % n] = 1
+    ring = FusionRing([str(x) for x in range(n)], [-x % n for x in range(n)], N)
+    tracemalloc.start()
+    try:
+        keys = ring.f_key_array
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(keys) == n**3
+    assert peak < n**6 / 4
 
 
 def test_tree_index_is_read_only(ising_data):
