@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DataInconsistencyError, NumericDegeneracyError, StructuralError
 from .modular import ModularData
@@ -63,6 +62,25 @@ def _commutant_basis(md: ModularData, rcond: float = 1e-10):
     return vh[rank:].T  # (n^2, m)
 
 
+def _pivot_rows(B: np.ndarray) -> np.ndarray:
+    """Rows of B, ascending, that make a well-conditioned square block.
+
+    Column-pivoted Gram-Schmidt on ``B^T`` (Businger-Golub, as in LAPACK's
+    geqp3): each pivot is the row of B with the largest norm after the
+    pivots so far are projected out.
+    """
+    rest = B.copy()
+    rows = []
+    for _ in range(B.shape[1]):
+        norms = np.einsum("ij,ij->i", rest, rest)
+        norms[rows] = -1.0
+        r = int(np.argmax(norms))
+        rows.append(r)
+        q = rest[r] / math.sqrt(norms[r])
+        rest -= np.outer(rest @ q, q)
+    return np.sort(rows)
+
+
 def enumerate_modular_invariants(
     md: ModularData, max_entry: int | None = None, tol: float = 1e-7
 ) -> list[np.ndarray]:
@@ -80,9 +98,7 @@ def enumerate_modular_invariants(
     m = B.shape[1]
     if m == 0:
         return []
-    # pivot rows: a well-conditioned m x m subblock of B
-    _, _, piv = scipy.linalg.qr(B.T, pivoting=True)
-    rows = np.sort(piv[:m])
+    rows = _pivot_rows(B)
     Bp = B[rows]
     if abs(np.linalg.det(Bp)) < 1e-8:
         raise NumericDegeneracyError("commutant pivot block is singular")
@@ -389,6 +405,27 @@ class CardySolution:
     residual: float
 
 
+def _clusters(w, cluster_tol):
+    """Index lists of ``w``, ordered by real then imaginary part, split where neighbours differ."""
+    order = np.lexsort((np.round(w.imag, 9), np.round(w.real, 9)))
+    return np.split(order, np.flatnonzero(np.abs(np.diff(w[order])) >= cluster_tol) + 1)
+
+
+def _normal_eigenbasis(M, cluster_tol):
+    """Unitary Q diagonalizing M if M is normal: eigh of the Hermitian part
+    ``(M + M*)/2``, then of the anti-Hermitian part ``(M - M*)/2i`` inside each
+    of its eigenvalue clusters (the two commute when M is normal)."""
+    w, U = np.linalg.eigh((M + M.conj().T) / 2)
+    K = (M - M.conj().T) / 2j
+    cols = []
+    for sel in _clusters(w, cluster_tol):
+        Uc = U[:, sel]
+        if len(sel) > 1:
+            Uc = Uc @ np.linalg.eigh(Uc.conj().T @ K @ Uc)[1]
+        cols.append(Uc)
+    return np.hstack(cols)
+
+
 def _joint_eigenbasis(mats, cluster_tol=1e-7):
     """Joint eigenvectors of a commuting normal family, by block refinement."""
     size = mats[0].shape[0]
@@ -397,29 +434,23 @@ def _joint_eigenbasis(mats, cluster_tol=1e-7):
     for M in mats:
         new_blocks, new_tuples = [], []
         for B, tup in zip(blocks, tuples):
-            sub = B.conj().T @ M.astype(complex) @ B
-            T, Q = scipy.linalg.schur(sub, output="complex")
-            off = np.max(np.abs(T - np.diag(np.diag(T)))) if T.size else 0.0
+            sub = B.conj().T @ M @ B
+            if len(sub) == 1:  # a joint eigenvector already
+                new_blocks.append(B)
+                new_tuples.append(tup + (complex(sub[0, 0]),))
+                continue
+            Q = _normal_eigenbasis(sub, cluster_tol)
+            T = Q.conj().T @ sub @ Q
+            off = np.max(np.abs(T - np.diag(np.diag(T))))
             if off > 1e-8:
                 raise DataInconsistencyError(
                     f"nimrep matrices are not simultaneously diagonalizable "
                     f"(off-diagonal {off:.2e})"
                 )
             w = np.diag(T)
-            order = np.lexsort((np.round(w.imag, 9), np.round(w.real, 9)))
-            idx_sorted = list(order)
-            start = 0
-            while start < len(idx_sorted):
-                stop = start + 1
-                while (
-                    stop < len(idx_sorted)
-                    and abs(w[idx_sorted[stop]] - w[idx_sorted[stop - 1]]) < cluster_tol
-                ):
-                    stop += 1
-                sel = idx_sorted[start:stop]
+            for sel in _clusters(w, cluster_tol):
                 new_blocks.append(B @ Q[:, sel])
                 new_tuples.append(tup + (complex(np.mean(w[sel])),))
-                start = stop
         blocks, tuples = new_blocks, new_tuples
     return blocks, tuples
 
@@ -444,6 +475,30 @@ def _match_exponents(md: ModularData, tuples, tol=1e-6):
     return matches
 
 
+def _span_basis(B):
+    """An orthonormal basis of the column space of B that depends on that space alone.
+
+    Gram-Schmidt on ``P e_i`` in ascending ``i``, with ``P = B B*`` the
+    projector onto the space, skipping residuals shorter than
+    ``1/(2 sqrt(n))``.  The skipped residuals only shrink as the basis grows,
+    and while it is incomplete some ``P e_i`` has a residual of at least
+    ``1/sqrt(n)`` (the remaining projector has trace >= 1), so it completes.
+    """
+    n, k = B.shape
+    P = B @ B.conj().T
+    Q = np.zeros((n, 0), dtype=complex)
+    for i in range(n):
+        v = P[:, i]
+        for _ in range(2):  # twice is enough to orthogonalize in floating point
+            v = v - Q @ (Q.conj().T @ v)
+        norm = np.linalg.norm(v)
+        if norm >= 0.5 / math.sqrt(n):
+            Q = np.column_stack([Q, v / norm])
+            if Q.shape[1] == k:
+                break
+    return Q
+
+
 def cardy_solve(nimrep: Nimrep, md: ModularData, tol: float = DEFAULT_TOL) -> CardySolution:
     """Solve ``n^s = psi (S_s./S_0.) psi*`` by joint diagonalization."""
     bad = nimrep.validate()
@@ -453,6 +508,7 @@ def cardy_solve(nimrep: Nimrep, md: ModularData, tol: float = DEFAULT_TOL) -> Ca
     matches = _match_exponents(md, tuples)
     cols = []
     for B, t in zip(blocks, matches):
+        B = _span_basis(B) if B.shape[1] > 1 else B
         for k in range(B.shape[1]):
             cols.append((t, B[:, k]))
     cols.sort(key=lambda item: item[0])

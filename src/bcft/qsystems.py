@@ -8,11 +8,13 @@ prefactor), and ``w`` is the canonical isometry onto the vacuum summand.
 
 The axioms are polynomials of degree at most 2 in ``lam``; ``_AxiomMap`` writes
 them once per theta as a sparse quadratic map, which ``validate_qsystem``,
-``is_local``, ``charged_algebra`` and ``search_qsystems`` evaluate.  The
-morphism calculus (``assemble_x``, ``frobenius_check``) is the independent
-check.  ``search_qsystems`` solves the unit + associativity constraints by
-randomized multi-start least squares and reports an explicit status; it never
-silently drops a non-converged branch.
+``is_local``, ``charged_algebra`` and ``search_qsystems`` evaluate, together
+with its exact Jacobian, which is linear in ``lam``.  The morphism calculus
+(``assemble_x``, ``frobenius_check``) is the independent check.
+``search_qsystems`` solves the unit + associativity constraints from
+randomized starts with ``least_squares``, a Levenberg-Marquardt iteration on
+that Jacobian with Nielsen's damping update, and reports an explicit status;
+it never silently drops a non-converged branch.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from functools import cached_property
 from itertools import product
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.sparse import csr_matrix
 
 from .category import CategoryPresentation, Morphism, compose, identity, tensor
 from .errors import DataInconsistencyError, StructuralError
@@ -125,6 +125,11 @@ def assemble_x(q: QSystemSpec, cat: CategoryPresentation, require_isometry: bool
     return Morphism(cat, th, word2, blocks)
 
 
+def _scatter(at: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """The sums of complex ``values`` at the indices ``at`` of a zero vector of ``size``."""
+    return np.bincount(at, values.real, size) + 1j * np.bincount(at, values.imag, size)
+
+
 class _AxiomMap:
     """The Q-system axioms at the theta of ``spec``, as a sparse quadratic map of lambda.
 
@@ -178,11 +183,10 @@ class _AxiomMap:
                     terms += [(len(r0), i, j, coef) for i, j, coef in ijc]
                     r0.append(const)
                 bounds.append(len(r0))
-        rows, self.i, self.j, coef = (np.array(v) for v in zip(*terms))
+        self.row, self.i, self.j, coef = (np.array(v) for v in zip(*terms))
+        self.coef = coef.astype(complex)
         self.r0 = np.array(r0, dtype=complex)
         m = len(r0)
-        cols = np.arange(len(rows))
-        self.coef = csr_matrix((coef.astype(complex), (rows, cols)), shape=(m, len(cols)))
         ends = bounds[:: ring.size]  # the row offset after each axiom
         self.parts = dict(zip(self.PARTS, map(slice, ends, ends[1:])))
         # the search's real vector: per block, its real parts and then its imaginary parts
@@ -201,7 +205,19 @@ class _AxiomMap:
     def rows(self, lam: np.ndarray) -> np.ndarray:
         """The complex residual rows at ``lam``."""
         y = np.concatenate([lam, lam.conj(), [1.0]])
-        return self.r0 + self.coef @ (y[self.i] * y[self.j])
+        return self.r0 + _scatter(self.row, self.coef * (y[self.i] * y[self.j]), len(self.r0))
+
+    def jacobian(self, lam: np.ndarray) -> np.ndarray:
+        """``d rows / d y`` at ``y = (lam, conj(lam), 1)``, one column per entry of ``y``.
+
+        A term ``coef * y[i] * y[j]`` puts ``coef * y[j]`` at column ``i`` and
+        ``coef * y[i]`` at column ``j`` of its row.
+        """
+        y = np.concatenate([lam, lam.conj(), [1.0]])
+        shape = (len(self.r0), len(y))
+        at = np.concatenate([self.row * shape[1] + self.i, self.row * shape[1] + self.j])
+        values = np.concatenate([self.coef * y[self.j], self.coef * y[self.i]])
+        return _scatter(at, values, shape[0] * shape[1]).reshape(shape)
 
     def norms(self, lam: np.ndarray) -> dict:
         """Largest residual modulus of each axiom."""
@@ -413,6 +429,55 @@ def regular_qsystem(cat: CategoryPresentation) -> QSystemSpec:
 
 
 @dataclass
+class _Fit:
+    x: np.ndarray
+    fun: np.ndarray
+    status: int  # 1 gradient, 2 cost, 3 step converged; 0 evaluation limit
+
+
+def least_squares(fun, x0, jac, xtol: float, ftol: float, gtol: float) -> _Fit:
+    """Minimize ``|fun(x)|^2`` by Levenberg-Marquardt from ``x0``.
+
+    Each step solves ``(J^T J + mu I) h = -J^T f`` with the Jacobian ``jac(x)``;
+    ``mu`` starts at ``1e-3 max diag(J^T J)`` and follows Nielsen's update
+    (IMM-REP-1999-05): an accepted step with gain ratio ``rho`` scales it by
+    ``max(1/3, 1 - (2 rho - 1)^3)``, a rejected one by ``nu``, which doubles
+    on every rejection in a row.  The stopping tests are MINPACK's (More,
+    LNM 630): every column of ``J`` within angle cosine ``gtol`` of
+    orthogonal to ``f`` (status 1), an accepted step whose actual and
+    predicted relative reductions of ``|f|^2`` are both at most ``ftol``
+    (status 2), or a step no longer than ``xtol (|x| + xtol)`` (status 3).
+    Status 0 means ``100 len(x0)`` evaluations did not converge.
+    """
+    x = np.asarray(x0, dtype=float)
+    f = fun(x)
+    J = jac(x)
+    cost, A, g = f @ f, J.T @ J, J.T @ f
+    mu, nu = 1e-3 * np.max(np.diag(A)), 2.0
+    for _ in range(100 * len(x)):
+        if cost == 0.0 or np.all(np.abs(g) <= gtol * np.sqrt(cost * np.diag(A))):
+            return _Fit(x, f, 1)
+        h = np.linalg.solve(A + mu * np.eye(len(x)), -g)
+        if np.linalg.norm(h) <= xtol * (np.linalg.norm(x) + xtol):
+            return _Fit(x, f, 3)
+        f_new = fun(x + h)
+        cost_new = f_new @ f_new
+        predicted = h @ (mu * h - g)
+        rho = (cost - cost_new) / predicted
+        if not rho > 0:  # a worse or non-finite residual
+            mu, nu = mu * nu, 2 * nu
+            continue
+        small = cost - cost_new <= ftol * cost and predicted <= ftol * cost
+        x, f, cost = x + h, f_new, cost_new
+        if small:
+            return _Fit(x, f, 2)
+        J = jac(x)
+        A, g = J.T @ J, J.T @ f
+        mu, nu = mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
+    return _Fit(x, f, 0)
+
+
+@dataclass
 class SearchResult:
     solutions: list
     status: str  # "ok" or "inconclusive"
@@ -436,29 +501,39 @@ def search_qsystems(
     unit = {ch: axioms.scale for r in range(len(axioms.sectors)) for ch in ((0, r, r), (r, 0, r))}
     free = [ch for ch in axioms.channels if ch[0] and ch[1]]  # the unit laws fix the rest
     lam0 = axioms.vector(unit)
-    where = [axioms.index[ch] for ch in free]
+    where = np.array([axioms.index[ch] for ch in free], dtype=int)
 
     def build(vec: np.ndarray) -> QSystemSpec:
         return QSystemSpec(theta, {**unit, **dict(zip(free, vec[0::2] + 1j * vec[1::2]))})
 
-    def residual_vec(vec: np.ndarray) -> np.ndarray:
+    def lam_at(vec: np.ndarray) -> np.ndarray:
         lam = lam0.copy()
         lam[where] = vec[0::2] + 1j * vec[1::2]
-        z = axioms.rows(lam)
+        return lam
+
+    def residual_vec(vec: np.ndarray) -> np.ndarray:
+        z = axioms.rows(lam_at(vec))
         return np.concatenate([z.real, z.imag])[axioms.order]
+
+    def jacobian(vec: np.ndarray) -> np.ndarray:
+        """``d residual_vec / d vec``: ``lam`` and ``conj(lam)`` move with ``Re + i Im`` and ``Re - i Im``."""
+        D = axioms.jacobian(lam_at(vec))
+        at, at_bar = D[:, where], D[:, len(lam0) + where]
+        Jc = np.empty((len(D), len(vec)), dtype=complex)
+        Jc[:, 0::2], Jc[:, 1::2] = at + at_bar, 1j * (at - at_bar)
+        return np.concatenate([Jc.real, Jc.imag])[axioms.order]
 
     if not free:  # the unit laws fix every channel
         sols = [build(np.zeros(0))] if max(axioms.norms(lam0).values()) < tol else []
         fps = tuple(fingerprint(s, cat) for s in sols)
         return SearchResult(sols, "ok", 0.0 if sols else np.inf, fps)
 
-    method = "lm" if len(axioms.r0) >= len(free) else "trf"
     found = {}  # fingerprint -> first solution with it
     best = np.inf
     any_nonconverged = False
     for i in range(n_starts):
         x0 = np.random.default_rng((seed, i)).normal(scale=1.0 if i else 0.5, size=2 * len(free))
-        res = least_squares(residual_vec, x0, method=method, xtol=1e-14, ftol=1e-14, gtol=1e-14)
+        res = least_squares(residual_vec, x0, jac=jacobian, xtol=1e-14, ftol=1e-14, gtol=1e-14)
         final = float(np.max(np.abs(res.fun)))
         best = min(best, final)
         if res.status <= 0:

@@ -1,12 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.linalg
 from conftest import brute_force_invariants, brute_force_nimreps
 
 from bcft.catalog import catalog
+import bcft.classify
 from bcft.classify import (
     Nimrep,
     _canonical_key,
+    _joint_eigenbasis,
     _minimal_polynomial,
     cardy_solve,
     compatibility,
@@ -279,3 +283,109 @@ def test_su2_4_ade_nimreps(su2_4_data):
         ]
         assert got == labels, size
 
+
+# Count and SHA-256 of the Z list (int64, little-endian, in the enumeration's
+# lexicographic order), computed when the pivot rows came from LAPACK's pivoted
+# QR: pivots may differ on ties, the list may not.
+INVARIANT_PINS = {
+    "ising": (1, "234930f5a7e15b61732ca7a2c16d5a50382f3e2329e68f54f7ac1eb7cd6fc832"),
+    "fibonacci": (1, "33679eedd86f9637ab73892a064cdab3d82365cf5063b145affb2272327a6ddc"),
+    "su2_1": (1, "33679eedd86f9637ab73892a064cdab3d82365cf5063b145affb2272327a6ddc"),
+    "su2_2": (1, "234930f5a7e15b61732ca7a2c16d5a50382f3e2329e68f54f7ac1eb7cd6fc832"),
+    "su2_3": (1, "b32ccb915e3d58f1bd6613f3139eaa1f4a0ef5dcf27fb6dcf37690c86b922624"),
+    "su2_4": (2, "29c17f0f2a71ede939c8bd5a0552c5a9a0ed51ab9c7ccd83bca25dacd55a0f78"),
+    "su2_5": (1, "6d3c6662509dc0b5205bafa65a022b6fb6e9dde276f1b6495f73e9ead25a423b"),
+    "su2_6": (2, "75e104e3aafd46c2021f4f15254cd21c14d55e769b04db96b21b44266c7a7983"),
+    "su2_7": (1, "d55adde0bb1b7f2d58401e85e1525f08554d3177c0f4f04fc3ddbb879d574e06"),
+    "su2_8": (2, "fb23b7266c016083a9202d3256e8e9d94049df7f710c1892561352ce5eaad77e"),
+    "su2_9": (1, "74de21551bd59dd4ac45eddc68752b2189ef88f41ec485289235b3659576409a"),
+    "su2_10": (3, "8475e97d2b745f27a7cc246b5c0e2a8f517deee40b3ee73207bc3d1c4cd557dd"),
+    "su2_11": (1, "6a7b189808bebca09895a29ce18e52fcf737c3b505cce39a385211ef98f00470"),
+    "su2_12": (2, "5564e46812087dab141cbcab3f08fc383d17a47ac6a3514300faaaf51c3ce439"),
+    "su2_13": (1, "0e83f0483967ec5c076293e14f2b26d6ba9d521347cc86bc26c39489b237da47"),
+    "su2_14": (2, "f4bcc4b0327a03ecd5f54928ca708342a95ebf2fa8fe1ef7db899623ee53f2a3"),
+    "su2_15": (1, "26147820de0ac104c13e4e4580fd897dbe0c42e026fd6f00ae8f1689ed309bde"),
+    "su2_16": (3, "d87c21ee6400945ccbc57a926e0f9434d6f9b7eeda5a40066f216dea085da541"),
+    "su2_17": (1, "93caaeab6cb77ecd3360147c864b31376ce351eb2735e79bf6be3b54ebf2524f"),
+    "su2_18": (2, "624c01c10bccff391eaa45ab964aa3ff6ff98c486bf7e26477f7a0ea0c630d48"),
+    "su2_19": (1, "84f66e6c8cce6cbe8e7d58d4d02d1a8b4482507c7a17d14ecbb71cd4a2504c05"),
+    "su2_20": (2, "5dab2d61c85ea541e07c4ede6cce951f1e698fc724484e6dd28ecbafa417db1f"),
+    "spin8": (6, "ce40c2c458350807b44d419c8e7f7ebe4119dd31983735a0ca07d74ca5aa5b4d"),
+    "z3": (2, "ef31d8d27e596c81d7fc8b92384ebca07f128c313ff935452053d4d8dc2e82f9"),
+}
+
+
+def _su2_modular(k):
+    """su(2)_k modular data in the catalog's closed form, without building F and R."""
+    n = k + 1
+    a, b, c = np.ogrid[:n, :n, :n]
+    N = (abs(a - b) <= c) & (c <= a + b) & ((a + b + c) % 2 == 0) & (a + b + c <= 2 * k)
+    ring = FusionRing([str(x) for x in range(n)], range(n), N.astype(np.int64))
+    x = np.arange(1, n + 1)
+    S = np.sqrt(2.0 / (k + 2)) * np.sin(np.pi * np.outer(x, x) / (k + 2))
+    return ModularData(ring, S.astype(complex), np.exp(2j * np.pi * (x * x - 1) / 4.0 / (k + 2)))
+
+
+def test_invariant_lists_pinned(ising_data, fib_data, spin8_data, z3_data):
+    mds = {"ising": ising_data.modular, "fibonacci": fib_data.modular}
+    mds.update({f"su2_{k}": _su2_modular(k) for k in range(1, 21)})
+    mds.update({"spin8": spin8_data.modular, "z3": z3_data.modular})
+    got = {}
+    for name, md in mds.items():
+        invs = enumerate_modular_invariants(md)
+        digest = hashlib.sha256(b"".join(Z.astype("<i8").tobytes() for Z in invs))
+        got[name] = (len(invs), digest.hexdigest())
+    assert got == INVARIANT_PINS
+
+
+def _z4_modular():
+    """Z_4 with S the discrete Fourier transform, S_ab = i^(-ab) / 2, and T_a = exp(2 pi i a^2 / 8)."""
+    a = np.arange(4)
+    return ModularData(_cyclic_ring(4), (-1j) ** np.outer(a, a) / 2, np.exp(2j * np.pi * a * a / 8))
+
+
+@pytest.mark.parametrize("name", ["z3", "z4"])
+def test_cardy_solve_splits_equal_real_parts(name, z3_data):
+    # Z_3 has the eigenvalues w and w^2, Z_4 has i and -i: equal real parts,
+    # told apart by the anti-Hermitian part of the generator
+    md = z3_data.modular if name == "z3" else _z4_modular()
+    nr = regular_nimrep(md.ring)
+    blocks, _ = _joint_eigenbasis(list(nr.matrices))
+    assert [B.shape[1] for B in blocks] == [1] * md.size
+    sol = cardy_solve(nr, md)
+    assert sol.residual < 1e-9 and sol.exponents == tuple(range(md.size))
+    assert np.allclose(sol.psi, md.S, atol=1e-9)
+
+
+def test_joint_eigenbasis_rejects_non_normal_and_non_commuting():
+    jordan = np.array([[1, 1], [0, 1]])
+    with pytest.raises(DataInconsistencyError, match="not simultaneously diagonalizable"):
+        _joint_eigenbasis([np.eye(2), jordan])
+    # both normal, but the 3-cycle does not keep the eigenspaces of diag(1, 1, 0)
+    cycle = np.roll(np.eye(3), 1, axis=0)
+    with pytest.raises(DataInconsistencyError, match="not simultaneously diagonalizable"):
+        _joint_eigenbasis([np.diag([1, 1, 0]), cycle])
+
+
+def test_cardy_psi_is_independent_of_the_degenerate_basis(ising_data, su2_4_data, rng, monkeypatch):
+    """psi is a function of the nimrep: a unitary rotation of each joint
+    eigenspace, as another eigensolver may return, leaves it unchanged."""
+    doubled = tuple(np.kron(np.eye(2, dtype=np.int64), m) for m in regular_nimrep(ising_data.ring).matrices)
+    cases = [
+        (enumerate_nimreps(su2_4_data.ring, 4)[0], su2_4_data.modular),  # D4: exponent 2 twice
+        (Nimrep(ising_data.ring, doubled), ising_data.modular),  # every exponent twice
+    ]
+    for nr, md in cases:
+        want = cardy_solve(nr, md)
+        assert len(set(want.exponents)) < nr.size and want.residual < 1e-9
+        blocks, tuples = _joint_eigenbasis(list(nr.matrices))
+        rotated = []
+        for B in blocks:
+            k = B.shape[1]
+            u, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+            rotated.append(B @ u)
+        monkeypatch.setattr(bcft.classify, "_joint_eigenbasis", lambda mats: (rotated, tuples))
+        got = cardy_solve(nr, md)
+        monkeypatch.undo()
+        assert got.exponents == want.exponents
+        assert np.max(np.abs(got.psi - want.psi)) < 1e-12

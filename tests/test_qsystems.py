@@ -157,6 +157,62 @@ def test_axiom_map_matches_morphism_residuals(ising_data, fib_data, su2_4_data, 
         assert is_local(q, cat)[1] == pytest.approx(want, abs=1e-13)
 
 
+def _central_differences(fun, x, h=1e-3):
+    """Columns ``(fun(x + h e_k) - fun(x - h e_k)) / 2h``: exact up to rounding on a quadratic map."""
+    cols = []
+    for k in range(len(x)):
+        step = np.zeros_like(x)
+        step[k] = h
+        cols.append((fun(x + step) - fun(x - step)) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
+@pytest.fixture(scope="module")
+def jacobian_cases(ising_data, su2_4_data, spin8_data, spin8_qsystems):
+    """Ising CAR, su2_4 0+2+2+4, E6 at su2_10 and the non-symmetric (twisted) Spin(8)_1 algebra."""
+    ising_cat = ising_data.presentation
+    return [
+        (car_qsystem(ising_cat).theta, ising_cat),
+        ((1, 0, 2, 0, 1), su2_4_data.presentation),
+        (tuple(1 if a in (0, 6) else 0 for a in range(11)), su2(10).presentation),
+        (spin8_qsystems["1+v+s+c twisted"].theta, spin8_data.presentation),
+    ]
+
+
+def test_axiom_jacobian_matches_central_differences(jacobian_cases, rng):
+    for theta, cat in jacobian_cases:
+        axioms = _AxiomMap(cat, QSystemSpec(theta, {}))
+        n = len(axioms.channels)
+        lam = rng.normal(size=n) + 1j * rng.normal(size=n)
+        D = axioms.jacobian(lam)
+        assert D.shape == (len(axioms.r0), 2 * n + 1)
+        # derivatives along Re lam and Im lam give the lam and conj(lam) columns
+        G = _central_differences(lambda v: axioms.rows(v[:n] + 1j * v[n:]), np.r_[lam.real, lam.imag])
+        want = np.hstack([G[:, :n] - 1j * G[:, n:], G[:, :n] + 1j * G[:, n:]]) / 2
+        np.testing.assert_allclose(D[:, : 2 * n], want, rtol=1e-6, atol=1e-9, err_msg=str(theta))
+        # Euler's identity for the quadratic part fixes the column of the constant 1 too
+        y = np.concatenate([lam, lam.conj(), [1.0]])
+        np.testing.assert_allclose(D @ y, 2 * (axioms.rows(lam) - axioms.r0), rtol=1e-6, atol=1e-9)
+
+
+def test_search_jacobian_matches_central_differences(jacobian_cases, rng, monkeypatch):
+    """The Jacobian the search hands its solver is that of the residual it hands it."""
+    import bcft.qsystems as qs
+
+    solve, checked = qs.least_squares, []
+
+    def checking_solver(fun, x0, jac, **kw):
+        x = rng.normal(size=len(x0))
+        np.testing.assert_allclose(jac(x), _central_differences(fun, x), rtol=1e-6, atol=1e-9)
+        checked.append(len(x0))
+        return solve(fun, x0, jac=jac, **kw)
+
+    monkeypatch.setattr(qs, "least_squares", checking_solver)
+    for theta, cat in jacobian_cases:
+        search_qsystems(cat, theta, n_starts=1)
+    assert len(checked) == len(jacobian_cases) and min(checked) > 0
+
+
 def test_alternative_normalization_fails_the_sum_rule(ising_data):
     # rescaling lambda so the unit entries are 1 (dropping the d^{-1/2}
     # prefactor) breaks isometry and hence the completeness sum rule
