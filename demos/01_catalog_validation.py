@@ -3,7 +3,7 @@
 Each catalog carries a fusion ring, modular S/T data and unitary F/R
 symbols.  The validators check the ring axioms, S/T identities, the
 Verlinde bridge between the two, and the pentagon/hexagon equations of the
-morphism calculus.
+F and R symbols.
 """
 
 import numpy as np

@@ -14,7 +14,6 @@ from bcft import (
     catalog,
     charged_algebra,
     charged_field_basis,
-    compose,
     coupling_from_qsystem,
     dhr_orbit_thetas,
     frobenius_check,
@@ -50,7 +49,7 @@ print("index ledger:", index_ledger(data.ring, car, Z).as_dict())
 
 basis = charged_field_basis(cat, car, 1, 1)
 phi = basis.fields[0]
-norm = compose(phi.dagger(), phi).blocks[0][0, 0]
+norm = np.vdot(phi[0], phi[0])
 print(f"boundary field at (sigma, sigma): |phi|^2 = {norm.real:.6f} (= d(sigma)^2)")
 print("tree coefficients (p_slot, q_slot, intermediate) -> value:")
 for (p, q, t), val in zip(basis.coefficient_index, basis.coefficients[0]):

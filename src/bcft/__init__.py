@@ -9,17 +9,7 @@ partition functions with numerical modular checks.
 """
 
 from .catalog import CategoryData, catalog, fibonacci, ising, su2
-from .category import (
-    AxiomReport,
-    CategoryPresentation,
-    Morphism,
-    braiding,
-    compose,
-    conjugation_pair,
-    identity,
-    tensor,
-    validate_axioms,
-)
+from .category import AxiomReport, CategoryPresentation, validate_axioms
 from .characters import (
     AnnulusReport,
     CharacterSeries,
@@ -57,7 +47,6 @@ from .qsystems import (
     ChargedIntertwinerAlgebra,
     QSystemSpec,
     SearchResult,
-    assemble_x,
     car_qsystem,
     charged_algebra,
     fingerprint,

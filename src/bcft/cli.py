@@ -182,7 +182,8 @@ def cmd_cardy(args) -> int:
         return EXIT_INVALID
     sol = cardy_solve(nr, data.modular, args.tolerance)
     print("psi =")
-    print(np.array2string(np.round(sol.psi, 9)))
+    # + 0.0 turns a rounded -0.0 into 0.0 in both parts, so output does not carry the sign of noise
+    print(np.array2string(np.round(sol.psi, 9) + (0.0 + 0.0j)))
     print("exponents:", list(sol.exponents))
     print(f"Cardy-equation residual: {sol.residual:.3e}")
     if args.out:
@@ -192,7 +193,7 @@ def cmd_cardy(args) -> int:
             {"category": args.category, "nimrep": args.nimrep},
             _settings(args),
             {
-                "psi": [[[z.real, z.imag] for z in row] for row in sol.psi],
+                "psi": [[[round(z.real, 12) + 0.0, round(z.imag, 12) + 0.0] for z in row] for row in sol.psi],
                 "exponents": list(sol.exponents),
                 "residual": sol.residual,
             },

@@ -41,8 +41,8 @@ Kernel dimensions assemble into the coupling matrix Z (a modular invariant);
 the lifted kernel vectors, normalized on the vacuum channel (the Gram matrix
 of their ``p = 0`` coefficients), give the boundary field coefficients.
 Integer outputs are only accepted when the singular-value spectrum shows a
-clean gap.  The morphism calculus of :mod:`bcft.category` is the independent
-reference for both maps (see the tests).
+clean gap.  The tests check both maps entry by entry against a morphism
+calculus built from tensor products, braidings and the standard cup.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from itertools import product
 
 import numpy as np
 
-from .category import CategoryPresentation, Morphism
+from .category import CategoryPresentation
 from .errors import DataInconsistencyError, NumericDegeneracyError, StructuralError
 from .qsystems import QSystemSpec, _check_lambda
 from .rings import DEFAULT_TOL, FusionRing
@@ -195,7 +195,7 @@ class BoundaryFieldBasis:
 
     sigma: int
     tau: int
-    fields: tuple  # Morphisms phi_i: theta -> theta sigma tau-bar
+    fields: tuple  # phi_i: theta -> theta sigma tau-bar as {charge: block}, one column per copy
     coefficients: np.ndarray  # [i, (p_slot, q_slot, intermediate)]: the lift's rows
     coefficient_index: tuple  # (p_slot, q_slot, intermediate) per column
     projector: np.ndarray  # kernel projector in coefficient space (basis-free)
@@ -214,14 +214,14 @@ def charged_field_basis(
     morphisms ``phi: theta -> theta sigma tau-bar`` by
     ``phi = (id (x) n (x) id) . (x (x) id) . (id_theta (x) cup_tau)``
     (``_lift_matrix``), and normalized so that the vacuum-channel Gram matrix
-    of ``phi_i* phi_j`` is ``d_sigma d_tau`` times the identity.
+    of ``phi_i* phi_j`` is ``d_sigma d_tau`` times the identity.  Each field
+    is returned as its tree-basis blocks ``{charge: ndarray}``.
     """
     _check_lambda(q, cat)
     ring = cat.ring
     dim, kernel, _ = kernel_split(_kernel_matrix(cat, q, sigma, tau))
     lift, index = _lift_matrix(cat, q, sigma, tau)
-    th = q.theta_word()
-    word = th + simple_word(sigma, ring.dual[tau])
+    word = q.theta_word() + simple_word(sigma, ring.dual[tau])
     n_vac = hom_dim(ring, word, 0)  # the vacuum slot's rows come first
     d_st = float(ring.fp_dims[sigma] * ring.fp_dims[tau])
     coeffs = np.zeros((0, len(index)), dtype=complex)
@@ -242,9 +242,7 @@ def charged_field_basis(
     shapes = [(m, hom_dim(ring, word, c)) for c, m in enumerate(q.theta)]
     ends = np.cumsum([m * d for m, d in shapes])
     fields = tuple(
-        Morphism(cat, th, word, {
-            c: part.reshape(shape).T for c, (part, shape) in enumerate(zip(np.split(vec, ends[:-1]), shapes))
-        })
+        {c: part.reshape(shape).T for c, (part, shape) in enumerate(zip(np.split(vec, ends[:-1]), shapes))}
         for vec in coeffs
     )
     return BoundaryFieldBasis(

@@ -9,8 +9,9 @@ prefactor), and ``w`` is the canonical isometry onto the vacuum summand.
 The axioms are polynomials of degree at most 2 in ``lam``; ``_AxiomMap`` writes
 them once per theta as a sparse quadratic map, which ``validate_qsystem``,
 ``is_local``, ``charged_algebra`` and ``search_qsystems`` evaluate, together
-with its exact Jacobian, which is linear in ``lam``.  The morphism calculus
-(``assemble_x``, ``frobenius_check``) is the independent check.
+with its exact Jacobian, which is linear in ``lam``.  ``frobenius_check``
+writes the Frobenius relation in the same coordinates; the tests check all of
+them against a morphism calculus.
 ``search_qsystems`` solves the unit + associativity constraints from
 randomized starts with ``least_squares``, a Levenberg-Marquardt iteration on
 that Jacobian with Nielsen's damping update, and reports an explicit status;
@@ -26,16 +27,15 @@ from itertools import product
 
 import numpy as np
 
-from .category import CategoryPresentation, Morphism, compose, identity, tensor
+from .category import CategoryPresentation, _code
 from .errors import DataInconsistencyError, StructuralError
 from .rings import DEFAULT_TOL
-from .words import Word, hom_dim, sum_word, tree_index
+from .words import Word, sum_word
 
 __all__ = [
     "QSystemSpec",
     "ChargedIntertwinerAlgebra",
     "SearchResult",
-    "assemble_x",
     "validate_qsystem",
     "frobenius_check",
     "is_local",
@@ -87,6 +87,15 @@ class QSystemSpec:
         return f"QSystemSpec(theta={self.theta})"
 
 
+def _dense(q: QSystemSpec):
+    """The sector of each slot, and ``lam`` as a dense array over slot triples."""
+    sec = np.array([s for s, _copy in q.slots])
+    lam = np.zeros((len(sec),) * 3, dtype=complex)
+    for key, val in q.lam.items():
+        lam[key] = val
+    return sec, lam
+
+
 def _check_lambda(q: QSystemSpec, cat: CategoryPresentation, require_isometry: bool = True) -> None:
     """Every key of ``lam`` is a fusion channel and, if required, ``x* x = id``.
 
@@ -99,30 +108,11 @@ def _check_lambda(q: QSystemSpec, cat: CategoryPresentation, require_isometry: b
             raise StructuralError(f"lambda entry {key} has no fusion channel {p} x {qq} -> {r}")
     if not require_isometry:
         return
-    sec = np.array([s for s, _copy in q.slots])
-    lam = np.zeros((len(sec),) * 3, dtype=complex)
-    for key, val in q.lam.items():
-        lam[key] = val
+    sec, lam = _dense(q)
     gram = np.einsum("pqa,pqb->ab", lam.conj(), lam) - np.eye(len(sec))
     resid = float(np.max(np.abs(gram[sec[:, None] == sec])))
     if resid > 1e-6:
         raise DataInconsistencyError(f"lambda does not define an isometry (residual {resid:.2e})")
-
-
-def assemble_x(q: QSystemSpec, cat: CategoryPresentation, require_isometry: bool = True) -> Morphism:
-    """Coefficient tensor -> morphism ``x: theta -> theta theta``."""
-    _check_lambda(q, cat, require_isometry)
-    ring = cat.ring
-    th = q.theta_word()
-    word2 = th + th
-    # the block at charge c has one column per copy of sector c in theta
-    blocks = {
-        c: np.zeros((hom_dim(ring, word2, c), m), dtype=complex) for c, m in enumerate(q.theta)
-    }
-    for (p, qq, r), val in q.lam.items():
-        c, copy = q.slots[r]
-        blocks[c][tree_index(ring, word2, c)[(p, q.sector(p)), (qq, c)], copy] = val
-    return Morphism(cat, th, word2, blocks)
 
 
 def _scatter(at: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
@@ -138,7 +128,7 @@ class _AxiomMap:
     ``y = (lam, conj(lam), 1)``.  Each complex row is
     ``r0 + sum coef * y[i] * y[j]``.  The rows are the entries of the
     isometry, left-unit, right-unit and associativity residual morphisms, in
-    the morphism calculus' layout: blocks by ascending charge, each row-major.
+    fusion-tree layout: blocks by ascending charge, each row-major.
     """
 
     PARTS = ("isometry", "unit_left", "unit_right", "associativity")
@@ -256,13 +246,30 @@ def validate_qsystem(q: QSystemSpec, cat: CategoryPresentation, tol: float = DEF
 
 
 def frobenius_check(q: QSystemSpec, cat: CategoryPresentation) -> float:
-    """Residual of ``x x* = (id (x) x*) (x (x) id)`` (implied in the C* setting)."""
-    th = q.theta_word()
-    x = assemble_x(q, cat, require_isometry=False)
-    id_th = identity(cat, th)
-    lhs = compose(x, x.dagger())
-    rhs = compose(tensor(id_th, x.dagger()), tensor(x, id_th))
-    return lhs.residual(rhs)
+    """Residual of ``x x* = (id (x) x*) (x (x) id)`` (implied in the C* setting).
+
+    Both sides map ``theta theta -> theta theta``; ``s t`` is the sector of
+    the slot ``t``.  At the charge ``c``, the entry at the slot pairs
+    ``(a, b)`` and ``(p, r)`` is
+
+        ``sum_{t: s t = c} lam[a,b,t] conj(lam[p,r,t])
+          - sum_u lam[a,u,p] conj(lam[u,r,b]) F[s a, s u, s r, c, s p, s b]``,
+
+    with F read as 0 off its admissible keys; an entry off the pairs that fuse
+    to ``c`` is 0 on both sides.  The residual is the largest modulus.
+    """
+    ring = cat.ring
+    _require_bound(q.theta, ring, DEFAULT_TOL)
+    _check_lambda(q, cat, require_isometry=False)
+    _, codes, values = cat.f_array
+    sec, lam = _dense(q)
+    code = _code(ring.size, *np.ix_(sec, sec, sec, np.arange(ring.size), sec, sec))
+    at = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
+    F = np.where(codes[at] == code, values[at], 0.0)  # [a, u, r, c, p, b]
+    charge = (sec[:, None] == np.arange(ring.size)).astype(float)  # [t, c]
+    lhs = np.einsum("abt,prt,tc->cabpr", lam, lam.conj(), charge)
+    rhs = np.einsum("aup,urb,aurcpb->cabpr", lam, lam.conj(), F)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def is_local(q: QSystemSpec, cat: CategoryPresentation, tol: float = DEFAULT_TOL):

@@ -203,6 +203,13 @@ def vertex_gauge(cat, u):
     return F, R
 
 
+def random_vertex_gauge(cat, rng):
+    """``cat`` in a random complex vertex gauge: a phase on each splitting vertex
+    ``a b -> c`` with non-vacuum ``a`` and ``b``, so that F is complex."""
+    u = {key: np.exp(2j * np.pi * rng.random()) if key[0] and key[1] else 1.0 for key in cat.ring.r_keys}
+    return CategoryPresentation(cat.ring, *vertex_gauge(cat, u))
+
+
 def reference_axiom_residuals(cat):
     """Oracle: pentagon, hexagon and unitarity residuals of ``validate_axioms``
     as plain loops over ``cat.F`` and ``cat.R``, with a dict join of the F keys."""

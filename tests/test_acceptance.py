@@ -12,9 +12,10 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from conftest import brute_force_invariants
+from morphisms import braiding
 
 from bcft.catalog import fibonacci, ising, su2
-from bcft.category import braiding, validate_axioms
+from bcft.category import validate_axioms
 from bcft.characters import cardy_transform_check
 from bcft.classify import (
     cardy_solve,

@@ -3,18 +3,10 @@ import math
 import numpy as np
 import pytest
 from conftest import reference_axiom_residuals, vertex_gauge
+from morphisms import Morphism, braiding, compose, conjugation_pair, identity, split, tensor
 
 from bcft.catalog import su2
-from bcft.category import (
-    CategoryPresentation,
-    Morphism,
-    braiding,
-    compose,
-    conjugation_pair,
-    identity,
-    tensor,
-    validate_axioms,
-)
+from bcft.category import CategoryPresentation, validate_axioms
 from bcft.errors import StructuralError
 from bcft.rings import FusionRing
 from bcft.words import Word, hom_dim, simple_word, sum_word
@@ -228,7 +220,7 @@ def test_split_unitarity(all_catalogs, rng):
             if len(w) == 0:
                 continue
             k = int(rng.integers(0, len(w) + 1))
-            for _c, (M, _) in cat.split(w, k).items():
+            for _c, (M, _) in split(cat, w, k).items():
                 if M.size:
                     resid = np.max(np.abs(M @ M.conj().T - np.eye(M.shape[0])))
                     assert resid < 1e-12

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -34,3 +36,11 @@ def test_boundary_induction_demo_runs():
     assert run.stdout.count("Z identical to the original: True") == 3
     # the whole stdout, recorded from the morphism-calculus implementation of induction
     assert run.stdout == (ROOT / "tests" / "golden" / "03_boundary_induction.stdout").read_text()
+
+
+@pytest.mark.parametrize("name", ["02_qsystem_search", "04_invariants_and_nimreps", "05_annulus_partition"])
+def test_demo_stdout_matches_golden(name):
+    # the whole stdout, so that no demo breaks silently when a public name goes away
+    run = _run_demo(f"{name}.py")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (ROOT / "tests" / "golden" / f"{name}.stdout").read_text()

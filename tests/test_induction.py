@@ -2,13 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import group_algebra, vertex_gauge
+from conftest import group_algebra, random_vertex_gauge
+from morphisms import Morphism, assemble_x, braiding, compose, conjugation_pair, frobenius_residual, identity, tensor
 
 from bcft.catalog import su2
-from bcft.category import compose
+from bcft.category import validate_axioms
 from bcft.classify import enumerate_modular_invariants, regular_nimrep
 from bcft.errors import DataInconsistencyError, NumericDegeneracyError, StructuralError
 from bcft.induction import (
+    _kernel_matrix,
+    _lift_matrix,
     charged_field_basis,
     coupling_from_qsystem,
     dhr_orbit_thetas,
@@ -16,7 +19,20 @@ from bcft.induction import (
     kernel_split,
     theta_plus,
 )
-from bcft.qsystems import car_qsystem, is_local, regular_qsystem, search_qsystems, trivial_qsystem
+from bcft.qsystems import (
+    QSystemSpec,
+    car_qsystem,
+    fingerprint,
+    frobenius_check,
+    gauge_transform,
+    is_local,
+    regular_qsystem,
+    search_qsystems,
+    trivial_qsystem,
+    validate_qsystem,
+)
+from bcft.rings import FusionRing
+from bcft.words import hom_dim, simple_word
 
 
 @pytest.fixture(scope="module")
@@ -102,8 +118,6 @@ def test_row_sum_rule_and_vacuum_kernel(ising_data, fib_data):
 
 
 def test_kernel_gap_is_clean(ising_data, ising_cat):
-    from bcft.induction import _kernel_matrix
-
     q = car_qsystem(ising_cat)
     gaps = []
     for sigma in range(3):
@@ -132,7 +146,7 @@ def test_charged_field_basis_normalization(ising_cat, ising_data):
     basis = charged_field_basis(ising_cat, q0, 1, 1)
     assert len(basis.fields) == 1
     phi = basis.fields[0]
-    norm = compose(phi.dagger(), phi).blocks[0][0, 0]
+    norm = np.vdot(phi[0], phi[0])
     assert norm == pytest.approx(2.0, abs=1e-9)  # d(sigma)^2
     empty = charged_field_basis(ising_cat, q0, 1, 2)
     assert empty.fields == ()  # Z_{sigma psi} = 0 is not an error
@@ -147,7 +161,7 @@ def test_charged_field_basis_car(ising_cat):
         basis = charged_field_basis(ising_cat, q, sigma, tau)
         assert len(basis.fields) == 1
         phi = basis.fields[0]
-        norm = compose(phi.dagger(), phi).blocks[0][0, 0]
+        norm = np.vdot(phi[0], phi[0])
         assert norm == pytest.approx(want, abs=1e-9)  # d(sigma) d(tau)
         assert basis.gram_residual < 1e-9
 
@@ -175,9 +189,6 @@ def test_index_ledger_car(ising_data, ising_cat):
 
 
 def test_index_ledger_trivial_category():
-    from bcft.rings import FusionRing
-    from bcft.qsystems import QSystemSpec
-
     ring = FusionRing(["0"], [0], np.ones((1, 1, 1), dtype=np.int64))
     led = index_ledger(ring, QSystemSpec([1], {(0, 0, 0): 1.0}), np.eye(1, dtype=np.int64))
     assert (led.lam, led.lam_plus, led.mu_A, led.mu_B_plus) == (1.0, 1.0, 1.0, 1.0)
@@ -229,8 +240,6 @@ def su2_4_multiplicity_two(su2_4_data):
 def test_orbit_invariance_su2_4_multiplicity_two(su2_4_data, su2_4_multiplicity_two):
     """The orbit member with a two-dimensional multiplicity space gives the
     same block invariant as the simple-current extension itself."""
-    from bcft.qsystems import fingerprint, gauge_transform, validate_qsystem
-
     cat = su2_4_data.presentation
     res = su2_4_multiplicity_two
     assert res.status == "ok"
@@ -262,9 +271,6 @@ def test_coupling_reruns_deterministic(ising_cat):
 
 def _elementary_basis(cat, src, tgt):
     """Elementary matrices of Hom(src, tgt): by charge, then source tree, then target tree."""
-    from bcft.category import Morphism
-    from bcft.words import hom_dim
-
     for c in range(cat.ring.size):
         ds, dt = hom_dim(cat.ring, src, c), hom_dim(cat.ring, tgt, c)
         for i in range(ds):
@@ -278,10 +284,6 @@ def _reference_maps(cat, q, sigma, tau, handedness, basis):
     """Kernel and lift matrices on ``basis`` of Hom(theta tau, sigma), through
     tensor/compose/braiding and the standard cup.  ``handedness`` is the braid
     orientation of theta past tau; theta passes sigma the other way."""
-    from bcft.category import braiding, conjugation_pair, identity, tensor
-    from bcft.qsystems import assemble_x
-    from bcft.words import simple_word
-
     th, w_tau, w_sig = q.theta_word(), simple_word(tau), simple_word(sigma)
     tb = cat.ring.dual[tau]
     x = assemble_x(q, cat, require_isometry=False)
@@ -302,21 +304,9 @@ def _reference_maps(cat, q, sigma, tau, handedness, basis):
     return np.column_stack(kernel_cols), np.column_stack(lift_cols)
 
 
-def _vertex_gauge(data, rng):
-    """F and R in a random complex vertex gauge: a phase on each splitting vertex
-    ``a b -> c`` with non-vacuum ``a`` and ``b``."""
-    from bcft.category import CategoryPresentation
-
-    ring, cat = data.ring, data.presentation
-    u = {key: np.exp(2j * np.pi * rng.random()) if key[0] and key[1] else 1.0 for key in ring.r_keys}
-    return CategoryPresentation(ring, *vertex_gauge(cat, u))
-
-
 def _noisy(cat, q, rng):
     """``q`` with complex noise on every channel of theta: not a Q-system, but both
     maps are linear in lambda."""
-    from bcft.qsystems import QSystemSpec
-
     sec = [s for s, _copy in q.slots]
     lam = dict(q.lam)
     for key in itertools.product(range(len(sec)), repeat=3):
@@ -347,13 +337,9 @@ def test_kernel_and_lift_match_morphism_calculus(induction_cases):
     catalog gauge and in a random complex vertex gauge with complex noise on
     lambda (real catalogs have R[a,b,c] = R[b,a,c]; the gauge does not).  The
     reference braids theta forward past tau, as ``_kernel_matrix`` does."""
-    from bcft.category import validate_axioms
-    from bcft.induction import _kernel_matrix, _lift_matrix
-    from bcft.words import simple_word
-
     rng = np.random.default_rng(11)
     for name, data, q in induction_cases:
-        gauged = _vertex_gauge(data, rng)
+        gauged = random_vertex_gauge(data.presentation, rng)
         n = data.ring.size
         if n <= 5:  # the gauge formula is the same for every catalog; su2_10 takes seconds
             assert validate_axioms(gauged).valid, name
@@ -371,13 +357,25 @@ def test_kernel_and_lift_match_morphism_calculus(induction_cases):
                     assert np.max(np.abs(L - L_ref)) < 1e-13, where
 
 
+def test_frobenius_check_matches_morphism_calculus(induction_cases):
+    """The closed-form Frobenius residual is the calculus' ``x x* - (id (x) x*) (x (x) id)``
+    on Q-systems, on noisy lambda, and on noisy lambda in a random complex vertex gauge."""
+    rng = np.random.default_rng(12)
+    for name, data, q in induction_cases:
+        cat = data.presentation
+        noisy = _noisy(cat, q, rng)
+        assert frobenius_check(noisy, cat) > 1e-3, name  # so that the comparison is not vacuous
+        gauged = random_vertex_gauge(cat, rng)
+        for c, qq in [(cat, q), (cat, noisy), (gauged, _noisy(gauged, q, rng))]:
+            want = frobenius_residual(qq, c)
+            assert frobenius_check(qq, c) == pytest.approx(want, rel=1e-12, abs=1e-14), (name, c is cat, qq is q)
+
+
 def test_spin8_1_qsystems_give_all_six_invariants(spin8_data, spin8_qsystems):
     """The six Q-systems of Spin(8)_1 give its six modular invariants, the
     permutations of v, s, c.  The two 3-cycles are not symmetric, so they settle
     the braid convention: the opposite orientation (the reference with theta
     braided backward past tau) has kernel dimensions Z transposed."""
-    from bcft.words import simple_word
-
     cat, n = spin8_data.presentation, spin8_data.ring.size
     Zs = {name: coupling_from_qsystem(cat, q) for name, q in spin8_qsystems.items()}
     want = {tuple(M.reshape(-1)) for M in enumerate_modular_invariants(spin8_data.modular)}
@@ -411,8 +409,6 @@ def test_z3_regular_algebra_gives_charge_conjugation(z3_data):
 
 
 def test_lambda_errors_from_induction(ising_cat):
-    from bcft.qsystems import QSystemSpec
-
     car = car_qsystem(ising_cat)
     non_isometric = QSystemSpec(car.theta, {**car.lam, (0, 0, 0): 1.0})
     inadmissible = QSystemSpec(car.theta, {**car.lam, (0, 1, 0): 0.0})  # 1 x psi -> 1

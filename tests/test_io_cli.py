@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcft.catalog import catalog, fibonacci, ising, su2
-from bcft.classify import regular_nimrep
+from bcft.classify import compatibility, enumerate_modular_invariants, enumerate_nimreps, regular_nimrep
 from bcft.cli import main
 from bcft.errors import StructuralError
 from bcft.io import (
@@ -361,6 +361,23 @@ def test_cli_nimreps_cardy_partition(tmp_path, ising_file, capsys):
     )
     text = capsys.readouterr().out
     assert "transform residual" in text
+
+
+def test_cli_cardy_prints_no_negative_zero(tmp_path, su2_4_data, capsys):
+    """On the D4 nimrep of su2_4 the eigensolver leaves signed noise in psi; the
+    stdout and the report carry neither its sign nor its last bits."""
+    block = enumerate_modular_invariants(su2_4_data.modular)[1]
+    d4 = [nr for nr in enumerate_nimreps(su2_4_data.ring, 4) if compatibility(block, nr, su2_4_data.modular)[0]]
+    assert len(d4) == 1
+    category, nimrep, out = tmp_path / "su2_4.json", tmp_path / "d4.json", tmp_path / "cardy.json"
+    save_category(su2_4_data, category)
+    nimrep.write_text(json.dumps({"n": [m.tolist() for m in d4[0].matrices]}))
+    assert main(["cardy", str(category), str(nimrep), "--out", str(out)]) == 0
+    negative_zero = re.compile(r"-0\.0*(?!\d)")
+    assert not negative_zero.search(capsys.readouterr().out)
+    assert not negative_zero.search(out.read_text())
+    parts = [x for row in json.loads(out.read_text())["payload"]["psi"] for z in row for x in z]
+    assert len(parts) == 32 and all(x == round(x, 12) for x in parts)
 
 
 def test_cli_nimreps_invariant_filter(tmp_path, ising_file, coupling_file):

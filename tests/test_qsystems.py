@@ -2,23 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from conftest import vertex_gauge
+from conftest import random_vertex_gauge
+from morphisms import Morphism, assemble_x, braiding, compose, identity, tensor
 
 from bcft.catalog import su2
-from bcft.category import (
-    CategoryPresentation,
-    Morphism,
-    braiding,
-    compose,
-    identity,
-    tensor,
-    validate_axioms,
-)
+from bcft.category import validate_axioms
 from bcft.errors import DataInconsistencyError, StructuralError
 from bcft.io import dump_canonical, qsystem_to_dict
 from bcft.qsystems import (
     QSystemSpec,
-    assemble_x,
     car_qsystem,
     charged_algebra,
     fingerprint,
@@ -112,14 +104,6 @@ def _morphism_residuals(q, cat):
     ]
 
 
-def _gauged(cat, rng):
-    """The same category in a random vertex gauge, so that F is complex."""
-    u = {k: 1.0 if 0 in k[:2] else np.exp(2j * np.pi * rng.random()) for k in cat.ring.r_keys}
-    gauged = CategoryPresentation(cat.ring, *vertex_gauge(cat, u))
-    assert validate_axioms(gauged).valid
-    return gauged
-
-
 def test_axiom_map_matches_morphism_residuals(ising_data, fib_data, su2_4_data, rng):
     ising_cat, fib = ising_data.presentation, fib_data.presentation
     s4, s10 = su2_4_data.presentation, su2(10).presentation
@@ -133,9 +117,10 @@ def test_axiom_map_matches_morphism_residuals(ising_data, fib_data, su2_4_data, 
         (search_qsystems(s4, [1, 0, 2, 0, 1], n_starts=12, seed=9).solutions[0], s4),
         (search_qsystems(s10, e6, n_starts=12, seed=1).solutions[0], s10),
         # the catalogs' F are real; a complex gauge of them tests the conjugation of F
-        (car_qsystem(ising_cat), _gauged(ising_cat, rng)),
-        (fib_q, _gauged(fib, rng)),
+        (car_qsystem(ising_cat), random_vertex_gauge(ising_cat, rng)),
+        (fib_q, random_vertex_gauge(fib, rng)),
     ]
+    assert all(validate_axioms(cat).valid for _q, cat in cases[-2:])
     # complex noise on every admissible channel, the zero ones included
     for q, cat in list(cases):
         channels = _AxiomMap(cat, q).channels
@@ -237,6 +222,14 @@ def test_inadmissible_lambda_channel(ising_data):
     q = QSystemSpec([1, 0, 1], {(0, 0, 1): 1.0})
     with pytest.raises(StructuralError, match="no fusion channel"):
         assemble_x(q, cat, require_isometry=False)
+    with pytest.raises(StructuralError, match="no fusion channel"):
+        frobenius_check(q, cat)
+
+
+def test_frobenius_check_rejects_bound_violation(ising_data):
+    # a theta above the bound is no Q-system; its theta^3 is never built
+    with pytest.raises(StructuralError, match="multiplicity bound"):
+        frobenius_check(QSystemSpec([1, 2, 0], {(0, 0, 0): 1.0}), ising_data.presentation)
 
 
 def test_charged_algebra_rejects_broken_qsystems(ising_data, fib_data):
