@@ -33,7 +33,7 @@ for size in (1, 2, 3, 4):
 
 sol = cardy_solve(regular_nimrep(data.ring), data.modular)
 print("Cardy matrix for the regular Ising nimrep (psi = S):")
-print(np.round(sol.psi.real, 6))
+print(np.round(sol.psi.real, 6) + 0.0)
 print(f"Cardy-equation residual: {sol.residual:.2e}")
 ok, table = compatibility(np.eye(3, dtype=np.int64), regular_nimrep(data.ring), data.modular)
 print(f"compatible with Z = identity: {ok}, exponent multiplicities {table}")

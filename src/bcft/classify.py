@@ -1,14 +1,14 @@
 """Modular-invariant and nimrep enumeration, Cardy solutions, compatibility.
 
-Modular invariants are enumerated completely: a numeric basis of the
-commutant of {S, T} is computed by SVD, integer points of the bounded
-polytope are found by backtracking over pivot entries, and every candidate
-is re-verified after integer rounding.  Nimreps are enumerated by
-backtracking over the entries of generator matrices, pruned by spectrum: a
-partial matrix whose spectral radius exceeds the Frobenius-Perron dimension
-ends its branch, and a complete one is kept only if the minimal polynomial
-of the fusion matrix annihilates it exactly.  The rest are derived from the
-representation identity, verified exactly and deduplicated up to
+Modular invariants are enumerated completely: an SVD of the S condition on
+the blocks of equal T gives the commutant of {S, T}, pivot entries are taken
+vacuum first (Z[0,0] = 1), then by ascending bound, their integer assignments
+are solved in batches and every candidate is re-verified.  Nimreps are
+enumerated by backtracking over the entries of generator matrices, pruned by
+spectrum: a partial matrix whose spectral radius exceeds the Frobenius-Perron
+dimension ends its branch, and a complete one is kept only if the minimal
+polynomial of the fusion matrix annihilates it exactly.  The rest are derived
+from the representation identity, verified exactly and deduplicated up to
 simultaneous boundary relabeling.
 """
 
@@ -37,48 +37,53 @@ __all__ = [
 
 # -- modular invariants ------------------------------------------------------
 
+CHUNK = 2048  # pivot assignments solved per batch
+PIVOT_TOL = 1e-6  # least residual norm of a pivot row (B has orthonormal columns)
+
 
 def _commutant_basis(md: ModularData, rcond: float = 1e-10):
-    """Real basis of {M : SM = MS, TM = MT} as columns of an (n^2, m) array."""
-    S, T = md.S, md.T
-    n = md.size
-    eye = np.eye(n)
-    ops = [
-        np.kron(S, eye) - np.kron(eye, S.T),
-        np.kron(np.diag(T), eye) - np.kron(eye, np.diag(T)),
-    ]
-    A = np.vstack([np.vstack([op.real, op.imag]) for op in ops])
-    # unknown M is real: nullspace over the reals
-    u, s, vh = np.linalg.svd(A)
-    smax = s[0] if len(s) else 0.0
-    keep = s > rcond * max(smax, 1.0)
-    rank = int(np.sum(keep))
-    if rank < len(s):
-        gap = s[rank - 1] / max(s[rank], 1e-300) if rank else np.inf
-        if gap < 1e4:
-            raise NumericDegeneracyError(
-                f"commutant rank is numerically ambiguous (gap {gap:.1f})"
-            )
-    return vh[rank:].T  # (n^2, m)
+    """Real basis of {M : SM = MS, TM = MT} as columns of an (n^2, m) array.
 
-
-def _pivot_rows(B: np.ndarray) -> np.ndarray:
-    """Rows of B, ascending, that make a well-conditioned square block.
-
-    Column-pivoted Gram-Schmidt on ``B^T`` (Businger-Golub, as in LAPACK's
-    geqp3): each pivot is the row of B with the largest norm after the
-    pivots so far are projected out.
+    T is diagonal, so ``TM = MT`` exactly when ``M[i,j] = 0`` wherever
+    ``T_i != T_j``: the S condition is solved on the other entries alone.
     """
-    rest = B.copy()
-    rows = []
+    S, T, n = md.S, md.T, md.size
+    dT = np.abs(T[:, None] - T[None, :]).reshape(-1)
+    if np.any((dT > rcond) & (dT < 1e4 * rcond)):
+        raise NumericDegeneracyError("T blocks are numerically ambiguous")
+    cols = np.flatnonzero(dT <= rcond)
+    op = (np.kron(S, np.eye(n)) - np.kron(np.eye(n), S.T))[:, cols]
+    # unknown M is real: nullspace over the reals
+    _, s, vh = np.linalg.svd(np.vstack([op.real, op.imag]), full_matrices=False)
+    rank = int(np.sum(s > rcond * max(s[0], 1.0)))
+    gap = s[rank - 1] / max(s[rank], 1e-300) if 0 < rank < len(s) else np.inf
+    if gap < 1e4:
+        raise NumericDegeneracyError(f"commutant rank is numerically ambiguous (gap {gap:.1f})")
+    B = np.zeros((n * n, len(s) - rank))
+    B[cols] = vh[rank:].T
+    return B
+
+
+def _pivot_rows(B: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Rows of B that make a well-conditioned square block, smallest bounds first.
+
+    The vacuum row comes first, then rows by ascending ``bound`` and index; a
+    row is taken if its norm exceeds ``PIVOT_TOL`` once the rows taken are
+    projected out.  B has orthonormal columns: the choice depends on the
+    commutant alone, not on the basis the SVD returns.
+    """
+    order = np.argsort(bound, kind="stable")
+    order = np.concatenate([[0], order[order != 0]])
+    rest = B[order]
+    taken = []
     for _ in range(B.shape[1]):
-        norms = np.einsum("ij,ij->i", rest, rest)
-        norms[rows] = -1.0
-        r = int(np.argmax(norms))
-        rows.append(r)
-        q = rest[r] / math.sqrt(norms[r])
-        rest -= np.outer(rest @ q, q)
-    return np.sort(rows)
+        norms = np.sqrt(np.einsum("ij,ij->i", rest, rest))
+        if not np.any(norms > PIVOT_TOL):
+            raise NumericDegeneracyError("commutant has no well-conditioned pivot block")
+        i = int(np.argmax(norms > PIVOT_TOL))
+        taken.append(i)
+        rest -= np.outer(rest @ rest[i], rest[i]) / norms[i] ** 2
+    return order[taken]
 
 
 def enumerate_modular_invariants(
@@ -89,41 +94,36 @@ def enumerate_modular_invariants(
     Entries are bounded by ``floor(d_s d_t)`` (or ``max_entry``); the list is
     complete within those bounds and lexicographically ordered.
     """
-    n = md.size
-    d = md.ring.fp_dims
-    bound = np.floor(np.outer(d, d) + tol).astype(int)
+    if max_entry is not None and max_entry < 0:
+        raise StructuralError(f"max_entry must be >= 0, got {max_entry}")
+    n, d = md.size, md.ring.fp_dims
+    bound = np.floor(np.outer(d, d) + tol).astype(int).reshape(-1)
     if max_entry is not None:
         bound = np.minimum(bound, int(max_entry))
     B = _commutant_basis(md)
-    m = B.shape[1]
-    if m == 0:
+    if B.shape[1] == 0:
         return []
-    rows = _pivot_rows(B)
+    rows = _pivot_rows(B, bound)
     Bp = B[rows]
     if abs(np.linalg.det(Bp)) < 1e-8:
         raise NumericDegeneracyError("commutant pivot block is singular")
-    flat_bound = bound.reshape(-1)
-    out = []
-    ranges = [range(int(flat_bound[r]) + 1) for r in rows]
-    vac = 0  # flat index of Z[0,0]
-    for combo in itertools.product(*ranges):
-        if vac in rows and combo[list(rows).index(vac)] != 1:
-            continue
-        coeff = np.linalg.solve(Bp, np.array(combo, dtype=float))
-        vec = B @ coeff
-        Z = np.rint(vec.reshape(n, n)).astype(np.int64)
-        if np.max(np.abs(vec.reshape(n, n) - Z)) > tol:
-            continue
-        if Z[0, 0] != 1 or np.any(Z < 0) or np.any(Z > bound):
-            continue
-        Zf = Z.astype(float)
-        if np.max(np.abs(md.S @ Zf - Zf @ md.S)) > tol:
-            continue
-        if np.max(np.abs(md.T[:, None] * Zf - Zf * md.T[None, :])) > tol:
-            continue
-        out.append(Z)
-    uniq = {tuple(Z.reshape(-1)): Z for Z in out}
-    return [uniq[k] for k in sorted(uniq)]
+    # pivot entries in mixed radix; Z[0,0] = 1 when it is a pivot
+    low = (rows == 0).astype(int)
+    radix = bound[rows] + 1 - low
+    total = math.prod(radix.tolist())
+    found = [np.zeros((0, n, n))]
+    for start in range(0, total, CHUNK):
+        digits = np.unravel_index(np.arange(start, min(start + CHUNK, total)), radix)
+        vec = B @ np.linalg.solve(Bp, np.array(digits, dtype=float) + low[:, None])
+        Z = np.rint(vec)
+        ok = (np.max(np.abs(vec - Z), axis=0) <= tol) & (Z[0] == 1)
+        ok &= np.all((Z >= 0) & (Z <= bound[:, None]), axis=0)
+        found.append(Z[:, ok].T.reshape(-1, n, n))
+    Z, S, T = np.concatenate(found), md.S, md.T
+    ok = np.max(np.abs(S @ Z - Z @ S), axis=(1, 2), initial=0.0) <= tol
+    ok &= np.max(np.abs(T[:, None] * Z - Z * T), axis=(1, 2), initial=0.0) <= tol
+    Z = Z[ok].astype(np.int64).reshape(-1, n * n)  # distinct pivot values: no duplicates
+    return list(Z[np.lexsort(Z.T[::-1])].reshape(-1, n, n))
 
 
 # -- nimreps -----------------------------------------------------------------

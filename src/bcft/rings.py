@@ -59,9 +59,8 @@ class FusionRing:
         self.labels = labels
         self.dual = dual
         self.N = N
-        # memo tables of words.trees and words.tree_index, keyed by (word, charge)
+        # memo table of words.trees, keyed by (word, charge)
         self.trees_memo: dict = {}
-        self.tree_index_memo: dict = {}
 
     @property
     def size(self) -> int:

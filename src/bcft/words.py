@@ -13,12 +13,10 @@ relies on.
 
 from __future__ import annotations
 
-from types import MappingProxyType
-
 from .errors import StructuralError
 from .rings import FusionRing
 
-__all__ = ["Word", "simple_word", "sum_word", "trees", "tree_index", "hom_dim"]
+__all__ = ["Word", "simple_word", "sum_word", "trees", "hom_dim"]
 
 
 def _normalize_factor(factor) -> tuple[tuple[int, int], ...]:
@@ -54,14 +52,6 @@ class Word:
         w.factors = self.factors + other.factors
         w._slots = self._slots + other._slots
         return w
-
-    def __getitem__(self, key) -> "Word":
-        if isinstance(key, slice):
-            w = Word.__new__(Word)
-            w.factors = self.factors[key]
-            w._slots = self._slots[key]
-            return w
-        raise TypeError("Word supports slicing only")
 
     def __eq__(self, other):
         return isinstance(other, Word) and self.factors == other.factors
@@ -128,17 +118,6 @@ def _enumerate_trees(ring: FusionRing, word: Word, c: int):
 
     extend(0, 0, [])
     return tuple(out)
-
-
-def tree_index(ring: FusionRing, word: Word, c: int):
-    """Read-only position of each tree in ``trees(ring, word, c)``, memoized on the ring."""
-    key = (word, c)
-    hit = ring.tree_index_memo.get(key)
-    if hit is None:
-        hit = ring.tree_index_memo[key] = MappingProxyType(
-            {t: i for i, t in enumerate(trees(ring, word, c))}
-        )
-    return hit
 
 
 def hom_dim(ring: FusionRing, word: Word, c: int) -> int:

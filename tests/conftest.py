@@ -117,6 +117,21 @@ def brute_force_invariants(md, max_entry: int, tol: float = 1e-7):
     return sorted(out, key=lambda Z: tuple(Z.reshape(-1)))
 
 
+def reference_commutant(md, rcond: float = 1e-10):
+    """Oracle: real basis of {M : SM = MS, TM = MT} from one SVD of the whole
+    system, the S and T conditions stacked over all n^2 entries of M."""
+    S, T = md.S, md.T
+    eye = np.eye(md.size)
+    ops = [
+        np.kron(S, eye) - np.kron(eye, S.T),
+        np.kron(np.diag(T), eye) - np.kron(eye, np.diag(T)),
+    ]
+    A = np.vstack([np.vstack([op.real, op.imag]) for op in ops])
+    _, s, vh = np.linalg.svd(A, full_matrices=False)
+    rank = int(np.sum(s > rcond * max(s[0], 1.0)))
+    return vh[rank:].T
+
+
 def _row_norm_generator_matrices(ring, g: int, size: int, tol: float):
     """All candidate n^g: bounded entries, row square sums <= floor(d_g^2)."""
     d = ring.fp_dims

@@ -9,17 +9,35 @@ the tests check its coordinate maps against this calculus.
 from __future__ import annotations
 
 import weakref
+from types import MappingProxyType
 
 import numpy as np
 
 from bcft.category import CategoryPresentation
 from bcft.errors import DataInconsistencyError, StructuralError
 from bcft.qsystems import QSystemSpec, _check_lambda
-from bcft.rings import DEFAULT_TOL
-from bcft.words import Word, hom_dim, simple_word, tree_index, trees
+from bcft.rings import DEFAULT_TOL, FusionRing
+from bcft.words import Word, hom_dim, simple_word, trees
 
 # per presentation: {(word, k): split}; an entry goes with its presentation
 _SPLITS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# per ring: {(word, c): tree index}; an entry goes with its ring
+_TREE_INDEX: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def tree_index(ring: FusionRing, word: Word, c: int):
+    """Read-only position of each tree in ``trees(ring, word, c)``, cached per ring."""
+    cache = _TREE_INDEX.setdefault(ring, {})
+    key = (word, c)
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = MappingProxyType({t: i for i, t in enumerate(trees(ring, word, c))})
+    return hit
+
+
+def subword(word: Word, start: int, stop: int | None = None) -> Word:
+    """The word of factors ``start .. stop - 1`` of ``word``."""
+    return Word(word.factors[start:stop])
 
 
 # -- split isomorphism -------------------------------------------------------
@@ -28,7 +46,7 @@ _SPLITS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def split_cols(cat: CategoryPresentation, word: Word, k: int, c: int):
     """Ordered column index ``(a, i, b, j)`` of the split-at-``k`` basis."""
     ring = cat.ring
-    left, right = word[:k], word[k:]
+    left, right = subword(word, 0, k), subword(word, k)
     cols = []
     for a in range(ring.size):
         da = hom_dim(ring, left, a)
@@ -75,8 +93,8 @@ def split(cat: CategoryPresentation, word: Word, k: int):
                 elif k == n:
                     tree = trees(ring, word, c)[i]
                 else:
-                    prefix = trees(ring, word[:k], a)[i]
-                    last = trees(ring, word[k:], b)[j]
+                    prefix = trees(ring, subword(word, 0, k), a)[i]
+                    last = trees(ring, subword(word, k), b)[j]
                     tree = prefix + ((last[0][0], c),)
                 M[tidx[tree], pos] = 1.0
             out[c] = (M, cols)
@@ -84,11 +102,11 @@ def split(cat: CategoryPresentation, word: Word, k: int):
         return out
 
     # generic case: recurse on the right part
-    B = word[k:]
+    B = subword(word, k)
     S1 = split(cat, B, 1)
     SK1 = split(cat, word, k + 1)
-    left = word[:k]
-    mid = word[k : k + 1]
+    left = subword(word, 0, k)
+    mid = subword(word, k, k + 1)
     for c in range(ring.size):
         tlist = trees(ring, word, c)
         if not tlist:
@@ -113,7 +131,7 @@ def split(cat: CategoryPresentation, word: Word, k: int):
                     if fcoef == 0:
                         continue
                     tree2 = prefix + ((slot_idx, a2),)
-                    i2 = tree_index(ring, word[: k + 1], a2)[tree2]
+                    i2 = tree_index(ring, subword(word, 0, k + 1), a2)[tree2]
                     M[:, pos] += coef1 * fcoef * MK1[:, colK1_pos[(a2, i2, b2, j2)]]
         out[c] = (M, cols)
     cache[key] = out
@@ -269,11 +287,11 @@ def braiding(cat: CategoryPresentation, X: Word, Y: Word, orientation: str = "pl
     if len(X) == 1 and len(Y) == 1:
         return _factor_braid(cat, X, Y)
     if len(Y) >= 2:
-        Y1, Y2 = Y[:1], Y[1:]
+        Y1, Y2 = subword(Y, 0, 1), subword(Y, 1)
         first = tensor(braiding(cat, X, Y1), identity(cat, Y2))
         second = tensor(identity(cat, Y1), braiding(cat, X, Y2))
         return compose(second, first)
-    X1, X2 = X[:1], X[1:]
+    X1, X2 = subword(X, 0, 1), subword(X, 1)
     first = tensor(identity(cat, X1), braiding(cat, X2, Y))
     second = tensor(braiding(cat, X1, Y), identity(cat, X2))
     return compose(second, first)

@@ -1,24 +1,27 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import brute_force_invariants, brute_force_nimreps
+from conftest import brute_force_invariants, brute_force_nimreps, reference_commutant
 
 from bcft.catalog import catalog
 import bcft.classify
 from bcft.classify import (
     Nimrep,
     _canonical_key,
+    _commutant_basis,
     _joint_eigenbasis,
     _minimal_polynomial,
+    _pivot_rows,
     cardy_solve,
     compatibility,
     enumerate_modular_invariants,
     enumerate_nimreps,
     regular_nimrep,
 )
-from bcft.errors import DataInconsistencyError
+from bcft.errors import DataInconsistencyError, NumericDegeneracyError, StructuralError
 from bcft.modular import ModularData
 from bcft.rings import FusionRing
 
@@ -336,6 +339,61 @@ def test_invariant_lists_pinned(ising_data, fib_data, spin8_data, z3_data):
         digest = hashlib.sha256(b"".join(Z.astype("<i8").tobytes() for Z in invs))
         got[name] = (len(invs), digest.hexdigest())
     assert got == INVARIANT_PINS
+
+
+def test_commutant_spans_the_reference(all_catalogs):
+    # the T-block basis against one SVD of the whole S and T system
+    mds = [data.modular for data in all_catalogs] + [_su2_modular(k) for k in range(1, 21)]
+    for md in mds:
+        B, ref = _commutant_basis(md), reference_commutant(md)
+        assert B.shape == ref.shape, md.ring.labels
+        assert np.max(np.abs(B @ B.T - ref @ ref.T)) < 1e-9, md.ring.labels
+
+
+def test_nearly_equal_t_phases_are_degenerate(ising_data):
+    T = np.array(ising_data.modular.T)
+    T[2] = T[1] * np.exp(1e-8j)
+    md = ModularData(ising_data.ring, ising_data.modular.S, T)
+    with pytest.raises(NumericDegeneracyError, match="T blocks"):
+        _commutant_basis(md)
+    with pytest.raises(NumericDegeneracyError, match="T blocks"):
+        enumerate_modular_invariants(md)
+
+
+def test_negative_max_entry_is_structural(su2_4_data):
+    with pytest.raises(StructuralError, match="max_entry"):
+        enumerate_modular_invariants(su2_4_data.modular, -1)
+    assert enumerate_modular_invariants(su2_4_data.modular, 0) == []
+
+
+def _block_invariant(n, blocks, weights=None):
+    """sum over blocks of ``w |sum_{a in block} chi_a|^2``."""
+    Z = np.zeros((n, n), dtype=np.int64)
+    for block, w in zip(blocks, weights or [1] * len(blocks)):
+        Z[np.ix_(block, block)] += w
+    return Z
+
+
+def test_su2_28_gives_a_d_and_e8_under_both_t_phases():
+    # Cappelli-Itzykson-Zuber at k = 28: A29, D16 and E8, labels 0..28 (twice the spin)
+    k = 28
+    A29 = np.eye(k + 1, dtype=np.int64)
+    D16 = _block_invariant(k + 1, [[j, k - j] for j in range(0, k // 2, 2)] + [[k // 2]], [1] * 7 + [2])
+    E8 = _block_invariant(k + 1, [[0, 10, 18, 28], [6, 12, 16, 22]])
+    md = _su2_modular(k)
+    c = 3 * k / (k + 2)
+    phased = ModularData(md.ring, md.S, md.T * np.exp(-2j * np.pi * c / 24))
+    d = md.ring.fp_dims
+    bound = np.floor(np.outer(d, d) + 1e-7).astype(int).reshape(-1)
+    pivots = []
+    for case in (md, phased):
+        invs = enumerate_modular_invariants(case)
+        assert [Z.tolist() for Z in invs] == [A29.tolist(), D16.tolist(), E8.tolist()]
+        rows = _pivot_rows(_commutant_basis(case), bound)
+        assignments = math.prod((bound[rows] + 1 - (rows == 0)).tolist())
+        pivots.append((rows.tolist(), assignments))
+    assert pivots[0] == pivots[1]
+    assert pivots[0][0][0] == 0  # the vacuum entry, fixed to 1
 
 
 def _z4_modular():

@@ -211,11 +211,12 @@ def test_cli_malformed_exits_2(tmp_path, ising_file, car_file, nimrep_file, coup
         (["nimreps", str(ising_file), "--size", "3", "--invariant", bad],
          _replaced(coupling_file, ("Z",), [[1, 0], [0, 1]])),  # a 2x2 Z for 3 sectors
         (["qsearch", str(ising_file), "--theta", "1,x,1"], b"{}"),
-        # a search without starts, a negative truncation order
+        # a search without starts, a negative truncation order or entry bound
         (["qsearch", str(ising_file), "--theta", "1,0,1", "--starts", "0"], b"{}"),
         (["qsearch", str(ising_file), "--theta", "1,0,1", "--starts", "-3"], b"{}"),
         (["partition", str(ising_file), str(nimrep_file), "--a", "0", "--b", "0",
           "--beta", "3.2", "--order", "-1"], b"{}"),
+        (["invariants", str(ising_file), "--max-entry", "-1"], b"{}"),
         # real fields take JSON numbers only: no numeric strings, no booleans
         (["validate", bad], _replaced(ising_file, ("central_charge",), "nan")),
         (["validate", bad], _replaced(ising_file, ("central_charge",), True)),

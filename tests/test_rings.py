@@ -13,8 +13,9 @@ from bcft.rings import (
     global_dimension,
     validate_ring,
 )
-from bcft.words import hom_dim, simple_word, tree_index
+from bcft.words import hom_dim, simple_word
 from conftest import reference_f_keys
+from morphisms import tree_index
 
 
 def trivial_ring():
@@ -124,7 +125,7 @@ def test_f_key_enumeration_has_no_n6_temporary():
 
 
 def test_tree_index_is_read_only(ising_data):
-    # the index is the ring's shared memo, so a caller must not be able to change it
+    # the index is shared by every caller on the ring, so a caller must not be able to change it
     tidx = tree_index(ising_data.ring, simple_word(1, 1), 2)
     tree = next(iter(tidx))
     with pytest.raises(TypeError):
