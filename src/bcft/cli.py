@@ -150,11 +150,12 @@ def cmd_induce(args) -> int:
             basis = charged_field_basis(data.presentation, q, sigma, tau)
             fields[f"{sigma},{tau}"] = {
                 "dim": int(Z[sigma, tau]),
+                # rounded as psi in cmd_cardy: the last digits carry the rounding of K's arithmetic
                 "projector": [
-                    [[float(z.real), float(z.imag)] for z in row]
+                    [[round(z.real, 12) + 0.0, round(z.imag, 12) + 0.0] for z in row]
                     for row in basis.projector
                 ],
-                "gram_residual": basis.gram_residual,
+                "gram_residual": round(basis.gram_residual, 12) + 0.0,
             }
     if args.out:
         write_report(

@@ -22,7 +22,7 @@ from bcft.io import (
     save_category,
     save_qsystem,
 )
-from bcft.qsystems import car_qsystem, fingerprint
+from bcft.qsystems import car_qsystem, fingerprint, regular_qsystem
 
 
 @pytest.fixture()
@@ -312,6 +312,21 @@ def test_cli_induce_reruns_identical(tmp_path, ising_file, car_file):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+
+
+def test_cli_induce_report_rounds_field_floats(tmp_path, fib_data):
+    # the projector entries and Gram residuals carry the rounding of the kernel
+    # arithmetic in their last digits, so the report keeps 12 decimals, without -0.0
+    category, qsystem, out = tmp_path / "fib.json", tmp_path / "regular.json", tmp_path / "report.json"
+    save_category(fib_data, category)
+    save_qsystem(regular_qsystem(fib_data.presentation), qsystem)
+    assert main(["induce", str(category), str(qsystem), "--out", str(out)]) == 0
+
+    fields = json.loads(out.read_text())["payload"]["charged_fields"].values()
+    # the writer prints 1.0 as 1, so the floats read back as ints or floats
+    found = [float(x) for field in fields for x in [*np.ravel(field["projector"]), field["gram_residual"]]]
+    assert len(found) == 12
+    assert [x for x in found if repr(x) != repr(round(x, 12) + 0.0)] == []
 
 
 def test_cli_invariants_and_reruns_identical(tmp_path, ising_file):
