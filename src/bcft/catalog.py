@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -46,7 +45,6 @@ def _full_fr_tables(ring: FusionRing, f_exceptions: dict, r_values: dict):
     return F, R
 
 
-@lru_cache(maxsize=None)
 def ising() -> CategoryData:
     """Ising category: sectors (0, 1/16, 1/2) of the c = 1/2 chiral theory."""
     labels = ("0", "1/16", "1/2")
@@ -87,7 +85,6 @@ def ising() -> CategoryData:
     return CategoryData("ising", ring, md, cat, 0.5)
 
 
-@lru_cache(maxsize=None)
 def fibonacci() -> CategoryData:
     """Fibonacci category (tau x tau = 1 + tau), c = 14/5."""
     labels = ("0", "tau")
@@ -157,7 +154,6 @@ def _su2_f_values(keys: np.ndarray, k: int) -> np.ndarray:
     return (-1.0) ** ((a + b + c + d) // 2) * np.sqrt(qint[e + 1] * qint[f + 1]) * (pref * total)
 
 
-@lru_cache(maxsize=None)
 def su2(k: int) -> CategoryData:
     """SU(2) level k: sectors j = 0, 1/2, ..., k/2."""
     if k < 1:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import reduce
-from types import MappingProxyType
 
 import numpy as np
 
@@ -34,13 +33,9 @@ __all__ = [
 ]
 
 
-_TABLE_CHUNK = 1 << 16  # rows turned into Python tuples at a time, to bound the temporary lists
-
-
-def _symbol_table(name: str, supplied, keys: np.ndarray, n: int):
-    """Read-only ``{key: complex}`` over exactly the admissible ``keys`` (an
-    ascending label array of a ring with ``n`` sectors), the codes of ``keys``
-    and the values as an array aligned with them.
+def _symbol_values(name: str, supplied, keys: np.ndarray, n: int):
+    """The codes of the admissible ``keys`` (an ascending label array of a ring
+    with ``n`` sectors) and the supplied values as an array aligned with them.
 
     ``supplied`` maps label tuples to values, or is a pair of a label array with
     one row per entry and the values, in any order.  Every admissible key must
@@ -52,7 +47,7 @@ def _symbol_table(name: str, supplied, keys: np.ndarray, n: int):
         if bad is not None:
             raise StructuralError(f"inadmissible {name} entry supplied: {bad}")
         supplied = list(supplied), list(supplied.values())
-    values = np.asarray(supplied[1], dtype=complex)
+    values = np.array(supplied[1], dtype=complex)  # a copy: the presentation owns it
     labels = np.asarray(supplied[0], dtype=np.int64).reshape(len(values), width)
     codes = _code(n, *keys.T)
     # a label outside 0..n-1 gets code -1, which no admissible key has
@@ -75,11 +70,8 @@ def _symbol_table(name: str, supplied, keys: np.ndarray, n: int):
     if not np.isfinite(values).all():
         i = int(np.argmin(np.isfinite(values)))
         raise StructuralError(f"non-finite {name} entry {tuple(keys[i].tolist())}: {values[i]}")
-    table = {}
-    for start in range(0, len(keys), _TABLE_CHUNK):
-        rows = slice(start, start + _TABLE_CHUNK)
-        table.update(zip(zip(*keys[rows].T.tolist()), values[rows].tolist()))
-    return MappingProxyType(table), codes, values
+    values.setflags(write=False)
+    return codes, values
 
 
 def _code(n: int, *labels):
@@ -88,18 +80,18 @@ def _code(n: int, *labels):
 
 
 class CategoryPresentation:
-    """Fusion ring plus unitary F and R symbol tables.
+    """Fusion ring plus unitary F and R symbols, each stored once as an array.
 
-    ``F`` maps the admissible 6-tuples ``ring.f_keys`` to complex values and
-    ``R`` maps the admissible triples ``ring.r_keys`` to unit-modulus values;
-    both are read-only mappings.  Each is supplied as a mapping, or as a pair
-    of a label array and the values in the same row order (as the category
-    file loader and the su2 catalog do).  All admissible entries must be
-    supplied once (including those with vacuum legs), and no others, and all
-    must be finite.
+    ``f_values`` holds F at the rows of ``ring.f_key_array``, and ``f`` looks
+    it up at any labels.  ``R`` is the dense ``(n, n, n)`` array of R
+    symbols, 0 where ``N == 0``; both arrays are read-only.  F and R are each
+    supplied as a mapping from label tuples to values, or as a pair of a label
+    array and the values in the same row order (as the category file loader
+    and the su2 catalog do).  All admissible entries must be supplied once
+    (including those with vacuum legs), and no others, and all must be finite.
     """
 
-    def __init__(self, ring: FusionRing, F: dict, R: dict):
+    def __init__(self, ring: FusionRing, F, R):
         if np.any(ring.N > 1):
             s, t, u = np.argwhere(ring.N > 1)[0]
             raise StructuralError(
@@ -109,19 +101,16 @@ class CategoryPresentation:
         if not np.array_equal(ring.N, ring.N.transpose(1, 0, 2)):
             raise StructuralError("braidable fusion rules must be commutative")
         self.ring = ring
-        self.F, self._f_codes, self._f_values = _symbol_table("F", F, ring.f_key_array, ring.size)
-        self.R, _, self._r_values = _symbol_table("R", R, ring.r_key_array, ring.size)
+        self._f_codes, self.f_values = _symbol_values("F", F, ring.f_key_array, ring.size)
+        self.R = np.zeros(ring.N.shape, dtype=complex)
+        self.R[ring.N > 0] = _symbol_values("R", R, ring.r_key_array, ring.size)[1]  # r_key_array order
+        self.R.setflags(write=False)
 
-    @property
-    def f_array(self):
-        """``ring.f_key_array`` (column-major, so each label is contiguous),
-        its ascending codes (see ``_code``) and the F values aligned with them."""
-        return self.ring.f_key_array, self._f_codes, self._f_values
-
-    @property
-    def r_array(self):
-        """``ring.r_key_array`` and the R values aligned with it."""
-        return self.ring.r_key_array, self._r_values
+    def f(self, a, b, c, d, e, f) -> np.ndarray:
+        """``F[a,b,c,d,e,f]`` at broadcast label arrays in ``0..n-1``; 0 off the admissible keys."""
+        code = np.ravel_multi_index((a, b, c, d, e, f), (self.ring.size,) * 6)  # _code, range-checked
+        at = self._f_codes.searchsorted(code)
+        return np.where(self._f_codes.take(at, mode="clip") == code, self.f_values.take(at, mode="clip"), 0.0)
 
 
 @dataclass
@@ -160,7 +149,7 @@ def _worst(worst, lhs, owner, terms):
 def _pentagon_residual(cat: CategoryPresentation) -> float:
     """Pentagon over every pair of F keys ``(f,c,d,e,g,l)``, ``(a,b,l,e,f,k)``: the
     right side sums ``F[a,b,c,g,f,h] F[a,h,d,e,g,k] F[b,c,d,k,h,l]`` over ascending ``h``."""
-    keys, codes, F = cat.f_array
+    keys, codes, F = cat.ring.f_key_array, cat._f_codes, cat.f_values
     n, N = cat.ring.size, cat.ring.N
     labels, prefix = keys.T, codes // n
     # the inner keys grouped by (f, l, e), each group in ascending key order
@@ -189,11 +178,9 @@ def _hexagon_residual(cat: CategoryPresentation) -> float:
     The rows ``(a,b,c,d,e,g)`` are the F keys ``(b,a,c,d,e,g)``, since the
     fusion rules are commutative; the right sides sum over ascending ``f``.
     """
-    keys, codes, F = cat.f_array
+    keys, codes, F = cat.ring.f_key_array, cat._f_codes, cat.f_values
     n, N = cat.ring.size, cat.ring.N
-    labels, prefix = keys.T, codes // n
-    R = np.zeros(N.shape, dtype=complex)
-    R[N > 0] = cat._r_values  # r_keys are the nonzero entries of N, in order
+    labels, prefix, R = keys.T, codes // n, cat.R
     worst = 0.0
     for start in range(0, len(keys), _CHUNK):
         b, a, c, d, e, g = labels[:, start : start + _CHUNK]
@@ -214,8 +201,8 @@ def _unitarity_residual(cat: CategoryPresentation) -> float:
     rows = np.einsum("abe,ecd->abcd", N, N)
     if np.any(rows != np.einsum("bcf,afd->abcd", N, N)):
         return np.inf
-    keys, codes, F = cat.f_array
-    worst = np.max(np.abs(np.abs(cat._r_values) - 1.0))
+    keys, codes, F = cat.ring.f_key_array, cat._f_codes, cat.f_values
+    worst = np.max(np.abs(np.abs(cat.R[N > 0]) - 1.0))
     # sorted f_keys: each (a,b,c,d) block is one run, row-major in (e, f)
     starts = np.flatnonzero(np.diff(codes // cat.ring.size**2, prepend=-1))
     sizes = rows[tuple(keys[starts, :4].T)]

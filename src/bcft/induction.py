@@ -52,11 +52,11 @@ from itertools import product
 
 import numpy as np
 
-from .category import CategoryPresentation
+from .category import CategoryPresentation, _matches
 from .errors import DataInconsistencyError, NumericDegeneracyError, StructuralError
-from .qsystems import QSystemSpec, _check_lambda
+from .qsystems import QSystemSpec, _check_lambda, _dense, _scatter
 from .rings import DEFAULT_TOL, FusionRing
-from .words import hom_dim, simple_word, trees
+from .words import hom_dim, simple_word
 
 __all__ = [
     "coupling_from_qsystem",
@@ -73,39 +73,33 @@ SV_RTOL = 1e-7
 GAP_MIN = 1e3
 
 
+def _kernel_matrices(cat, q, pairs) -> list:
+    """Matrices of K on Hom(theta tau, sigma) at each ``(sigma, tau)`` of ``pairs``,
+    in the layout of the module docstring: one gather over these pairs only."""
+    N, R, (sec, lam) = cat.ring.N > 0, cat.R, _dense(q)
+    sigma, tau = np.reshape(pairs, (-1, 2)).T
+    # rows (pair k, c, r, p) and columns (pair k, p0), each in ascending order
+    krc = N[sigma][:, sec].transpose(0, 2, 1)  # [k, c, r]: N[sigma, s r, c]
+    kcp = N[sec][:, tau].transpose(1, 2, 0)  # [k, c, p]: N[s p, tau, c]
+    k, c, r, p = np.nonzero(krc[:, :, :, None] & kcp[:, :, None, :])
+    col_k, p0 = np.nonzero(N[sec, tau[:, None], sigma[:, None]])
+    shapes = np.stack([np.bincount(k, minlength=len(sigma)), np.bincount(col_k, minlength=len(sigma))], 1)
+    row, col = _matches(col_k, k)  # the entries, row-major within each pair
+    k, c, r, p, p0 = k[row], c[row], r[row], p[row], p0[col]
+    s, t, s0, sr, sp = sigma[k], tau[k], sec[p0], sec[r], sec[p]
+    term, f = np.nonzero(N[sr, t] & N[s0, :, c])  # per entry, ascending f
+    a, b, u, d = s0[term], sr[term], t[term], c[term]
+    F1, F2 = cat.f(a, [b, u], [u, b], d, [sp[term], s[term]], f)  # F[a,b,u,d,sp,f], F[a,u,b,d,s,f]
+    braided = F1 * R[b, u, f] * np.conj(F2)
+    entries = lam[p0, r, p] * _scatter(term, braided, len(k))
+    entries -= lam[r, p0, p] * cat.f(sr, s0, t, c, sp, s) * np.conj(R[s, sr, c])
+    ends = np.cumsum(shapes.prod(axis=1))[:-1]
+    return [block.reshape(shape) for block, shape in zip(np.split(entries, ends), shapes)]
+
+
 def _kernel_matrix(cat, q, sigma, tau) -> np.ndarray:
-    """Matrix of K on Hom(theta tau, sigma), in the layout of the module docstring."""
-    ring, F, R, lam = cat.ring, cat.F, cat.R, q.lam
-    N = ring.N
-    sec = [s for s, _copy in q.slots]
-    cols = [p0 for p0, s in enumerate(sec) if N[s, tau, sigma]]
-    rows = []
-    for c in range(ring.size):
-        for r, p in product(range(len(sec)), repeat=2):
-            sr, sp = sec[r], sec[p]
-            if not (N[sigma, sr, c] and N[sp, tau, c]):
-                continue
-            row = []
-            for p0 in cols:
-                s0 = sec[p0]
-                entry = 0.0
-                if (p0, r, p) in lam:
-                    entry += lam[p0, r, p] * sum(
-                        F[s0, sr, tau, c, sp, f]
-                        * R[sr, tau, f]
-                        * np.conj(F[s0, tau, sr, c, sigma, f])
-                        for f in ring.channels(sr, tau)
-                        if N[s0, f, c]
-                    )
-                if (r, p0, p) in lam:
-                    entry -= (
-                        lam[r, p0, p]
-                        * F[sr, s0, tau, c, sp, sigma]
-                        * np.conj(R[sigma, sr, c])
-                    )
-                row.append(entry)
-            rows.append(row)
-    return np.array(rows, dtype=complex).reshape(len(rows), len(cols))
+    """The kernel matrix at the one pair ``(sigma, tau)``."""
+    return _kernel_matrices(cat, q, [(sigma, tau)])[0]
 
 
 def _lift_matrix(cat, q, sigma, tau):
@@ -113,24 +107,16 @@ def _lift_matrix(cat, q, sigma, tau):
 
     Row ``(p, a, g)`` is the coefficient of ``phi`` at the theta slot ``p``
     and the tree ``((a), (sigma, g), (tau-bar, s p))``; the rows run over
-    ``p`` and then over ``trees(theta sigma tau-bar, s p)``.
+    ``p`` and then over ``trees(theta sigma tau-bar, s p)``, i.e. ascending ``(a, g)``.
     """
-    ring, F, lam = cat.ring, cat.F, q.lam
-    sec = [s for s, _copy in q.slots]
+    ring, N, (sec, lam) = cat.ring, cat.ring.N > 0, _dense(q)
     tb = ring.dual[tau]
-    word = q.theta_word() + simple_word(sigma, tb)
-    cols = [b for b, s in enumerate(sec) if ring.N[s, tau, sigma]]
-    root = np.sqrt(float(ring.fp_dims[tau]))
-    rows, index = [], []
-    for p, sp in enumerate(sec):
-        for (a, _), (_, g), _ in trees(ring, word, sp):
-            cup = root * np.conj(F[sp, tau, tb, sp, g, 0])
-            rows.append([
-                cup * lam[a, b, p] * F[sec[a], sec[b], tau, g, sp, sigma] if (a, b, p) in lam else 0.0
-                for b in cols
-            ])
-            index.append((p, a, g))
-    return np.array(rows, dtype=complex).reshape(len(rows), len(cols)), tuple(index)
+    p, a, g = np.nonzero(N[sec, sigma][None, :, :] & N[:, tb, sec].T[:, None, :])  # N[s a, sigma, g] N[g, tb, s p]
+    cols = np.flatnonzero(N[sec, tau, sigma])
+    sp = sec[p]
+    cup = np.sqrt(float(ring.fp_dims[tau])) * np.conj(cat.f(sp, tau, tb, sp, g, 0))
+    F = cat.f(sec[a][:, None], sec[cols], tau, g[:, None], sp[:, None], sigma)
+    return cup[:, None] * lam[a[:, None], cols, p[:, None]] * F, tuple(zip(p.tolist(), a.tolist(), g.tolist()))
 
 
 def kernel_split(M: np.ndarray):
@@ -178,9 +164,9 @@ def coupling_from_qsystem(cat: CategoryPresentation, q: QSystemSpec) -> np.ndarr
     _check_lambda(q, cat)
     n = cat.ring.size
     Z = np.zeros((n, n), dtype=np.int64)
-    for sigma in range(n):
-        for tau in range(n):
-            Z[sigma, tau], _, _ = kernel_split(_kernel_matrix(cat, q, sigma, tau))
+    pairs = list(product(range(n), repeat=2))
+    for (sigma, tau), M in zip(pairs, _kernel_matrices(cat, q, pairs)):
+        Z[sigma, tau], _, _ = kernel_split(M)
     if Z[0, 0] != 1:
         raise DataInconsistencyError(
             f"Z[0,0] = {Z[0, 0]} != 1: the Q-system is not irreducible or the "

@@ -120,8 +120,8 @@ def _read_json(path, what: str) -> dict:
 @contextmanager
 def _collector_paused():
     """Pause the cyclic garbage collector.  A category file parses into
-    millions of containers and builds a table as large, none of them in a
-    reference cycle, so the collector's passes over them would only cost time."""
+    millions of containers, none of them in a reference cycle, so the
+    collector's passes over them would only cost time."""
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -227,9 +227,8 @@ def _category_doc(data: CategoryData) -> dict:
         "T": [_pair(z) for z in data.modular.T],
     }
     if data.presentation is not None:
-        f_keys, _, f_values = data.presentation.f_array
-        doc["F"] = _entry_rows(f_keys, f_values)
-        doc["R"] = _entry_rows(*data.presentation.r_array)
+        doc["F"] = _entry_rows(ring.f_key_array, data.presentation.f_values)
+        doc["R"] = _entry_rows(ring.r_key_array, data.presentation.R[ring.N > 0])
     if data.central_charge is not None:
         doc["central_charge"] = float(data.central_charge)
     return doc

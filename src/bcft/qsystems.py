@@ -27,7 +27,7 @@ from itertools import product
 
 import numpy as np
 
-from .category import CategoryPresentation, _code
+from .category import CategoryPresentation
 from .errors import DataInconsistencyError, StructuralError
 from .rings import DEFAULT_TOL
 from .words import Word, sum_word
@@ -124,7 +124,8 @@ class _AxiomMap:
     """The Q-system axioms at the theta of ``spec``, as a sparse quadratic map of lambda.
 
     ``lam`` is a vector over ``channels``, the admissible slot triples
-    ``(p, q, r)`` with ``N[sec p, sec q, sec r] > 0``, and
+    ``(p, q, r)`` with ``N[sec p, sec q, sec r] > 0`` in ascending order
+    (``index`` is the position of each triple, -1 off them), and
     ``y = (lam, conj(lam), 1)``.  Each complex row is
     ``r0 + sum coef * y[i] * y[j]``.  The rows are the entries of the
     isometry, left-unit, right-unit and associativity residual morphisms, in
@@ -134,60 +135,59 @@ class _AxiomMap:
     PARTS = ("isometry", "unit_left", "unit_right", "associativity")
 
     def __init__(self, cat: CategoryPresentation, spec: QSystemSpec):
-        ring, N = cat.ring, cat.ring.N
-        sec = self.sectors = [s for s, _copy in spec.slots]
-        of = [[t for t, s in enumerate(sec) if s == c] for c in range(ring.size)]
-        self.channels = [
-            ch for ch in product(range(len(sec)), repeat=3) if N[tuple(sec[t] for t in ch)]
-        ]
-        idx = self.index = {ch: i for i, ch in enumerate(self.channels)}
-        bar, one = len(idx), 2 * len(idx)  # where conj(lam) and 1 sit in y
-        scale = self.scale = spec.d_theta(ring) ** -0.5
+        n, N = cat.ring.size, cat.ring.N > 0
+        sec = self.sectors = np.array([s for s, _copy in spec.slots])  # ascending
+        adm = N[np.ix_(sec, sec, sec)]
+        self.channels = list(map(tuple, np.argwhere(adm).tolist()))
+        idx = self.index = np.full(adm.shape, -1)
+        idx[adm] = np.arange(len(self.channels))
+        bar, one = len(self.channels), 2 * len(self.channels)  # where conj(lam) and 1 sit in y
+        scale = self.scale = spec.d_theta(cat.ring) ** -0.5
+        on = sec == np.arange(n)[:, None]  # [c, t]: the slot t has sector c
 
-        def square(entry):  # the block over the slot pairs (a, b) of sector c
-            return lambda c: (entry(a, b) for a, b in product(of[c], of[c]))
+        # isometry and unit rows: the slot pairs (a, b) of one sector c
+        c, a, b = np.nonzero(on[:, :, None] & on[:, None, :])
+        row, p, q = np.nonzero(np.moveaxis(adm[:, :, a], 2, 0))
+        isometry = (c, -1.0 * (a == b), row, bar + idx[p, q, a[row]], idx[p, q, b[row]], 1)
+        every = np.arange(len(c))
+        unit_left = (c, -scale * (a == b), every, idx[0, a, b], one, 1)
+        unit_right = (c, -scale * (a == b), every, idx[a, 0, b], one, 1)
 
-        isometry = square(lambda a, b: (
-            -float(a == b), [(bar + idx[p, q, a], idx[p, q, b], 1) for p, q, r in idx if r == a]
-        ))
-        unit_left = square(lambda a, b: (-scale * (a == b), [(idx[0, a, b], one, 1)]))
-        unit_right = square(lambda a, b: (-scale * (a == b), [(idx[a, 0, b], one, 1)]))
+        # associativity: (x (x) id) x - (id (x) x) x at the tree ((p), (q, e), (r, c)), slot t
+        pqe, cer = N[sec][:, sec], N[:, sec].transpose(2, 0, 1)
+        c, p, q, e, r, t = np.nonzero(
+            pqe[None, :, :, :, None, None] & cer[:, None, None, :, :, None] & on[:, None, None, None, None, :]
+        )
+        row1, s1 = np.nonzero(on[e])  # x (x) id: the slots s of sector e
+        row2, s2 = np.nonzero(N[sec[q][:, None], sec[r][:, None], sec] & N[sec[p][:, None], sec, c[:, None]])
+        F = cat.f(sec[p[row2]], sec[q[row2]], sec[r[row2]], c[row2], e[row2], sec[s2])
+        row = np.concatenate([row1, row2])
+        first = np.argsort(row, kind="stable")  # per row, the x (x) id terms first
+        i = np.concatenate([idx[p[row1], q[row1], s1], idx[q[row2], r[row2], s2]])
+        j = np.concatenate([idx[s1, r[row1], t[row1]], idx[p[row2], s2, t[row2]]])
+        coef = np.concatenate([np.ones(len(row1)), -np.conj(F)])
+        associativity = (c, 0.0, row[first], i[first], j[first], coef[first])
 
-        def associativity(c):
-            """``(x (x) id) x - (id (x) x) x`` at the tree ``((p), (q, e), (r, c))``, slot ``t``."""
-            for p, q in product(range(len(sec)), repeat=2):
-                for e, r, t in product(ring.channels(sec[p], sec[q]), range(len(sec)), of[c]):
-                    if not N[e, sec[r], c]:
-                        continue
-                    ijc = [(idx[p, q, s], idx[s, r, t], 1) for s in of[e]]
-                    for f in ring.channels(sec[q], sec[r]):
-                        if N[sec[p], f, c]:
-                            coef = -np.conj(cat.F[sec[p], sec[q], sec[r], c, e, f])
-                            ijc += [(idx[q, r, s], idx[p, s, t], coef) for s in of[f]]
-                    yield 0.0, ijc
-
-        r0, terms, bounds = [], [], [0]  # bounds: the row offset after each block
-        for part in (isometry, unit_left, unit_right, associativity):
-            for c in range(ring.size):
-                for const, ijc in part(c):
-                    terms += [(len(r0), i, j, coef) for i, j, coef in ijc]
-                    r0.append(const)
-                bounds.append(len(r0))
-        self.row, self.i, self.j, coef = (np.array(v) for v in zip(*terms))
+        r0, block, terms = [], [], []
+        for part, (c, const, row, i, j, coef) in enumerate((isometry, unit_left, unit_right, associativity)):
+            terms.append(np.broadcast_arrays(row + sum(map(len, r0)), i, j, coef))
+            r0.append(np.broadcast_to(const, c.shape))
+            block.append(part * n + c)  # rows ascend by block: by axiom, then by charge
+        self.row, self.i, self.j, coef = map(np.concatenate, zip(*terms))
         self.coef = coef.astype(complex)
-        self.r0 = np.array(r0, dtype=complex)
-        m = len(r0)
-        ends = bounds[:: ring.size]  # the row offset after each axiom
+        self.r0 = np.concatenate(r0).astype(complex)
+        block = np.concatenate(block)
+        ends = np.searchsorted(block, np.arange(len(self.PARTS) + 1) * n)  # the row offset after each axiom
         self.parts = dict(zip(self.PARTS, map(slice, ends, ends[1:])))
         # the search's real vector: per block, its real parts and then its imaginary parts
-        self.order = np.concatenate([np.r_[a:b, m + a : m + b] for a, b in zip(bounds, bounds[1:])])
+        self.order = np.argsort(np.r_[2 * block, 2 * block + 1], kind="stable")
 
     def vector(self, lam: dict) -> np.ndarray:
         """``lam`` as a vector over ``channels``; a key off every channel is structural."""
         out = np.zeros(len(self.channels), dtype=complex)
         for key, val in lam.items():
-            if key not in self.index:
-                p, q, r = (self.sectors[t] for t in key)
+            if self.index[key] < 0:
+                p, q, r = (int(self.sectors[t]) for t in key)
                 raise StructuralError(f"lambda entry {key} has no fusion channel {p} x {q} -> {r}")
             out[self.index[key]] = val
         return out
@@ -261,11 +261,8 @@ def frobenius_check(q: QSystemSpec, cat: CategoryPresentation) -> float:
     ring = cat.ring
     _require_bound(q.theta, ring, DEFAULT_TOL)
     _check_lambda(q, cat, require_isometry=False)
-    _, codes, values = cat.f_array
     sec, lam = _dense(q)
-    code = _code(ring.size, *np.ix_(sec, sec, sec, np.arange(ring.size), sec, sec))
-    at = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
-    F = np.where(codes[at] == code, values[at], 0.0)  # [a, u, r, c, p, b]
+    F = cat.f(*np.ix_(sec, sec, sec, np.arange(ring.size), sec, sec))  # [a, u, r, c, p, b]
     charge = (sec[:, None] == np.arange(ring.size)).astype(float)  # [t, c]
     lhs = np.einsum("abt,prt,tc->cabpr", lam, lam.conj(), charge)
     rhs = np.einsum("aup,urb,aurcpb->cabpr", lam, lam.conj(), F)
@@ -280,11 +277,8 @@ def is_local(q: QSystemSpec, cat: CategoryPresentation, tol: float = DEFAULT_TOL
     """
     _require_bound(q.theta, cat.ring, tol)
     axioms = _AxiomMap(cat, q)
-    lam, sec, at = axioms.vector(q.lam), axioms.sectors, axioms.index
-    resid = float(max(
-        abs(cat.R[sec[a], sec[b], sec[c]] * lam[k] - lam[at[b, a, c]])
-        for k, (a, b, c) in enumerate(axioms.channels)
-    ))
+    lam, sec, (a, b, c) = axioms.vector(q.lam), axioms.sectors, np.nonzero(axioms.index >= 0)
+    resid = float(np.max(np.abs(cat.R[sec[a], sec[b], sec[c]] * lam - lam[axioms.index[b, a, c]])))
     return resid < tol, resid
 
 

@@ -1,6 +1,9 @@
+import functools
 import itertools
 import math
+import weakref
 from itertools import groupby
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -24,8 +27,31 @@ def fib_data():
 
 
 @pytest.fixture(scope="session")
-def su2_4_data():
-    return su2(4)
+def su2_level():
+    """``su2(k)``, built once per level for the whole session."""
+    return functools.cache(su2)
+
+
+@pytest.fixture(scope="session")
+def su2_4_data(su2_level):
+    return su2_level(4)
+
+
+# per presentation: its F and R as {labels: value}; an entry goes with its presentation
+_FR_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def fr_tables(cat):
+    """Read-only ``{labels: value}`` tables of the F and R symbols of ``cat``,
+    built from the admissible keys and the stored values (never through
+    ``cat.f``), so that the reference computations read the supplied data."""
+    hit = _FR_TABLES.get(cat)
+    if hit is None:
+        ring = cat.ring
+        F = dict(zip(ring.f_keys, cat.f_values.tolist()))
+        R = dict(zip(ring.r_keys, cat.R[ring.N > 0].tolist()))
+        hit = _FR_TABLES[cat] = MappingProxyType(F), MappingProxyType(R)
+    return hit
 
 
 def pointed_category(name, order, add, c, central_charge):
@@ -91,8 +117,8 @@ def z3_data():
 
 
 @pytest.fixture(scope="session")
-def all_catalogs(ising_data, fib_data, su2_4_data, z3_data, spin8_data):
-    return [ising_data, fib_data, su2(2), su2_4_data, z3_data, spin8_data]
+def all_catalogs(ising_data, fib_data, su2_level, su2_4_data, z3_data, spin8_data):
+    return [ising_data, fib_data, su2_level(2), su2_4_data, z3_data, spin8_data]
 
 
 @pytest.fixture()
@@ -210,11 +236,12 @@ def reference_f_keys(ring):
 def vertex_gauge(cat, u):
     """F and R of ``cat`` in the vertex gauge ``u``, a number on each splitting
     vertex ``a b -> c`` (keyed by ``ring.r_keys``)."""
+    F, R = fr_tables(cat)
     F = {
         (a, b, c, d, e, f): val * u[a, b, e] * u[e, c, d] / (u[b, c, f] * u[a, f, d])
-        for (a, b, c, d, e, f), val in cat.F.items()
+        for (a, b, c, d, e, f), val in F.items()
     }
-    R = {(a, b, c): val * u[a, b, c] / u[b, a, c] for (a, b, c), val in cat.R.items()}
+    R = {(a, b, c): val * u[a, b, c] / u[b, a, c] for (a, b, c), val in R.items()}
     return F, R
 
 
@@ -227,8 +254,8 @@ def random_vertex_gauge(cat, rng):
 
 def reference_axiom_residuals(cat):
     """Oracle: pentagon, hexagon and unitarity residuals of ``validate_axioms``
-    as plain loops over ``cat.F`` and ``cat.R``, with a dict join of the F keys."""
-    ring, F, R, N = cat.ring, cat.F, cat.R, cat.ring.N
+    as plain loops over the ``fr_tables`` of ``cat``, with a dict join of the F keys."""
+    (F, R), ring, N = fr_tables(cat), cat.ring, cat.ring.N
     last: dict = {}
     by_fle: dict = {}
     for key in ring.f_keys:

@@ -12,6 +12,7 @@ import weakref
 from types import MappingProxyType
 
 import numpy as np
+from conftest import fr_tables
 
 from bcft.category import CategoryPresentation
 from bcft.errors import DataInconsistencyError, StructuralError
@@ -103,6 +104,7 @@ def split(cat: CategoryPresentation, word: Word, k: int):
 
     # generic case: recurse on the right part
     B = subword(word, k)
+    F = fr_tables(cat)[0]
     S1 = split(cat, B, 1)
     SK1 = split(cat, word, k + 1)
     left = subword(word, 0, k)
@@ -127,7 +129,7 @@ def split(cat: CategoryPresentation, word: Word, k: int):
                 for a2 in ring.channels(a, p):
                     if not ring.N[a2, b2, c]:
                         continue
-                    fcoef = np.conj(cat.F[a, p, b2, c, a2, b])
+                    fcoef = np.conj(F[a, p, b2, c, a2, b])
                     if fcoef == 0:
                         continue
                     tree2 = prefix + ((slot_idx, a2),)
@@ -249,7 +251,7 @@ def tensor(f: Morphism, g: Morphism) -> Morphism:
 
 def _factor_braid(cat: CategoryPresentation, X: Word, Y: Word) -> Morphism:
     """Elementary braiding of two single-factor words via R symbols."""
-    ring = cat.ring
+    ring, R = cat.ring, fr_tables(cat)[1]
     src = X + Y
     tgt = Y + X
     blocks = {}
@@ -265,7 +267,7 @@ def _factor_braid(cat: CategoryPresentation, X: Word, Y: Word) -> Morphism:
             (sx, _), (sy, _) = tree
             a = xslots[sx][0]
             b = yslots[sy][0]
-            B[tidx[((sy, b), (sx, c))], q] = cat.R[a, b, c]
+            B[tidx[((sy, b), (sx, c))], q] = R[a, b, c]
         blocks[c] = B
     return Morphism(cat, src, tgt, blocks)
 

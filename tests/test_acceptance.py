@@ -14,7 +14,7 @@ import pytest
 from conftest import brute_force_invariants
 from morphisms import braiding
 
-from bcft.catalog import fibonacci, ising, su2
+from bcft.catalog import fibonacci, ising
 from bcft.category import validate_axioms
 from bcft.characters import cardy_transform_check
 from bcft.classify import (
@@ -111,7 +111,7 @@ def test_criterion_4_theta_plus():
         assert d == pytest.approx(global_dimension(data.ring), abs=1e-9)
 
 
-def test_criterion_5_invariant_enumeration():
+def test_criterion_5_invariant_enumeration(su2_4_data):
     with criterion(5, "modular invariant counts (1, 1, 2)", 60.0):
         invs = enumerate_modular_invariants(ising().modular)
         assert len(invs) == 1
@@ -120,7 +120,7 @@ def test_criterion_5_invariant_enumeration():
             tuple(Z.reshape(-1)) for Z in invs
         ]
         assert len(enumerate_modular_invariants(fibonacci().modular)) == 1
-        assert len(enumerate_modular_invariants(su2(4).modular)) == 2
+        assert len(enumerate_modular_invariants(su2_4_data.modular)) == 2
 
 
 def test_criterion_6_nimreps_and_cardy():
@@ -176,12 +176,12 @@ def test_criterion_8_partition_modular_check():
                     assert report.residual < 1e-6
 
 
-def test_criterion_9_property_suites(tmp_path):
+def test_criterion_9_property_suites(tmp_path, su2_level):
     with criterion(9, "mutation detection, su2 axioms, determinism", 120.0):
         rng = np.random.default_rng(1729)
         # 100 random single-entry mutations per catalog, all caught by the
         # ring axioms or by Verlinde consistency with the catalog S matrix
-        for data in (ising(), fibonacci(), su2(4)):
+        for data in (ising(), fibonacci(), su2_level(4)):
             ring = data.ring
             verlinde_ring = verlinde_fusion(data.modular)
             for _ in range(100):
@@ -193,7 +193,7 @@ def test_criterion_9_property_suites(tmp_path):
                 assert caught
         # pentagon/hexagon residuals on su2 levels 1..6
         for k in range(1, 7):
-            rep = validate_axioms(su2(k).presentation)
+            rep = validate_axioms(su2_level(k).presentation)
             assert rep.pentagon_residual < 1e-9, k
             assert rep.hexagon_residual < 1e-9, k
             assert rep.unitarity_residual < 1e-9, k

@@ -1,11 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import reference_axiom_residuals, vertex_gauge
+from conftest import fr_tables, reference_axiom_residuals, vertex_gauge
 from morphisms import Morphism, braiding, compose, conjugation_pair, identity, split, tensor
 
-from bcft.catalog import su2
 from bcft.category import CategoryPresentation, validate_axioms
 from bcft.errors import StructuralError
 from bcft.rings import FusionRing
@@ -53,13 +53,13 @@ def test_axioms_valid_on_catalogs(all_catalogs):
         assert rep.valid
 
 
-def test_su2_spin_half_block_closed_form():
+def test_su2_spin_half_block_closed_form(su2_level):
     # twice-spin labels: F[1,1,1,1] over e, f in (0, 2) is
     # [[-1, sqrt[3]], [sqrt[3], 1]] / [2]; at k = 1 only e = f = 0 is admissible
     for k in range(1, 17):
         q = [math.sin(math.pi * m / (k + 2)) / math.sin(math.pi / (k + 2)) for m in range(4)]
         want = np.array([[-1.0, math.sqrt(q[3])], [math.sqrt(q[3]), 1.0]]) / q[2]
-        F = su2(k).presentation.F
+        F = fr_tables(su2_level(k).presentation)[0]
         m = 1 if k == 1 else 2
         got = np.array([[F[1, 1, 1, 1, e, f] for f in (0, 2)[:m]] for e in (0, 2)[:m]])
         assert np.max(np.abs(got - want[:m, :m])) <= 1e-14, k
@@ -96,7 +96,7 @@ def test_non_square_f_block_fails_unitarity(ising_data):
 
 
 def _fr_dicts(data):
-    return dict(data.presentation.F), dict(data.presentation.R)
+    return tuple(map(dict, fr_tables(data.presentation)))
 
 
 def _residuals(cat):
@@ -104,9 +104,9 @@ def _residuals(cat):
     return rep.pentagon_residual, rep.hexagon_residual, rep.unitarity_residual
 
 
-def test_axioms_match_reference_on_catalogs(all_catalogs):
+def test_axioms_match_reference_on_catalogs(all_catalogs, su2_level):
     # su2_6 and su2_8 have 1680 and 6105 F keys, so their outer keys span many chunks
-    for cat in [data.presentation for data in all_catalogs] + [su2(6).presentation, su2(8).presentation]:
+    for cat in [data.presentation for data in all_catalogs] + [su2_level(6).presentation, su2_level(8).presentation]:
         assert _residuals(cat) == pytest.approx(reference_axiom_residuals(cat), rel=1e-12, abs=1e-15)
 
 
@@ -162,12 +162,50 @@ def test_missing_f_entry_is_structural(ising_data):
 
 def test_symbol_tables_are_read_only(ising_data):
     cat = ising_data.presentation
-    with pytest.raises(TypeError):
-        cat.F[1, 1, 1, 1, 0, 0] = 0.0
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
+        cat.f_values[0] = 0.0
+    with pytest.raises(ValueError):
         cat.R[1, 1, 0] = 1.0
-    with pytest.raises(KeyError):
-        cat.F[1, 1, 1, 1, 0, 1]  # inadmissible, not silently zero
+    # N[1,1,1] = 0 in Ising: the key is inadmissible, so F reads exactly 0 there
+    assert cat.f(1, 1, 1, 1, 0, 1) == 0
+    assert not (cat.ring.f_key_array == (1, 1, 1, 1, 0, 1)).all(axis=1).any()
+
+
+def test_f_lookup_and_dense_r_match_the_supplied_tables(all_catalogs, rng):
+    # random complex tables, supplied in a shuffled order, on every catalog,
+    # Z_3 (not self-dual) and Spin(8)_1
+    for data in all_catalogs:
+        ring = data.ring
+        n, f_keys, r_keys = ring.size, ring.f_key_array, ring.r_key_array
+        F = rng.normal(size=len(f_keys)) + 1j * rng.normal(size=len(f_keys))
+        R = rng.normal(size=len(r_keys)) + 1j * rng.normal(size=len(r_keys))
+        f_order, r_order = rng.permutation(len(f_keys)), rng.permutation(len(r_keys))
+        F_supplied = dict(zip(map(tuple, f_keys[f_order].tolist()), F[f_order]))
+        R_supplied = dict(zip(map(tuple, r_keys[r_order].tolist()), R[r_order]))
+        cat = CategoryPresentation(ring, F_supplied, R_supplied)
+        assert np.array_equal(cat.f(*f_keys.T), F), data.name
+        grid = cat.f(*np.indices((n,) * 6))  # every label 6-tuple
+        admissible = np.zeros((n,) * 6, dtype=bool)
+        admissible[tuple(f_keys.T)] = True
+        assert np.array_equal(grid[admissible], F) and not grid[~admissible].any(), data.name
+        assert cat.R.shape == (n, n, n), data.name
+        assert np.array_equal(cat.R[tuple(r_keys.T)], R) and not cat.R[ring.N == 0].any(), data.name
+        assert not cat.R.flags.writeable and not cat.f_values.flags.writeable, data.name
+
+
+def test_presentation_allocates_no_object_per_f_entry(su2_level):
+    # the F and R symbols are stored as arrays: building a presentation from
+    # label and value arrays allocates a few arrays, not a Python object per entry
+    data = su2_level(12)
+    ring, cat = data.ring, data.presentation
+    F, R = (ring.f_key_array, cat.f_values), (ring.r_key_array, cat.R[ring.N > 0])
+    tracemalloc.start()
+    try:
+        CategoryPresentation(ring, F, R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * len(ring.f_key_array), peak / len(ring.f_key_array)
 
 
 def test_multiplicity_rejected(fib_data):

@@ -204,8 +204,8 @@ def test_su2_4_block_invariant_has_d4_nimrep(su2_4_data):
     assert len(compatible) >= 1
 
 
-def _catalog(name):
-    return catalog("su2", int(name[4:])) if name.startswith("su2_") else catalog(name)
+def _catalog(name, su2_level):
+    return su2_level(int(name[4:])) if name.startswith("su2_") else catalog(name)
 
 
 def _cyclic_ring(order):
@@ -229,9 +229,9 @@ def _cyclic_ring(order):
         ("z4", 1, 4),
     ],
 )
-def test_nimreps_match_row_norm_oracle(name, first, last):
+def test_nimreps_match_row_norm_oracle(name, first, last, su2_level):
     # the spectral pruning drops no nimrep and keeps the orbit order
-    ring = _cyclic_ring(int(name[1:])) if name.startswith("z") else _catalog(name).ring
+    ring = _cyclic_ring(int(name[1:])) if name.startswith("z") else _catalog(name, su2_level).ring
     for size in range(first, last + 1):
         fast = [nr.matrices for nr in enumerate_nimreps(ring, size)]
         slow = brute_force_nimreps(ring, size)
@@ -241,8 +241,8 @@ def test_nimreps_match_row_norm_oracle(name, first, last):
 
 
 @pytest.mark.parametrize("name", ["ising", "fibonacci"] + [f"su2_{k}" for k in range(1, 11)])
-def test_minimal_polynomial_is_exact_with_modular_roots(name):
-    data = _catalog(name)
+def test_minimal_polynomial_is_exact_with_modular_roots(name, su2_level):
+    data = _catalog(name, su2_level)
     ring, S = data.ring, data.modular.S
     for g in range(ring.size):
         coeffs = _minimal_polynomial(ring, g)
@@ -261,9 +261,9 @@ def test_minimal_polynomial_is_exact_with_modular_roots(name):
 
 
 @pytest.mark.parametrize("name, size", [("fibonacci", 4), ("ising", 6)])
-def test_reducible_nimreps_are_enumerated(name, size):
+def test_reducible_nimreps_are_enumerated(name, size, su2_level):
     # the only orbit is the regular nimrep (tadpole, A3) taken twice
-    data = _catalog(name)
+    data = _catalog(name, su2_level)
     nims = enumerate_nimreps(data.ring, size)
     reg = regular_nimrep(data.ring).matrices
     double = tuple(scipy.linalg.block_diag(m, m) for m in reg)

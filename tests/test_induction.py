@@ -5,11 +5,11 @@ import pytest
 from conftest import group_algebra, random_vertex_gauge
 from morphisms import Morphism, assemble_x, braiding, compose, conjugation_pair, frobenius_residual, identity, tensor
 
-from bcft.catalog import su2
 from bcft.category import validate_axioms
 from bcft.classify import enumerate_modular_invariants, regular_nimrep
 from bcft.errors import DataInconsistencyError, NumericDegeneracyError, StructuralError
 from bcft.induction import (
+    _kernel_matrices,
     _kernel_matrix,
     _lift_matrix,
     charged_field_basis,
@@ -65,10 +65,10 @@ def test_su2_4_extension_gives_block_invariant(su2_4_data):
     assert np.array_equal(Z, want)
 
 
-def test_su2_16_e7_extension():
+def test_su2_16_e7_extension(su2_level):
     """theta = 0 + 8 + 16 (twice the spins) of SU(2)_16: one non-local Q-system
     whose coupling matrix is the exceptional E7 invariant."""
-    data = su2(16)
+    data = su2_level(16)
     cat = data.presentation
     res = search_qsystems(cat, [1 if a in (0, 8, 16) else 0 for a in range(17)])
     assert len(res.solutions) == 1
@@ -316,9 +316,9 @@ def _noisy(cat, q, rng):
 
 
 @pytest.fixture(scope="module")
-def induction_cases(ising_data, fib_data, su2_4_data, su2_4_multiplicity_two, z3_data, spin8_data, spin8_qsystems):
+def induction_cases(ising_data, fib_data, su2_4_data, su2_level, su2_4_multiplicity_two, z3_data, spin8_data, spin8_qsystems):
     s4 = su2_4_data.presentation
-    su2_10 = su2(10)
+    su2_10 = su2_level(10)
     e6_theta = tuple(1 if a in (0, 6) else 0 for a in range(11))
     return [
         ("ising CAR", ising_data, car_qsystem(ising_data.presentation)),
@@ -355,6 +355,24 @@ def test_kernel_and_lift_match_morphism_calculus(induction_cases):
                     assert K.shape == K_ref.shape and L.shape == L_ref.shape, where
                     assert np.max(np.abs(K - K_ref)) < 1e-13, where
                     assert np.max(np.abs(L - L_ref)) < 1e-13, where
+
+
+def test_batched_kernel_matrices_equal_one_pair_calls(induction_cases, ising_data, spin8_data, spin8_qsystems):
+    """The gather over all n^2 pairs, and over any subset, gives the one-pair
+    matrices bit for bit, on every test Q-system and on noisy lambda."""
+    rng = np.random.default_rng(13)
+    cases = [(data.presentation, q) for _name, data, q in induction_cases]
+    cases += [(ising_data.presentation, trivial_qsystem(ising_data.presentation))]
+    cases += [(spin8_data.presentation, q) for q in spin8_qsystems.values()]
+    for cat, q in cases + [(cat, _noisy(cat, q, rng)) for cat, q in cases]:
+        pairs = list(itertools.product(range(cat.ring.size), repeat=2))
+        single = [_kernel_matrix(cat, q, sigma, tau) for sigma, tau in pairs]
+        batched = _kernel_matrices(cat, q, pairs)
+        assert all(map(np.array_equal, batched, single)), q
+        assert all(M.shape == S.shape for M, S in zip(batched, single)), q
+        some = sorted(rng.choice(len(pairs), size=len(pairs) // 3 + 1, replace=False), reverse=True)
+        subset = _kernel_matrices(cat, q, [pairs[i] for i in some])
+        assert all(np.array_equal(M, single[i]) for M, i in zip(subset, some)), q
 
 
 def test_frobenius_check_matches_morphism_calculus(induction_cases):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcft.catalog import catalog, fibonacci, ising, su2
+from bcft.catalog import catalog, fibonacci, ising
 from bcft.classify import compatibility, enumerate_modular_invariants, enumerate_nimreps, regular_nimrep
 from bcft.cli import main
 from bcft.errors import StructuralError
@@ -75,18 +75,18 @@ CATEGORY_FILE_SHA256 = {
 }
 
 
-def test_category_file_bytes_pinned(tmp_path, spin8_data, z3_data):
+def test_category_file_bytes_pinned(tmp_path, spin8_data, z3_data, su2_level):
     cats = {"ising": ising(), "fibonacci": fibonacci(), "spin8_1": spin8_data, "z3": z3_data}
     for name, want in CATEGORY_FILE_SHA256.items():
-        data = cats[name] if name in cats else su2(int(name.removeprefix("su2_")))
+        data = cats[name] if name in cats else su2_level(int(name.removeprefix("su2_")))
         path = tmp_path / f"{name}.json"
         save_category(data, path)
         assert file_fingerprint(path) == want, name
 
 
-def test_category_round_trip_bytes(tmp_path):
+def test_category_round_trip_bytes(tmp_path, su2_level):
     # several sizes, so the sorted F/R key order is covered beyond 3 sectors
-    for data in [ising(), fibonacci()] + [su2(k) for k in range(1, 11)]:
+    for data in [ising(), fibonacci()] + [su2_level(k) for k in range(1, 11)]:
         first, again = tmp_path / "first.json", tmp_path / "again.json"
         save_category(data, first)
         save_category(load_category(first), again)
@@ -265,9 +265,9 @@ def test_duplicate_entries_name_their_labels(ising_file, car_file, tmp_path):
         load_qsystem(bad)
 
 
-def test_category_entries_load_in_any_order(tmp_path, rng):
+def test_category_entries_load_in_any_order(tmp_path, su2_4_data, rng):
     first, again = tmp_path / "first.json", tmp_path / "again.json"
-    save_category(su2(4), first)
+    save_category(su2_4_data, first)
     doc = json.loads(first.read_text())
     for member in ("N", "F", "R"):
         doc[member] = [doc[member][i] for i in rng.permutation(len(doc[member]))]
@@ -276,10 +276,10 @@ def test_category_entries_load_in_any_order(tmp_path, rng):
     assert again.read_bytes() == first.read_bytes()
 
 
-def test_cli_catalog_writes_library_bytes(tmp_path):
+def test_cli_catalog_writes_library_bytes(tmp_path, su2_level):
     cli, library = tmp_path / "cli.json", tmp_path / "library.json"
     assert main(["catalog", "su2", "--level", "10", "--out", str(cli)]) == 0
-    save_category(su2(10), library)
+    save_category(su2_level(10), library)
     assert cli.read_bytes() == library.read_bytes()
     assert main(["validate", str(cli)]) == 0
 

@@ -5,7 +5,6 @@ import pytest
 from conftest import random_vertex_gauge
 from morphisms import Morphism, assemble_x, braiding, compose, identity, tensor
 
-from bcft.catalog import su2
 from bcft.category import validate_axioms
 from bcft.errors import DataInconsistencyError, StructuralError
 from bcft.io import dump_canonical, qsystem_to_dict
@@ -104,9 +103,9 @@ def _morphism_residuals(q, cat):
     ]
 
 
-def test_axiom_map_matches_morphism_residuals(ising_data, fib_data, su2_4_data, rng):
+def test_axiom_map_matches_morphism_residuals(ising_data, fib_data, su2_4_data, su2_level, rng):
     ising_cat, fib = ising_data.presentation, fib_data.presentation
-    s4, s10 = su2_4_data.presentation, su2(10).presentation
+    s4, s10 = su2_4_data.presentation, su2_level(10).presentation
     fib_q = regular_qsystem(fib)
     e6 = [1 if a in (0, 6) else 0 for a in range(11)]
     cases = [
@@ -153,13 +152,13 @@ def _central_differences(fun, x, h=1e-3):
 
 
 @pytest.fixture(scope="module")
-def jacobian_cases(ising_data, su2_4_data, spin8_data, spin8_qsystems):
+def jacobian_cases(ising_data, su2_4_data, su2_level, spin8_data, spin8_qsystems):
     """Ising CAR, su2_4 0+2+2+4, E6 at su2_10 and the non-symmetric (twisted) Spin(8)_1 algebra."""
     ising_cat = ising_data.presentation
     return [
         (car_qsystem(ising_cat).theta, ising_cat),
         ((1, 0, 2, 0, 1), su2_4_data.presentation),
-        (tuple(1 if a in (0, 6) else 0 for a in range(11)), su2(10).presentation),
+        (tuple(1 if a in (0, 6) else 0 for a in range(11)), su2_level(10).presentation),
         (spin8_qsystems["1+v+s+c twisted"].theta, spin8_data.presentation),
     ]
 
@@ -328,8 +327,8 @@ def test_is_local_rejects_malformed_theta(ising_data):
         is_local(QSystemSpec([1, 0, 1, 0], {(0, 0, 0): 1.0}), cat)
 
 
-def test_su2_4_simple_current_extension_is_local():
-    s4 = su2(4)
+def test_su2_4_simple_current_extension_is_local(su2_4_data):
+    s4 = su2_4_data
     res = search_qsystems(s4.presentation, [1, 0, 0, 0, 1], n_starts=10, seed=3)
     assert res.status == "ok"
     assert len(res.solutions) == 1
@@ -356,10 +355,10 @@ def test_gauge_transform_preserves_validity_and_fingerprint(ising_data, fib_data
             assert fingerprint(g, cat) == fingerprint(q, cat)
 
 
-def test_local_implies_trivial_monodromy_on_channels():
+def test_local_implies_trivial_monodromy_on_channels(su2_4_data):
     # necessary condition: the monodromy restricted to channels inside x is
     # trivial for a local Q-system
-    s4 = su2(4)
+    s4 = su2_4_data
     cat = s4.presentation
     res = search_qsystems(cat, [1, 0, 0, 0, 1], n_starts=8, seed=4)
     q = res.solutions[0]
