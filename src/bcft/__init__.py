@@ -64,6 +64,5 @@ from .rings import (
     global_dimension,
     validate_ring,
 )
-from .words import Word, simple_word, sum_word
 
 __version__ = "0.1.0"

@@ -39,9 +39,12 @@ class CategoryData:
 
 
 def _full_fr_tables(ring: FusionRing, f_exceptions: dict, r_values: dict):
-    """All-admissible F/R tables: exceptions override the default value 1."""
-    F = {key: f_exceptions.get(key, 1.0) for key in ring.f_keys}
-    R = {key: r_values.get(key, 1.0) for key in ring.r_keys}
+    """All-admissible F/R tables: exceptions override the default value 1.
+
+    An exception off the admissible labels stays in its table, so the
+    presentation rejects it."""
+    F = dict.fromkeys(zip(*ring.f_key_array.T.tolist()), 1.0) | f_exceptions
+    R = dict.fromkeys(zip(*ring.r_key_array.T.tolist()), 1.0) | r_values
     return F, R
 
 
@@ -184,7 +187,7 @@ def su2(k: int) -> CategoryData:
     R = [
         (-1.0) ** ((a + b - c) // 2)
         * np.exp(1j * np.pi * ((c * (c + 2) - a * (a + 2) - b * (b + 2)) / 4.0) / (k + 2))
-        for a, b, c in ring.r_keys
+        for a, b, c in ring.r_key_array.tolist()
     ]
     F = _su2_f_values(ring.f_key_array, k)
     cat = CategoryPresentation(ring, (ring.f_key_array, F), (ring.r_key_array, R))

@@ -9,10 +9,10 @@ total charge; the F-matrix convention is
 where ``L_e`` fuses ``(ab)_e c -> d`` and ``R_f`` fuses ``a (bc)_f -> d``,
 and the braiding acts on an elementary splitting vertex by
 ``eps(a,b) v[a,b->c] = R[a,b,c] v[b,a->c]``.  Every composite operation
-(tensor products, braidings of words, conjugations) reduces to these two
-moves plus block linear algebra, so pentagon/hexagon validity of the input
-data is exactly what makes the fusion-tree coordinates of the Q-system and
-induction layers consistent.
+(tensor products, braidings of composite objects, conjugations) reduces to
+these two moves plus block linear algebra, so pentagon/hexagon validity of
+the input data is exactly what makes the fusion-tree coordinates of the
+Q-system and induction layers consistent.
 """
 
 from __future__ import annotations
@@ -203,7 +203,7 @@ def _unitarity_residual(cat: CategoryPresentation) -> float:
         return np.inf
     keys, codes, F = cat.ring.f_key_array, cat._f_codes, cat.f_values
     worst = np.max(np.abs(np.abs(cat.R[N > 0]) - 1.0))
-    # sorted f_keys: each (a,b,c,d) block is one run, row-major in (e, f)
+    # sorted f_key_array: each (a,b,c,d) block is one run, row-major in (e, f)
     starts = np.flatnonzero(np.diff(codes // cat.ring.size**2, prepend=-1))
     sizes = rows[tuple(keys[starts, :4].T)]
     for m in set(sizes.tolist()):

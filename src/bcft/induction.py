@@ -56,7 +56,6 @@ from .category import CategoryPresentation, _matches
 from .errors import DataInconsistencyError, NumericDegeneracyError, StructuralError
 from .qsystems import QSystemSpec, _check_lambda, _dense, _scatter
 from .rings import DEFAULT_TOL, FusionRing
-from .words import hom_dim, simple_word
 
 __all__ = [
     "coupling_from_qsystem",
@@ -107,7 +106,8 @@ def _lift_matrix(cat, q, sigma, tau):
 
     Row ``(p, a, g)`` is the coefficient of ``phi`` at the theta slot ``p``
     and the tree ``((a), (sigma, g), (tau-bar, s p))``; the rows run over
-    ``p`` and then over ``trees(theta sigma tau-bar, s p)``, i.e. ascending ``(a, g)``.
+    ``p`` and then over the trees of ``theta sigma tau-bar`` with charge
+    ``s p``, i.e. ascending ``(a, g)``.
     """
     ring, N, (sec, lam) = cat.ring, cat.ring.N > 0, _dense(q)
     tb = ring.dual[tau]
@@ -207,8 +207,9 @@ def charged_field_basis(
     ring = cat.ring
     dim, kernel, _ = kernel_split(_kernel_matrix(cat, q, sigma, tau))
     lift, index = _lift_matrix(cat, q, sigma, tau)
-    word = q.theta_word() + simple_word(sigma, ring.dual[tau])
-    n_vac = hom_dim(ring, word, 0)  # the vacuum slot's rows come first
+    # the trees of theta sigma tau-bar per charge c, i.e. the lift's rows per slot of sector c
+    rows = q.theta @ ring.N[:, sigma] @ ring.N[:, ring.dual[tau]]
+    n_vac = rows[0]  # the vacuum slot's rows come first
     d_st = float(ring.fp_dims[sigma] * ring.fp_dims[tau])
     coeffs = np.zeros((0, len(index)), dtype=complex)
     gram_resid = 0.0
@@ -225,7 +226,7 @@ def charged_field_basis(
         gram = coeffs[:, :n_vac].conj() @ coeffs[:, :n_vac].T
         gram_resid = float(np.max(np.abs(gram - d_st * np.eye(dim))))
     # phi's block at charge c has one column per copy of c in theta: the rows of that slot
-    shapes = [(m, hom_dim(ring, word, c)) for c, m in enumerate(q.theta)]
+    shapes = list(zip(q.theta, rows))
     ends = np.cumsum([m * d for m, d in shapes])
     fields = tuple(
         {c: part.reshape(shape).T for c, (part, shape) in enumerate(zip(np.split(vec, ends[:-1]), shapes))}

@@ -222,7 +222,7 @@ def _category_doc(data: CategoryData) -> dict:
     doc = {
         "labels": list(ring.labels),
         "dual": list(ring.dual),
-        "N": [[s, t, u, int(ring.N[s, t, u])] for s, t, u in ring.r_keys],
+        "N": np.column_stack([ring.r_key_array, ring.N[ring.N > 0]]).tolist(),
         "S": [[_pair(z) for z in row] for row in data.modular.S],
         "T": [_pair(z) for z in data.modular.T],
     }
@@ -329,7 +329,7 @@ def load_nimrep_matrices(path) -> list[np.ndarray]:
     doc = _read_json(path, "nimrep file")
     _check_keys(doc, ("n",), (), "nimrep file")
     mats = [_int_matrix(m, "nimrep entry") for m in doc["n"]]
-    if not mats or any(m.ndim != 2 or m.shape != mats[0].shape for m in mats):
+    if not mats or any(m.shape != (len(mats[0]),) * 2 for m in mats):
         raise StructuralError("nimrep matrices must be square and same-sized")
     return mats
 

@@ -30,7 +30,6 @@ import numpy as np
 from .category import CategoryPresentation
 from .errors import DataInconsistencyError, StructuralError
 from .rings import DEFAULT_TOL
-from .words import Word, sum_word
 
 __all__ = [
     "QSystemSpec",
@@ -76,9 +75,6 @@ class QSystemSpec:
 
     def sector(self, slot: int) -> int:
         return self.slots[slot][0]
-
-    def theta_word(self) -> Word:
-        return sum_word(self.theta)
 
     def d_theta(self, ring) -> float:
         return float(sum(m * ring.fp_dims[s] for s, m in enumerate(self.theta)))

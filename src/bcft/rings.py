@@ -29,9 +29,8 @@ DEFAULT_TOL = 1e-9
 class FusionRing:
     """Sector labels, conjugation and fusion multiplicities ``N[s, t, u]``.
 
-    Immutable after construction; all derived quantities are cached on the
-    ring, including the fusion-tree tables of :mod:`bcft.words`, so they are
-    freed with it.
+    Immutable after construction; derived quantities, such as the admissible
+    F and R labels as arrays, are cached on the ring and freed with it.
     """
 
     def __init__(self, labels, dual, N):
@@ -59,15 +58,14 @@ class FusionRing:
         self.labels = labels
         self.dual = dual
         self.N = N
-        # memo table of words.trees, keyed by (word, charge)
-        self.trees_memo: dict = {}
+        self._hash = hash((labels, dual, N.tobytes()))
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FusionRing)
             and self.labels == other.labels
             and self.dual == other.dual
@@ -75,7 +73,7 @@ class FusionRing:
         )
 
     def __hash__(self):
-        return hash((self.labels, self.dual, self.N.tobytes()))
+        return self._hash
 
     def __repr__(self):
         return f"FusionRing({list(self.labels)})"
@@ -84,10 +82,6 @@ class FusionRing:
         """Matrix ``(N^s)[t, u] = N[s, t, u]``."""
         return self.N[s]
 
-    def channels(self, s: int, t: int):
-        """Sectors ``u`` with ``N[s, t, u] > 0``, in index order."""
-        return [u for u in range(self.size) if self.N[s, t, u] > 0]
-
     @cached_property
     def r_key_array(self) -> np.ndarray:
         """Admissible R-symbol labels as a read-only int64 ``(M, 3)`` array: the
@@ -95,11 +89,6 @@ class FusionRing:
         keys = np.argwhere(self.N > 0)
         keys.setflags(write=False)
         return keys
-
-    @cached_property
-    def r_keys(self) -> tuple:
-        """``r_key_array`` as a tuple of label tuples."""
-        return tuple(zip(*self.r_key_array.T.tolist()))
 
     @cached_property
     def f_key_array(self) -> np.ndarray:
@@ -125,11 +114,6 @@ class FusionRing:
         np.concatenate(rows, out=keys[:, 1:])
         keys.setflags(write=False)
         return keys
-
-    @cached_property
-    def f_keys(self) -> tuple:
-        """``f_key_array`` as a tuple of label tuples."""
-        return tuple(zip(*self.f_key_array.T.tolist()))
 
     @cached_property
     def fp_dims(self) -> np.ndarray:

@@ -37,6 +37,12 @@ def su2_4_data(su2_level):
     return su2_level(4)
 
 
+def label_tuples(keys):
+    """The rows of an admissible label array, such as ``ring.f_key_array``, as
+    a tuple of label tuples in the same order."""
+    return tuple(zip(*keys.T.tolist()))
+
+
 # per presentation: its F and R as {labels: value}; an entry goes with its presentation
 _FR_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -48,8 +54,8 @@ def fr_tables(cat):
     hit = _FR_TABLES.get(cat)
     if hit is None:
         ring = cat.ring
-        F = dict(zip(ring.f_keys, cat.f_values.tolist()))
-        R = dict(zip(ring.r_keys, cat.R[ring.N > 0].tolist()))
+        F = dict(zip(label_tuples(ring.f_key_array), cat.f_values.tolist()))
+        R = dict(zip(label_tuples(ring.r_key_array), cat.R[ring.N > 0].tolist()))
         hit = _FR_TABLES[cat] = MappingProxyType(F), MappingProxyType(R)
     return hit
 
@@ -65,8 +71,8 @@ def pointed_category(name, order, add, c, central_charge):
     ring = FusionRing([str(a) for a in range(order)], dual, N)
     S = np.array([[np.conj(c(a, b) * c(b, a)) for b in range(order)] for a in range(order)])
     md = ModularData(ring, S / math.sqrt(order), [c(a, a) for a in range(order)])
-    F = dict.fromkeys(ring.f_keys, 1.0)
-    R = {(a, b, ab): c(a, b) for a, b, ab in ring.r_keys}
+    F = dict.fromkeys(label_tuples(ring.f_key_array), 1.0)
+    R = {(a, b, ab): c(a, b) for a, b, ab in label_tuples(ring.r_key_array)}
     return CategoryData(name, ring, md, CategoryPresentation(ring, F, R), central_charge)
 
 
@@ -226,7 +232,7 @@ def reference_f_keys(ring):
     adm = ring.N > 0
     keys = [
         (a, b, c, d, e, f)
-        for a, b, e in ring.r_keys
+        for a, b, e in label_tuples(ring.r_key_array)
         for c, d in np.argwhere(adm[e]).tolist()
         for f in np.flatnonzero(adm[b, c] & adm[a, :, d]).tolist()
     ]
@@ -235,7 +241,7 @@ def reference_f_keys(ring):
 
 def vertex_gauge(cat, u):
     """F and R of ``cat`` in the vertex gauge ``u``, a number on each splitting
-    vertex ``a b -> c`` (keyed by ``ring.r_keys``)."""
+    vertex ``a b -> c`` (keyed by the ``label_tuples`` of ``ring.r_key_array``)."""
     F, R = fr_tables(cat)
     F = {
         (a, b, c, d, e, f): val * u[a, b, e] * u[e, c, d] / (u[b, c, f] * u[a, f, d])
@@ -248,22 +254,25 @@ def vertex_gauge(cat, u):
 def random_vertex_gauge(cat, rng):
     """``cat`` in a random complex vertex gauge: a phase on each splitting vertex
     ``a b -> c`` with non-vacuum ``a`` and ``b``, so that F is complex."""
-    u = {key: np.exp(2j * np.pi * rng.random()) if key[0] and key[1] else 1.0 for key in cat.ring.r_keys}
+    u = {
+        key: np.exp(2j * np.pi * rng.random()) if key[0] and key[1] else 1.0
+        for key in label_tuples(cat.ring.r_key_array)
+    }
     return CategoryPresentation(cat.ring, *vertex_gauge(cat, u))
 
 
 def reference_axiom_residuals(cat):
     """Oracle: pentagon, hexagon and unitarity residuals of ``validate_axioms``
     as plain loops over the ``fr_tables`` of ``cat``, with a dict join of the F keys."""
-    (F, R), ring, N = fr_tables(cat), cat.ring, cat.ring.N
+    (F, R), N, f_keys = fr_tables(cat), cat.ring.N, label_tuples(cat.ring.f_key_array)
     last: dict = {}
     by_fle: dict = {}
-    for key in ring.f_keys:
+    for key in f_keys:
         last.setdefault(key[:5], []).append(key[5])
         by_fle.setdefault((key[4], key[2], key[3]), []).append(key)
 
     pentagon = 0.0
-    for f, c, d, e, g, l in ring.f_keys:
+    for f, c, d, e, g, l in f_keys:
         for a, b, _, _, _, k in by_fle.get((f, l, e), ()):
             lhs = F[f, c, d, e, g, l] * F[a, b, l, e, f, k]
             rhs = 0.0
@@ -274,7 +283,7 @@ def reference_axiom_residuals(cat):
 
     # hexagon rows (a,b,c,d,e,g) are the F keys (b,a,c,d,e,g): the fusion rules commute
     hexagon = 0.0
-    for b, a, c, d, e, g in ring.f_keys:
+    for b, a, c, d, e, g in f_keys:
         lhs_p = R[a, b, e] * F[b, a, c, d, e, g] * R[a, c, g]
         lhs_m = np.conj(R[b, a, e]) * F[b, a, c, d, e, g] * np.conj(R[c, a, g])
         rhs_p = rhs_m = 0.0
@@ -288,7 +297,7 @@ def reference_axiom_residuals(cat):
     if np.any(rows != np.einsum("bcf,afd->abcd", N, N)):
         return pentagon, hexagon, math.inf
     unitarity = max(abs(abs(r) - 1.0) for r in R.values())
-    for abcd, block in groupby(ring.f_keys, key=lambda key: key[:4]):
+    for abcd, block in groupby(f_keys, key=lambda key: key[:4]):
         m = rows[abcd]
         M = np.array([F[key] for key in block]).reshape(m, m)
         unitarity = max(unitarity, float(np.max(np.abs(M @ M.conj().T - np.eye(m)))))

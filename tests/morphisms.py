@@ -1,14 +1,18 @@
 """Morphism calculus over a braided fusion category: the tests' reference.
 
-Morphisms are stored blockwise over total charge in the left-bracketed
-fusion-tree basis, with the F and braiding conventions of
-:mod:`bcft.category`.  The package computes in fusion-tree coordinates only;
-the tests check its coordinate maps against this calculus.
+An object is a tensor word of factors, each a direct sum of simple sectors.
+The fusion-tree basis of ``Hom(c, W)`` is the left-bracketed path basis: a
+tree picks one summand slot per factor and the intermediate charge after each
+fusion step, ordered depth-first by slot, then by channel.  Morphisms are
+stored blockwise over total charge in that basis, with the F and braiding
+conventions of :mod:`bcft.category`.  The package computes in fusion-tree
+coordinates only; the tests check its coordinate maps against this calculus.
 """
 
 from __future__ import annotations
 
 import weakref
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -18,12 +22,83 @@ from bcft.category import CategoryPresentation
 from bcft.errors import DataInconsistencyError, StructuralError
 from bcft.qsystems import QSystemSpec, _check_lambda
 from bcft.rings import DEFAULT_TOL, FusionRing
-from bcft.words import Word, hom_dim, simple_word, trees
 
 # per presentation: {(word, k): split}; an entry goes with its presentation
 _SPLITS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-# per ring: {(word, c): tree index}; an entry goes with its ring
+# per ring: {(word, c): trees} and {(word, c): tree index}; an entry goes with its ring
+_TREES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _TREE_INDEX: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+@dataclass(frozen=True)
+class Word:
+    """Tensor word: per factor, a tuple of ``(sector, multiplicity)`` pairs in
+    ascending sector order.  The empty word is the unit object."""
+
+    factors: tuple = ()
+
+    def __len__(self):
+        return len(self.factors)
+
+    def __add__(self, other: "Word") -> "Word":
+        return Word(self.factors + other.factors)
+
+    def slots(self, i: int) -> list:
+        """Summand slots ``(sector, copy)`` of factor ``i``, one per copy."""
+        return [(s, copy) for s, mult in self.factors[i] for copy in range(mult)]
+
+
+def simple_word(*sectors: int) -> Word:
+    """Word of simple factors, one per sector index."""
+    return Word(tuple(((int(s), 1),) for s in sectors))
+
+
+def sum_word(multiplicities) -> Word:
+    """One-factor word for the direct sum with the given multiplicity vector."""
+    return Word((tuple((s, int(m)) for s, m in enumerate(multiplicities) if m > 0),))
+
+
+def channels(ring: FusionRing, s: int, t: int) -> list:
+    """Sectors ``u`` with ``N[s, t, u] > 0``, in index order."""
+    return np.flatnonzero(ring.N[s, t]).tolist()
+
+
+def trees(ring: FusionRing, word: Word, c: int):
+    """Fusion trees of ``Hom(c, word)``, cached per ring.
+
+    A tree is a tuple of ``(slot_index, charge)`` pairs, one per factor;
+    ``charge`` is the intermediate after fusing factors ``0..i`` and the last
+    charge equals ``c``.  The empty word supports only the vacuum.
+    """
+    cache = _TREES.setdefault(ring, {})
+    key = (word, c)
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = _enumerate_trees(ring, word, c)
+    return hit
+
+
+def _enumerate_trees(ring: FusionRing, word: Word, c: int):
+    n, out = len(word), []
+
+    # the first step fuses onto the vacuum, the unit, so its charge is the first sector
+    def extend(pos, charge, prefix):
+        if pos == n:
+            if charge == c:
+                out.append(tuple(prefix))
+            return
+        for slot_idx, (sector, _copy) in enumerate(word.slots(pos)):
+            for nxt in channels(ring, charge, sector):
+                prefix.append((slot_idx, nxt))
+                extend(pos + 1, nxt, prefix)
+                prefix.pop()
+
+    extend(0, 0, [])
+    return tuple(out)
+
+
+def hom_dim(ring: FusionRing, word: Word, c: int) -> int:
+    return len(trees(ring, word, c))
 
 
 def tree_index(ring: FusionRing, word: Word, c: int):
@@ -126,7 +201,7 @@ def split(cat: CategoryPresentation, word: Word, k: int):
                 if coef1 == 0:
                     continue
                 slot_idx = trees(ring, mid, p)[ip][0][0]
-                for a2 in ring.channels(a, p):
+                for a2 in channels(ring, a, p):
                     if not ring.N[a2, b2, c]:
                         continue
                     fcoef = np.conj(F[a, p, b2, c, a2, b])
@@ -339,7 +414,7 @@ def assemble_x(q: QSystemSpec, cat: CategoryPresentation, require_isometry: bool
     """Coefficient tensor -> morphism ``x: theta -> theta theta``."""
     _check_lambda(q, cat, require_isometry)
     ring = cat.ring
-    th = q.theta_word()
+    th = sum_word(q.theta)
     word2 = th + th
     # the block at charge c has one column per copy of sector c in theta
     blocks = {
@@ -353,7 +428,7 @@ def assemble_x(q: QSystemSpec, cat: CategoryPresentation, require_isometry: bool
 
 def frobenius_residual(q: QSystemSpec, cat: CategoryPresentation) -> float:
     """Residual of ``x x* = (id (x) x*) (x (x) id)`` through compose/tensor."""
-    th = q.theta_word()
+    th = sum_word(q.theta)
     x = assemble_x(q, cat, require_isometry=False)
     id_th = identity(cat, th)
     lhs = compose(x, x.dagger())

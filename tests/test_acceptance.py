@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from conftest import brute_force_invariants
-from morphisms import braiding
+from morphisms import braiding, simple_word
 
 from bcft.catalog import fibonacci, ising
 from bcft.category import validate_axioms
@@ -41,7 +41,6 @@ from bcft.qsystems import (
     validate_qsystem,
 )
 from bcft.rings import FusionRing, global_dimension, validate_ring
-from bcft.words import simple_word
 
 from test_characters import fermionic_oracle, ising_characters
 

@@ -3,13 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import fr_tables, reference_axiom_residuals, vertex_gauge
-from morphisms import Morphism, braiding, compose, conjugation_pair, identity, split, tensor
+from conftest import fr_tables, label_tuples, reference_axiom_residuals, vertex_gauge
+from morphisms import Morphism, Word, braiding, compose, conjugation_pair, hom_dim, identity, simple_word, split, sum_word, tensor
 
 from bcft.category import CategoryPresentation, validate_axioms
 from bcft.errors import StructuralError
 from bcft.rings import FusionRing
-from bcft.words import Word, hom_dim, simple_word, sum_word
 
 
 def path_count(ring, word, c):
@@ -33,7 +32,7 @@ def random_word(ring, rng, max_factors=3):
             mult = [int(rng.integers(0, 2)) for _ in range(ring.size)]
             mult[0] = max(mult[0], 1)
             factors.append(tuple((s, m) for s, m in enumerate(mult) if m))
-    return Word(factors)
+    return Word(tuple(factors))
 
 
 def random_morphism(cat, src, tgt, rng):
@@ -89,7 +88,7 @@ def test_non_square_f_block_fails_unitarity(ising_data):
     N = ising_data.ring.N.copy()
     N[2, 2, 2] = 1  # psi x psi = 1 + psi: (psi psi) psi and psi (psi psi) differ
     ring = FusionRing(ising_data.ring.labels, ising_data.ring.dual, N)
-    F, R = dict.fromkeys(ring.f_keys, 1.0), dict.fromkeys(ring.r_keys, 1.0)
+    F, R = dict.fromkeys(label_tuples(ring.f_key_array), 1.0), dict.fromkeys(label_tuples(ring.r_key_array), 1.0)
     rep = validate_axioms(CategoryPresentation(ring, F, R))
     assert rep.unitarity_residual == math.inf
     assert not rep.valid
@@ -115,7 +114,10 @@ def test_axioms_match_reference_in_noisy_gauge(all_catalogs, rng):
     # them at O(1), so every summed term and both braid orientations count
     for data in all_catalogs:
         ring, cat = data.ring, data.presentation
-        u = {key: rng.normal() + 1j * rng.normal() if key[0] and key[1] else 1.0 for key in ring.r_keys}
+        u = {
+            key: rng.normal() + 1j * rng.normal() if key[0] and key[1] else 1.0
+            for key in label_tuples(ring.r_key_array)
+        }
         F, R = vertex_gauge(cat, u)
         F = {key: val + 0.1 * (rng.normal() + 1j * rng.normal()) for key, val in F.items()}
         R = {key: val + 0.1 * (rng.normal() + 1j * rng.normal()) for key, val in R.items()}

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 from conftest import group_algebra, random_vertex_gauge
-from morphisms import Morphism, assemble_x, braiding, compose, conjugation_pair, frobenius_residual, identity, tensor
+from morphisms import Morphism, assemble_x, braiding, compose, conjugation_pair, frobenius_residual, hom_dim, identity
+from morphisms import simple_word, sum_word, tensor
 
 from bcft.category import validate_axioms
 from bcft.classify import enumerate_modular_invariants, regular_nimrep
@@ -32,7 +33,6 @@ from bcft.qsystems import (
     validate_qsystem,
 )
 from bcft.rings import FusionRing
-from bcft.words import hom_dim, simple_word
 
 
 @pytest.fixture(scope="module")
@@ -284,7 +284,7 @@ def _reference_maps(cat, q, sigma, tau, handedness, basis):
     """Kernel and lift matrices on ``basis`` of Hom(theta tau, sigma), through
     tensor/compose/braiding and the standard cup.  ``handedness`` is the braid
     orientation of theta past tau; theta passes sigma the other way."""
-    th, w_tau, w_sig = q.theta_word(), simple_word(tau), simple_word(sigma)
+    th, w_tau, w_sig = sum_word(q.theta), simple_word(tau), simple_word(sigma)
     tb = cat.ring.dual[tau]
     x = assemble_x(q, cat, require_isometry=False)
     id_th = identity(cat, th)
@@ -345,7 +345,7 @@ def test_kernel_and_lift_match_morphism_calculus(induction_cases):
             assert validate_axioms(gauged).valid, name
         for cat, qq in [(data.presentation, q), (gauged, _noisy(gauged, q, rng))]:
             for sigma, tau in itertools.product(range(n), repeat=2):
-                basis = list(_elementary_basis(cat, qq.theta_word() + simple_word(tau), simple_word(sigma)))
+                basis = list(_elementary_basis(cat, sum_word(qq.theta) + simple_word(tau), simple_word(sigma)))
                 K = _kernel_matrix(cat, qq, sigma, tau)
                 L, _ = _lift_matrix(cat, qq, sigma, tau)
                 where = (name, cat is gauged, sigma, tau)
@@ -373,6 +373,25 @@ def test_batched_kernel_matrices_equal_one_pair_calls(induction_cases, ising_dat
         some = sorted(rng.choice(len(pairs), size=len(pairs) // 3 + 1, replace=False), reverse=True)
         subset = _kernel_matrices(cat, q, [pairs[i] for i in some])
         assert all(np.array_equal(M, single[i]) for M, i in zip(subset, some)), q
+
+
+def test_field_blocks_count_the_oracle_trees(induction_cases):
+    """Each field's block at charge c has one row per tree of theta sigma tau-bar
+    with charge c, as the oracle counts them, and one column per copy of c in
+    theta (none where theta_c = 0); its coefficient row is the transposed
+    blocks, concatenated in charge order."""
+    for name, data, q in induction_cases:
+        cat, ring = data.presentation, data.ring
+        Z = coupling_from_qsystem(cat, q)
+        for sigma, tau in np.argwhere(Z).tolist():
+            basis = charged_field_basis(cat, q, sigma, tau)
+            word = sum_word(q.theta) + simple_word(sigma, ring.dual[tau])
+            shapes = [(hom_dim(ring, word, c), m) for c, m in enumerate(q.theta)]
+            where = (name, sigma, tau)
+            assert len(basis.fields) == len(basis.coefficients) == Z[sigma, tau], where
+            for phi, row in zip(basis.fields, basis.coefficients):
+                assert [phi[c].shape for c in range(ring.size)] == shapes, where
+                assert np.array_equal(np.concatenate([phi[c].T.ravel() for c in range(ring.size)]), row), where
 
 
 def test_frobenius_check_matches_morphism_calculus(induction_cases):
@@ -403,7 +422,7 @@ def test_spin8_1_qsystems_give_all_six_invariants(spin8_data, spin8_qsystems):
     for name, q in spin8_qsystems.items():
         Z = Zs[name]
         for sigma, tau in itertools.product(range(n), repeat=2):
-            basis = list(_elementary_basis(cat, q.theta_word() + simple_word(tau), simple_word(sigma)))
+            basis = list(_elementary_basis(cat, sum_word(q.theta) + simple_word(tau), simple_word(sigma)))
             dim = kernel_split(_reference_maps(cat, q, sigma, tau, "minus", basis)[0])[0] if basis else 0
             assert dim == Z[tau, sigma], (name, sigma, tau)
             if Z[sigma, tau]:

@@ -206,6 +206,12 @@ def test_cli_malformed_exits_2(tmp_path, ising_file, car_file, nimrep_file, coup
         (["induce", str(ising_file), bad], _replaced(car_file, ("lambda", 1, "summands", 1), 1.2)),
         (["induce", str(ising_file), bad], _replaced(car_file, ("lambda", 0, "channel"), 0.5)),
         (["cardy", str(ising_file), bad], _replaced(nimrep_file, ("n", 1, 1, 0), 1.6)),
+        # non-square nimrep matrices, 2x3 and 1x0, are malformed, not an invalid nimrep
+        (["cardy", str(ising_file), bad], json.dumps({"n": [[[1, 0, 0], [0, 1, 0]]] * 3}).encode()),
+        (["partition", str(ising_file), bad, "--a", "0", "--b", "0", "--beta", "3.2"], b'{"n": [[[]], [[]], [[]]]}'),
+        (["cardy", str(ising_file), bad], b'{"n": [[[]], [[]], [[]]]}'),
+        (["partition", str(ising_file), bad, "--a", "0", "--b", "0", "--beta", "3.2"],
+         json.dumps({"n": [[[1, 0, 0], [0, 1, 0]]] * 3}).encode()),
         (["nimreps", str(ising_file), "--size", "3", "--invariant", bad],
          _replaced(coupling_file, ("Z", 0, 0), 1.6)),
         (["nimreps", str(ising_file), "--size", "3", "--invariant", bad],

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from conftest import random_vertex_gauge
-from morphisms import Morphism, assemble_x, braiding, compose, identity, tensor
+from morphisms import Morphism, Word, assemble_x, braiding, compose, identity, sum_word, tensor
 
 from bcft.category import validate_axioms
 from bcft.errors import DataInconsistencyError, StructuralError
@@ -22,7 +22,6 @@ from bcft.qsystems import (
     validate_qsystem,
 )
 from bcft.qsystems import _AxiomMap
-from bcft.words import Word
 
 
 def test_trivial_qsystem(ising_data):
@@ -78,8 +77,8 @@ def test_unit_normalization_is_d_theta(ising_data, fib_data):
     ]:
         cat = data.presentation
         x = assemble_x(q, cat)
-        w = Morphism(cat, Word(), q.theta_word(), {0: np.array([[1.0]])})  # onto the vacuum
-        th_id = identity(cat, q.theta_word())
+        w = Morphism(cat, Word(), sum_word(q.theta), {0: np.array([[1.0]])})  # onto the vacuum
+        th_id = identity(cat, sum_word(q.theta))
         val = compose(tensor(w.dagger(), th_id), x)
         dth = q.d_theta(data.ring)
         assert dth == pytest.approx(
@@ -90,7 +89,7 @@ def test_unit_normalization_is_d_theta(ising_data, fib_data):
 
 def _morphism_residuals(q, cat):
     """Reference: the isometry, unit and associativity residuals through compose/tensor."""
-    th = q.theta_word()
+    th = sum_word(q.theta)
     x = assemble_x(q, cat, require_isometry=False)
     w = Morphism(cat, Word(), th, {0: np.array([[1.0]])})
     id_th = identity(cat, th)
@@ -135,7 +134,7 @@ def test_axiom_map_matches_morphism_residuals(ising_data, fib_data, su2_4_data, 
         # the search's real vector: per block, the real parts and then the imaginary ones
         real = np.concatenate([part for b in blocks for part in (b.real.ravel(), b.imag.ravel())])
         assert np.max(np.abs(np.concatenate([z.real, z.imag])[axioms.order] - real)) <= 1e-13, q
-        th = q.theta_word()
+        th = sum_word(q.theta)
         x = assemble_x(q, cat, require_isometry=False)
         want = compose(braiding(cat, th, th), x).residual(x)
         assert is_local(q, cat)[1] == pytest.approx(want, abs=1e-13)
