@@ -122,6 +122,10 @@ def fibonacci() -> CategoryData:
 # -- SU(2)_k via quantum 6j symbols ----------------------------------------
 
 
+# F keys evaluated at a time by _su2_f_values: bounds its float temporaries
+_F_BLOCK = 1 << 16
+
+
 def _su2_f_values(keys: np.ndarray, k: int) -> np.ndarray:
     """Unitary-gauge F values at the admissible ``keys`` (rows ``(a,b,c,d,e,f)``
     of twice the spins): ``(-1)^((a+b+c+d)/2) sqrt([e+1][f+1]) {a b e; c d f}_q``.
@@ -129,10 +133,19 @@ def _su2_f_values(keys: np.ndarray, k: int) -> np.ndarray:
     The quantum integers ``[m]`` at ``q = exp(2 pi i / (k+2))`` and the
     factorials ``[m]!`` are tabulated once for ``m <= 2k+3``.  The Racah sum
     steps over ``z`` in ascending order and every product runs left to right,
-    so each value is the same float whatever the other keys are.
+    so each value is the same float whatever the other keys are; the keys are
+    therefore evaluated in blocks of ``_F_BLOCK``.
     """
     qint = np.array([math.sin(math.pi * m / (k + 2)) / math.sin(math.pi / (k + 2)) for m in range(2 * k + 4)])
     fact = np.cumprod(np.r_[1.0, qint[1:]])  # [0]! = [1]! = 1, [m]! = [m-1]! [m]
+    values = np.empty(len(keys))
+    for lo in range(0, len(keys), _F_BLOCK):
+        values[lo : lo + _F_BLOCK] = _racah_values(keys[lo : lo + _F_BLOCK], qint, fact)
+    return values
+
+
+def _racah_values(keys: np.ndarray, qint: np.ndarray, fact: np.ndarray) -> np.ndarray:
+    """The ``_su2_f_values`` of ``keys`` from the tabulated ``[m]`` and ``[m]!``."""
     a, b, c, d, e, f = keys.T
 
     def tri(x, y, z):

@@ -13,6 +13,15 @@ and the braiding acts on an elementary splitting vertex by
 these two moves plus block linear algebra, so pentagon/hexagon validity of
 the input data is exactly what makes the fusion-tree coordinates of the
 Q-system and induction layers consistent.
+
+F is stored once, at the rows of ``ring.f_key_array``, and every reader finds
+an entry by position, never by search: the keys with prefix ``(a, b, c, d)``
+form one block, its rows ``e`` times its columns ``f``, laid out row-major,
+so ``ring.f_block_index`` places any label tuple from ``N`` alone.  The
+validators sum over one row of a block at a time (the ``h`` of a pentagon
+term, the ``f`` of a hexagon term), a contiguous run of positions, and gather
+the other factors at their positions, in chunks bounded by their number of
+summed terms.
 """
 
 from __future__ import annotations
@@ -34,8 +43,8 @@ __all__ = [
 
 
 def _symbol_values(name: str, supplied, keys: np.ndarray, n: int):
-    """The codes of the admissible ``keys`` (an ascending label array of a ring
-    with ``n`` sectors) and the supplied values as an array aligned with them.
+    """The supplied values as an array aligned with the admissible ``keys`` (an
+    ascending label array of a ring with ``n`` sectors).
 
     ``supplied`` maps label tuples to values, or is a pair of a label array with
     one row per entry and the values, in any order.  Every admissible key must
@@ -71,7 +80,7 @@ def _symbol_values(name: str, supplied, keys: np.ndarray, n: int):
         i = int(np.argmin(np.isfinite(values)))
         raise StructuralError(f"non-finite {name} entry {tuple(keys[i].tolist())}: {values[i]}")
     values.setflags(write=False)
-    return codes, values
+    return values
 
 
 def _code(n: int, *labels):
@@ -101,16 +110,16 @@ class CategoryPresentation:
         if not np.array_equal(ring.N, ring.N.transpose(1, 0, 2)):
             raise StructuralError("braidable fusion rules must be commutative")
         self.ring = ring
-        self._f_codes, self.f_values = _symbol_values("F", F, ring.f_key_array, ring.size)
+        self.f_values = _symbol_values("F", F, ring.f_key_array, ring.size)
         self.R = np.zeros(ring.N.shape, dtype=complex)
-        self.R[ring.N > 0] = _symbol_values("R", R, ring.r_key_array, ring.size)[1]  # r_key_array order
+        self.R[ring.N > 0] = _symbol_values("R", R, ring.r_key_array, ring.size)  # r_key_array order
         self.R.setflags(write=False)
 
     def f(self, a, b, c, d, e, f) -> np.ndarray:
-        """``F[a,b,c,d,e,f]`` at broadcast label arrays in ``0..n-1``; 0 off the admissible keys."""
-        code = np.ravel_multi_index((a, b, c, d, e, f), (self.ring.size,) * 6)  # _code, range-checked
-        at = self._f_codes.searchsorted(code)
-        return np.where(self._f_codes.take(at, mode="clip") == code, self.f_values.take(at, mode="clip"), 0.0)
+        """``F[a,b,c,d,e,f]`` at broadcast label arrays in ``0..n-1`` (others raise
+        ``ValueError``); 0 off the admissible keys.  Read by position in ``ring.f_block_index``."""
+        at = self.ring.f_positions(a, b, c, d, e, f)
+        return np.where(at >= 0, self.f_values.take(at, mode="clip"), 0.0)
 
 
 @dataclass
@@ -129,15 +138,20 @@ class AxiomReport:
         )
 
 
-# F keys per pentagon and hexagon chunk: bounds the pair and term arrays
-_CHUNK = 32
+# summed terms per pentagon and hexagon chunk: bounds the pair and term arrays
+_TERMS = 1 << 13
 
 
-def _matches(sorted_codes, query):
-    """``(owner, pos)``: each ``pos`` with ``sorted_codes[pos] == query[owner]``, in order."""
-    lo, hi = np.searchsorted(sorted_codes, query), np.searchsorted(sorted_codes, query, "right")
-    owner = np.repeat(np.arange(len(query)), hi - lo)
-    return owner, np.arange(owner.size) + np.repeat(hi - np.cumsum(hi - lo), hi - lo)
+def _runs(first, count):
+    """``(owner, pos)``: the positions ``first[i] .. first[i] + count[i] - 1`` of each ``i``, in order."""
+    owner = np.repeat(np.arange(len(count)), count)
+    return owner, np.arange(owner.size) + np.repeat(first - np.cumsum(count) + count, count)
+
+
+def _chunks(cost):
+    """Consecutive ``(lo, hi)`` key ranges costing at most ``_TERMS`` plus the cost of one key."""
+    cut = (np.flatnonzero(np.diff(np.cumsum(cost) // _TERMS)) + 1).tolist()
+    return zip([0] + cut, cut + [len(cost)])
 
 
 def _worst(worst, lhs, owner, terms):
@@ -146,29 +160,59 @@ def _worst(worst, lhs, owner, terms):
     return np.max(np.hypot(lhs.real - re, lhs.imag - im), initial=worst)
 
 
+def _row_positions(ring: FusionRing):
+    """``(row_at, width, col)`` flat as in ``FBlockIndex``: the position of row
+    ``x`` of block ``abcd`` at ``x * n^4 + abcd``, the block's width, and the
+    rank of its column ``x``.  So the F key ``(a,b,c,d,e,f)`` is at
+    ``row_at[e * n^4 + abcd] + col[f * n^4 + abcd]``."""
+    start, width, row, col = ring.f_block_index
+    row_at = row.reshape(ring.size, -1) * width
+    row_at += start
+    return row_at.reshape(-1), width, col
+
+
 def _pentagon_residual(cat: CategoryPresentation) -> float:
     """Pentagon over every pair of F keys ``(f,c,d,e,g,l)``, ``(a,b,l,e,f,k)``: the
-    right side sums ``F[a,b,c,g,f,h] F[a,h,d,e,g,k] F[b,c,d,k,h,l]`` over ascending ``h``."""
-    keys, codes, F = cat.ring.f_key_array, cat._f_codes, cat.f_values
-    n, N = cat.ring.size, cat.ring.N
-    labels, prefix = keys.T, codes // n
+    right side sums ``F[a,b,c,g,f,h] F[a,h,d,e,g,k] F[b,c,d,k,h,l]`` over ascending ``h``.
+
+    F is read by position (``FusionRing.f_block_index``), never searched.  The
+    pairs come from a counting sort of the inner keys by ``(f, l, e)``.  The
+    ``h`` of a pair are row ``f`` of block ``(a,b,c,g)``, one run of positions,
+    kept where ``N[h,d,k] > 0``; the other factors are gathered at row ``g``,
+    column ``k`` of block ``(a,h,d,e)`` and at row ``h``, column ``l`` of block
+    ``(b,c,d,k)``.  Their codes are a part from the inner key plus a part from
+    the outer key, computed once per pair, plus a multiple of ``h``.  A chunk's
+    pairs times its widest ``(., ., c, g)`` block bound its terms.
+    """
+    ring, F = cat.ring, cat.f_values
+    n, labels = ring.size, ring.f_key_array.T
+    row_at, width, col = _row_positions(ring)
+    adm = ring.N.reshape(-1) > 0
     # the inner keys grouped by (f, l, e), each group in ascending key order
-    fle = _code(n, labels[4], labels[2], labels[3])
+    fle = (labels[4] * n + labels[2]) * n + labels[3]
     by_fle = np.argsort(fle, kind="stable")
-    fle = fle[by_fle]
+    size = np.bincount(fle, minlength=n**3)
+    first = np.cumsum(size) - size
+    a, b, inner_k = labels[0, by_fle], labels[1, by_fle], labels[5, by_fle]
+    inner_ab, inner_a, inner_bk, inner_F = (a * n + b) * n**2, a * n**3, b * n**3 + inner_k, F[by_fle]
+    group = (labels[0] * n + labels[5]) * n + labels[3]
+    widest = width.reshape(n * n, n * n).max(axis=0)  # [c, g]: max over a, b of width[a,b,c,g]
     worst = 0.0
-    for start in range(0, len(keys), _CHUNK):
-        f, c, d, e, g, l = labels[:, start : start + _CHUNK]
-        pair, pos = _matches(fle, _code(n, f, l, e))
-        outer, inner = start + pair, by_fle[pos]
-        (f, c, d, e, g, l), (a, b, _, _, _, k) = labels[:, outer], labels[:, inner]
-        term, h_pos = _matches(prefix, _code(n, a, b, c, g, f))
-        keep = N[labels[5, h_pos], d[term], k[term]] > 0
-        term, h_pos = term[keep], h_pos[keep]
-        (a, b, c, g, _, h), (d, e, k, l) = labels[:, h_pos], (d[term], e[term], k[term], l[term])
-        rhs = F[h_pos] * F[np.searchsorted(codes, _code(n, a, h, d, e, g, k))]
-        rhs *= F[np.searchsorted(codes, _code(n, b, c, d, k, h, l))]
-        worst = _worst(worst, F[outer] * F[inner], term, rhs)
+    for lo, hi in _chunks(size[group] * widest[labels[1] * n + labels[4]]):
+        count = size[group[lo:hi]]
+        _, at = _runs(first[group[lo:hi]], count)
+        f, c, d, e, g, l = (np.repeat(x, count) for x in labels[:, lo:hi])
+        k = inner_k[at]
+        abcg = inner_ab[at] + c * n + g
+        term, h_pos = _runs(row_at[f * n**4 + abcg], width[abcg])
+        hn2 = labels[5, h_pos] * n**2
+        keep = np.flatnonzero(adm[hn2 + (d * n + k)[term]])  # a gather beats a boolean mask here
+        term, h_pos, hn2 = term[keep], h_pos[keep], hn2[keep]
+        ade = inner_a[at] + d * n + e  # the code of block (a,h,d,e) is ade + h n^2
+        bcdk = inner_bk[at] + (c * n + d) * n  # the code of block (b,c,d,k)
+        rhs = F[h_pos] * F[row_at[hn2 + (ade + g * n**4)[term]] + col[hn2 + (ade + k * n**4)[term]]]
+        rhs *= F[row_at[hn2 * n**2 + bcdk[term]] + col[l * n**4 + bcdk][term]]
+        worst = _worst(worst, np.repeat(F[lo:hi], count) * inner_F[at], term, rhs)
     return float(worst)
 
 
@@ -176,20 +220,28 @@ def _hexagon_residual(cat: CategoryPresentation) -> float:
     """Both hexagon orientations for the braiding against the associator.
 
     The rows ``(a,b,c,d,e,g)`` are the F keys ``(b,a,c,d,e,g)``, since the
-    fusion rules are commutative; the right sides sum over ascending ``f``.
+    fusion rules are commutative; the right sides sum
+    ``F[a,b,c,d,e,f] F[b,c,a,d,f,g]`` times a braid phase over ascending ``f``.
+    F is read by position, never searched: the ``f`` of a row are row ``e`` of
+    block ``(a,b,c,d)``, one run of positions, and ``F[b,c,a,d,f,g]`` is
+    gathered at row ``f``, column ``g`` of block ``(b,c,a,d)``.  Chunks are
+    bounded by their exact term count.
     """
-    keys, codes, F = cat.ring.f_key_array, cat._f_codes, cat.f_values
-    n, N = cat.ring.size, cat.ring.N
-    labels, prefix, R = keys.T, codes // n, cat.R
+    ring, F, R = cat.ring, cat.f_values, cat.R
+    n, labels = ring.size, ring.f_key_array.T
+    row_at, width, col = _row_positions(ring)
+    b, a, c, d = labels[:4]
+    abcd = ((a * n + b) * n + c) * n + d
     worst = 0.0
-    for start in range(0, len(keys), _CHUNK):
-        b, a, c, d, e, g = labels[:, start : start + _CHUNK]
-        row = F[start : start + _CHUNK]
-        lhs_p = R[a, b, e] * row * R[a, c, g]
-        lhs_m = np.conj(R[b, a, e]) * row * np.conj(R[c, a, g])
-        term, f_pos = _matches(prefix, _code(n, a, b, c, d, e))
-        (a, b, c, d, _, f), g = labels[:, f_pos], g[term]
-        prod = F[f_pos] * F[np.searchsorted(codes, _code(n, b, c, a, d, f, g))]
+    for lo, hi in _chunks(width[abcd]):
+        b, a, c, d, e, g = labels[:, lo:hi]
+        rows = F[lo:hi]
+        lhs_p = R[a, b, e] * rows * R[a, c, g]
+        lhs_m = np.conj(R[b, a, e]) * rows * np.conj(R[c, a, g])
+        term, f_pos = _runs(row_at[e * n**4 + abcd[lo:hi]], width[abcd[lo:hi]])
+        bcad = ((b * n + c) * n + a) * n + d  # block (b,c,a,d)
+        f, a, d = labels[5, f_pos], a[term], d[term]
+        prod = F[f_pos] * F[row_at[f * n**4 + bcad[term]] + col[g * n**4 + bcad][term]]
         worst = _worst(worst, lhs_p, term, prod * R[a, f, d])
         worst = _worst(worst, lhs_m, term, prod * np.conj(R[f, a, d]))
     return float(worst)
@@ -198,16 +250,13 @@ def _hexagon_residual(cat: CategoryPresentation) -> float:
 def _unitarity_residual(cat: CategoryPresentation) -> float:
     """R moduli and the F blocks ``F[a,b,c,d]``; ``inf`` if a block is not square."""
     N = cat.ring.N
-    rows = np.einsum("abe,ecd->abcd", N, N)
-    if np.any(rows != np.einsum("bcf,afd->abcd", N, N)):
+    if np.any(np.einsum("abe,ecd->abcd", N, N) != np.einsum("bcf,afd->abcd", N, N)):
         return np.inf
-    keys, codes, F = cat.ring.f_key_array, cat._f_codes, cat.f_values
+    index, F = cat.ring.f_block_index, cat.f_values
     worst = np.max(np.abs(np.abs(cat.R[N > 0]) - 1.0))
-    # sorted f_key_array: each (a,b,c,d) block is one run, row-major in (e, f)
-    starts = np.flatnonzero(np.diff(codes // cat.ring.size**2, prepend=-1))
-    sizes = rows[tuple(keys[starts, :4].T)]
-    for m in set(sizes.tolist()):
-        blocks = F[starts[sizes == m, None] + np.arange(m * m)].reshape(-1, m, m)
+    # square blocks: each (a,b,c,d) block is m x m with m its width
+    for m in set(index.width[index.width > 0].tolist()):
+        blocks = F[index.start[index.width == m, None] + np.arange(m * m)].reshape(-1, m, m)
         worst = np.max(np.abs(blocks @ blocks.conj().transpose(0, 2, 1) - np.eye(m)), initial=worst)
     return float(worst)
 

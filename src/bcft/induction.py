@@ -52,7 +52,7 @@ from itertools import product
 
 import numpy as np
 
-from .category import CategoryPresentation, _matches
+from .category import CategoryPresentation, _runs
 from .errors import DataInconsistencyError, NumericDegeneracyError, StructuralError
 from .qsystems import QSystemSpec, _check_lambda, _dense, _scatter
 from .rings import DEFAULT_TOL, FusionRing
@@ -83,7 +83,8 @@ def _kernel_matrices(cat, q, pairs) -> list:
     k, c, r, p = np.nonzero(krc[:, :, :, None] & kcp[:, :, None, :])
     col_k, p0 = np.nonzero(N[sec, tau[:, None], sigma[:, None]])
     shapes = np.stack([np.bincount(k, minlength=len(sigma)), np.bincount(col_k, minlength=len(sigma))], 1)
-    row, col = _matches(col_k, k)  # the entries, row-major within each pair
+    lo, hi = np.searchsorted(col_k, k), np.searchsorted(col_k, k, "right")
+    row, col = _runs(lo, hi - lo)  # the entries, row-major within each pair
     k, c, r, p, p0 = k[row], c[row], r[row], p[row], p0[col]
     s, t, s0, sr, sp = sigma[k], tau[k], sec[p0], sec[r], sec[p]
     term, f = np.nonzero(N[sr, t] & N[s0, :, c])  # per entry, ascending f

@@ -11,6 +11,7 @@ violations (empty iff the ring is valid).
 from __future__ import annotations
 
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,17 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+
+
+class FBlockIndex(NamedTuple):
+    """Positions of the F labels in ``FusionRing.f_key_array``: see
+    ``FusionRing.f_block_index``.  The four arrays are flat and read-only,
+    indexed through ``abcd``, the mixed-radix code of ``(a, b, c, d)``."""
+
+    start: np.ndarray  # [abcd]: position of the block's first key
+    width: np.ndarray  # [abcd]: number of columns f of the block
+    row: np.ndarray  # [e * n^4 + abcd]: rank of e among the block's rows, -1 off them
+    col: np.ndarray  # [f * n^4 + abcd]: rank of f among the block's columns, -1 off them
 
 
 class FusionRing:
@@ -98,22 +110,72 @@ class FusionRing:
 
         ``e`` is the intermediate of ``(a b) c -> d`` and ``f`` that of
         ``a (b c) -> d``, so all of ``N[a,b,e]``, ``N[e,c,d]``, ``N[b,c,f]``
-        and ``N[a,f,d]`` are positive.  This is the package's one enumeration
-        of admissible F labels: for each ``a``, one broadcast of the four
-        conditions over the axes ``(b, c, d, e, f)``, an ``n^5`` temporary.
+        and ``N[a,f,d]`` are positive.  The keys are listed block by block
+        from ``f_block_index``: each row ``e`` of a block ``(a, b, c, d)`` is
+        followed by that block's columns ``f``.
         """
-        adm = self.N > 0
-        ecd = adm.transpose(1, 2, 0)[None, :, :, :, None]  # [., c, d, e, .] = N[e,c,d] > 0
-        bcf = adm[:, :, None, None, :]
-        rows = [
-            np.argwhere(adm[a][:, None, None, :, None] & ecd & bcf & adm[a].T[None, None, :, None, :])
-            for a in range(self.size)
-        ]
-        keys = np.empty((sum(map(len, rows)), 6), dtype=np.int64, order="F")
-        keys[:, 0] = np.repeat(np.arange(self.size), list(map(len, rows)))
-        np.concatenate(rows, out=keys[:, 1:])
+        n, (_, width, row, col) = self.size, self.f_block_index
+        # (block, e) of every row and (block, f) of every column, each in ascending order
+        row_block, e = np.nonzero(row.reshape(n, -1).T >= 0)
+        f = np.nonzero(col.reshape(n, -1).T >= 0)[1]
+        width = width.astype(np.int64)
+        count = width[row_block]  # a row has one key per column of its block
+        row_of = np.repeat(np.arange(len(row_block)), count)  # the row of each key
+        keys = np.empty((len(row_of), 6), dtype=np.int64, order="F")
+        for i, label in enumerate(np.unravel_index(row_block, (n,) * 4) + (e,)):
+            np.take(label, row_of, out=keys[:, i])
+        # a key's f: the first column of its block in f, plus the key's rank within its row
+        at = ((np.cumsum(width) - width)[row_block] - (np.cumsum(count) - count)).take(row_of)
+        del row_of  # each array over the keys is 33 MB at su2_28
+        at += np.arange(len(at))
+        np.take(f, at, out=keys[:, 5])
         keys.setflags(write=False)
         return keys
+
+    @cached_property
+    def f_block_index(self) -> FBlockIndex:
+        """Where each admissible F label sits in ``f_key_array``, from ``N`` alone.
+
+        The keys with prefix ``(a, b, c, d)`` form one block, the product of its
+        rows ``{e : N[a,b,e] N[e,c,d] > 0}`` and its columns
+        ``{f : N[b,c,f] N[a,f,d] > 0}``, laid out row-major.  So the key
+        ``(a, b, c, d, e, f)`` is at ``start[abcd] + row[e * n^4 + abcd] *
+        width[abcd] + col[f * n^4 + abcd]``.  The ranks are ``int8`` up to
+        ``n = 126``, so the index costs about ``2 n^5`` bytes; it is built one
+        row and column label at a time, with ``n^4`` temporaries.
+        """
+        n, adm = self.size, self.N > 0
+        rank = np.min_scalar_type(-n - 2)  # ranks 0..n-1, -1 off the block, and counts to n + 1
+        row, col = np.empty((n,) * 5, rank), np.empty((n,) * 5, rank)
+        # per block, the rank the next row (column) gets, plus one
+        row_next, col_next = np.ones((n,) * 4, rank), np.ones((n,) * 4, rank)
+        for x in range(n):
+            for ranks, next_, member in (
+                (row, row_next, adm[:, :, x, None, None] & adm[x]),  # [a,b,c,d]: N[a,b,x] N[x,c,d]
+                (col, col_next, adm[None, :, :, x, None] & adm[:, x, None, None, :]),  # N[b,c,x] N[a,x,d]
+            ):
+                np.multiply(next_, member, out=ranks[x])
+                ranks[x] -= 1
+                next_ += member
+        height, width = (row_next - 1).reshape(-1), (col_next - 1).reshape(-1)
+        counts = height.astype(np.int64) * width
+        # positions fit the narrower type whenever M does, and rank * width + col < M
+        pos = np.int32 if counts.sum() < 2**31 else np.int64
+        start = (np.cumsum(counts) - counts).astype(pos)
+        index = FBlockIndex(start, width.astype(pos), row.reshape(-1), col.reshape(-1))
+        for part in index:
+            part.setflags(write=False)
+        return index
+
+    def f_positions(self, a, b, c, d, e, f) -> np.ndarray:
+        """Positions in ``f_key_array`` of the broadcast labels ``(a,b,c,d,e,f)``,
+        -1 off the admissible keys; a label outside ``0..n-1`` raises ``ValueError``."""
+        n, (start, width, row, col) = self.size, self.f_block_index
+        block = np.ravel_multi_index((a, b, c, d), (n,) * 4)  # each call range-checks its labels
+        rank_e = row.take(np.ravel_multi_index((e, block), (n, n**4)))
+        rank_f = col.take(np.ravel_multi_index((f, block), (n, n**4)))
+        at = start.take(block) + rank_e * width.take(block) + rank_f
+        return np.where(np.minimum(rank_e, rank_f) >= 0, at, -1)
 
     @cached_property
     def fp_dims(self) -> np.ndarray:

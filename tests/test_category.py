@@ -1,3 +1,5 @@
+import importlib
+import itertools
 import math
 import tracemalloc
 
@@ -6,6 +8,7 @@ import pytest
 from conftest import fr_tables, label_tuples, reference_axiom_residuals, vertex_gauge
 from morphisms import Morphism, Word, braiding, compose, conjugation_pair, hom_dim, identity, simple_word, split, sum_word, tensor
 
+from bcft import category
 from bcft.category import CategoryPresentation, validate_axioms
 from bcft.errors import StructuralError
 from bcft.rings import FusionRing
@@ -65,6 +68,17 @@ def test_su2_spin_half_block_closed_form(su2_level):
         assert ((1, 1, 1, 1, 0, 2) in F) == (k > 1), k
 
 
+def test_su2_f_values_in_blocks_match_one_block(su2_level, monkeypatch):
+    # each value depends on its own key alone, so blocks far smaller than
+    # su2_6's 1680 keys, the last one partial, give the bytes of one block
+    catalog = importlib.import_module("bcft.catalog")  # the package exports a function of that name
+    data = su2_level(6)
+    keys, whole = data.ring.f_key_array, data.presentation.f_values
+    assert len(keys) < catalog._F_BLOCK
+    monkeypatch.setattr(catalog, "_F_BLOCK", 100)
+    assert catalog._su2_f_values(keys, 6).astype(complex).tobytes() == whole.tobytes()
+
+
 def test_broken_f_entry_fails_pentagon(ising_data):
     F = {
         k: (v if k != (1, 1, 1, 1, 0, 0) else -v)
@@ -84,14 +98,72 @@ def test_broken_r_entry_fails_hexagon(ising_data):
     assert not rep.valid
 
 
-def test_non_square_f_block_fails_unitarity(ising_data):
+def _non_square_ising_ring(ising_data):
     N = ising_data.ring.N.copy()
     N[2, 2, 2] = 1  # psi x psi = 1 + psi: (psi psi) psi and psi (psi psi) differ
-    ring = FusionRing(ising_data.ring.labels, ising_data.ring.dual, N)
+    return FusionRing(ising_data.ring.labels, ising_data.ring.dual, N)
+
+
+def test_non_square_f_block_fails_unitarity(ising_data):
+    ring = _non_square_ising_ring(ising_data)
     F, R = dict.fromkeys(label_tuples(ring.f_key_array), 1.0), dict.fromkeys(label_tuples(ring.r_key_array), 1.0)
-    rep = validate_axioms(CategoryPresentation(ring, F, R))
+    cat = CategoryPresentation(ring, F, R)
+    rep = validate_axioms(cat)
     assert rep.unitarity_residual == math.inf
     assert not rep.valid
+    # the pentagon and hexagon still read the non-square blocks by position
+    assert _residuals(cat) == pytest.approx(reference_axiom_residuals(cat), rel=1e-12, abs=1e-15)
+
+
+def _s3_ring():
+    """The group ring of S_3, whose fusion does not commute (no braiding exists)."""
+    perms = list(itertools.permutations(range(3)))
+    N = np.zeros((6, 6, 6), dtype=np.int64)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            N[i, j, perms.index(tuple(p[x] for x in q))] = 1
+    dual = [perms.index(tuple(np.argsort(p).tolist())) for p in perms]
+    return FusionRing([str(p) for p in perms], dual, N)
+
+
+def test_f_block_index_places_every_key(all_catalogs, ising_data):
+    # the positions come from N alone: the admissible keys land on 0..M-1 in
+    # order, and every other label tuple on -1; S_3 shows the index assumes
+    # no commutativity
+    for ring in [data.ring for data in all_catalogs] + [_non_square_ising_ring(ising_data), _s3_ring()]:
+        keys, n = ring.f_key_array, ring.size
+        assert np.array_equal(ring.f_positions(*keys.T), np.arange(len(keys))), ring
+        grid = ring.f_positions(*np.indices((n,) * 6)).reshape(-1)
+        admissible = np.zeros(n**6, dtype=bool)
+        admissible[np.ravel_multi_index(tuple(keys.T), (n,) * 6)] = True
+        assert np.array_equal(grid[admissible], np.arange(len(keys))) and (grid[~admissible] == -1).all(), ring
+        index = ring.f_block_index
+        assert index.row.itemsize == index.col.itemsize == 1, ring
+        assert not any(part.flags.writeable for part in index), ring
+
+
+def test_f_block_index_allocates_no_object_per_f_entry(su2_level):
+    # a fresh ring, so that the index is built here: a few arrays over the
+    # label tuples, not a Python object per F entry
+    ring = su2_level(12).ring
+    ring = FusionRing(ring.labels, ring.dual, ring.N)
+    M = len(ring.f_key_array)
+    tracemalloc.start()
+    try:
+        ring.f_block_index
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * M, peak / M
+
+
+@pytest.mark.parametrize(
+    "labels", [(1, 1, 1, 1, 0, 3), (1, 1, 1, 1, -1, 0), (-1, 1, 1, 1, 0, 0), ([0, 3], 0, 0, 0, 0, 0)]
+)
+def test_f_rejects_labels_out_of_range(ising_data, labels):
+    # a label outside 0..n-1 is an error, never wrapped onto another key
+    with pytest.raises(ValueError):
+        ising_data.presentation.f(*labels)
 
 
 def _fr_dicts(data):
@@ -104,7 +176,7 @@ def _residuals(cat):
 
 
 def test_axioms_match_reference_on_catalogs(all_catalogs, su2_level):
-    # su2_6 and su2_8 have 1680 and 6105 F keys, so their outer keys span many chunks
+    # su2_6 and su2_8 (1680 and 6105 F keys) take 11 and 90 pentagon chunks, 1 and 2 hexagon chunks
     for cat in [data.presentation for data in all_catalogs] + [su2_level(6).presentation, su2_level(8).presentation]:
         assert _residuals(cat) == pytest.approx(reference_axiom_residuals(cat), rel=1e-12, abs=1e-15)
 
@@ -125,6 +197,24 @@ def test_axioms_match_reference_in_noisy_gauge(all_catalogs, rng):
         got, want = _residuals(noisy), reference_axiom_residuals(noisy)
         assert min(want) > 1e-3, data.name
         assert got == pytest.approx(want, rel=1e-12, abs=0), data.name
+
+
+def test_noisy_axioms_match_reference_across_chunks(su2_level, rng, monkeypatch):
+    # su2_6 (1680 F keys) at O(1) residuals: a term budget far below one key's
+    # terms puts nearly every key in a chunk of its own, and the default budget
+    # few; the residuals must agree bitwise and with the reference
+    data = su2_level(6)
+    ring, cat = data.ring, data.presentation
+    M, m = len(ring.f_key_array), len(ring.r_key_array)
+    F = cat.f_values + rng.normal(size=M) + 1j * rng.normal(size=M)
+    R = cat.R[ring.N > 0] + rng.normal(size=m) + 1j * rng.normal(size=m)
+    noisy = CategoryPresentation(ring, (ring.f_key_array, F), (ring.r_key_array, R))
+    want = reference_axiom_residuals(noisy)
+    assert min(want[:2]) > 1.0
+    default = _residuals(noisy)
+    assert default == pytest.approx(want, rel=1e-12, abs=0)
+    monkeypatch.setattr(category, "_TERMS", 7)
+    assert _residuals(noisy) == default
 
 
 def test_axioms_match_reference_per_entry(ising_data, fib_data, z3_data, spin8_data):
