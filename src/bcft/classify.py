@@ -9,7 +9,9 @@ spectrum: a partial matrix whose spectral radius exceeds the Frobenius-Perron
 dimension ends its branch, and a complete one is kept only if the minimal
 polynomial of the fusion matrix annihilates it exactly.  The rest are derived
 from the representation identity, verified exactly and deduplicated up to
-simultaneous boundary relabeling.
+simultaneous boundary relabeling.  Cardy solutions and compatibility tables
+read the joint eigenspaces of a nimrep off the closed-form projectors
+``P_t = S_0t sum_s conj(S_st) n^s``.
 """
 
 from __future__ import annotations
@@ -405,149 +407,95 @@ class CardySolution:
     residual: float
 
 
-def _clusters(w, cluster_tol):
-    """Index lists of ``w``, ordered by real then imaginary part, split where neighbours differ."""
-    order = np.lexsort((np.round(w.imag, 9), np.round(w.real, 9)))
-    return np.split(order, np.flatnonzero(np.abs(np.diff(w[order])) >= cluster_tol) + 1)
+SPECTRUM_TOL = 1e-6  # largest deviation of the spectral projectors a nimrep may show
 
 
-def _normal_eigenbasis(M, cluster_tol):
-    """Unitary Q diagonalizing M if M is normal: eigh of the Hermitian part
-    ``(M + M*)/2``, then of the anti-Hermitian part ``(M - M*)/2i`` inside each
-    of its eigenvalue clusters (the two commute when M is normal)."""
-    w, U = np.linalg.eigh((M + M.conj().T) / 2)
-    K = (M - M.conj().T) / 2j
-    cols = []
-    for sel in _clusters(w, cluster_tol):
-        Uc = U[:, sel]
-        if len(sel) > 1:
-            Uc = Uc @ np.linalg.eigh(Uc.conj().T @ K @ Uc)[1]
-        cols.append(Uc)
-    return np.hstack(cols)
+def _spectral_projectors(nimrep: Nimrep, md: ModularData) -> np.ndarray:
+    """The projectors ``P_t = S_0t sum_s conj(S_st) n^s``, as an (n, size, size) array.
 
-
-def _joint_eigenbasis(mats, cluster_tol=1e-7):
-    """Joint eigenvectors of a commuting normal family, by block refinement."""
-    size = mats[0].shape[0]
-    blocks = [np.eye(size, dtype=complex)]
-    tuples = [()]
-    for M in mats:
-        new_blocks, new_tuples = [], []
-        for B, tup in zip(blocks, tuples):
-            sub = B.conj().T @ M @ B
-            if len(sub) == 1:  # a joint eigenvector already
-                new_blocks.append(B)
-                new_tuples.append(tup + (complex(sub[0, 0]),))
-                continue
-            Q = _normal_eigenbasis(sub, cluster_tol)
-            T = Q.conj().T @ sub @ Q
-            off = np.max(np.abs(T - np.diag(np.diag(T))))
-            if off > 1e-8:
-                raise DataInconsistencyError(
-                    f"nimrep matrices are not simultaneously diagonalizable "
-                    f"(off-diagonal {off:.2e})"
-                )
-            w = np.diag(T)
-            for sel in _clusters(w, cluster_tol):
-                new_blocks.append(B @ Q[:, sel])
-                new_tuples.append(tup + (complex(np.mean(w[sel])),))
-        blocks, tuples = new_blocks, new_tuples
-    return blocks, tuples
-
-
-def _match_exponents(md: ModularData, tuples, tol=1e-6):
-    S = md.S
-    ratios = S / S[0][None, :]
-    matches = []
-    for tup in tuples:
-        dists = [
-            max(abs(tup[s] - ratios[s, t]) for s in range(md.size))
-            for t in range(md.size)
-        ]
-        t = int(np.argmin(dists))
-        if dists[t] > tol:
-            raise DataInconsistencyError(
-                f"nimrep has no modular spectrum: eigenvalue tuple "
-                f"{np.round(tup, 6)} matches no column of S (best residual "
-                f"{dists[t]:.2e})"
-            )
-        matches.append(t)
-    return matches
-
-
-def _span_basis(B):
-    """An orthonormal basis of the column space of B that depends on that space alone.
-
-    Gram-Schmidt on ``P e_i`` in ascending ``i``, with ``P = B B*`` the
-    projector onto the space, skipping residuals shorter than
-    ``1/(2 sqrt(n))``.  The skipped residuals only shrink as the basis grows,
-    and while it is incomplete some ``P e_i`` has a residual of at least
-    ``1/sqrt(n)`` (the remaining projector has trace >= 1), so it completes.
+    A Cardy psi gives ``n^s = sum_t (S_st / S_0t) P_t``, with P_t the
+    projector onto its columns of exponent t; S is unitary, so P_t has this
+    closed form.  Raises unless every P_t is Hermitian and idempotent and the
+    P_t reproduce every n^s, all within ``SPECTRUM_TOL``.
     """
-    n, k = B.shape
-    P = B @ B.conj().T
+    S = md.S
+    mats = np.array(nimrep.matrices, dtype=float)
+    P = np.einsum("t,st,sij->tij", S[0], S.conj(), mats)
+    worst = np.max([
+        np.max(np.abs(P - P.conj().transpose(0, 2, 1))),
+        np.max(np.abs(P @ P - P)),
+        np.max(np.abs(np.einsum("st,tij->sij", S / S[0], P) - mats)),
+    ])
+    if not worst <= SPECTRUM_TOL:  # NaN fails too
+        raise DataInconsistencyError(f"nimrep has no modular spectrum: projector residual {worst:.2e}")
+    return P
+
+
+def _span_basis(P):
+    """An orthonormal basis of the range of the projector P that depends on that range alone.
+
+    Gram-Schmidt on ``P e_i`` in ascending ``i`` up to the rank ``round(tr P)``,
+    skipping residuals shorter than ``1/(2 sqrt(n))``.  The skipped residuals
+    only shrink as the basis grows, and while it is incomplete some ``P e_i``
+    has a residual of at least ``1/sqrt(n)`` (the remaining projector has
+    trace >= 1), so it completes.
+    """
+    n, k = len(P), int(round(np.trace(P).real))
     Q = np.zeros((n, 0), dtype=complex)
     for i in range(n):
+        if Q.shape[1] == k:
+            break
         v = P[:, i]
         for _ in range(2):  # twice is enough to orthogonalize in floating point
             v = v - Q @ (Q.conj().T @ v)
         norm = np.linalg.norm(v)
         if norm >= 0.5 / math.sqrt(n):
             Q = np.column_stack([Q, v / norm])
-            if Q.shape[1] == k:
-                break
     return Q
 
 
 def cardy_solve(nimrep: Nimrep, md: ModularData, tol: float = DEFAULT_TOL) -> CardySolution:
-    """Solve ``n^s = psi (S_s./S_0.) psi*`` by joint diagonalization."""
+    """Solve ``n^s = psi (S_s./S_0.) psi*`` from the spectral projectors.
+
+    The columns of psi are, by ascending exponent t, the :func:`_span_basis`
+    of P_t, each turned by the phase that makes its first entry of at least
+    0.3 times its largest modulus real positive.  ``tol`` is not read.
+    """
     bad = nimrep.validate()
     if bad:
         raise StructuralError(f"invalid nimrep: {bad[0]}")
-    blocks, tuples = _joint_eigenbasis(list(nimrep.matrices))
-    matches = _match_exponents(md, tuples)
-    cols = []
-    for B, t in zip(blocks, matches):
-        B = _span_basis(B) if B.shape[1] > 1 else B
-        for k in range(B.shape[1]):
-            cols.append((t, B[:, k]))
-    cols.sort(key=lambda item: item[0])
-    size = nimrep.size
-    if len(cols) != size:
-        raise DataInconsistencyError("joint eigenbasis has wrong cardinality")
-    psi = np.zeros((size, size), dtype=complex)
-    exponents = []
-    for j, (t, v) in enumerate(cols):
-        vmax = np.max(np.abs(v))
-        anchor = next(i for i in range(size) if abs(v[i]) >= 0.3 * vmax)
-        phase = v[anchor] / abs(v[anchor])
-        psi[:, j] = v / phase
-        exponents.append(t)
-    # Perron column: all entries real positive once the phase is fixed
-    residual = 0.0
+    bases = [_span_basis(P) for P in _spectral_projectors(nimrep, md)]
+    exponents = tuple(t for t, B in enumerate(bases) for _ in range(B.shape[1]))
+    psi = np.hstack(bases)
+    modulus = np.abs(psi)
+    anchor = np.argmax(modulus >= 0.3 * modulus.max(axis=0), axis=0)
+    phase = psi[anchor, np.arange(nimrep.size)]
+    psi = psi / (phase / np.abs(phase))
     ratios = md.S / md.S[0][None, :]
-    for s in range(md.size):
-        recon = psi @ np.diag([ratios[s, t] for t in exponents]) @ psi.conj().T
-        residual = max(residual, float(np.max(np.abs(recon - nimrep.matrices[s]))))
-    unit = float(np.max(np.abs(psi @ psi.conj().T - np.eye(size))))
-    residual = max(residual, unit)
-    return CardySolution(nimrep, psi, tuple(exponents), residual)
+    residual = max(
+        float(np.max(np.abs(psi @ np.diag(ratios[s, list(exponents)]) @ psi.conj().T - mat)))
+        for s, mat in enumerate(nimrep.matrices)
+    )
+    unit = float(np.max(np.abs(psi @ psi.conj().T - np.eye(nimrep.size))))
+    return CardySolution(nimrep, psi, exponents, max(residual, unit))
 
 
 def compatibility(Z, nimrep: Nimrep, md: ModularData):
     """Exponent multiplicities of the nimrep vs the diagonal of Z.
 
-    Returns ``(ok, table)`` with ``table[t]`` the number of joint eigenvalue
-    tuples matching column ``t`` of S.
+    Returns ``(ok, table)`` with ``table[t]`` the rank ``round(tr P_t)`` of
+    the spectral projector P_t, or ``(False, {})`` if the nimrep has no
+    modular spectrum (see :func:`_spectral_projectors`).
     """
     Z = np.asarray(Z, dtype=np.int64)
+    n = md.size
+    if Z.shape != (n, n):
+        raise StructuralError(f"Z must be {n}x{n}")
+    if len(nimrep.matrices) != n:
+        raise StructuralError(f"expected {n} matrices, got {len(nimrep.matrices)}")
     try:
-        blocks, tuples = _joint_eigenbasis(list(nimrep.matrices))
-        matches = _match_exponents(md, tuples)
+        P = _spectral_projectors(nimrep, md)
     except DataInconsistencyError:
         return False, {}
-    table = {t: 0 for t in range(md.size)}
-    for B, t in zip(blocks, matches):
-        table[t] += B.shape[1]
-    ok = all(table[t] == int(Z[t, t]) for t in range(md.size))
-    return ok, table
+    table = {t: int(round(np.trace(P[t]).real)) for t in range(n)}
+    return all(table[t] == Z[t, t] for t in range(n)), table

@@ -173,13 +173,21 @@ def cmd_induce(args) -> int:
     return EXIT_OK
 
 
-def cmd_cardy(args) -> int:
+def _load_nimrep(args):
+    """The category and the nimrep named by ``args``; the nimrep is None,
+    once the first reason is printed, if it is invalid."""
     data = load_category(args.category)
-    mats = load_nimrep_matrices(args.nimrep)
-    nr = Nimrep(data.ring, tuple(mats))
+    nr = Nimrep(data.ring, tuple(load_nimrep_matrices(args.nimrep)))
     bad = nr.validate()
     if bad:
         print(f"nimrep invalid: {bad[0]}")
+        return data, None
+    return data, nr
+
+
+def cmd_cardy(args) -> int:
+    data, nr = _load_nimrep(args)
+    if nr is None:
         return EXIT_INVALID
     sol = cardy_solve(nr, data.modular, args.tolerance)
     print("psi =")
@@ -239,12 +247,8 @@ def _characters_for(data: CategoryData, order: int):
 
 
 def cmd_partition(args) -> int:
-    data = load_category(args.category)
-    mats = load_nimrep_matrices(args.nimrep)
-    nr = Nimrep(data.ring, tuple(mats))
-    bad = nr.validate()
-    if bad:
-        print(f"nimrep invalid: {bad[0]}")
+    data, nr = _load_nimrep(args)
+    if nr is None:
         return EXIT_INVALID
     chars = _characters_for(data, args.order)
     value, tail = annulus_partition(nr, chars, args.a, args.b, args.beta)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,14 +8,14 @@ import scipy.linalg
 from conftest import brute_force_invariants, brute_force_nimreps, reference_commutant
 
 from bcft.catalog import catalog
-import bcft.classify
 from bcft.classify import (
     Nimrep,
     _canonical_key,
     _commutant_basis,
-    _joint_eigenbasis,
     _minimal_polynomial,
     _pivot_rows,
+    _span_basis,
+    _spectral_projectors,
     cardy_solve,
     compatibility,
     enumerate_modular_invariants,
@@ -192,6 +193,12 @@ def test_compatibility_tables(ising_data, fib_data, z3_data):
     ok, table = compatibility(C, size_one, z3_data.modular)
     assert ok and table == {0: 1, 1: 0, 2: 0}
     assert not compatibility(C, regular_nimrep(z3_data.ring), z3_data.modular)[0]
+    # a Z or a nimrep of the wrong size is malformed input, not an incompatibility
+    for Z in (np.eye(4, dtype=np.int64), np.eye(2, dtype=np.int64), np.ones(3, dtype=np.int64)):
+        with pytest.raises(StructuralError, match="Z must be 3x3"):
+            compatibility(Z, reg, ising_data.modular)
+    with pytest.raises(StructuralError, match="expected 3 matrices, got 2"):
+        compatibility(np.eye(3, dtype=np.int64), Nimrep(ising_data.ring, reg.matrices[:2]), ising_data.modular)
 
 
 def test_su2_4_block_invariant_has_d4_nimrep(su2_4_data):
@@ -402,48 +409,127 @@ def _z4_modular():
     return ModularData(_cyclic_ring(4), (-1j) ** np.outer(a, a) / 2, np.exp(2j * np.pi * a * a / 8))
 
 
+def _z5_modular():
+    """Z_5 with S_ab = exp(-2 pi i ab / 5) / sqrt(5) and T_a = exp(6 pi i a^2 / 5)."""
+    a = np.arange(5)
+    return ModularData(_cyclic_ring(5), np.exp(-2j * np.pi * np.outer(a, a) / 5) / math.sqrt(5), np.exp(6j * np.pi * a * a / 5))
+
+
 @pytest.mark.parametrize("name", ["z3", "z4"])
 def test_cardy_solve_splits_equal_real_parts(name, z3_data):
     # Z_3 has the eigenvalues w and w^2, Z_4 has i and -i: equal real parts,
-    # told apart by the anti-Hermitian part of the generator
+    # in eigenspaces of their own
     md = z3_data.modular if name == "z3" else _z4_modular()
     nr = regular_nimrep(md.ring)
-    blocks, _ = _joint_eigenbasis(list(nr.matrices))
-    assert [B.shape[1] for B in blocks] == [1] * md.size
+    P = _spectral_projectors(nr, md)
+    assert [np.linalg.matrix_rank(Pt, tol=1e-6) for Pt in P] == [1] * md.size
+    assert [round(np.trace(Pt).real, 9) for Pt in P] == [1] * md.size
     sol = cardy_solve(nr, md)
     assert sol.residual < 1e-9 and sol.exponents == tuple(range(md.size))
     assert np.allclose(sol.psi, md.S, atol=1e-9)
 
 
-def test_joint_eigenbasis_rejects_non_normal_and_non_commuting():
+def test_spectrum_rejects_non_normal_and_non_commuting(ising_data, fib_data):
+    # families of the right shape: one matrix per sector, all square and of one size
     jordan = np.array([[1, 1], [0, 1]])
-    with pytest.raises(DataInconsistencyError, match="not simultaneously diagonalizable"):
-        _joint_eigenbasis([np.eye(2), jordan])
-    # both normal, but the 3-cycle does not keep the eigenspaces of diag(1, 1, 0)
     cycle = np.roll(np.eye(3), 1, axis=0)
-    with pytest.raises(DataInconsistencyError, match="not simultaneously diagonalizable"):
-        _joint_eigenbasis([np.diag([1, 1, 0]), cycle])
+    swap = np.eye(3)[::-1]
+    cases = [
+        (fib_data, [np.eye(2), jordan]),  # not normal
+        # both normal, but the 3-cycle does not keep the eigenspaces of diag(1, 1, 0)
+        (fib_data, [np.diag([1, 1, 0]), cycle]),
+        # symmetric, and still the swap of 0 and 2 does not commute with diag(1, 1, 0)
+        (ising_data, [np.eye(3), np.diag([1, 1, 0]), swap]),
+    ]
+    for data, mats in cases:
+        nr, md = Nimrep(data.ring, tuple(np.asarray(m, dtype=np.int64) for m in mats)), data.modular
+        with pytest.raises(DataInconsistencyError, match="no modular spectrum"):
+            _spectral_projectors(nr, md)
+        assert compatibility(np.eye(md.size, dtype=np.int64), nr, md) == (False, {})
+        with pytest.raises(StructuralError, match="invalid nimrep"):
+            cardy_solve(nr, md)
 
 
-def test_cardy_psi_is_independent_of_the_degenerate_basis(ising_data, su2_4_data, rng, monkeypatch):
-    """psi is a function of the nimrep: a unitary rotation of each joint
-    eigenspace, as another eigensolver may return, leaves it unchanged."""
+def _phase_fixed(psi):
+    """Each column turned so that its first entry of at least 0.3 times its
+    largest modulus is real positive."""
+    out = psi.copy()
+    for j, v in enumerate(psi.T):
+        anchor = np.flatnonzero(np.abs(v) >= 0.3 * np.max(np.abs(v)))[0]
+        out[:, j] = v / (v[anchor] / abs(v[anchor]))
+    return out
+
+
+def test_cardy_psi_is_independent_of_the_degenerate_basis(ising_data, su2_4_data, rng):
+    """psi is a function of the nimrep: it is the phase-fixed span basis of the
+    projector onto each joint eigenspace, however that space is found.  Here
+    its basis is a null space, turned by a random unitary."""
     doubled = tuple(np.kron(np.eye(2, dtype=np.int64), m) for m in regular_nimrep(ising_data.ring).matrices)
     cases = [
         (enumerate_nimreps(su2_4_data.ring, 4)[0], su2_4_data.modular),  # D4: exponent 2 twice
         (Nimrep(ising_data.ring, doubled), ising_data.modular),  # every exponent twice
     ]
     for nr, md in cases:
-        want = cardy_solve(nr, md)
-        assert len(set(want.exponents)) < nr.size and want.residual < 1e-9
-        blocks, tuples = _joint_eigenbasis(list(nr.matrices))
-        rotated = []
-        for B in blocks:
-            k = B.shape[1]
+        sol = cardy_solve(nr, md)
+        assert len(set(sol.exponents)) < nr.size and sol.residual < 1e-9
+        ratios, eye = md.S / md.S[0], np.eye(nr.size)
+        blocks = []
+        for t in sorted(set(sol.exponents)):
+            Q = scipy.linalg.null_space(np.vstack([m - ratios[s, t] * eye for s, m in enumerate(nr.matrices)]))
+            k = Q.shape[1]
+            assert k == sol.exponents.count(t)
             u, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
-            rotated.append(B @ u)
-        monkeypatch.setattr(bcft.classify, "_joint_eigenbasis", lambda mats: (rotated, tuples))
-        got = cardy_solve(nr, md)
-        monkeypatch.undo()
-        assert got.exponents == want.exponents
-        assert np.max(np.abs(got.psi - want.psi)) < 1e-12
+            Q = Q @ u
+            blocks.append(_span_basis(Q @ Q.conj().T))
+        assert np.max(np.abs(sol.psi - _phase_fixed(np.hstack(blocks)))) < 1e-12
+
+
+def _e6_nimrep(ring):
+    """The E6 nimrep of su2_10: n^1 the adjacency matrix of the E6 Dynkin
+    diagram, n^(j+1) = n^1 n^j - n^(j-1)."""
+    mats = [np.eye(6, dtype=np.int64), np.zeros((6, 6), dtype=np.int64)]
+    for a, b in [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)]:
+        mats[1][a, b] = mats[1][b, a] = 1
+    while len(mats) < ring.size:
+        mats.append(mats[1] @ mats[-1] - mats[-2])
+    return Nimrep(ring, tuple(mats))
+
+
+def _spectral_corpus(ising_data, fib_data, z3_data, su2_4_data):
+    """(name, nimrep, modular data) over regular, enumerated, exceptional and reducible nimreps."""
+    mds = {"ising": ising_data.modular, "fibonacci": fib_data.modular}
+    mds.update({f"su2_{k}": _su2_modular(k) for k in range(1, 17)})
+    mds.update({"z3": z3_data.modular, "z4": _z4_modular(), "z5": _z5_modular()})
+    cases = [(f"{name} regular", regular_nimrep(md.ring), md) for name, md in mds.items()]
+    for name in ("z3", "z4", "z5"):
+        for size in range(1, 5):
+            cases += [(f"{name} size {size}", nr, mds[name]) for nr in enumerate_nimreps(mds[name].ring, size)]
+    for size in (4, 5):
+        cases += [(f"su2_4 size {size}", nr, su2_4_data.modular) for nr in enumerate_nimreps(su2_4_data.ring, size)]
+    cases.append(("su2_10 E6", _e6_nimrep(mds["su2_10"].ring), mds["su2_10"]))
+    doubled = tuple(np.kron(np.eye(2, dtype=np.int64), m) for m in regular_nimrep(ising_data.ring).matrices)
+    cases.append(("ising doubled", Nimrep(ising_data.ring, doubled), ising_data.modular))
+    return cases
+
+
+def _sorted_spectrum(z):
+    z = np.asarray(z, dtype=complex)
+    return z[np.lexsort((np.round(z.imag, 6), np.round(z.real, 6)))]
+
+
+def test_cardy_exponents_match_an_independent_spectrum(ising_data, fib_data, z3_data, su2_4_data):
+    """The eigenvalues of every n^s, from a general eigensolver, are S_st/S_0t
+    over the Cardy exponents t; the compatibility table counts those exponents."""
+    cases = _spectral_corpus(ising_data, fib_data, z3_data, su2_4_data)
+    assert len(cases) == 44
+    for name, nr, md in cases:
+        assert nr.validate() == [], name
+        sol = cardy_solve(nr, md)
+        assert sol.residual < 1e-9, name
+        ratios = (md.S / md.S[0])[:, list(sol.exponents)]
+        for s, mat in enumerate(nr.matrices):
+            got = _sorted_spectrum(np.linalg.eigvals(mat.astype(float)))
+            assert np.max(np.abs(got - _sorted_spectrum(ratios[s]))) < 1e-9, (name, s)
+        counts = Counter(sol.exponents)
+        ok, table = compatibility(np.diag([counts[t] for t in range(md.size)]), nr, md)
+        assert ok and table == {t: counts[t] for t in range(md.size)}, name

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -400,6 +401,42 @@ def test_cli_cardy_prints_no_negative_zero(tmp_path, su2_4_data, capsys):
     assert not negative_zero.search(out.read_text())
     parts = [x for row in json.loads(out.read_text())["payload"]["psi"] for z in row for x in z]
     assert len(parts) == 32 and all(x == round(x, 12) for x in parts)
+
+
+# SHA-256 of json.dumps([psi, exponents]) from the payload of `bcft cardy --out`,
+# recorded when psi came from a numerical joint diagonalization of the nimrep
+CARDY_REPORT_SHA256 = {
+    "ising regular": "ba34c0bf202849e1f8736d7e2d357d1fb14b4969106fc43fb536a6747232426d",
+    "su2_4 D4": "752598e5bcaa6acf226789fee25d3b962866a5e4964219a2b5e513003afc65b5",
+}
+
+
+def test_cli_cardy_report_psi_pinned(tmp_path, ising_file, nimrep_file, su2_4_data):
+    block = enumerate_modular_invariants(su2_4_data.modular)[1]
+    d4 = [nr for nr in enumerate_nimreps(su2_4_data.ring, 4) if compatibility(block, nr, su2_4_data.modular)[0]]
+    category, nimrep = tmp_path / "su2_4.json", tmp_path / "d4.json"
+    save_category(su2_4_data, category)
+    nimrep.write_text(json.dumps({"n": [m.tolist() for m in d4[0].matrices]}))
+    got = {}
+    for name, files in (("ising regular", (ising_file, nimrep_file)), ("su2_4 D4", (category, nimrep))):
+        out = tmp_path / "cardy.json"
+        assert main(["cardy", *map(str, files), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())["payload"]
+        assert payload["residual"] < 1e-14
+        got[name] = hashlib.sha256(json.dumps([payload["psi"], payload["exponents"]]).encode()).hexdigest()
+    assert got == CARDY_REPORT_SHA256
+
+
+def test_cli_invalid_nimrep_exits_1(tmp_path, ising_file, ising_data, capsys):
+    # the Ising fusion matrices with n^1 and n^2 swapped: square, right-sized, not a representation
+    bad = tmp_path / "bad.json"
+    mats = [m.tolist() for m in regular_nimrep(ising_data.ring).matrices]
+    bad.write_text(json.dumps({"n": [mats[0], mats[2], mats[1]]}))
+    for argv in (["cardy", str(ising_file), str(bad)],
+                 ["partition", str(ising_file), str(bad), "--a", "0", "--b", "0", "--beta", "3.2"]):
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().out == "nimrep invalid: representation property fails at (1,1)\n"
 
 
 def test_cli_nimreps_invariant_filter(tmp_path, ising_file, coupling_file):
