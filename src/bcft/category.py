@@ -58,10 +58,10 @@ def _symbol_values(name: str, supplied, keys: np.ndarray, n: int):
         supplied = list(supplied), list(supplied.values())
     values = np.array(supplied[1], dtype=complex)  # a copy: the presentation owns it
     labels = np.asarray(supplied[0], dtype=np.int64).reshape(len(values), width)
-    codes = _code(n, *keys.T)
-    # a label outside 0..n-1 gets code -1, which no admissible key has
-    given = np.where(((labels >= 0) & (labels < n)).all(axis=1), _code(n, *labels.T), -1)
-    if not np.array_equal(given, codes):
+    if not np.array_equal(labels, keys):
+        codes = _code(n, *keys.T)
+        # a label outside 0..n-1 gets code -1, which no admissible key has
+        given = np.where(((labels >= 0) & (labels < n)).all(axis=1), _code(n, *labels.T), -1)
         present = np.isin(codes, given)
         if not present.all():
             key = tuple(keys[np.argmin(present)].tolist())

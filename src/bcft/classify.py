@@ -493,6 +493,8 @@ def compatibility(Z, nimrep: Nimrep, md: ModularData):
         raise StructuralError(f"Z must be {n}x{n}")
     if len(nimrep.matrices) != n:
         raise StructuralError(f"expected {n} matrices, got {len(nimrep.matrices)}")
+    if any(np.shape(mat) != (nimrep.size,) * 2 for mat in nimrep.matrices):
+        raise StructuralError("nimrep matrices must be square and same-sized")
     try:
         P = _spectral_projectors(nimrep, md)
     except DataInconsistencyError:

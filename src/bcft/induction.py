@@ -75,7 +75,7 @@ GAP_MIN = 1e3
 def _kernel_matrices(cat, q, pairs) -> list:
     """Matrices of K on Hom(theta tau, sigma) at each ``(sigma, tau)`` of ``pairs``,
     in the layout of the module docstring: one gather over these pairs only."""
-    N, R, (sec, lam) = cat.ring.N > 0, cat.R, _dense(q)
+    N, R, (sec, lam) = cat.ring.N > 0, cat.R, _dense(q, cat.ring)
     sigma, tau = np.reshape(pairs, (-1, 2)).T
     # rows (pair k, c, r, p) and columns (pair k, p0), each in ascending order
     krc = N[sigma][:, sec].transpose(0, 2, 1)  # [k, c, r]: N[sigma, s r, c]
@@ -110,7 +110,7 @@ def _lift_matrix(cat, q, sigma, tau):
     ``p`` and then over the trees of ``theta sigma tau-bar`` with charge
     ``s p``, i.e. ascending ``(a, g)``.
     """
-    ring, N, (sec, lam) = cat.ring, cat.ring.N > 0, _dense(q)
+    ring, N, (sec, lam) = cat.ring, cat.ring.N > 0, _dense(q, cat.ring)
     tb = ring.dual[tau]
     p, a, g = np.nonzero(N[sec, sigma][None, :, :] & N[:, tb, sec].T[:, None, :])  # N[s a, sigma, g] N[g, tb, s p]
     cols = np.flatnonzero(N[sec, tau, sigma])
@@ -133,7 +133,7 @@ def kernel_split(M: np.ndarray):
         return k, np.eye(k, dtype=complex), np.inf
     _, svals, vh = np.linalg.svd(M)
     svals = np.concatenate([svals, np.zeros(k - len(svals))])
-    smax = svals[0] if len(svals) else 0.0
+    smax = svals[0]
     if smax < 1e-12:
         return k, np.eye(k, dtype=complex), np.inf
     cut = svals < SV_RTOL * smax
@@ -154,10 +154,7 @@ def kernel_split(M: np.ndarray):
         )
     else:
         gap = np.inf
-    if dim == 0:
-        gap = np.inf
-    kernel = vh.conj().T[:, k - dim :] if dim else np.zeros((k, 0), dtype=complex)
-    return dim, kernel, gap
+    return dim, vh.conj().T[:, k - dim :], gap
 
 
 def coupling_from_qsystem(cat: CategoryPresentation, q: QSystemSpec) -> np.ndarray:
@@ -216,13 +213,10 @@ def charged_field_basis(
     gram_resid = 0.0
     if dim:
         vac = lift[:n_vac] @ kernel
-        G = vac.conj().T @ vac
-        evals = np.linalg.eigvalsh((G + G.conj().T) / 2)
-        if evals[0] <= 1e-10:
-            raise NumericDegeneracyError(
-                f"vacuum-channel Gram matrix is numerically singular ({evals})"
-            )
-        Ginv_half = np.linalg.inv(_sqrtm_hermitian(G))
+        w, V = np.linalg.eigh(vac.conj().T @ vac)
+        if w[0] <= 1e-10:
+            raise NumericDegeneracyError(f"vacuum-channel Gram matrix is numerically singular ({w})")
+        Ginv_half = (V / np.sqrt(w)) @ V.conj().T
         coeffs = (lift @ (kernel @ (Ginv_half * np.sqrt(d_st)))).T
         gram = coeffs[:, :n_vac].conj() @ coeffs[:, :n_vac].T
         gram_resid = float(np.max(np.abs(gram - d_st * np.eye(dim))))
@@ -242,11 +236,6 @@ def charged_field_basis(
         projector=kernel @ kernel.conj().T,
         gram_residual=gram_resid,
     )
-
-
-def _sqrtm_hermitian(G: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh((G + G.conj().T) / 2)
-    return (V * np.sqrt(w)) @ V.conj().T
 
 
 def theta_plus(ring: FusionRing, Z: np.ndarray):

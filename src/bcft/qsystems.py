@@ -7,11 +7,11 @@ coefficient tensor ``lam[(p, q, r)]`` over summand slots of ``theta``
 prefactor), and ``w`` is the canonical isometry onto the vacuum summand.
 
 The axioms are polynomials of degree at most 2 in ``lam``; ``_AxiomMap`` writes
-them once per theta as a sparse quadratic map, which ``validate_qsystem``,
-``is_local``, ``charged_algebra`` and ``search_qsystems`` evaluate, together
-with its exact Jacobian, which is linear in ``lam``.  ``frobenius_check``
-writes the Frobenius relation in the same coordinates; the tests check all of
-them against a morphism calculus.
+them once per theta as a sparse quadratic map, which ``validate_qsystem`` (and
+through it ``charged_algebra``) and ``search_qsystems`` evaluate, together
+with its exact Jacobian, which is linear in ``lam``.  ``_dense`` is the one
+checked reader of ``lam``; ``is_local`` and ``frobenius_check`` work on its
+dense array, and the tests check all of them against a morphism calculus.
 ``search_qsystems`` solves the unit + associativity constraints from
 randomized starts with ``least_squares``, a Levenberg-Marquardt iteration on
 that Jacobian with Nielsen's damping update, and reports an explicit status;
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -83,32 +82,33 @@ class QSystemSpec:
         return f"QSystemSpec(theta={self.theta})"
 
 
-def _dense(q: QSystemSpec):
-    """The sector of each slot, and ``lam`` as a dense array over slot triples."""
+def _dense(q: QSystemSpec, ring) -> tuple:
+    """The sector of each slot, and ``lam`` as a dense array over slot triples;
+    every key of ``lam``, even one valued 0, must be a fusion channel of ``ring``."""
     sec = np.array([s for s, _copy in q.slots])
+    keys = np.array(list(q.lam), dtype=int).reshape(-1, 3)
+    off = np.flatnonzero(ring.N[tuple(sec[keys].T)] == 0)
+    if len(off):
+        key = keys[off[0]]
+        p, qq, r = sec[key]
+        raise StructuralError(f"lambda entry {tuple(key.tolist())} has no fusion channel {p} x {qq} -> {r}")
     lam = np.zeros((len(sec),) * 3, dtype=complex)
-    for key, val in q.lam.items():
-        lam[key] = val
+    lam[tuple(keys.T)] = list(q.lam.values())
     return sec, lam
 
 
-def _check_lambda(q: QSystemSpec, cat: CategoryPresentation, require_isometry: bool = True) -> None:
-    """Every key of ``lam`` is a fusion channel and, if required, ``x* x = id``.
+def _check_lambda(q: QSystemSpec, cat: CategoryPresentation) -> tuple:
+    """``_dense(q, cat.ring)`` after checking that ``x* x = id``.
 
     ``x* x`` is block diagonal over charge: its entry at two slots ``(a, b)``
     of one sector is ``sum_{p,q} conj(lam[p,q,a]) lam[p,q,b]``.
     """
-    for key in q.lam:
-        p, qq, r = (q.sector(t) for t in key)
-        if not cat.ring.N[p, qq, r]:
-            raise StructuralError(f"lambda entry {key} has no fusion channel {p} x {qq} -> {r}")
-    if not require_isometry:
-        return
-    sec, lam = _dense(q)
+    sec, lam = _dense(q, cat.ring)
     gram = np.einsum("pqa,pqb->ab", lam.conj(), lam) - np.eye(len(sec))
     resid = float(np.max(np.abs(gram[sec[:, None] == sec])))
     if resid > 1e-6:
         raise DataInconsistencyError(f"lambda does not define an isometry (residual {resid:.2e})")
+    return sec, lam
 
 
 def _scatter(at: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
@@ -132,7 +132,7 @@ class _AxiomMap:
 
     def __init__(self, cat: CategoryPresentation, spec: QSystemSpec):
         n, N = cat.ring.size, cat.ring.N > 0
-        sec = self.sectors = np.array([s for s, _copy in spec.slots])  # ascending
+        sec = np.array([s for s, _copy in spec.slots])  # ascending
         adm = N[np.ix_(sec, sec, sec)]
         self.channels = list(map(tuple, np.argwhere(adm).tolist()))
         idx = self.index = np.full(adm.shape, -1)
@@ -177,16 +177,6 @@ class _AxiomMap:
         self.parts = dict(zip(self.PARTS, map(slice, ends, ends[1:])))
         # the search's real vector: per block, its real parts and then its imaginary parts
         self.order = np.argsort(np.r_[2 * block, 2 * block + 1], kind="stable")
-
-    def vector(self, lam: dict) -> np.ndarray:
-        """``lam`` as a vector over ``channels``; a key off every channel is structural."""
-        out = np.zeros(len(self.channels), dtype=complex)
-        for key, val in lam.items():
-            if self.index[key] < 0:
-                p, q, r = (int(self.sectors[t]) for t in key)
-                raise StructuralError(f"lambda entry {key} has no fusion channel {p} x {q} -> {r}")
-            out[self.index[key]] = val
-        return out
 
     def rows(self, lam: np.ndarray) -> np.ndarray:
         """The complex residual rows at ``lam``."""
@@ -235,8 +225,9 @@ def validate_qsystem(q: QSystemSpec, cat: CategoryPresentation, tol: float = DEF
     over = _over_bound(q.theta, cat.ring, tol)
     if over:  # not a Q-system; the residuals would need all of theta^3
         return {**{f"bound_sector_{s}": float(m) for s, m in over.items()}, "valid": False}
+    _, lam = _dense(q, cat.ring)
     axioms = _AxiomMap(cat, q)
-    report = axioms.norms(axioms.vector(q.lam))
+    report = axioms.norms(lam[axioms.index >= 0])
     report["valid"] = all(v < tol for v in report.values())
     return report
 
@@ -256,8 +247,7 @@ def frobenius_check(q: QSystemSpec, cat: CategoryPresentation) -> float:
     """
     ring = cat.ring
     _require_bound(q.theta, ring, DEFAULT_TOL)
-    _check_lambda(q, cat, require_isometry=False)
-    sec, lam = _dense(q)
+    sec, lam = _dense(q, ring)
     F = cat.f(*np.ix_(sec, sec, sec, np.arange(ring.size), sec, sec))  # [a, u, r, c, p, b]
     charge = (sec[:, None] == np.arange(ring.size)).astype(float)  # [t, c]
     lhs = np.einsum("abt,prt,tc->cabpr", lam, lam.conj(), charge)
@@ -269,12 +259,11 @@ def is_local(q: QSystemSpec, cat: CategoryPresentation, tol: float = DEFAULT_TOL
     """Chiral locality test ``eps(theta, theta) x = x``; returns (bool, residual).
 
     The braiding moves ``lam[a, b, c]`` to the tree of ``lam[b, a, c]``, times
-    ``R[sec a, sec b, sec c]``.
+    ``R[sec a, sec b, sec c]``; off the fusion channels both sides are 0.
     """
     _require_bound(q.theta, cat.ring, tol)
-    axioms = _AxiomMap(cat, q)
-    lam, sec, (a, b, c) = axioms.vector(q.lam), axioms.sectors, np.nonzero(axioms.index >= 0)
-    resid = float(np.max(np.abs(cat.R[sec[a], sec[b], sec[c]] * lam - lam[axioms.index[b, a, c]])))
+    sec, lam = _dense(q, cat.ring)
+    resid = float(np.max(np.abs(cat.R[np.ix_(sec, sec, sec)] * lam - lam.transpose(1, 0, 2))))
     return resid < tol, resid
 
 
@@ -302,8 +291,7 @@ def charged_algebra(q: QSystemSpec, cat: CategoryPresentation, tol: float = DEFA
     _require_bound(q.theta, ring, tol)
     dth = q.d_theta(ring)
     root = math.sqrt(dth)
-    axioms = _AxiomMap(cat, q)
-    res = axioms.norms(axioms.vector(q.lam))
+    res = validate_qsystem(q, cat, tol)
     unit = root * max(res["unit_left"], res["unit_right"])
     if unit > 1e-6:
         raise DataInconsistencyError(f"unit constraint fails (residual {unit:.2e})")
@@ -328,26 +316,21 @@ def gauge_transform(q: QSystemSpec, unitaries: dict) -> QSystemSpec:
 
     ``unitaries[s]`` is an ``n_s x n_s`` unitary; the vacuum block must be 1.
     """
-    slot_of = {slot: idx for idx, slot in enumerate(q.slots)}
-    U = {}
+    start = np.cumsum((0,) + q.theta)
+    U = np.zeros((start[-1],) * 2, dtype=complex)  # block diagonal over the slots of each sector
     for s, m in enumerate(q.theta):
-        if m == 0:
-            continue
-        u = np.asarray(unitaries.get(s, np.eye(m)), dtype=complex)
-        if u.shape != (m, m):
-            raise StructuralError(f"gauge unitary for sector {s} must be {m}x{m}")
-        U[s] = u
-    if abs(U.get(0, np.eye(1))[0, 0] - 1.0) > 1e-12:
+        if m:
+            u = np.asarray(unitaries.get(s, np.eye(m)), dtype=complex)
+            if u.shape != (m, m):
+                raise StructuralError(f"gauge unitary for sector {s} must be {m}x{m}")
+            U[start[s] : start[s] + m, start[s] : start[s] + m] = u
+    if abs(U[0, 0] - 1.0) > 1e-12:
         raise StructuralError("gauge must fix the vacuum summand")
-    new_lam: dict = {}
-    for (p, qq, r), val in q.lam.items():
-        (sp, cp), (sq, cq), (sr, cr) = q.slots[p], q.slots[qq], q.slots[r]
-        for cp2, cq2, cr2 in product(range(q.theta[sp]), range(q.theta[sq]), range(q.theta[sr])):
-            coef = U[sp][cp2, cp] * U[sq][cq2, cq] * np.conj(U[sr][cr2, cr]) * val
-            if coef != 0.0:
-                key = (slot_of[sp, cp2], slot_of[sq, cq2], slot_of[sr, cr2])
-                new_lam[key] = new_lam.get(key, 0.0) + coef
-    return QSystemSpec(q.theta, {k: v for k, v in new_lam.items() if abs(v) > 1e-15})
+    lam = np.zeros((len(U),) * 3, dtype=complex)
+    for key, val in q.lam.items():
+        lam[key] = val
+    lam = np.einsum("ap,bq,cr,pqr->abc", U, U, U.conj(), lam)
+    return QSystemSpec(q.theta, {key: lam[key] for key in map(tuple, np.argwhere(np.abs(lam) > 1e-15).tolist())})
 
 
 def fingerprint(q: QSystemSpec, cat: CategoryPresentation):
@@ -495,13 +478,16 @@ def search_qsystems(
         raise StructuralError(f"the search needs at least one start, got {n_starts}")
     _require_bound(theta, cat.ring, tol)
     axioms = _AxiomMap(cat, QSystemSpec(theta, {}))
-    unit = {ch: axioms.scale for r in range(len(axioms.sectors)) for ch in ((0, r, r), (r, 0, r))}
-    free = [ch for ch in axioms.channels if ch[0] and ch[1]]  # the unit laws fix the rest
-    lam0 = axioms.vector(unit)
-    where = np.array([axioms.index[ch] for ch in free], dtype=int)
+    channels = np.array(axioms.channels)
+    p, q, r = channels.T
+    unit = ((p == 0) & (q == r)) | ((q == 0) & (p == r))
+    free = (p > 0) & (q > 0)  # the unit laws fix the rest
+    lam0 = np.where(unit, axioms.scale + 0j, 0j)
+    where = np.flatnonzero(free)
 
     def build(vec: np.ndarray) -> QSystemSpec:
-        return QSystemSpec(theta, {**unit, **dict(zip(free, vec[0::2] + 1j * vec[1::2]))})
+        kept = unit | free
+        return QSystemSpec(theta, dict(zip(map(tuple, channels[kept].tolist()), lam_at(vec)[kept])))
 
     def lam_at(vec: np.ndarray) -> np.ndarray:
         lam = lam0.copy()
@@ -520,7 +506,7 @@ def search_qsystems(
         Jc[:, 0::2], Jc[:, 1::2] = at + at_bar, 1j * (at - at_bar)
         return np.concatenate([Jc.real, Jc.imag])[axioms.order]
 
-    if not free:  # the unit laws fix every channel
+    if not free.any():  # the unit laws fix every channel
         sols = [build(np.zeros(0))] if max(axioms.norms(lam0).values()) < tol else []
         fps = tuple(fingerprint(s, cat) for s in sols)
         return SearchResult(sols, "ok", 0.0 if sols else np.inf, fps)
@@ -529,7 +515,7 @@ def search_qsystems(
     best = np.inf
     any_nonconverged = False
     for i in range(n_starts):
-        x0 = np.random.default_rng((seed, i)).normal(scale=1.0 if i else 0.5, size=2 * len(free))
+        x0 = np.random.default_rng((seed, i)).normal(scale=1.0 if i else 0.5, size=2 * len(where))
         res = least_squares(residual_vec, x0, jac=jacobian, xtol=1e-14, ftol=1e-14, gtol=1e-14)
         final = float(np.max(np.abs(res.fun)))
         best = min(best, final)

@@ -20,7 +20,7 @@ from conftest import fr_tables
 
 from bcft.category import CategoryPresentation
 from bcft.errors import DataInconsistencyError, StructuralError
-from bcft.qsystems import QSystemSpec, _check_lambda
+from bcft.qsystems import QSystemSpec, _check_lambda, _dense
 from bcft.rings import DEFAULT_TOL, FusionRing
 
 # per presentation: {(word, k): split}; an entry goes with its presentation
@@ -412,7 +412,7 @@ def conjugation_pair(cat: CategoryPresentation, rho: int):
 
 def assemble_x(q: QSystemSpec, cat: CategoryPresentation, require_isometry: bool = True) -> Morphism:
     """Coefficient tensor -> morphism ``x: theta -> theta theta``."""
-    _check_lambda(q, cat, require_isometry)
+    _check_lambda(q, cat) if require_isometry else _dense(q, cat.ring)
     ring = cat.ring
     th = sum_word(q.theta)
     word2 = th + th

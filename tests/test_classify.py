@@ -199,6 +199,9 @@ def test_compatibility_tables(ising_data, fib_data, z3_data):
             compatibility(Z, reg, ising_data.modular)
     with pytest.raises(StructuralError, match="expected 3 matrices, got 2"):
         compatibility(np.eye(3, dtype=np.int64), Nimrep(ising_data.ring, reg.matrices[:2]), ising_data.modular)
+    mixed = Nimrep(ising_data.ring, (reg.matrices[0], np.eye(2, dtype=np.int64), reg.matrices[2]))
+    with pytest.raises(StructuralError, match="nimrep matrices must be square and same-sized"):
+        compatibility(np.eye(3, dtype=np.int64), mixed, ising_data.modular)
 
 
 def test_su2_4_block_invariant_has_d4_nimrep(su2_4_data):

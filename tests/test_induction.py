@@ -23,6 +23,7 @@ from bcft.induction import (
 from bcft.qsystems import (
     QSystemSpec,
     car_qsystem,
+    charged_algebra,
     fingerprint,
     frobenius_check,
     gauge_transform,
@@ -457,3 +458,6 @@ def test_lambda_errors_from_induction(ising_cat):
             call(non_isometric)
         with pytest.raises(StructuralError, match="no fusion channel 0 x 2 -> 0"):
             call(inadmissible)
+    for check in (validate_qsystem, is_local, frobenius_check, charged_algebra):
+        with pytest.raises(StructuralError, match="no fusion channel 0 x 2 -> 0"):
+            check(inadmissible, ising_cat)
