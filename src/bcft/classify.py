@@ -4,14 +4,16 @@ Modular invariants are enumerated completely: an SVD of the S condition on
 the blocks of equal T gives the commutant of {S, T}, pivot entries are taken
 vacuum first (Z[0,0] = 1), then by ascending bound, their integer assignments
 are solved in batches and every candidate is re-verified.  Nimreps are
-enumerated by backtracking over the entries of generator matrices, pruned by
-spectrum: a partial matrix whose spectral radius exceeds the Frobenius-Perron
-dimension ends its branch, and a complete one is kept only if the minimal
-polynomial of the fusion matrix annihilates it exactly.  The rest are derived
-from the representation identity, verified exactly and deduplicated up to
-simultaneous boundary relabeling.  Cardy solutions and compatibility tables
-read the joint eigenspaces of a nimrep off the closed-form projectors
-``P_t = S_0t sum_s conj(S_st) n^s``.
+enumerated on stacks of matrices, ``CHUNK`` at a time.  Generator matrices
+are filled in one entry at a time on a stack of batches of partial matrices,
+pruned by spectrum: one stacked eigensolve drops the partial matrices whose
+spectral radius exceeds the Frobenius-Perron dimension, and a complete one is
+kept only if the minimal polynomial of the fusion matrix annihilates it
+exactly.  The other matrices are derived from the representation identity by
+batched products, deduplicated up to simultaneous boundary relabeling, and
+one representative per class is verified exactly.  Cardy solutions and
+compatibility tables read the joint eigenspaces of a nimrep off the
+closed-form projectors ``P_t = S_0t sum_s conj(S_st) n^s``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ __all__ = [
 
 # -- modular invariants ------------------------------------------------------
 
-CHUNK = 2048  # pivot assignments solved per batch
+CHUNK = 2048  # rows per batch: pivot assignments, partial or derived nimrep matrices, relabelings
 PIVOT_TOL = 1e-6  # least residual norm of a pivot row (B has orthonormal columns)
 
 
@@ -212,22 +214,30 @@ def _select_generators(ring: FusionRing):
     raise StructuralError("fusion ring admits no derivation plan (degenerate N)")
 
 
-def _annihilates(coeffs, M) -> bool:
-    """Exact ``p(M) == 0`` by Horner's rule, ``coeffs`` leading first.
+def _annihilates(coeffs, M) -> np.ndarray:
+    """Exact ``p(M) == 0`` for each matrix of the (m, n, n) stack M, by Horner's
+    rule, ``coeffs`` leading first.
 
-    Each Horner step multiplies by M, whose infinity norm R is its largest
-    absolute row sum, so ``sum |c_k| R^(deg-k)`` bounds every intermediate
-    entry: int64 when that bound fits, Python integers otherwise.
+    Each Horner step multiplies by a matrix whose infinity norm R is its
+    largest absolute row sum, so ``sum |c_k| R^(deg-k)`` bounds every
+    intermediate entry: a matrix is checked in int64 when that bound fits,
+    in Python integers otherwise.
     """
-    R = int(np.abs(M).sum(axis=1).max())
     deg = len(coeffs) - 1
-    if sum(abs(c) * R ** (deg - k) for k, c in enumerate(coeffs)) >= 2**63:
-        M = M.astype(object)
-    eye = np.eye(len(M), dtype=M.dtype)
-    P = np.zeros_like(M)
-    for c in coeffs:
-        P = P @ M + c * eye
-    return not P.any()
+    R = np.abs(M).sum(axis=2).max(axis=1)
+    wide = [r for r in set(R.tolist()) if sum(abs(c) * r ** (deg - k) for k, c in enumerate(coeffs)) >= 2**63]
+    wide = np.isin(R, wide)
+    zero = np.empty(len(M), dtype=bool)
+    for part, dtype in ((~wide, np.int64), (wide, object)):
+        if part.any():
+            A = M[part].astype(dtype, copy=False)
+            diag = np.arange(A.shape[-1])
+            P = np.zeros_like(A)
+            for c in coeffs:
+                P = P @ A
+                P[:, diag, diag] += c
+            zero[part] = ~(P != 0).any(axis=(1, 2))
+    return zero
 
 
 def _minimal_polynomial(ring: FusionRing, g: int) -> tuple[int, ...]:
@@ -244,154 +254,158 @@ def _minimal_polynomial(ring: FusionRing, g: int) -> tuple[int, ...]:
         if all(abs(lam - mu) > 1e-6 for mu in distinct):
             distinct.append(lam)
     coeffs = tuple(int(c) for c in np.rint(np.poly(distinct).real))
-    if not _annihilates(coeffs, Ng):
+    if not _annihilates(coeffs, Ng[None])[0]:
         raise NumericDegeneracyError(
             f"rounded minimal polynomial of N^{g} does not annihilate it"
         )
     return coeffs
 
 
-def _candidate_generator_matrices(ring: FusionRing, g: int, size: int, tol: float):
-    """All n^g that pass the spectral conditions every nimrep meets.
+def _candidate_generator_matrices(ring: FusionRing, g: int, size: int, tol: float) -> np.ndarray:
+    """All n^g that pass the spectral conditions every nimrep meets, as an (m, size, size) stack.
 
     A nimrep matrix n^g is normal with eigenvalues among those of N^g, so
     the minimal polynomial of N^g annihilates it and its spectral radius is
-    at most d_g.  Entries are set in order (mirrored when g is self-dual),
-    each in increasing value, and unset entries are 0, so a partial matrix
-    is entrywise below all its completions.  Row and column square sums
-    above ``floor(d_g^2)`` or a spectral radius above d_g (Perron-Frobenius
-    monotonicity) therefore end the loop over larger values.
+    at most d_g.  Entries are set in order (mirrored when g is self-dual) and
+    unset entries are 0, so a partial matrix is entrywise below all its
+    completions.  A stack of batches of at most ``CHUNK`` partial matrices
+    is expanded one entry at a time: value 0 keeps a batch as it is, and
+    each larger value is tried on the matrices that kept the value below it.
+    Row and column square sums above ``floor(d_g^2)`` or a spectral radius
+    above d_g (one stacked eigensolve; Perron-Frobenius monotonicity) drop a
+    matrix for that value and all larger ones, and a value that no matrix
+    keeps ends the loop.  Complete batches are checked against the minimal
+    polynomial exactly.
     """
     d = ring.fp_dims[g]
     entry_bound = int(math.floor(d + tol))
     row_bound = int(math.floor(d**2 + tol))
     symmetric = ring.dual[g] == g
     minpoly = _minimal_polynomial(ring, g)
-    mats = []
     cells = (
         [(i, j) for i in range(size) for j in range(i, size)]
         if symmetric
         else [(i, j) for i in range(size) for j in range(size)]
     )
 
-    mat = np.zeros((size, size), dtype=np.int64)
-    row_sq = [0] * size
-    col_sq = [0] * size
-
-    def put(i, j, v) -> bool:
-        """Set entry (i, j), mirrored if symmetric; False if a square sum exceeds its bound."""
-        for a, b in {(i, j), (j, i)} if symmetric else {(i, j)}:
-            step = v * v - int(mat[a, b]) ** 2
-            mat[a, b] = v
-            row_sq[a] += step
-            col_sq[b] += step
-        return max(row_sq[i], row_sq[j], col_sq[i], col_sq[j]) <= row_bound
-
-    def spectral_radius() -> float:
+    def admissible(batch, i, j):
+        """The matrices of ``batch`` whose rows and columns i, j and spectral radius are in bounds."""
+        lines = np.concatenate([batch[:, [i, j], :], batch[:, :, [i, j]].transpose(0, 2, 1)], axis=1)
+        batch = batch[np.max(np.sum(lines**2, axis=2), axis=1) <= row_bound]
         if symmetric:
-            return np.linalg.eigvalsh(mat)[-1]
-        return np.max(np.abs(np.linalg.eigvals(mat)))
+            radius = np.linalg.eigvalsh(batch)[:, -1]
+        else:
+            radius = np.max(np.abs(np.linalg.eigvals(batch)), axis=1)
+        return batch[radius <= d + tol]
 
-    def rec(idx):
+    found = []
+    stack = [(0, np.zeros((1, size, size), dtype=np.int64))]
+    while stack:
+        idx, batch = stack.pop()
         if idx == len(cells):
-            if _annihilates(minpoly, mat):
-                mats.append(mat.copy())
-            return
+            found.append(batch[_annihilates(minpoly, batch)])
+            continue
         i, j = cells[idx]
-        rec(idx + 1)  # value 0 leaves the partial matrix unchanged
+        rows, cols = ([i, j], [j, i]) if symmetric else ([i], [j])
+        children = [batch]  # value 0 leaves the partial matrices unchanged
         for v in range(1, entry_bound + 1):
-            if not put(i, j, v) or spectral_radius() > d + tol:
+            batch = batch.copy()
+            batch[:, rows, cols] = v
+            batch = admissible(batch, i, j)
+            if not len(batch):
                 break
-            rec(idx + 1)
-        put(i, j, 0)
+            children.append(batch)
+        level = np.concatenate(children)
+        stack.extend((idx + 1, level[s : s + CHUNK]) for s in range(0, len(level), CHUNK))
+    return np.concatenate(found)
 
-    rec(0)
+
+def _derive(ring: FusionRing, plan, gens, picks) -> np.ndarray:
+    """The (m, n, size, size) stack of tuples the plan derives from the generator
+    matrices ``picks`` (one (m, size, size) stack per generator), without the
+    tuples in which a derived matrix has a negative entry."""
+    m, size = picks[0].shape[:2]
+    mats = np.zeros((m, ring.size, size, size), dtype=np.int64)
+    mats[:, 0] = np.eye(size, dtype=np.int64)
+    mats[:, list(gens)] = np.stack(picks, axis=1)
+    for s, t, u in plan:
+        rest = ring.N[s, t].copy()
+        rest[u] = 0
+        P = mats[:, s] @ mats[:, t] - np.einsum("w,mwij->mij", rest, mats)
+        keep = ~np.any(P < 0, axis=(1, 2))
+        mats = mats[keep]
+        mats[:, u] = P[keep]
     return mats
 
 
-def _derive_all(ring: FusionRing, assigned: dict, plan) -> dict | None:
-    mats = dict(assigned)
-    size = mats[0].shape[0]
-    for s, t, u in plan:
-        P = mats[s] @ mats[t]
-        for w in range(ring.size):
-            if w == u or ring.N[s, t, w] == 0:
-                continue
-            if w not in mats:
-                return None
-            P = P - int(ring.N[s, t, w]) * mats[w]
-        if np.any(P < 0):
-            return None
-        mats[u] = P
-    return mats if len(mats) == ring.size else None
+def _lexmin(rows: np.ndarray) -> np.ndarray:
+    """The lexicographically least row of a 2-D array, by a pairwise tournament:
+    each round keeps, of rows ``k`` and ``k + half``, the one that is smaller at
+    their first differing column."""
+    while len(rows) > 1:
+        half = len(rows) // 2
+        a, b = rows[:half], rows[half : 2 * half]
+        first = np.argmax(a != b, axis=1)
+        pick_b = b[np.arange(half), first] < a[np.arange(half), first]
+        rows = np.concatenate([np.where(pick_b[:, None], b, a), rows[2 * half :]])
+    return rows[0]
 
 
 def _canonical_key(matrices, size):
-    """Lexicographically minimal key over simultaneous boundary relabelings."""
-    # fingerprint-based pruning: only permute within equal-invariant classes
-    fp = []
-    for a in range(size):
-        fp.append(
-            (
-                tuple(int(m[a, a]) for m in matrices),
-                tuple(tuple(sorted(m[a])) for m in matrices),
-            )
-        )
-    order = sorted(range(size), key=lambda a: fp[a])
-    groups = []
-    for a in order:
-        if groups and fp[groups[-1][-1]] == fp[a]:
-            groups[-1].append(a)
-        else:
-            groups.append([a])
-    best = None
-    for parts in itertools.product(*[itertools.permutations(g) for g in groups]):
-        perm = [a for part in parts for a in part]
-        key = tuple(
-            tuple(m[np.ix_(perm, perm)].reshape(-1)) for m in matrices
-        )
-        if best is None or key < best:
-            best = key
-    return best
+    """Lexicographically minimal key over simultaneous boundary relabelings.
+
+    Only relabelings that list the boundaries in the order of a fingerprint
+    (the diagonal entries, then the sorted rows, of every matrix) are
+    compared: ``CHUNK`` of them at a time are gathered in one indexing step
+    and reduced by :func:`_lexmin`.
+    """
+    A = np.asarray(matrices)
+    diag = np.arange(size)
+    fp = np.concatenate([A[:, diag, diag].T, np.sort(A, axis=2).transpose(1, 0, 2).reshape(size, -1)], axis=1)
+    fp = fp.tolist()
+    order = sorted(range(size), key=fp.__getitem__)
+    groups = [list(group) for _, group in itertools.groupby(order, fp.__getitem__)]
+    tables = [np.array(list(itertools.permutations(group))) for group in groups]
+    counts = [len(table) for table in tables]
+    total = math.prod(counts)
+    best = np.zeros((0, A.size), dtype=A.dtype)
+    for start in range(0, total, CHUNK):
+        picks = np.unravel_index(np.arange(start, min(start + CHUNK, total)), counts)
+        perm = np.concatenate([table[p] for table, p in zip(tables, picks)], axis=1)
+        flat = A[:, perm[:, :, None], perm[:, None, :]].transpose(1, 0, 2, 3).reshape(len(perm), -1)
+        best = _lexmin(np.concatenate([best, flat]))[None]
+    best = best[0].reshape(len(A), -1).tolist()
+    return tuple(tuple(row) for row in best)
 
 
 def enumerate_nimreps(ring: FusionRing, size: int, tol: float = DEFAULT_TOL) -> list[Nimrep]:
     """All nimreps of the given boundary count, up to relabeling.
 
     Reducible nimreps (direct sums) are included: Fibonacci at size 4 gives
-    the regular nimrep taken twice.  Backtracks over generator-matrix
-    entries with spectral pruning (see :func:`_candidate_generator_matrices`),
-    derives the remaining matrices from the representation identity and
-    verifies everything exactly.
+    the regular nimrep taken twice.  Generator matrices come from a batched
+    search with spectral pruning (see :func:`_candidate_generator_matrices`).
+    Their combinations, ``CHUNK`` at a time, derive the remaining matrices
+    from the representation identity as stacked arrays; tuples with a
+    negative entry are dropped and the rest deduplicated up to simultaneous
+    boundary relabeling.  Derivation, the sign test and the nimrep
+    conditions all commute with relabeling, so one representative per class,
+    the canonical one, is verified exactly (:meth:`Nimrep.validate`).
     """
     if size < 1:
         raise StructuralError("nimrep size must be >= 1")
     if ring.size == 1:
         return [Nimrep(ring, (np.eye(size, dtype=np.int64),))] if size == 1 else []
     gens, plan = _select_generators(ring)
-    candidate_lists = [
-        _candidate_generator_matrices(ring, g, size, tol) for g in gens
-    ]
-    found = {}
-    eye = np.eye(size, dtype=np.int64)
-    for combo in itertools.product(*candidate_lists):
-        assigned = {0: eye}
-        for g, mat in zip(gens, combo):
-            assigned[g] = mat
-        mats = _derive_all(ring, assigned, plan)
-        if mats is None:
-            continue
-        matrices = tuple(mats[s] for s in range(ring.size))
-        nr = Nimrep(ring, matrices)
-        if nr.validate():
-            continue
-        key = _canonical_key(matrices, size)
-        if key not in found:
-            canon = tuple(
-                np.array(k, dtype=np.int64).reshape(size, size) for k in key
-            )
-            found[key] = Nimrep(ring, canon)
-    return [found[k] for k in sorted(found)]
+    candidates = [_candidate_generator_matrices(ring, g, size, tol) for g in gens]
+    counts = [len(c) for c in candidates]
+    total = math.prod(counts)
+    keys = set()
+    for start in range(0, total, CHUNK):
+        picks = np.unravel_index(np.arange(start, min(start + CHUNK, total)), counts)
+        derived = _derive(ring, plan, gens, [c[p] for c, p in zip(candidates, picks)])
+        keys.update(_canonical_key(mats, size) for mats in derived)
+    canon = (Nimrep(ring, tuple(np.array(k, dtype=np.int64).reshape(size, size) for k in key)) for key in sorted(keys))
+    return [nr for nr in canon if not nr.validate()]
 
 
 # -- Cardy solutions ---------------------------------------------------------

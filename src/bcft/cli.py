@@ -104,12 +104,16 @@ def cmd_invariants(args) -> int:
 
 def cmd_nimreps(args) -> int:
     data = load_category(args.category)
-    nims = enumerate_nimreps(data.ring, args.size, args.tolerance)
     if args.invariant:
         Z = load_coupling_matrix(args.invariant)
         if Z.shape != data.modular.S.shape:
             raise StructuralError(f"Z has shape {Z.shape}, the category has {data.ring.size} sectors")
-        nims = [nr for nr in nims if compatibility(Z, nr, data.modular)[0]]
+    if args.invariant and args.size >= 1 and args.size != np.trace(Z):
+        nims = []  # the projectors P_t sum to the identity: a compatible nimrep has tr Z boundaries
+    else:
+        nims = enumerate_nimreps(data.ring, args.size, args.tolerance)
+        if args.invariant:
+            nims = [nr for nr in nims if compatibility(Z, nr, data.modular)[0]]
     print(f"{len(nims)} nimrep orbit(s) of size {args.size}")
     if args.out:
         write_report(

@@ -10,7 +10,7 @@ import pytest
 
 from bcft.catalog import CategoryData, fibonacci, ising, su2
 from bcft.category import CategoryPresentation
-from bcft.classify import Nimrep, _canonical_key, _derive_all, _select_generators
+from bcft.classify import Nimrep, _select_generators
 from bcft.modular import ModularData
 from bcft.qsystems import QSystemSpec
 from bcft.rings import FusionRing
@@ -204,22 +204,68 @@ def _row_norm_generator_matrices(ring, g: int, size: int, tol: float):
     return mats
 
 
+def reference_derive_all(ring, assigned: dict, plan) -> dict | None:
+    """Oracle: one tuple at a time, the matrices that ``plan`` derives from the
+    ``assigned`` ones, or None if a derived matrix has a negative entry."""
+    mats = dict(assigned)
+    for s, t, u in plan:
+        P = mats[s] @ mats[t]
+        for w in range(ring.size):
+            if w == u or ring.N[s, t, w] == 0:
+                continue
+            if w not in mats:
+                return None
+            P = P - int(ring.N[s, t, w]) * mats[w]
+        if np.any(P < 0):
+            return None
+        mats[u] = P
+    return mats if len(mats) == ring.size else None
+
+
+def reference_canonical_key(matrices, size):
+    """Oracle: the lexicographically minimal key over simultaneous boundary
+    relabelings, one ``np.ix_`` relabeling at a time over the permutations
+    within classes of equal fingerprint."""
+    fp = []
+    for a in range(size):
+        fp.append(
+            (
+                tuple(int(m[a, a]) for m in matrices),
+                tuple(tuple(sorted(m[a])) for m in matrices),
+            )
+        )
+    order = sorted(range(size), key=lambda a: fp[a])
+    groups = []
+    for a in order:
+        if groups and fp[groups[-1][-1]] == fp[a]:
+            groups[-1].append(a)
+        else:
+            groups.append([a])
+    best = None
+    for parts in itertools.product(*[itertools.permutations(g) for g in groups]):
+        perm = [a for part in parts for a in part]
+        key = tuple(tuple(m[np.ix_(perm, perm)].reshape(-1)) for m in matrices)
+        if best is None or key < best:
+            best = key
+    return best
+
+
 def brute_force_nimreps(ring, size: int, tol: float = 1e-9):
     """Oracle: nimrep orbits from generator matrices bounded only by entry
-    size and row norm, derived, verified and deduplicated like
-    ``enumerate_nimreps``."""
+    size and row norm, derived one tuple at a time, verified, deduplicated by
+    :func:`reference_canonical_key` and listed in key order."""
     gens, plan = _select_generators(ring)
     candidate_lists = [_row_norm_generator_matrices(ring, g, size, tol) for g in gens]
     found = {}
     eye = np.eye(size, dtype=np.int64)
     for combo in itertools.product(*candidate_lists):
-        mats = _derive_all(ring, {0: eye, **dict(zip(gens, combo))}, plan)
+        mats = reference_derive_all(ring, {0: eye, **dict(zip(gens, combo))}, plan)
         if mats is None:
             continue
         matrices = tuple(mats[s] for s in range(ring.size))
         if Nimrep(ring, matrices).validate():
             continue
-        found.setdefault(_canonical_key(matrices, size), None)
+        found.setdefault(reference_canonical_key(matrices, size), None)
     return [
         tuple(np.array(k, dtype=np.int64).reshape(size, size) for k in key)
         for key in sorted(found)

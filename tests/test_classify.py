@@ -1,15 +1,18 @@
 import hashlib
+import itertools
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import brute_force_invariants, brute_force_nimreps, reference_commutant
+from conftest import brute_force_invariants, brute_force_nimreps, reference_canonical_key, reference_commutant
 
+from bcft import classify
 from bcft.catalog import catalog
 from bcft.classify import (
     Nimrep,
+    _annihilates,
     _canonical_key,
     _commutant_basis,
     _minimal_polynomial,
@@ -248,6 +251,51 @@ def test_nimreps_match_row_norm_oracle(name, first, last, su2_level):
         assert [[m.tolist() for m in t] for t in fast] == [
             [m.tolist() for m in t] for t in slow
         ], (name, size)
+
+
+def test_canonical_key_matches_the_relabeling_loop(su2_4_data):
+    # every valid tuple is a relabeling of an enumerated orbit
+    for ring, size in [(su2_4_data.ring, 4), (su2_4_data.ring, 5), (_cyclic_ring(3), 4), (_cyclic_ring(4), 4)]:
+        for nr in enumerate_nimreps(ring, size):
+            key = _canonical_key(nr.matrices, size)
+            assert key == tuple(tuple(m.reshape(-1).tolist()) for m in nr.matrices)
+            for perm in itertools.permutations(range(size)):
+                relabeled = tuple(m[np.ix_(perm, perm)] for m in nr.matrices)
+                assert _canonical_key(relabeled, size) == reference_canonical_key(relabeled, size) == key
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_nimreps_do_not_depend_on_the_batch_cap(chunk, su2_4_data, monkeypatch):
+    # z4: n^1 is not symmetric, so its candidates are filtered with the general eigensolver
+    cases = [(su2_4_data.ring, 4), (su2_4_data.ring, 5), (_cyclic_ring(4), 4)]
+
+    def listed():
+        return [[[m.tolist() for m in nr.matrices] for nr in enumerate_nimreps(ring, size)] for ring, size in cases]
+
+    want = listed()
+    monkeypatch.setattr(classify, "CHUNK", chunk)
+    assert listed() == want
+
+
+def _horner_python_integers(coeffs, M):
+    M = M.astype(object)
+    P = np.zeros_like(M)
+    for c in coeffs:
+        P = P @ M + c * np.eye(len(M), dtype=object)
+    return not P.any()
+
+
+def test_annihilates_mixes_int64_and_python_integer_checks():
+    big = 2**32  # x^2 bounds its square by R^2 = 2^64: too wide for int64, which wraps it to 0
+    stack = np.array(
+        [[[0, 1], [0, 0]], [[big, 0], [0, 0]], [[0, big], [0, 0]], [[1, 0], [0, 1]], [[1, 1], [0, 1]], [[big, 1], [0, 0]]],
+        dtype=np.int64,
+    )
+    assert not (stack[1] @ stack[1]).any()
+    for coeffs in [(1, 0, 0), (1, -1, 0), (1, -2, 1), (1, -big, 0)]:
+        want = [_horner_python_integers(coeffs, M) for M in stack]
+        assert _annihilates(coeffs, stack).tolist() == want, coeffs
+    assert [_horner_python_integers((1, 0, 0), M) for M in stack] == [True, False, True, False, False, False]
 
 
 @pytest.mark.parametrize("name", ["ising", "fibonacci"] + [f"su2_{k}" for k in range(1, 11)])
@@ -496,6 +544,15 @@ def _e6_nimrep(ring):
     while len(mats) < ring.size:
         mats.append(mats[1] @ mats[-1] - mats[-2])
     return Nimrep(ring, tuple(mats))
+
+
+def test_su2_10_size_6_is_the_e6_nimrep(su2_level):
+    data = su2_level(10)
+    nims = enumerate_nimreps(data.ring, 6)
+    assert len(nims) == 1
+    assert _canonical_key(nims[0].matrices, 6) == _canonical_key(_e6_nimrep(data.ring).matrices, 6)
+    e6 = _block_invariant(11, [[0, 6], [3, 7], [4, 10]])
+    assert compatibility(e6, nims[0], data.modular)[0]
 
 
 def _spectral_corpus(ising_data, fib_data, z3_data, su2_4_data):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from bcft.catalog import catalog, fibonacci, ising
 from bcft.classify import compatibility, enumerate_modular_invariants, enumerate_nimreps, regular_nimrep
+from bcft import cli
 from bcft.cli import main
 from bcft.errors import StructuralError
 from bcft.io import (
@@ -443,6 +444,30 @@ def test_cli_nimreps_invariant_filter(tmp_path, ising_file, coupling_file):
     out = tmp_path / "nims.json"
     assert main(["nimreps", str(ising_file), "--size", "3", "--invariant", str(coupling_file), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["payload"]["count"] == 1
+
+
+def test_cli_nimreps_invariant_enumerates_only_at_its_trace(tmp_path, su2_4_data, monkeypatch, capsys):
+    # the spectral projectors sum to the identity: a nimrep compatible with Z has tr Z boundaries
+    block = enumerate_modular_invariants(su2_4_data.modular)[1]
+    d4 = [nr for nr in enumerate_nimreps(su2_4_data.ring, 4) if compatibility(block, nr, su2_4_data.modular)[0]]
+    category, coupling, out = tmp_path / "su2_4.json", tmp_path / "d4.json", tmp_path / "nims.json"
+    save_category(su2_4_data, category)
+    coupling.write_text(json.dumps({"Z": block.tolist()}))
+    argv = ["nimreps", str(category), "--invariant", str(coupling), "--out", str(out), "--size"]
+    assert main([*argv, "4"]) == 0
+    payload = json.loads(out.read_text())["payload"]
+    assert payload == {"count": 1, "nimreps": [{"n": [m.tolist() for m in d4[0].matrices]}]}
+
+    def never(*args):
+        raise AssertionError("enumerated at a size other than tr Z")
+
+    monkeypatch.setattr(cli, "enumerate_nimreps", never)
+    capsys.readouterr()
+    assert main([*argv, "5"]) == 0
+    assert capsys.readouterr().out == "0 nimrep orbit(s) of size 5\n"
+    assert json.loads(out.read_text())["payload"] == {"count": 0, "nimreps": []}
+    monkeypatch.undo()
+    assert main([*argv, "0"]) == 2
 
 
 def test_cli_partition_short_order_exits_3(ising_file, nimrep_file):
