@@ -3,7 +3,9 @@
 All schemas are strict (unknown keys are rejected; silent typos in physics
 data are the dominant failure mode).  Serialization is canonical: fixed key
 order, entries sorted, floats printed with 17 significant digits, so that
-save(load(f)) is byte-identical and report fingerprints are stable.
+save(load(f)) is byte-identical and report fingerprints are stable.  A
+category file in that layout has its F and R rows read by columns, without
+the parsed JSON document; any other layout is read through the document.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import gc
 import hashlib
 import json
 import math
+from collections.abc import Iterator
 from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
@@ -41,16 +44,14 @@ __all__ = [
 ]
 
 
-_ROWS_PER_CHUNK = 1 << 16  # F/R rows formatted at a time, to bound the temporary lists
-
-
-class _Json(str):
-    """Text that is already canonical JSON; ``_fmt`` emits it unchanged."""
+_ROWS_PER_CHUNK = 1 << 13  # F/R rows written at a time, to bound the temporaries
+_CHUNK_BYTES = 1 << 18  # F/R text parsed, or file bytes hashed, at a time
+_COLUMNS_MIN_BYTES = 1 << 14  # json.loads reads a smaller category file faster than the columns
+# an F/R row: its start, the comma between numbers, the text between labels and values, its end
+_ROW_TEXT = ('{"labels":[', ",", '],"value":[', "]}")
 
 
 def _fmt(value) -> str:
-    if isinstance(value, _Json):
-        return value
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -96,7 +97,16 @@ def _check_keys(doc: dict, required, optional, what: str):
 
 
 def _read_json(path, what: str) -> dict:
-    """Parse the JSON object in ``path``; malformed input is a StructuralError.
+    """Parse the JSON object in ``path``; malformed input is a StructuralError."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise StructuralError(f"{what}: not valid JSON: {exc}") from exc
+    return _json_object(text, what)
+
+
+def _json_object(text: str, what: str, **hooks) -> dict:
+    """Parse the JSON object ``text``; malformed input is a StructuralError.
 
     Non-finite numbers are malformed too: the ``NaN``/``Infinity`` constants
     Python's json accepts, and literals such as ``1e999`` that overflow a float.
@@ -109,8 +119,8 @@ def _read_json(path, what: str) -> dict:
         return x
 
     try:
-        doc = json.loads(Path(path).read_text(), parse_float=finite, parse_constant=finite)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        doc = json.loads(text, parse_float=finite, parse_constant=finite, **hooks)
+    except json.JSONDecodeError as exc:
         raise StructuralError(f"{what}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise StructuralError(f"{what} must be a JSON object")
@@ -166,21 +176,38 @@ def _complex(pair, what):
     return complex(_real(pair[0], what), _real(pair[1], what))
 
 
-def _entry_rows(labels: np.ndarray, values: np.ndarray) -> _Json:
-    """F or R entries ``{"labels": [...], "value": [re, im]}`` as canonical JSON:
-    one row template filled from the label columns and the value columns, with
-    the floats of ``_fmt`` (17 digits, ``-0.0`` written as ``0.0``)."""
+def _entry_rows(labels: np.ndarray, values: np.ndarray):
+    """F or R entries ``{"labels": [...], "value": [re, im]}`` as canonical JSON
+    text, yielded a chunk of rows at a time.  Each distinct label and float is
+    formatted once (17 digits, ``-0.0`` written as ``0.0``), with the template
+    text around it, and the rows are gathered from those cells.  The values are
+    checked on the call, before any text is made."""
     pairs = np.stack([values.real, values.imag], axis=1)
     if not np.isfinite(pairs).all():
         raise StructuralError("cannot serialize non-finite float")
-    pairs += 0.0  # canonicalize the sign of zero
-    row = '{"labels":[' + ",".join(["%d"] * labels.shape[1]) + '],"value":[%.17g,%.17g]}'
-    text = []
-    for start in range(0, len(labels), _ROWS_PER_CHUNK):
-        part = slice(start, start + _ROWS_PER_CHUNK)
-        columns = [*labels[part].T.tolist(), *pairs[part].T.tolist()]
-        text.append(",".join(map(row.__mod__, zip(*columns))))
-    return _Json("[" + ",".join(text) + "]")
+    floats, at = np.unique(pairs + 0.0, return_inverse=True)  # + 0.0: the sign of zero
+    digits = [*map(str, range(labels.max(initial=0) + 1))]
+    numbers = [*map("%.17g".__mod__, floats.tolist())]
+    width, at = labels.shape[1], at.reshape(-1, 2)
+    opening, comma, middle, closing = _ROW_TEXT
+    # (text before, numbers, text after, index column) per cell; the first row drops its leading comma
+    cells = [
+        ("," + opening if j == 0 else "", digits, comma if j < width - 1 else middle, labels[:, j])
+        for j in range(width)
+    ]
+    cells += [("", numbers, comma, at[:, 0]), ("", numbers, closing, at[:, 1])]
+    cells = [(np.array([a + x + b for x in texts], dtype=object), index) for a, texts, b, index in cells]
+
+    def chunks():
+        yield "["
+        for start in range(0, len(labels), _ROWS_PER_CHUNK):
+            rows = np.stack([texts[index[start : start + _ROWS_PER_CHUNK]] for texts, index in cells], axis=1)
+            if start == 0:
+                rows[0, 0] = rows[0, 0][1:]
+            yield "".join(rows.ravel().tolist())
+        yield "]"
+
+    return chunks()
 
 
 def _entry_columns(items, width: int, what: str):
@@ -189,6 +216,8 @@ def _entry_columns(items, width: int, what: str):
     the M complex values, in file order.  The checks are those of reading one
     entry at a time, made on whole columns; a failure names the first
     offending entry."""
+    if isinstance(items, tuple):  # the columns, read by _columns_doc
+        return items
     if not isinstance(items, list):
         raise StructuralError(f"{what} must be an array of entries, got {type(items).__name__}")
     if set(map(type, items)) - {dict}:
@@ -215,6 +244,121 @@ def _entry_columns(items, width: int, what: str):
         np.fromiter(chain.from_iterable(labels), np.int64, width * len(items)).reshape(-1, width),
         np.fromiter(chain.from_iterable(values), float, 2 * len(items)).view(complex),
     )
+
+
+def _columns_doc(text: bytes):
+    """The category document in ``text`` with its F and R members read as
+    columns, if they are laid out as ``save_category`` writes them, else None.
+
+    The two members are cut out of the text and the rest goes through
+    ``_json_object``.  Each cut must be the writer's rows exactly, so the
+    columns equal, bit for bit, those ``_entry_columns`` reads from the parsed
+    document, and ``dict_to_category`` checks them the same way."""
+    if len(text) < _COLUMNS_MIN_BYTES:
+        return None
+    f_start = text.find(b'"F":[') + 5
+    f_stop = text.find(b'],"R":[', f_start)
+    r_stop = text.rfind(b"]")
+    if f_start < 5 or f_stop < 0:
+        return None
+    names = []  # the member names of every object in the rest, which must hold one F and one R
+    try:
+        doc = _json_object(
+            (text[:f_start] + text[f_stop : f_stop + 7] + text[r_stop:]).decode("ascii"),
+            "category file",
+            object_pairs_hook=lambda pairs: names.extend(name for name, _ in pairs) or dict(pairs),
+        )
+    except (StructuralError, UnicodeDecodeError):
+        return None
+    if names.count("F") != 1 or names.count("R") != 1 or doc.get("F") != [] or doc.get("R") != []:
+        return None
+    if not isinstance(doc.get("labels"), list) or len(doc["labels"]) > 100:
+        return None
+    n = len(doc["labels"])
+    sectors = np.full(1 << 16, -1, np.int8)  # the label whose text is each two bytes, or -1
+    sectors[np.array([b"%d" % label for label in range(n)], "S2").view("<u2")] = range(n)
+    doc["F"] = _section_columns(text, f_start, f_stop, 6, sectors)
+    doc["R"] = _section_columns(text, f_stop + 7, r_stop, 3, sectors)
+    return doc if doc["F"] and doc["R"] else None
+
+
+def _section_columns(text: bytes, start: int, stop: int, width: int, sectors: np.ndarray):
+    """The label and value columns of the rows in ``text[start:stop]``, read a
+    chunk of rows at a time, if they are the rows ``_entry_rows`` writes with
+    the labels of ``sectors`` (see ``_columns_doc``), else None."""
+    opening, comma, middle, closing = _ROW_TEXT
+    row = opening + comma.join("0" * width) + middle + "0" + comma + "0" + closing + ","
+    at = [i for i, c in enumerate(row) if c in ",[]"]
+    gaps = [row[i + 1 : j] for i, j in zip([-1, *at], at)]  # the text before each mark; "0" is a number
+    marks = np.frombuffer(row.encode(), np.uint8)[at]
+    rows = text.count(b"{", start, stop)  # one per row
+    labels, values = np.empty((rows, width), np.int64), np.empty(rows, complex)
+    floats = {}  # value text -> its float, once checked
+    done = 0
+    while start < stop:
+        end = text.find(b"},{", start + _CHUNK_BYTES, stop) + 1 or stop
+        columns = _rows_columns(text[start:end], marks, gaps, sectors, floats)
+        if columns is None:
+            return None
+        size = len(columns[1])
+        labels[done : done + size], values[done : done + size] = columns
+        done, start = done + size, end + 1
+    return labels, values
+
+
+# the low n bytes of a word, and of each of three words (n = 0 .. 24)
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)
+_LOW_WORDS = _LOW_BYTES[np.clip(np.arange(25)[:, None] - [0, 8, 16], 0, 8)]
+
+
+def _rows_columns(chunk: bytes, marks: np.ndarray, gaps: list, sectors: np.ndarray, floats: dict):
+    """The columns of the rows in ``chunk`` (see ``_section_columns``), or None.
+
+    The commas and brackets must be the template's ``marks``, row after row,
+    with the template's text between them.  Each label must be the text of
+    one of ``sectors``, and each value the ``%.17g`` text of a finite float
+    that is not ``-0``; ``floats`` holds each value text parsed so far."""
+    if b"\0" in chunk:  # so that a token of up to 24 bytes is the low bytes of the words it starts
+        return None
+    buf = np.frombuffer(chunk + b"," + bytes(24), np.uint8)  # each row ends in a comma; padding to read words
+
+    def from_each_byte(dtype):  # the item of ``dtype`` that starts at each byte
+        return np.ndarray(buf.size - np.dtype(dtype).itemsize + 1, dtype, buf, 0, (1,))
+
+    head = buf[: len(chunk) + 1]
+    at = np.flatnonzero((head == 44) | (head == 91) | (head == 93))  # , [ ]
+    if at.size == 0 or at.size % marks.size or (buf[at].reshape(-1, marks.size) != marks).any():
+        return None
+    begin = np.empty_like(at)  # of the text before each mark
+    begin[0], begin[1:] = 0, at[:-1] + 1
+    begin, length = begin.reshape(-1, marks.size), (at - begin).reshape(-1, marks.size)
+    fixed = [k for k, gap in enumerate(gaps) if gap != "0"]
+    if (length[:, fixed] != [len(gaps[k]) for k in fixed]).any() or any(
+        (from_each_byte(f"S{len(gaps[k])}")[begin[:, k]] != gaps[k].encode()).any() for k in fixed if gaps[k]
+    ):
+        return None
+
+    numbers = [k for k, gap in enumerate(gaps) if gap == "0"]  # the label columns, then re and im
+    columns = slice(numbers[0], numbers[-3] + 1)
+    if length[:, columns].max() > 2:
+        return None
+    labels = sectors[from_each_byte("<u2")[begin[:, columns]] & _LOW_BYTES[length[:, columns]]]
+    if (labels < 0).any():
+        return None
+
+    begin, length = begin[:, numbers[-2:]].ravel(), length[:, numbers[-2:]].ravel()
+    if length.max() > 24:
+        return None
+    words = from_each_byte("V24")[begin].view("<u8").reshape(-1, 3) & _LOW_WORDS[length]  # cut to length
+    texts = words.astype("<u8", copy=False).view("S24").ravel().tolist()
+    try:
+        for text in set(texts).difference(floats):
+            x = floats[text] = float(text)
+            if not math.isfinite(x) or b"%.17g" % (x + 0.0) != text:
+                return None
+    except ValueError:
+        return None
+    return labels, np.array([floats[text] for text in texts]).view(complex)
 
 
 def _category_doc(data: CategoryData) -> dict:
@@ -277,12 +421,27 @@ def dict_to_category(doc: dict, name: str = "file") -> CategoryData:
 
 
 def save_category(data: CategoryData, path) -> None:
-    Path(path).write_text(dump_canonical(_category_doc(data)))
+    """Write the canonical category file.  Every value is checked, and all but
+    the F and R rows formatted, before the file is opened, so a failing save
+    writes nothing; the rows are then written a chunk at a time."""
+    members = [
+        (json.dumps(key), value if isinstance(value, Iterator) else [_fmt(value)])
+        for key, value in _category_doc(data).items()
+    ]
+    with open(path, "w") as out:
+        for i, (key, text) in enumerate(members):
+            out.write(("," if i else "{") + key + ":")
+            out.writelines(text)
+        out.write("}\n")
 
 
 def load_category(path) -> CategoryData:
+    """Read a category file: F and R by columns when they are laid out as
+    ``save_category`` writes them, otherwise through the parsed document.
+    Both give the same data, or the same StructuralError."""
     with _collector_paused():
-        return dict_to_category(_read_json(path, "category file"), name=Path(path).stem)
+        doc = _columns_doc(Path(path).read_bytes()) or _read_json(path, "category file")
+        return dict_to_category(doc, name=Path(path).stem)
 
 
 def qsystem_to_dict(q: QSystemSpec) -> dict:
@@ -346,7 +505,12 @@ def load_coupling_matrix(path) -> np.ndarray:
 
 
 def file_fingerprint(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """SHA-256 of the file's bytes, read a block at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as file:
+        for block in iter(lambda: file.read(_CHUNK_BYTES), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def write_report(path, operation: str, inputs: dict, settings: dict, payload: dict) -> None:

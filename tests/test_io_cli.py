@@ -1,9 +1,12 @@
 import contextlib
+import copy
+import dataclasses
 import hashlib
 import io
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,8 @@ from bcft import cli
 from bcft.cli import main
 from bcft.errors import StructuralError
 from bcft.io import (
+    _columns_doc,
+    _read_json,
     dict_to_category,
     file_fingerprint,
     load_category,
@@ -284,6 +289,37 @@ def test_category_entries_load_in_any_order(tmp_path, su2_4_data, rng):
     assert again.read_bytes() == first.read_bytes()
 
 
+def test_failing_save_writes_nothing(tmp_path, su2_4_data):
+    broken = copy.copy(su2_4_data.presentation)
+    broken.f_values = np.where(np.arange(broken.f_values.size) == 3, math.nan, broken.f_values)
+    path = tmp_path / "broken.json"
+    with pytest.raises(StructuralError, match="non-finite"):
+        save_category(dataclasses.replace(su2_4_data, presentation=broken), path)
+    assert not path.exists()
+
+
+def test_category_file_memory(tmp_path, su2_level):
+    # su2_12: a 2.4 MB file with 43,953 F rows; its parsed JSON document alone
+    # takes about 10x the file, so the load bound holds only on the column path
+    data, path = su2_level(12), tmp_path / "su2_12.json"
+    save_category(data, path)
+    size = path.stat().st_size
+    for run, bound in ((lambda: load_category(path), 5), (lambda: save_category(data, path), 2.6)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * size, (run, peak / size)
+
+
+def test_file_fingerprint_reads_blocks(tmp_path):
+    path = tmp_path / "blob"
+    path.write_bytes(np.random.default_rng(0).bytes(5 << 19))  # larger than one block
+    assert file_fingerprint(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_cli_catalog_writes_library_bytes(tmp_path, su2_level):
     cli, library = tmp_path / "cli.json", tmp_path / "library.json"
     assert main(["catalog", "su2", "--level", "10", "--out", str(cli)]) == 0
@@ -548,3 +584,138 @@ def test_cli_fuzzed_file_exits_cleanly(fuzz_dir, which, data):
         assert code in (0, 1, 2, 3), argv
         if code == 2:
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def su2_4_text(tmp_path_factory, su2_4_data):
+    path = tmp_path_factory.mktemp("canonical") / "su2_4.json"
+    save_category(su2_4_data, path)
+    return path.read_bytes()
+
+
+def _sections(text: bytes):
+    """A canonical category file as [head, F rows, middle, R rows, tail], each
+    row without its braces."""
+    f = text.index(b'"F":[{') + 6
+    r = text.index(b'}],"R":[{', f)
+    end = text.rindex(b"}]")
+    return [text[:f], text[f:r].split(b"},{"), text[r : r + 9], text[r + 9 : end].split(b"},{"), text[end:]]
+
+
+def _joined(sections) -> bytes:
+    head, f_rows, middle, r_rows, tail = sections
+    return head + b"},{".join(f_rows) + middle + b"},{".join(r_rows) + tail
+
+
+def _outcome(load):
+    """The loaded N, F and R bytes, or the StructuralError message."""
+    try:
+        data = load()
+    except StructuralError as exc:
+        return str(exc)
+    return data.ring.N.tobytes(), data.presentation.f_values.tobytes(), data.presentation.R.tobytes()
+
+
+_MUTATIONS = (
+    *("digit", "01", "-0", "1e999", "NaN", "inf", "long"),
+    *("dropped", "repeated", "swapped", "space", "NUL", "extra member"),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(kind=st.sampled_from(_MUTATIONS), member=st.sampled_from((1, 3)), data=st.data())
+def test_column_reader_matches_document(tmp_path_factory, su2_4_text, kind, member, data):
+    """A canonical su2_4 file with one F or R row mutated loads as the parsed
+    document does: the same data, bit for bit, or the same error."""
+    sections = _sections(su2_4_text)
+    rows = sections[member]
+    i, j = (data.draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+    row = rows[i]
+    numbers = list(re.finditer(rb"-?[0-9][0-9.e+-]*", row))  # the labels, then re and im
+    if kind == "digit":
+        at = data.draw(st.sampled_from([k for k, c in enumerate(row) if chr(c).isdigit()]))
+        row = row[:at] + str(data.draw(st.integers(0, 9))).encode() + row[at + 1 :]
+    elif kind in ("01", "-0", "1e999", "NaN", "inf"):
+        number = data.draw(st.sampled_from(numbers[:-2] if kind == "01" else numbers[-2:]))
+        row = row[: number.start()] + (b"0" + number[0] if kind == "01" else kind.encode()) + row[number.end() :]
+    elif kind == "long":  # the same number in more than 24 characters
+        number = data.draw(st.sampled_from(numbers[-2:]))
+        mantissa, e, exponent = number[0].partition(b"e")
+        longer = mantissa + b"." * (b"." not in mantissa) + b"0" * 24 + e + exponent
+        row = row[: number.start()] + longer + row[number.end() :]
+    elif kind == "space":
+        between = [k for k in range(len(row) + 1) if not any(m.start() < k < m.end() for m in numbers)]
+        at = data.draw(st.sampled_from(between) | st.integers(0, len(row)))
+        row = row[:at] + b" " + row[at:]
+    elif kind == "NUL":  # after a number, where it would hide in the number's word
+        at = data.draw(st.sampled_from(numbers)).end()
+        row = row[:at] + b"\0" + row[at:]
+    elif kind == "extra member":
+        row += b',"extra":1'
+    rows[i] = row
+    if kind == "dropped":
+        del rows[i]
+    elif kind == "repeated":
+        rows.insert(j, row)
+    elif kind == "swapped":
+        rows[i], rows[j] = rows[j], rows[i]
+    bad = tmp_path_factory.getbasetemp() / "mutated.json"
+    bad.write_bytes(_joined(sections))
+    want = _outcome(lambda: dict_to_category(_read_json(bad, "category file"), name=bad.stem))
+    assert _outcome(lambda: load_category(bad)) == want
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (b'],"value":[', b',,"value":['),  # a comma for a bracket
+        (b'"labels":[', b'"lebals":['),  # other member text
+        (b'"labels":[', b'"label":['),
+        (b'"labels":[', b'"labels": ['),  # JSON whitespace, read through the document
+    ],
+)
+def test_column_reader_checks_row_text(tmp_path, su2_4_text, old, new):
+    sections = _sections(su2_4_text)
+    sections[1][3] = sections[1][3].replace(old, new)
+    path = tmp_path / "edited.json"
+    path.write_bytes(_joined(sections))
+    assert _columns_doc(path.read_bytes()) is None
+    want = _outcome(lambda: dict_to_category(_read_json(path, "category file"), name=path.stem))
+    assert _outcome(lambda: load_category(path)) == want
+
+
+def test_column_reader_takes_canonical_files(tmp_path, su2_4_text):
+    assert _joined(_sections(su2_4_text)) == su2_4_text
+    assert _columns_doc(su2_4_text) is not None
+    sections = _sections(su2_4_text)
+    sections[1].reverse()  # rows in another order are still read by columns
+    assert _columns_doc(_joined(sections)) is not None
+    for text in (su2_4_text, _joined(sections)):
+        path = tmp_path / "su2_4.json"
+        path.write_bytes(text)
+        want = _outcome(lambda: dict_to_category(json.loads(text), name=path.stem))
+        assert _outcome(lambda: load_category(path)) == want
+
+
+def test_column_reader_reads_only_top_level_members(tmp_path, su2_4_text):
+    # the canonical rows nested in central_charge, with empty F and R spelled by escapes at the top
+    f, end = su2_4_text.index(b',"F":['), su2_4_text.rindex(b"]") + 1
+    nested = su2_4_text[:f] + b',"\\u0046":[],"\\u0052":[],"central_charge":{' + su2_4_text[f + 1 : end] + b"}}\n"
+    path = tmp_path / "nested.json"
+    path.write_bytes(nested)
+    assert _columns_doc(nested) is None
+    want = _outcome(lambda: dict_to_category(json.loads(nested), name=path.stem))
+    assert want == "missing admissible F entry (0, 0, 0, 0, 0, 0)"
+    assert _outcome(lambda: load_category(path)) == want
+
+
+def test_column_reader_reads_whole_labels(tmp_path, su2_level):
+    # su2_10 has a two-digit label; a three-digit one is not read as its first two digits
+    path = tmp_path / "su2_10.json"
+    save_category(su2_level(10), path)
+    text = path.read_bytes()
+    assert _columns_doc(text) is not None
+    path.write_bytes(text.replace(b'"labels":[10,', b'"labels":[100,', 1))
+    want = _outcome(lambda: dict_to_category(json.loads(path.read_bytes()), name=path.stem))
+    assert want.startswith("missing admissible F entry (10,")  # the row now has label 100
+    assert _outcome(lambda: load_category(path)) == want
