@@ -220,15 +220,16 @@ def _annihilates(coeffs, M) -> np.ndarray:
 
     Each Horner step multiplies by a matrix whose infinity norm R is its
     largest absolute row sum, so ``sum |c_k| R^(deg-k)`` bounds every
-    intermediate entry: a matrix is checked in int64 when that bound fits,
-    in Python integers otherwise.
+    intermediate entry and every partial sum of a product's row: a matrix is
+    checked in float64, where integers below 2^53 add and multiply exactly,
+    when that bound is below 2^53, and in Python integers otherwise.
     """
     deg = len(coeffs) - 1
     R = np.abs(M).sum(axis=2).max(axis=1)
-    wide = [r for r in set(R.tolist()) if sum(abs(c) * r ** (deg - k) for k, c in enumerate(coeffs)) >= 2**63]
+    wide = [r for r in set(R.tolist()) if sum(abs(c) * r ** (deg - k) for k, c in enumerate(coeffs)) >= 2**53]
     wide = np.isin(R, wide)
     zero = np.empty(len(M), dtype=bool)
-    for part, dtype in ((~wide, np.int64), (wide, object)):
+    for part, dtype in ((~wide, np.float64), (wide, object)):
         if part.any():
             A = M[part].astype(dtype, copy=False)
             diag = np.arange(A.shape[-1])

@@ -27,7 +27,7 @@ from .classify import (
     enumerate_modular_invariants,
     enumerate_nimreps,
 )
-from .errors import BcftError, NumericDegeneracyError, StructuralError
+from .errors import BcftError, DataInconsistencyError, NumericDegeneracyError, StructuralError
 from .induction import charged_field_basis, coupling_from_qsystem, index_ledger, theta_plus
 from .io import (
     load_category,
@@ -129,6 +129,15 @@ def cmd_nimreps(args) -> int:
     return EXIT_OK
 
 
+def _require_invariant(Z, md, tol) -> None:
+    """An induced Z commutes with S and T and is one of the enumerated modular invariants."""
+    off = max(np.max(np.abs(md.S @ Z - Z @ md.S)), np.max(np.abs(md.T[:, None] * Z - Z * md.T)))
+    if off > tol:
+        raise DataInconsistencyError(f"induced Z does not commute with S and T (residual {off:.2e})")
+    if not any(np.array_equal(Z, W) for W in enumerate_modular_invariants(md, tol=tol)):
+        raise DataInconsistencyError("induced Z is not among the modular invariants of the category")
+
+
 def cmd_induce(args) -> int:
     data = load_category(args.category)
     if data.presentation is None:
@@ -139,6 +148,7 @@ def cmd_induce(args) -> int:
         print(f"q-system invalid: {rep}")
         return EXIT_INVALID
     Z = coupling_from_qsystem(data.presentation, q)
+    _require_invariant(Z, data.modular, max(args.tolerance, 1e-7))
     m, d_total = theta_plus(data.ring, Z)
     ledger = index_ledger(data.ring, q, Z, args.tolerance)
     print("Z =")

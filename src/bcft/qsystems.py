@@ -8,19 +8,20 @@ prefactor), and ``w`` is the canonical isometry onto the vacuum summand.
 
 The axioms are polynomials of degree at most 2 in ``lam``; ``_AxiomMap`` writes
 them once per theta as a sparse quadratic map, which ``validate_qsystem`` (and
-through it ``charged_algebra``) and ``search_qsystems`` evaluate, together
-with its exact Jacobian, which is linear in ``lam``.  ``_dense`` is the one
-checked reader of ``lam``; ``is_local`` and ``frobenius_check`` work on its
-dense array, and the tests check all of them against a morphism calculus.
-``search_qsystems`` solves the unit + associativity constraints from
-randomized starts with ``least_squares``, a Levenberg-Marquardt iteration on
-that Jacobian with Nielsen's damping update, and reports an explicit status;
-it never silently drops a non-converged branch.
+through it ``charged_algebra``) evaluates.  ``_dense`` is the one checked
+reader of ``lam``; ``is_local`` and ``frobenius_check`` work on its dense
+array, and the tests check all of them against a morphism calculus.
+``search_qsystems`` writes the map as ``_RealForm``, real and quadratic in the
+free channels, and solves the unit + associativity constraints from all
+randomized starts at once with ``least_squares``, a lockstep Levenberg-Marquardt
+iteration with Nielsen's damping update.  It reports an explicit status and
+never silently drops a non-converged branch.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -183,22 +184,56 @@ class _AxiomMap:
         y = np.concatenate([lam, lam.conj(), [1.0]])
         return self.r0 + _scatter(self.row, self.coef * (y[self.i] * y[self.j]), len(self.r0))
 
-    def jacobian(self, lam: np.ndarray) -> np.ndarray:
-        """``d rows / d y`` at ``y = (lam, conj(lam), 1)``, one column per entry of ``y``.
 
-        A term ``coef * y[i] * y[j]`` puts ``coef * y[j]`` at column ``i`` and
-        ``coef * y[i]`` at column ``j`` of its row.
-        """
-        y = np.concatenate([lam, lam.conj(), [1.0]])
-        shape = (len(self.r0), len(y))
-        at = np.concatenate([self.row * shape[1] + self.i, self.row * shape[1] + self.j])
-        values = np.concatenate([self.coef * y[self.j], self.coef * y[self.i]])
-        return _scatter(at, values, shape[0] * shape[1]).reshape(shape)
+def _stacked_sums(at: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Per row of the stack ``values``, the sums of its entries at the indices ``at`` of a zero vector of ``size``."""
+    at = at + size * np.arange(len(values))[:, None]
+    return np.bincount(at.ravel(), values.ravel(), size * len(values)).reshape(len(values), size)
 
-    def norms(self, lam: np.ndarray) -> dict:
-        """Largest residual modulus of each axiom."""
-        z = np.abs(self.rows(lam))
-        return {name: float(np.max(z[part], initial=0.0)) for name, part in self.parts.items()}
+
+class _RealForm:
+    """The rows of ``axioms`` as a real quadratic map ``c + L v + sum q v_a v_b`` of ``v``.
+
+    The channels ``free`` vary, ``lam[free[k]] = v[2k] + i v[2k+1]``; the others
+    keep ``lam0``.  The real rows are the real and imaginary parts of ``rows``
+    in the order ``axioms.order``.  The merged terms ``(row, a, b, q)`` have
+    ``a <= b``.  The methods map a stack of points, one per row."""
+
+    def __init__(self, axioms: _AxiomMap, free: np.ndarray, lam0: np.ndarray):
+        self.free, self.lam0 = free, lam0
+        C, n, R = len(lam0), 2 * len(free), len(axioms.r0)
+        # y = (lam, conj(lam), 1) is linear in u = (v, 1): y[k] = sum_s dy[k, s] u[var[k, s]]
+        var, dy = np.full((2 * C + 1, 2), n), np.c_[np.r_[lam0, lam0.conj(), 1.0], np.zeros(2 * C + 1)]
+        for at, unit in ((free, 1j), (C + free, -1j)):
+            var[at], dy[at] = 2 * np.arange(len(free))[:, None] + [0, 1], [1.0, unit]
+        # terms z u[a] u[b]: coef y[i] y[j] over the products of dy, and r0 at (a, b) = (n, n)
+        z = np.r_[(axioms.coef[:, None, None] * dy[axioms.i][:, :, None] * dy[axioms.j][:, None, :]).ravel(), axioms.r0]
+        a = np.r_[np.repeat(var[axioms.i], 2, axis=1).ravel(), np.full(R, n)]
+        b = np.r_[np.tile(var[axioms.j], 2).ravel(), np.full(R, n)]
+        row = np.argsort(axioms.order)[np.r_[np.repeat(axioms.row, 4), np.arange(R)][:, None] + [0, R]].T
+        # the real rows take Re z and Im z; terms at equal (row, a, b) merge
+        key = np.ravel_multi_index((row.ravel(), *np.tile(np.sort([a, b], axis=0), 2)), (2 * R, n + 1, n + 1))
+        key, inv = np.unique(key, return_inverse=True)
+        q = np.bincount(inv, np.r_[z.real, z.imag])
+        row, a, b = np.unravel_index(key[q != 0], (2 * R, n + 1, n + 1))
+        q, lin, quad = q[q != 0], (a < n) & (b == n), b < n
+        self.c, self.L = np.zeros(2 * R), np.zeros((2 * R, n))
+        self.c[row[a == n]], self.L[row[lin], a[lin]] = q[a == n], q[lin]
+        self.row, self.a, self.b, self.q = row[quad], a[quad], b[quad], q[quad]
+        # the Jacobian adds q v_b at the entry (row, a) and q v_a at (row, b)
+        self.at, self.by = np.r_[self.row * n + self.a, self.row * n + self.b], np.r_[self.b, self.a]
+
+    def lam(self, v: np.ndarray) -> np.ndarray:
+        lam = np.repeat(self.lam0[None], len(v), axis=0)
+        lam[:, self.free] = v[:, 0::2] + 1j * v[:, 1::2]
+        return lam
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        return self.c + v @ self.L.T + _stacked_sums(self.row, self.q * v[:, self.a] * v[:, self.b], len(self.c))
+
+    def jacobian(self, v: np.ndarray) -> np.ndarray:
+        quad = _stacked_sums(self.at, np.tile(self.q, 2) * v[:, self.by], self.L.size)
+        return self.L + quad.reshape(len(v), *self.L.shape)
 
 
 def _over_bound(theta, ring, tol) -> dict:
@@ -227,7 +262,8 @@ def validate_qsystem(q: QSystemSpec, cat: CategoryPresentation, tol: float = DEF
         return {**{f"bound_sector_{s}": float(m) for s, m in over.items()}, "valid": False}
     _, lam = _dense(q, cat.ring)
     axioms = _AxiomMap(cat, q)
-    report = axioms.norms(lam[axioms.index >= 0])
+    z = np.abs(axioms.rows(lam[axioms.index >= 0]))
+    report = {name: float(np.max(z[part], initial=0.0)) for name, part in axioms.parts.items()}
     report["valid"] = all(v < tol for v in report.values())
     return report
 
@@ -344,27 +380,30 @@ def fingerprint(q: QSystemSpec, cat: CategoryPresentation):
     (the two cocycle classes of the Z2 x Z2 algebra); the exchange can.  For
     multiplicity-free theta the spectra reduce to the channel moduli (squared).
     """
-    dth = q.d_theta(cat.ring)
-    triples: dict[tuple, np.ndarray] = {}  # (sector triple) -> Gamma over the copies
-    for (p, qq, r), v in q.lam.items():
-        (a, i), (b, j), (c, k) = q.slots[p], q.slots[qq], q.slots[r]
-        shape = (q.theta[a], q.theta[b], q.theta[c])
-        triples.setdefault((a, b, c), np.zeros(shape, dtype=complex))[i, j, k] = math.sqrt(dth) * v
-    items = []
-    for (a, b, c), T in sorted(triples.items()):
-        if np.max(np.abs(T)) <= 1e-6:
-            continue
-        spectra = []
-        for mode in range(3):
-            M = np.moveaxis(T, mode, 0).reshape(T.shape[mode], -1)
-            eigs = np.linalg.eigvalsh(M @ M.conj().T)
-            spectra.append(tuple(round(float(e), 6) for e in sorted(eigs)))
-        swapped = triples.get((b, a, c))
-        z = 0j if swapped is None else np.vdot(swapped.transpose(1, 0, 2), T)
+    keys = np.array(list(q.lam), dtype=int).reshape(-1, 3)
+    return _fingerprints(q.theta, keys, np.array([list(q.lam.values())]), q.d_theta(cat.ring))[0]
+
+
+def _fingerprints(theta, keys: np.ndarray, lams: np.ndarray, d_theta: float) -> list:
+    """``fingerprint`` of each row of ``lams``, lambda at the slot triples ``keys``;
+    per sector triple and mode, one stacked Gram matrix and eigensolve serve all rows."""
+    m, start, items = len(lams), np.cumsum((0, *theta)), []
+    G = np.zeros((m, *(start[-1],) * 3), dtype=complex)  # Gamma over the slot triples
+    G[(slice(None), *keys.T)] = math.sqrt(d_theta) * lams
+    span = [slice(start[s], start[s + 1]) for s in range(len(theta))]  # the slots of each sector
+    for a, b, c in sorted(set(map(tuple, np.repeat(np.arange(len(theta)), theta)[keys].tolist()))):
+        T = G[:, span[a], span[b], span[c]]
+        grams = (np.einsum(f"mijk,{other}", T, T.conj()) for other in ("mljk->mil", "milk->mjl", "mijl->mkl"))
+        spectra = zip(*(np.linalg.eigvalsh(gram).tolist() for gram in grams))  # per mode: T T^H over the others
+        z = np.einsum("mjik,mijk->m", G[:, span[b], span[a], span[c]].conj(), T)
+        live = np.max(np.abs(T), axis=(1, 2, 3)) > 1e-6
         # + 0.0 turns a rounded -0.0 into 0.0, so reports do not carry the sign of noise
-        exchange = (round(float(z.real), 6) + 0.0, round(float(z.imag), 6) + 0.0)
-        items.append(((a, b, c), tuple(spectra), exchange))
-    return tuple(items)
+        items.append([
+            ((a, b, c), tuple(tuple(round(e, 6) for e in eigs) for eigs in s), (round(x, 6) + 0.0, round(y, 6) + 0.0))
+            if on else None
+            for s, x, y, on in zip(spectra, z.real.tolist(), z.imag.tolist(), live.tolist())
+        ])
+    return [tuple(filter(None, row)) for row in zip(*items)] if items else [()] * m
 
 
 # -- catalog Q-systems -------------------------------------------------------
@@ -408,53 +447,56 @@ def regular_qsystem(cat: CategoryPresentation) -> QSystemSpec:
 # -- numeric search ----------------------------------------------------------
 
 
-@dataclass
-class _Fit:
-    x: np.ndarray
-    fun: np.ndarray
-    status: int  # 1 gradient, 2 cost, 3 step converged; 0 evaluation limit
+_Fit = namedtuple("_Fit", "x fun status nfev")  # per start
 
 
 def least_squares(fun, x0, jac, xtol: float, ftol: float, gtol: float) -> _Fit:
-    """Minimize ``|fun(x)|^2`` by Levenberg-Marquardt from ``x0``.
+    """Minimize ``|fun(x)|^2`` by Levenberg-Marquardt from each row of the ``(m, n)`` stack ``x0``.
 
-    Each step solves ``(J^T J + mu I) h = -J^T f`` with the Jacobian ``jac(x)``;
-    ``mu`` starts at ``1e-3 max diag(J^T J)`` and follows Nielsen's update
-    (IMM-REP-1999-05): an accepted step with gain ratio ``rho`` scales it by
-    ``max(1/3, 1 - (2 rho - 1)^3)``, a rejected one by ``nu``, which doubles
-    on every rejection in a row.  The stopping tests are MINPACK's (More,
-    LNM 630): every column of ``J`` within angle cosine ``gtol`` of
-    orthogonal to ``f`` (status 1), an accepted step whose actual and
-    predicted relative reductions of ``|f|^2`` are both at most ``ftol``
-    (status 2), or a step no longer than ``xtol (|x| + xtol)`` (status 3).
-    Status 0 means ``100 len(x0)`` evaluations did not converge.
+    ``fun`` and ``jac`` map a stack of points to its residuals and Jacobians;
+    the starts run in lockstep, each until its first stopping test.  A step
+    solves ``(J^T J + mu I) h = -J^T f``; ``mu`` starts at ``1e-3 max diag(J^T J)``
+    and follows Nielsen's update (IMM-REP-1999-05): an accepted step with gain
+    ratio ``rho`` scales it by ``max(1/3, 1 - (2 rho - 1)^3)``, a rejected one
+    by ``nu``, which doubles on every rejection in a row.  The stopping tests
+    are MINPACK's (More, LNM 630), by status: 1, every column of ``J`` within
+    angle cosine ``gtol`` of orthogonal to ``f``; 2, an accepted step whose
+    actual and predicted relative reductions of ``|f|^2`` are both at most
+    ``ftol``; 3, a step no longer than ``xtol (|x| + xtol)``.  Status 0 means
+    ``max(100 n, 1)`` steps did not converge; ``nfev`` counts evaluations of ``fun``.
     """
-    x = np.asarray(x0, dtype=float)
-    f = fun(x)
-    J = jac(x)
-    cost, A, g = f @ f, J.T @ J, J.T @ f
-    mu, nu = 1e-3 * np.max(np.diag(A)), 2.0
-    for _ in range(100 * len(x)):
-        if cost == 0.0 or np.all(np.abs(g) <= gtol * np.sqrt(cost * np.diag(A))):
-            return _Fit(x, f, 1)
-        h = np.linalg.solve(A + mu * np.eye(len(x)), -g)
-        if np.linalg.norm(h) <= xtol * (np.linalg.norm(x) + xtol):
-            return _Fit(x, f, 3)
-        f_new = fun(x + h)
-        cost_new = f_new @ f_new
-        predicted = h @ (mu * h - g)
-        rho = (cost - cost_new) / predicted
-        if not rho > 0:  # a worse or non-finite residual
-            mu, nu = mu * nu, 2 * nu
-            continue
-        small = cost - cost_new <= ftol * cost and predicted <= ftol * cost
-        x, f, cost = x + h, f_new, cost_new
-        if small:
-            return _Fit(x, f, 2)
-        J = jac(x)
-        A, g = J.T @ J, J.T @ f
-        mu, nu = mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
-    return _Fit(x, f, 0)
+    x = np.array(x0, dtype=float)
+    m, n = x.shape
+    f, J = fun(x), jac(x)
+    cost, A, g = np.einsum("ij,ij->i", f, f), J.transpose(0, 2, 1) @ J, np.einsum("mri,mr->mi", J, f)
+    mu, nu = 1e-3 * np.max(np.diagonal(A, axis1=1, axis2=2), axis=1, initial=0.0), np.full(m, 2.0)
+    status, nfev, act = np.zeros(m, dtype=int), np.ones(m, dtype=int), np.arange(m)
+    for _ in range(max(100 * n, 1)):
+        scale = np.sqrt(cost[act, None] * np.diagonal(A[act], axis1=1, axis2=2))
+        done = (cost[act] == 0) | np.all(np.abs(g[act]) <= gtol * scale, axis=1)
+        status[act[done]], act = 1, act[~done]
+        if not len(act):
+            break
+        h = np.linalg.solve(A[act] + mu[act, None, None] * np.eye(n), -g[act][..., None])[..., 0]
+        done = np.linalg.norm(h, axis=1) <= xtol * (np.linalg.norm(x[act], axis=1) + xtol)
+        status[act[done]], act, h = 3, act[~done], h[~done]
+        f_new = fun(x[act] + h)
+        nfev[act] += 1
+        cost_new = np.einsum("ij,ij->i", f_new, f_new)
+        predicted = np.einsum("ij,ij->i", h, mu[act, None] * h - g[act])
+        rho = (cost[act] - cost_new) / predicted
+        up, ok = ~(rho > 0), rho > 0  # a worse or non-finite residual raises mu
+        mu[act[up]], nu[act[up]] = mu[act[up]] * nu[act[up]], 2 * nu[act[up]]
+        acc = act[ok]
+        small = (cost[acc] - cost_new[ok] <= ftol * cost[acc]) & (predicted[ok] <= ftol * cost[acc])
+        x[acc], f[acc], cost[acc] = x[acc] + h[ok], f_new[ok], cost_new[ok]
+        status[acc[small]], grow = 2, acc[~small]
+        J = jac(x[grow])
+        A[grow], g[grow] = J.transpose(0, 2, 1) @ J, np.einsum("mri,mr->mi", J, f[grow])
+        mu[grow], nu[grow] = mu[grow] * np.maximum(1 / 3, 1 - (2 * rho[ok][~small] - 1) ** 3), 2.0
+        ok[ok] = ~small
+        act = act[up | ok]
+    return _Fit(x, f, status, nfev)
 
 
 @dataclass
@@ -463,68 +505,33 @@ class SearchResult:
     status: str  # "ok" or "inconclusive"
     best_residual: float
     fingerprints: tuple = field(default_factory=tuple)
+    starts: list = field(default_factory=list)  # (status, evaluations, final residual) per start
 
 
 def search_qsystems(
-    cat: CategoryPresentation,
-    theta,
-    n_starts: int = 24,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
+    cat: CategoryPresentation, theta, n_starts: int = 24, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> SearchResult:
     """Best-effort search for all Q-systems with the given theta, up to gauge."""
     theta = tuple(int(m) for m in theta)
     if n_starts < 1:
         raise StructuralError(f"the search needs at least one start, got {n_starts}")
     _require_bound(theta, cat.ring, tol)
-    axioms = _AxiomMap(cat, QSystemSpec(theta, {}))
+    spec = QSystemSpec(theta, {})
+    axioms = _AxiomMap(cat, spec)
     channels = np.array(axioms.channels)
     p, q, r = channels.T
     unit = ((p == 0) & (q == r)) | ((q == 0) & (p == r))
     free = (p > 0) & (q > 0)  # the unit laws fix the rest
-    lam0 = np.where(unit, axioms.scale + 0j, 0j)
-    where = np.flatnonzero(free)
-
-    def build(vec: np.ndarray) -> QSystemSpec:
-        kept = unit | free
-        return QSystemSpec(theta, dict(zip(map(tuple, channels[kept].tolist()), lam_at(vec)[kept])))
-
-    def lam_at(vec: np.ndarray) -> np.ndarray:
-        lam = lam0.copy()
-        lam[where] = vec[0::2] + 1j * vec[1::2]
-        return lam
-
-    def residual_vec(vec: np.ndarray) -> np.ndarray:
-        z = axioms.rows(lam_at(vec))
-        return np.concatenate([z.real, z.imag])[axioms.order]
-
-    def jacobian(vec: np.ndarray) -> np.ndarray:
-        """``d residual_vec / d vec``: ``lam`` and ``conj(lam)`` move with ``Re + i Im`` and ``Re - i Im``."""
-        D = axioms.jacobian(lam_at(vec))
-        at, at_bar = D[:, where], D[:, len(lam0) + where]
-        Jc = np.empty((len(D), len(vec)), dtype=complex)
-        Jc[:, 0::2], Jc[:, 1::2] = at + at_bar, 1j * (at - at_bar)
-        return np.concatenate([Jc.real, Jc.imag])[axioms.order]
-
-    if not free.any():  # the unit laws fix every channel
-        sols = [build(np.zeros(0))] if max(axioms.norms(lam0).values()) < tol else []
-        fps = tuple(fingerprint(s, cat) for s in sols)
-        return SearchResult(sols, "ok", 0.0 if sols else np.inf, fps)
-
-    found = {}  # fingerprint -> first solution with it
-    best = np.inf
-    any_nonconverged = False
-    for i in range(n_starts):
-        x0 = np.random.default_rng((seed, i)).normal(scale=1.0 if i else 0.5, size=2 * len(where))
-        res = least_squares(residual_vec, x0, jac=jacobian, xtol=1e-14, ftol=1e-14, gtol=1e-14)
-        final = float(np.max(np.abs(res.fun)))
-        best = min(best, final)
-        if res.status <= 0:
-            any_nonconverged = True
-        if final < tol:
-            qq = build(res.x)
-            found.setdefault(fingerprint(qq, cat), qq)
+    form = _RealForm(axioms, np.flatnonzero(free), np.where(unit, axioms.scale + 0j, 0j))
+    rngs = (np.random.default_rng((seed, i)) for i in range(n_starts))
+    x0 = np.array([rng.normal(scale=1.0 if i else 0.5, size=2 * free.sum()) for i, rng in enumerate(rngs)])
+    fit = least_squares(form, x0, jac=form.jacobian, xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    final = np.max(np.abs(fit.fun), axis=1)
+    keys, lams = channels[unit | free], form.lam(fit.x[final < tol])[:, unit | free]
+    fps = _fingerprints(theta, keys, lams, spec.d_theta(cat.ring))
+    found = dict(zip(fps[::-1], lams[::-1]))  # fingerprint -> lambda of the first start with it
     prints = tuple(sorted(found))
-    solutions = [found[fp] for fp in prints]
-    status = "inconclusive" if not solutions and (best < 1e-3 or any_nonconverged) else "ok"
-    return SearchResult(solutions, status, best, prints)
+    solutions = [QSystemSpec(theta, dict(zip(map(tuple, keys.tolist()), found[fp]))) for fp in prints]
+    best, starts = float(np.min(final)), list(zip(fit.status.tolist(), fit.nfev.tolist(), final.tolist()))
+    status = "inconclusive" if not solutions and (best < 1e-3 or np.any(fit.status == 0)) else "ok"
+    return SearchResult(solutions, status, best, prints, starts)

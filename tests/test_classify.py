@@ -285,8 +285,8 @@ def _horner_python_integers(coeffs, M):
     return not P.any()
 
 
-def test_annihilates_mixes_int64_and_python_integer_checks():
-    big = 2**32  # x^2 bounds its square by R^2 = 2^64: too wide for int64, which wraps it to 0
+def test_annihilates_mixes_float_and_python_integer_checks():
+    big = 2**32  # x^2 bounds its square by R^2 = 2^64: too wide for an exact float64 (or int64) check
     stack = np.array(
         [[[0, 1], [0, 0]], [[big, 0], [0, 0]], [[0, big], [0, 0]], [[1, 0], [0, 1]], [[1, 1], [0, 1]], [[big, 1], [0, 0]]],
         dtype=np.int64,
@@ -296,6 +296,32 @@ def test_annihilates_mixes_int64_and_python_integer_checks():
         want = [_horner_python_integers(coeffs, M) for M in stack]
         assert _annihilates(coeffs, stack).tolist() == want, coeffs
     assert [_horner_python_integers((1, 0, 0), M) for M in stack] == [True, False, True, False, False, False]
+
+
+def _horner_bound(coeffs, M):
+    R = int(np.abs(M).sum(axis=1).max())
+    return sum(abs(c) * R ** (len(coeffs) - 1 - k) for k, c in enumerate(coeffs))
+
+
+def test_annihilates_at_the_float64_bound():
+    """Stacks whose Horner bounds sit just below and just above 2^53 (float64
+    and Python-integer checks) agree with the Python-integer evaluation."""
+    a = 10**7  # (x - a)(x - a - 1) annihilates [[a, k], [0, a + 1]]; one more on an entry breaks it
+    coeffs = (1, -(2 * a + 1), a * (a + 1))
+    # the row sum R = a + k where R^2 + (2a + 1) R + a (a + 1) = 2^53
+    R = (math.isqrt((2 * a + 1) ** 2 - 4 * (a * (a + 1) - 2**53)) - (2 * a + 1)) // 2
+    stack = [
+        np.array([[a, k], [0, a + 1]]) + bump
+        for k in range(R - a - 3, R - a + 4)
+        for bump in (0, np.array([[0, 0], [0, 1]]), np.array([[0, 0], [1, 0]]))
+    ]
+    bounds = [_horner_bound(coeffs, M) for M in stack]
+    assert 2**53 - 2**30 < min(bounds) < 2**53 <= max(bounds) < 2**53 + 2**30
+    want = [_horner_python_integers(coeffs, M) for M in stack]
+    assert _annihilates(coeffs, np.array(stack)).tolist() == want
+    assert want.count(True) == 7 and want.count(False) == 14
+    # past the bound float64 rounds: 2^53 + 1 reads as 2^53, so x - 2^53 would seem to annihilate it
+    assert _annihilates((1, -(2**53)), np.array([[[2**53 + 1]]])).tolist() == [False]
 
 
 @pytest.mark.parametrize("name", ["ising", "fibonacci"] + [f"su2_{k}" for k in range(1, 11)])

@@ -346,6 +346,20 @@ def test_cli_induce_report(tmp_path, ising_file, car_file, capsys):
     assert set(doc["inputs"]) == {"category", "qsystem"}
 
 
+def test_cli_induce_checks_its_invariant(ising_file, car_file, monkeypatch, capsys):
+    """A Z that breaks modular invariance is a verification failure, printed nowhere."""
+    import bcft.cli as cli
+
+    for Z, message in [
+        (np.diag([1, 0, 1]), "does not commute with S and T"),  # commutes with T only
+        (2 * np.eye(3, dtype=np.int64), "not among the modular invariants"),  # commutes, but Z[0, 0] = 2
+    ]:
+        monkeypatch.setattr(cli, "coupling_from_qsystem", lambda cat, q, Z=Z: Z)
+        assert main(["induce", str(ising_file), str(car_file)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
+
 def test_cli_induce_reruns_identical(tmp_path, ising_file, car_file):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert main(["induce", str(ising_file), str(car_file), "--out", str(out1)]) == 0

@@ -21,7 +21,7 @@ from bcft.qsystems import (
     trivial_qsystem,
     validate_qsystem,
 )
-from bcft.qsystems import _AxiomMap, _dense
+from bcft.qsystems import _AxiomMap, _dense, _fingerprints, _Fit, _RealForm
 
 
 def test_trivial_qsystem(ising_data):
@@ -141,11 +141,12 @@ def test_axiom_map_matches_morphism_residuals(ising_data, fib_data, su2_4_data, 
 
 
 def _central_differences(fun, x, h=1e-3):
-    """Columns ``(fun(x + h e_k) - fun(x - h e_k)) / 2h``: exact up to rounding on a quadratic map."""
+    """Columns ``(fun(x + h e_k) - fun(x - h e_k)) / 2h`` along the last axis of ``x``, for a
+    point or a stack of points: exact up to rounding on a quadratic map."""
     cols = []
-    for k in range(len(x)):
+    for k in range(x.shape[-1]):
         step = np.zeros_like(x)
-        step[k] = h
+        step[..., k] = h
         cols.append((fun(x + step) - fun(x - step)) / (2 * h))
     return np.stack(cols, axis=-1)
 
@@ -162,20 +163,33 @@ def jacobian_cases(ising_data, su2_4_data, su2_level, spin8_data, spin8_qsystems
     ]
 
 
-def test_axiom_jacobian_matches_central_differences(jacobian_cases, rng):
+def _real_forms(jacobian_cases, rng):
+    """Per case, a real form with a random set of free channels at random fixed values."""
     for theta, cat in jacobian_cases:
         axioms = _AxiomMap(cat, QSystemSpec(theta, {}))
         n = len(axioms.channels)
-        lam = rng.normal(size=n) + 1j * rng.normal(size=n)
-        D = axioms.jacobian(lam)
-        assert D.shape == (len(axioms.r0), 2 * n + 1)
-        # derivatives along Re lam and Im lam give the lam and conj(lam) columns
-        G = _central_differences(lambda v: axioms.rows(v[:n] + 1j * v[n:]), np.r_[lam.real, lam.imag])
-        want = np.hstack([G[:, :n] - 1j * G[:, n:], G[:, :n] + 1j * G[:, n:]]) / 2
-        np.testing.assert_allclose(D[:, : 2 * n], want, rtol=1e-6, atol=1e-9, err_msg=str(theta))
-        # Euler's identity for the quadratic part fixes the column of the constant 1 too
-        y = np.concatenate([lam, lam.conj(), [1.0]])
-        np.testing.assert_allclose(D @ y, 2 * (axioms.rows(lam) - axioms.r0), rtol=1e-6, atol=1e-9)
+        free = np.flatnonzero(rng.random(n) < 0.7)
+        yield axioms, _RealForm(axioms, free, rng.normal(size=n) + 1j * rng.normal(size=n)), theta
+
+
+def test_real_form_matches_complex_rows(jacobian_cases, rng):
+    for axioms, form, theta in _real_forms(jacobian_cases, rng):
+        v = rng.normal(size=(5, 2 * len(form.free)))
+        z = np.array([axioms.rows(lam) for lam in form.lam(v)])
+        want = np.concatenate([z.real, z.imag], axis=1)[:, axioms.order]
+        np.testing.assert_allclose(form(v), want, rtol=0, atol=1e-13, err_msg=str(theta))
+        assert np.all(form.a <= form.b) and len(set(zip(form.row, form.a, form.b))) == len(form.q)
+
+
+def test_axiom_jacobian_matches_central_differences(jacobian_cases, rng):
+    for _axioms, form, theta in _real_forms(jacobian_cases, rng):
+        v = rng.normal(size=(3, 2 * len(form.free)))
+        J = form.jacobian(v)
+        assert J.shape == (3, len(form.c), v.shape[1])
+        np.testing.assert_allclose(J, _central_differences(form, v), rtol=1e-6, atol=1e-9, err_msg=str(theta))
+        # Euler's identity for the quadratic part: J v = L v + 2 (f(v) - c - L v)
+        Jv, Lv = np.einsum("mra,ma->mr", J, v), v @ form.L.T
+        np.testing.assert_allclose(Jv + Lv, 2 * (form(v) - form.c), rtol=1e-6, atol=1e-9)
 
 
 def test_search_jacobian_matches_central_differences(jacobian_cases, rng, monkeypatch):
@@ -185,15 +199,99 @@ def test_search_jacobian_matches_central_differences(jacobian_cases, rng, monkey
     solve, checked = qs.least_squares, []
 
     def checking_solver(fun, x0, jac, **kw):
-        x = rng.normal(size=len(x0))
+        x = rng.normal(size=x0.shape)
         np.testing.assert_allclose(jac(x), _central_differences(fun, x), rtol=1e-6, atol=1e-9)
-        checked.append(len(x0))
+        checked.append(x0.shape[1])
         return solve(fun, x0, jac=jac, **kw)
 
     monkeypatch.setattr(qs, "least_squares", checking_solver)
     for theta, cat in jacobian_cases:
         search_qsystems(cat, theta, n_starts=1)
     assert len(checked) == len(jacobian_cases) and min(checked) > 0
+
+
+def _sequential_least_squares(fun, x0, jac, xtol, ftol, gtol):
+    """The one-start Levenberg-Marquardt loop the lockstep solver replaced (same
+    damping and stopping tests), kept as an oracle; returns ``(x, f, status)``."""
+    x = np.asarray(x0, dtype=float)
+    f = fun(x)
+    J = jac(x)
+    cost, A, g = f @ f, J.T @ J, J.T @ f
+    mu, nu = 1e-3 * np.max(np.diag(A)), 2.0
+    for _ in range(100 * len(x)):
+        if cost == 0.0 or np.all(np.abs(g) <= gtol * np.sqrt(cost * np.diag(A))):
+            return x, f, 1
+        h = np.linalg.solve(A + mu * np.eye(len(x)), -g)
+        if np.linalg.norm(h) <= xtol * (np.linalg.norm(x) + xtol):
+            return x, f, 3
+        f_new = fun(x + h)
+        cost_new = f_new @ f_new
+        predicted = h @ (mu * h - g)
+        rho = (cost - cost_new) / predicted
+        if not rho > 0:
+            mu, nu = mu * nu, 2 * nu
+            continue
+        small = cost - cost_new <= ftol * cost and predicted <= ftol * cost
+        x, f, cost = x + h, f_new, cost_new
+        if small:
+            return x, f, 2
+        J = jac(x)
+        A, g = J.T @ J, J.T @ f
+        mu, nu = mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
+    return x, f, 0
+
+
+def _sequential_solver(fun, x0, jac, **kw):
+    """The oracle run start by start on the search's stacked residual and Jacobian."""
+    fits = [_sequential_least_squares(lambda x: fun(x[None])[0], x, lambda x: jac(x[None])[0], **kw) for x in x0]
+    x, f, status = map(np.array, zip(*fits))
+    return _Fit(x, f, status, np.ones(len(x0), dtype=int))
+
+
+def test_lockstep_solver_matches_sequential_oracle(jacobian_cases, monkeypatch):
+    """Every start converges or not as it does alone in the old loop, to the same
+    point, and the search finds the same classes."""
+    import bcft.qsystems as qs
+
+    solve, fits = qs.least_squares, []
+
+    def recording_solver(fun, x0, jac, **kw):
+        fits.append((solve(fun, x0, jac=jac, **kw), _sequential_solver(fun, x0, jac, **kw)))
+        return fits[-1][0]
+
+    for theta, cat in jacobian_cases:
+        for seed in (0, 1, 2):
+            monkeypatch.setattr(qs, "least_squares", recording_solver)
+            res = search_qsystems(cat, theta, n_starts=12, seed=seed)
+            fit, want = fits[-1]
+            assert np.array_equal(fit.status > 0, want.status > 0), (theta, seed)
+            np.testing.assert_allclose(fit.x, want.x, rtol=0, atol=1e-9, err_msg=str((theta, seed)))
+            monkeypatch.setattr(qs, "least_squares", _sequential_solver)
+            assert set(search_qsystems(cat, theta, n_starts=12, seed=seed).fingerprints) == set(res.fingerprints)
+
+
+def test_start_alone_matches_start_in_stack(jacobian_cases, monkeypatch):
+    import bcft.qsystems as qs
+
+    solve, problems = qs.least_squares, []
+
+    def recording_solver(fun, x0, jac, **kw):
+        problems.append((fun, x0, jac, kw))
+        return solve(fun, x0, jac=jac, **kw)
+
+    monkeypatch.setattr(qs, "least_squares", recording_solver)
+    for theta, cat in jacobian_cases:
+        search_qsystems(cat, theta, n_starts=12, seed=3)
+    for fun, x0, jac, kw in problems:
+        rows = []  # the points each call of fun evaluates
+        stack = solve(lambda v: rows.append(len(v)) or fun(v), x0, jac, **kw)
+        assert sum(rows) == sum(stack.nfev)
+        for i in range(len(x0)):
+            rows.clear()
+            alone = solve(lambda v: rows.append(len(v)) or fun(v), x0[i : i + 1], jac, **kw)
+            assert alone.status[0] == stack.status[i] and alone.nfev[0] == stack.nfev[i] == sum(rows)
+            np.testing.assert_allclose(alone.x[0], stack.x[i], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(alone.fun[0], stack.fun[i], rtol=0, atol=1e-12)
 
 
 def test_alternative_normalization_fails_the_sum_rule(ising_data):
@@ -354,6 +452,53 @@ def test_gauge_transform_preserves_validity_and_fingerprint(ising_data, fib_data
             assert fingerprint(g, cat) == fingerprint(q, cat)
 
 
+def _reference_fingerprint(q, cat):
+    """The per-triple loop that the stacked fingerprints replaced, kept as an oracle."""
+    dth = q.d_theta(cat.ring)
+    triples = {}
+    for (p, qq, r), v in q.lam.items():
+        (a, i), (b, j), (c, k) = q.slots[p], q.slots[qq], q.slots[r]
+        shape = (q.theta[a], q.theta[b], q.theta[c])
+        triples.setdefault((a, b, c), np.zeros(shape, dtype=complex))[i, j, k] = math.sqrt(dth) * v
+    items = []
+    for (a, b, c), T in sorted(triples.items()):
+        if np.max(np.abs(T)) <= 1e-6:
+            continue
+        spectra = []
+        for mode in range(3):
+            M = np.moveaxis(T, mode, 0).reshape(T.shape[mode], -1)
+            spectra.append(tuple(round(float(e), 6) for e in sorted(np.linalg.eigvalsh(M @ M.conj().T))))
+        swapped = triples.get((b, a, c))
+        z = 0j if swapped is None else np.vdot(swapped.transpose(1, 0, 2), T)
+        items.append(((a, b, c), tuple(spectra), (round(float(z.real), 6) + 0.0, round(float(z.imag), 6) + 0.0)))
+    return tuple(items)
+
+
+def test_fingerprints_match_the_per_triple_reference(ising_data, fib_data, su2_4_data, spin8_data, spin8_qsystems, rng):
+    """Single and stacked fingerprints agree with the per-triple loop, with
+    multiplicities, a unitary gauge on them, and triples at the 1e-6 cut."""
+    ising, s4 = ising_data.presentation, su2_4_data.presentation
+    car, d4 = car_qsystem(ising), search_qsystems(s4, [1, 0, 2, 0, 1], n_starts=12, seed=9).solutions[0]
+    u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    cases = [
+        (car, ising),
+        *((QSystemSpec(car.theta, {**car.lam, (1, 1, 1): z}), ising) for z in (1e-9, 1e-3j)),  # psi psi psi
+        (regular_qsystem(fib_data.presentation), fib_data.presentation),
+        *((q, spin8_data.presentation) for q in spin8_qsystems.values()),
+        (d4, s4),
+        (gauge_transform(d4, {2: u}), s4),
+    ]
+    for q, cat in cases:
+        assert fingerprint(q, cat) == _reference_fingerprint(q, cat), q
+    # one stack over the union of the keys, absent entries 0
+    stacked = [q for q, cat in cases if cat is s4]
+    keys = sorted(set().union(*(q.lam for q in stacked)))
+    lams = np.array([[q.lam.get(key, 0) for key in keys] for q in stacked])
+    want = [_reference_fingerprint(q, s4) for q in stacked]
+    assert _fingerprints(d4.theta, np.array(keys), lams, d4.d_theta(s4.ring)) == want
+    assert want[0] == want[1] and not np.allclose(lams[0], lams[1])  # gauge invariant, on a lambda the gauge moved
+
+
 def test_local_implies_trivial_monodromy_on_channels(su2_4_data):
     # necessary condition: the monodromy restricted to channels inside x is
     # trivial for a local Q-system
@@ -381,18 +526,45 @@ def test_search_reports_non_convergence_as_inconclusive(ising_data, monkeypatch)
     """A solver that stops early must surface as an explicit status."""
     import bcft.qsystems as qs
 
-    class Stuck:
-        status = 0  # scipy: iteration limit without convergence
-        x = None
-        fun = np.array([0.5])
-
-    def stuck_solver(fun, x0, **kw):
-        out = Stuck()
-        out.x = x0
-        out.fun = fun(x0)
-        return out
+    def stuck_solver(fun, x0, **kw):  # every start at the step limit without convergence
+        return _Fit(x0, fun(x0), np.zeros(len(x0), dtype=int), np.ones(len(x0), dtype=int))
 
     monkeypatch.setattr(qs, "least_squares", stuck_solver)
     res = search_qsystems(ising_data.presentation, [1, 0, 1], n_starts=3, seed=1)
     assert res.status == "inconclusive"
     assert res.solutions == []
+    assert [status for status, _n, _r in res.starts] == [0, 0, 0]
+
+
+def test_search_reports_each_start(ising_data, su2_4_data, monkeypatch):
+    """``starts`` holds (status, evaluations, final residual) per start, in start
+    order; a start at the step limit makes a search without solutions inconclusive."""
+    import bcft.qsystems as qs
+
+    ising = ising_data.presentation
+    searches = [
+        (ising, [1, 0, 0], 4, 0),  # no free channel: every start at the unit values
+        (ising, [1, 0, 1], 12, 5),
+        (ising, [1, 1, 0], 16, 2),  # no Q-system
+        (su2_4_data.presentation, [1, 0, 2, 0, 1], 12, 7),  # ok with 0 classes, best residual 0.105
+    ]
+    for cat, theta, n_starts, seed in searches:
+        res = search_qsystems(cat, theta, n_starts=n_starts, seed=seed)
+        assert len(res.starts) == n_starts
+        status, nfev, final = map(np.array, zip(*res.starts))
+        assert final.min() == res.best_residual
+        assert set(status) <= {0, 1, 2, 3} and np.all(nfev >= 1)
+        assert (res.status == "inconclusive") == (not res.solutions and (res.best_residual < 1e-3 or 0 in status))
+    # a solver that reports the first start at the step limit
+    solve = qs.least_squares
+
+    def limited_solver(fun, x0, jac, **kw):
+        fit = solve(fun, x0, jac=jac, **kw)
+        fit.status[0] = 0
+        return fit
+
+    monkeypatch.setattr(qs, "least_squares", limited_solver)
+    res = search_qsystems(ising, [1, 1, 0], n_starts=16, seed=2)
+    assert res.starts[0][0] == 0 and res.best_residual >= 1e-3 and res.status == "inconclusive"
+    res = search_qsystems(ising, [1, 0, 1], n_starts=12, seed=5)
+    assert res.starts[0][0] == 0 and res.solutions and res.status == "ok"
