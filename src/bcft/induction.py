@@ -11,9 +11,10 @@ on ``n in Hom(theta tau, sigma)``:
 
 Both maps of this module are written in fusion-tree coordinates, as explicit
 expressions in ``lam``, F and R; ``s(p)`` is the sector of the theta slot
-``p``.
+``p``.  Both take the slot sectors and dense ``lam`` that ``_check_lambda``
+returns, so each public map reads and checks the Q-system once.
 
-* The kernel matrix (``_kernel_matrix``).  Its columns are the slots ``p0``
+* The kernel matrix (``_kernel_matrices``).  Its columns are the slots ``p0``
   with ``N[s(p0), tau, sigma]``, i.e. the basis of ``Hom(theta tau, sigma)``.
   Its rows are the entries of ``K(n): theta tau -> sigma theta``, in blocks
   by ascending charge ``c``, each row-major over the target slot ``r``
@@ -54,7 +55,7 @@ import numpy as np
 
 from .category import CategoryPresentation, _runs
 from .errors import DataInconsistencyError, NumericDegeneracyError, StructuralError
-from .qsystems import QSystemSpec, _check_lambda, _dense, _scatter
+from .qsystems import QSystemSpec, _check_lambda, _scatter
 from .rings import DEFAULT_TOL, FusionRing
 
 __all__ = [
@@ -72,10 +73,10 @@ SV_RTOL = 1e-7
 GAP_MIN = 1e3
 
 
-def _kernel_matrices(cat, q, pairs) -> list:
+def _kernel_matrices(cat, sec, lam, pairs) -> list:
     """Matrices of K on Hom(theta tau, sigma) at each ``(sigma, tau)`` of ``pairs``,
     in the layout of the module docstring: one gather over these pairs only."""
-    N, R, (sec, lam) = cat.ring.N > 0, cat.R, _dense(q, cat.ring)
+    N, R = cat.ring.N > 0, cat.R
     sigma, tau = np.reshape(pairs, (-1, 2)).T
     # rows (pair k, c, r, p) and columns (pair k, p0), each in ascending order
     krc = N[sigma][:, sec].transpose(0, 2, 1)  # [k, c, r]: N[sigma, s r, c]
@@ -97,12 +98,7 @@ def _kernel_matrices(cat, q, pairs) -> list:
     return [block.reshape(shape) for block, shape in zip(np.split(entries, ends), shapes)]
 
 
-def _kernel_matrix(cat, q, sigma, tau) -> np.ndarray:
-    """The kernel matrix at the one pair ``(sigma, tau)``."""
-    return _kernel_matrices(cat, q, [(sigma, tau)])[0]
-
-
-def _lift_matrix(cat, q, sigma, tau):
+def _lift_matrix(cat, sec, lam, sigma, tau):
     """The field lift ``n -> phi`` as a matrix over the kernel columns; also the row index.
 
     Row ``(p, a, g)`` is the coefficient of ``phi`` at the theta slot ``p``
@@ -110,8 +106,7 @@ def _lift_matrix(cat, q, sigma, tau):
     ``p`` and then over the trees of ``theta sigma tau-bar`` with charge
     ``s p``, i.e. ascending ``(a, g)``.
     """
-    ring, N, (sec, lam) = cat.ring, cat.ring.N > 0, _dense(q, cat.ring)
-    tb = ring.dual[tau]
+    ring, N, tb = cat.ring, cat.ring.N > 0, cat.ring.dual[tau]
     p, a, g = np.nonzero(N[sec, sigma][None, :, :] & N[:, tb, sec].T[:, None, :])  # N[s a, sigma, g] N[g, tb, s p]
     cols = np.flatnonzero(N[sec, tau, sigma])
     sp = sec[p]
@@ -159,11 +154,11 @@ def kernel_split(M: np.ndarray):
 
 def coupling_from_qsystem(cat: CategoryPresentation, q: QSystemSpec) -> np.ndarray:
     """Coupling matrix ``Z[sigma, tau] = dim ker K`` over all sector pairs."""
-    _check_lambda(q, cat)
+    sec, lam = _check_lambda(q, cat)
     n = cat.ring.size
     Z = np.zeros((n, n), dtype=np.int64)
     pairs = list(product(range(n), repeat=2))
-    for (sigma, tau), M in zip(pairs, _kernel_matrices(cat, q, pairs)):
+    for (sigma, tau), M in zip(pairs, _kernel_matrices(cat, sec, lam, pairs)):
         Z[sigma, tau], _, _ = kernel_split(M)
     if Z[0, 0] != 1:
         raise DataInconsistencyError(
@@ -201,10 +196,10 @@ def charged_field_basis(
     of ``phi_i* phi_j`` is ``d_sigma d_tau`` times the identity.  Each field
     is returned as its tree-basis blocks ``{charge: ndarray}``.
     """
-    _check_lambda(q, cat)
+    sec, lam = _check_lambda(q, cat)
     ring = cat.ring
-    dim, kernel, _ = kernel_split(_kernel_matrix(cat, q, sigma, tau))
-    lift, index = _lift_matrix(cat, q, sigma, tau)
+    dim, kernel, _ = kernel_split(_kernel_matrices(cat, sec, lam, [(sigma, tau)])[0])
+    lift, index = _lift_matrix(cat, sec, lam, sigma, tau)
     # the trees of theta sigma tau-bar per charge c, i.e. the lift's rows per slot of sector c
     rows = q.theta @ ring.N[:, sigma] @ ring.N[:, ring.dual[tau]]
     n_vac = rows[0]  # the vacuum slot's rows come first
@@ -286,7 +281,7 @@ def index_ledger(
     ring: FusionRing, q: QSystemSpec, Z: np.ndarray, tol: float = DEFAULT_TOL
 ) -> IndexLedger:
     d = ring.fp_dims
-    lam = float(sum(m * d[s] for s, m in enumerate(q.theta)))
+    lam = q.d_theta(ring)
     lam_plus = float(np.einsum("st,s,t->", np.asarray(Z, dtype=float), d, d))
     mu_A = ring.global_dim
     dual_index = mu_A / lam_plus

@@ -7,15 +7,15 @@ coefficient tensor ``lam[(p, q, r)]`` over summand slots of ``theta``
 prefactor), and ``w`` is the canonical isometry onto the vacuum summand.
 
 The axioms are polynomials of degree at most 2 in ``lam``; ``_AxiomMap`` writes
-them once per theta as a sparse quadratic map, which ``validate_qsystem`` (and
-through it ``charged_algebra``) evaluates.  ``_dense`` is the one checked
-reader of ``lam``; ``is_local`` and ``frobenius_check`` work on its dense
-array, and the tests check all of them against a morphism calculus.
-``search_qsystems`` writes the map as ``_RealForm``, real and quadratic in the
-free channels, and solves the unit + associativity constraints from all
-randomized starts at once with ``least_squares``, a lockstep Levenberg-Marquardt
-iteration with Nielsen's damping update.  It reports an explicit status and
-never silently drops a non-converged branch.
+them once per theta as a sparse quadratic map, which ``validate_qsystem`` and
+``charged_algebra`` evaluate.  ``_dense``, the one checked reader of a Q-system,
+rejects a wrong-length or over-bound theta before it builds theta^3, then a
+``lam`` entry off the fusion channels; every map of ``lam`` takes its arrays, and
+the tests check them all against a morphism calculus.  ``search_qsystems`` writes
+the map as ``_RealForm``, real and quadratic in the free channels, and solves the
+unit + associativity constraints from all randomized starts at once with
+``least_squares``, a lockstep Levenberg-Marquardt iteration with Nielsen's damping
+update.  It reports an explicit status and never silently drops a non-converged branch.
 """
 
 from __future__ import annotations
@@ -69,9 +69,15 @@ class QSystemSpec:
 
     @cached_property
     def slots(self) -> tuple:
-        """``(sector, copy)`` per summand of theta; built on first use, so an
-        oversized theta is rejected by the multiplicity bound before it exists."""
+        """``(sector, copy)`` per summand; ``_dense`` rejects a wrong-length or over-bound theta before theta^3."""
         return tuple((s, copy) for s, mult in enumerate(self.theta) for copy in range(mult))
+
+    @cached_property
+    def sectors(self) -> np.ndarray:
+        """The sector of each slot, ascending: the slot layout of every map of lambda."""
+        sec = np.repeat(np.arange(len(self.theta)), self.theta)
+        sec.setflags(write=False)
+        return sec
 
     def sector(self, slot: int) -> int:
         return self.slots[slot][0]
@@ -83,10 +89,11 @@ class QSystemSpec:
         return f"QSystemSpec(theta={self.theta})"
 
 
-def _dense(q: QSystemSpec, ring) -> tuple:
-    """The sector of each slot, and ``lam`` as a dense array over slot triples;
-    every key of ``lam``, even one valued 0, must be a fusion channel of ``ring``."""
-    sec = np.array([s for s, _copy in q.slots])
+def _dense(q: QSystemSpec, ring, tol: float = DEFAULT_TOL) -> tuple:
+    """The slot sectors, and ``lam`` dense over slot triples once theta has the ring's length
+    and keeps the bound; every key of ``lam``, even one valued 0, must be a fusion channel."""
+    _require_bound(q.theta, ring, tol)
+    sec = q.sectors
     keys = np.array(list(q.lam), dtype=int).reshape(-1, 3)
     off = np.flatnonzero(ring.N[tuple(sec[keys].T)] == 0)
     if len(off):
@@ -133,7 +140,7 @@ class _AxiomMap:
 
     def __init__(self, cat: CategoryPresentation, spec: QSystemSpec):
         n, N = cat.ring.size, cat.ring.N > 0
-        sec = np.array([s for s, _copy in spec.slots])  # ascending
+        sec = spec.sectors
         adm = N[np.ix_(sec, sec, sec)]
         self.channels = list(map(tuple, np.argwhere(adm).tolist()))
         idx = self.index = np.full(adm.shape, -1)
@@ -237,22 +244,19 @@ class _RealForm:
 
 
 def _over_bound(theta, ring, tol) -> dict:
-    """``{sector: m}`` where theta breaks the multiplicity bound ``m_s <= floor(d_s)``.
-
-    A theta whose length is not the ring's size is malformed.
-    """
+    """``{sector: m}`` where theta breaks the multiplicity bound ``m_s <= floor(d_s)``;
+    a theta whose length is not the ring's size is malformed."""
     if len(theta) != ring.size:
         raise StructuralError("theta length must equal the number of sectors")
     return {s: m for s, m in enumerate(theta) if m > math.floor(ring.fp_dims[s] + tol)}
 
 
 def _require_bound(theta, ring, tol) -> None:
+    """The one check of theta against the ring, before anything of size theta^3."""
     over = _over_bound(theta, ring, tol)
     if over:
         s = min(over)
-        raise StructuralError(
-            f"theta violates the multiplicity bound at sector {s}: {over[s]} > floor(d_{s})"
-        )
+        raise StructuralError(f"theta violates the multiplicity bound at sector {s}: {over[s]} > floor(d_{s})")
 
 
 def validate_qsystem(q: QSystemSpec, cat: CategoryPresentation, tol: float = DEFAULT_TOL) -> dict:
@@ -260,12 +264,16 @@ def validate_qsystem(q: QSystemSpec, cat: CategoryPresentation, tol: float = DEF
     over = _over_bound(q.theta, cat.ring, tol)
     if over:  # not a Q-system; the residuals would need all of theta^3
         return {**{f"bound_sector_{s}": float(m) for s, m in over.items()}, "valid": False}
-    _, lam = _dense(q, cat.ring)
+    report = _axiom_residuals(q, cat, tol)
+    return {**report, "valid": all(v < tol for v in report.values())}
+
+
+def _axiom_residuals(q: QSystemSpec, cat: CategoryPresentation, tol: float) -> dict:
+    """The largest residual of each axiom, from the arrays of ``_dense``."""
+    _, lam = _dense(q, cat.ring, tol)
     axioms = _AxiomMap(cat, q)
     z = np.abs(axioms.rows(lam[axioms.index >= 0]))
-    report = {name: float(np.max(z[part], initial=0.0)) for name, part in axioms.parts.items()}
-    report["valid"] = all(v < tol for v in report.values())
-    return report
+    return {name: float(np.max(z[part], initial=0.0)) for name, part in axioms.parts.items()}
 
 
 def frobenius_check(q: QSystemSpec, cat: CategoryPresentation) -> float:
@@ -282,7 +290,6 @@ def frobenius_check(q: QSystemSpec, cat: CategoryPresentation) -> float:
     to ``c`` is 0 on both sides.  The residual is the largest modulus.
     """
     ring = cat.ring
-    _require_bound(q.theta, ring, DEFAULT_TOL)
     sec, lam = _dense(q, ring)
     F = cat.f(*np.ix_(sec, sec, sec, np.arange(ring.size), sec, sec))  # [a, u, r, c, p, b]
     charge = (sec[:, None] == np.arange(ring.size)).astype(float)  # [t, c]
@@ -297,8 +304,7 @@ def is_local(q: QSystemSpec, cat: CategoryPresentation, tol: float = DEFAULT_TOL
     The braiding moves ``lam[a, b, c]`` to the tree of ``lam[b, a, c]``, times
     ``R[sec a, sec b, sec c]``; off the fusion channels both sides are 0.
     """
-    _require_bound(q.theta, cat.ring, tol)
-    sec, lam = _dense(q, cat.ring)
+    sec, lam = _dense(q, cat.ring, tol)
     resid = float(np.max(np.abs(cat.R[np.ix_(sec, sec, sec)] * lam - lam.transpose(1, 0, 2))))
     return resid < tol, resid
 
@@ -323,11 +329,9 @@ def charged_algebra(q: QSystemSpec, cat: CategoryPresentation, tol: float = DEFA
     ``Gamma^k_{0j} = Gamma^k_{j0} = delta_jk`` are ``sqrt(d(theta))`` times
     the unit residuals.
     """
-    ring = cat.ring
-    _require_bound(q.theta, ring, tol)
-    dth = q.d_theta(ring)
+    res = _axiom_residuals(q, cat, tol)
+    dth = q.d_theta(cat.ring)
     root = math.sqrt(dth)
-    res = validate_qsystem(q, cat, tol)
     unit = root * max(res["unit_left"], res["unit_right"])
     if unit > 1e-6:
         raise DataInconsistencyError(f"unit constraint fails (residual {unit:.2e})")
@@ -339,7 +343,7 @@ def charged_algebra(q: QSystemSpec, cat: CategoryPresentation, tol: float = DEFA
             f"(associativity {worst_assoc:.2e}, completeness {worst_sum:.2e})"
         )
     return ChargedIntertwinerAlgebra(
-        sectors=tuple(s for s, _copy in q.slots),
+        sectors=tuple(q.sectors.tolist()),
         gamma={key: root * val for key, val in q.lam.items()},
         d_theta=dth,
         associativity_residual=worst_assoc,
@@ -352,14 +356,14 @@ def gauge_transform(q: QSystemSpec, unitaries: dict) -> QSystemSpec:
 
     ``unitaries[s]`` is an ``n_s x n_s`` unitary; the vacuum block must be 1.
     """
-    start = np.cumsum((0,) + q.theta)
-    U = np.zeros((start[-1],) * 2, dtype=complex)  # block diagonal over the slots of each sector
+    sec = q.sectors
+    U = np.zeros((len(sec),) * 2, dtype=complex)  # block diagonal over the slots of each sector
     for s, m in enumerate(q.theta):
         if m:
             u = np.asarray(unitaries.get(s, np.eye(m)), dtype=complex)
             if u.shape != (m, m):
                 raise StructuralError(f"gauge unitary for sector {s} must be {m}x{m}")
-            U[start[s] : start[s] + m, start[s] : start[s] + m] = u
+            U[np.ix_(sec == s, sec == s)] = u
     if abs(U[0, 0] - 1.0) > 1e-12:
         raise StructuralError("gauge must fix the vacuum summand")
     lam = np.zeros((len(U),) * 3, dtype=complex)
@@ -380,18 +384,19 @@ def fingerprint(q: QSystemSpec, cat: CategoryPresentation):
     (the two cocycle classes of the Z2 x Z2 algebra); the exchange can.  For
     multiplicity-free theta the spectra reduce to the channel moduli (squared).
     """
+    _require_bound(q.theta, cat.ring, DEFAULT_TOL)
     keys = np.array(list(q.lam), dtype=int).reshape(-1, 3)
-    return _fingerprints(q.theta, keys, np.array([list(q.lam.values())]), q.d_theta(cat.ring))[0]
+    return _fingerprints(q, keys, np.array([list(q.lam.values())]), q.d_theta(cat.ring))[0]
 
 
-def _fingerprints(theta, keys: np.ndarray, lams: np.ndarray, d_theta: float) -> list:
-    """``fingerprint`` of each row of ``lams``, lambda at the slot triples ``keys``;
-    per sector triple and mode, one stacked Gram matrix and eigensolve serve all rows."""
-    m, start, items = len(lams), np.cumsum((0, *theta)), []
+def _fingerprints(q: QSystemSpec, keys: np.ndarray, lams: np.ndarray, d_theta: float) -> list:
+    """``fingerprint`` of each row of ``lams``, lambda at the slot triples ``keys`` of
+    ``q``; per sector triple and mode, one stacked Gram matrix and eigensolve serve all rows."""
+    m, start, items = len(lams), np.cumsum((0, *q.theta)), []
     G = np.zeros((m, *(start[-1],) * 3), dtype=complex)  # Gamma over the slot triples
     G[(slice(None), *keys.T)] = math.sqrt(d_theta) * lams
-    span = [slice(start[s], start[s + 1]) for s in range(len(theta))]  # the slots of each sector
-    for a, b, c in sorted(set(map(tuple, np.repeat(np.arange(len(theta)), theta)[keys].tolist()))):
+    span = [slice(start[s], start[s + 1]) for s in range(len(q.theta))]  # the slots of each sector
+    for a, b, c in sorted(set(map(tuple, q.sectors[keys].tolist()))):
         T = G[:, span[a], span[b], span[c]]
         grams = (np.einsum(f"mijk,{other}", T, T.conj()) for other in ("mljk->mil", "milk->mjl", "mijl->mkl"))
         spectra = zip(*(np.linalg.eigvalsh(gram).tolist() for gram in grams))  # per mode: T T^H over the others
@@ -528,7 +533,7 @@ def search_qsystems(
     fit = least_squares(form, x0, jac=form.jacobian, xtol=1e-14, ftol=1e-14, gtol=1e-14)
     final = np.max(np.abs(fit.fun), axis=1)
     keys, lams = channels[unit | free], form.lam(fit.x[final < tol])[:, unit | free]
-    fps = _fingerprints(theta, keys, lams, spec.d_theta(cat.ring))
+    fps = _fingerprints(spec, keys, lams, spec.d_theta(cat.ring))
     found = dict(zip(fps[::-1], lams[::-1]))  # fingerprint -> lambda of the first start with it
     prints = tuple(sorted(found))
     solutions = [QSystemSpec(theta, dict(zip(map(tuple, keys.tolist()), found[fp]))) for fp in prints]

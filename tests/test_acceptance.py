@@ -29,10 +29,11 @@ from bcft.induction import (
     index_ledger,
     kernel_split,
     theta_plus,
-    _kernel_matrix,
+    _kernel_matrices,
 )
 from bcft.modular import verlinde_fusion
 from bcft.qsystems import (
+    _check_lambda,
     car_qsystem,
     charged_algebra,
     is_local,
@@ -85,9 +86,10 @@ def test_criterion_3_linear_problem_and_orbit():
         assert np.array_equal(Zt, eye) and np.array_equal(Zc, eye)
         # singular-value gap ratio >= 10^3 wherever the kernel is proper
         gaps = []
+        sec, lam = _check_lambda(car_qsystem(cat), cat)
         for sigma in range(3):
             for tau in range(3):
-                M = _kernel_matrix(cat, car_qsystem(cat), sigma, tau)
+                M = _kernel_matrices(cat, sec, lam, [(sigma, tau)])[0]
                 if M.shape[1]:
                     dim, _, gap = kernel_split(M)
                     if 0 < dim < M.shape[1]:

@@ -11,7 +11,6 @@ from bcft.classify import enumerate_modular_invariants, regular_nimrep
 from bcft.errors import DataInconsistencyError, NumericDegeneracyError, StructuralError
 from bcft.induction import (
     _kernel_matrices,
-    _kernel_matrix,
     _lift_matrix,
     charged_field_basis,
     coupling_from_qsystem,
@@ -22,6 +21,8 @@ from bcft.induction import (
 )
 from bcft.qsystems import (
     QSystemSpec,
+    _check_lambda,
+    _dense,
     car_qsystem,
     charged_algebra,
     fingerprint,
@@ -119,11 +120,11 @@ def test_row_sum_rule_and_vacuum_kernel(ising_data, fib_data):
 
 
 def test_kernel_gap_is_clean(ising_data, ising_cat):
-    q = car_qsystem(ising_cat)
+    sec, lam = _check_lambda(car_qsystem(ising_cat), ising_cat)
     gaps = []
     for sigma in range(3):
         for tau in range(3):
-            M = _kernel_matrix(ising_cat, q, sigma, tau)
+            M = _kernel_matrices(ising_cat, sec, lam, [(sigma, tau)])[0]
             if M.shape[1] == 0:
                 continue
             dim, _, gap = kernel_split(M)
@@ -337,7 +338,7 @@ def test_kernel_and_lift_match_morphism_calculus(induction_cases):
     """Both coordinate maps agree entry by entry with the morphism calculus, in the
     catalog gauge and in a random complex vertex gauge with complex noise on
     lambda (real catalogs have R[a,b,c] = R[b,a,c]; the gauge does not).  The
-    reference braids theta forward past tau, as ``_kernel_matrix`` does."""
+    reference braids theta forward past tau, as ``_kernel_matrices`` does."""
     rng = np.random.default_rng(11)
     for name, data, q in induction_cases:
         gauged = random_vertex_gauge(data.presentation, rng)
@@ -345,10 +346,11 @@ def test_kernel_and_lift_match_morphism_calculus(induction_cases):
         if n <= 5:  # the gauge formula is the same for every catalog; su2_10 takes seconds
             assert validate_axioms(gauged).valid, name
         for cat, qq in [(data.presentation, q), (gauged, _noisy(gauged, q, rng))]:
+            sec, lam = _dense(qq, cat.ring)  # noisy lambda is no isometry
             for sigma, tau in itertools.product(range(n), repeat=2):
                 basis = list(_elementary_basis(cat, sum_word(qq.theta) + simple_word(tau), simple_word(sigma)))
-                K = _kernel_matrix(cat, qq, sigma, tau)
-                L, _ = _lift_matrix(cat, qq, sigma, tau)
+                K = _kernel_matrices(cat, sec, lam, [(sigma, tau)])[0]
+                L, _ = _lift_matrix(cat, sec, lam, sigma, tau)
                 where = (name, cat is gauged, sigma, tau)
                 assert K.shape[1] == L.shape[1] == len(basis), where
                 if basis:
@@ -367,12 +369,13 @@ def test_batched_kernel_matrices_equal_one_pair_calls(induction_cases, ising_dat
     cases += [(spin8_data.presentation, q) for q in spin8_qsystems.values()]
     for cat, q in cases + [(cat, _noisy(cat, q, rng)) for cat, q in cases]:
         pairs = list(itertools.product(range(cat.ring.size), repeat=2))
-        single = [_kernel_matrix(cat, q, sigma, tau) for sigma, tau in pairs]
-        batched = _kernel_matrices(cat, q, pairs)
+        sec, lam = _dense(q, cat.ring)
+        single = [_kernel_matrices(cat, sec, lam, [pair])[0] for pair in pairs]
+        batched = _kernel_matrices(cat, sec, lam, pairs)
         assert all(map(np.array_equal, batched, single)), q
         assert all(M.shape == S.shape for M, S in zip(batched, single)), q
         some = sorted(rng.choice(len(pairs), size=len(pairs) // 3 + 1, replace=False), reverse=True)
-        subset = _kernel_matrices(cat, q, [pairs[i] for i in some])
+        subset = _kernel_matrices(cat, sec, lam, [pairs[i] for i in some])
         assert all(np.array_equal(M, single[i]) for M, i in zip(subset, some)), q
 
 

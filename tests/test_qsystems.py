@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from morphisms import Morphism, Word, assemble_x, braiding, compose, identity, s
 
 from bcft.category import validate_axioms
 from bcft.errors import DataInconsistencyError, StructuralError
+from bcft.induction import charged_field_basis, coupling_from_qsystem
 from bcft.io import dump_canonical, qsystem_to_dict
 from bcft.qsystems import (
     QSystemSpec,
@@ -424,6 +426,37 @@ def test_is_local_rejects_malformed_theta(ising_data):
         is_local(QSystemSpec([1, 0, 1, 0], {(0, 0, 0): 1.0}), cat)
 
 
+THETA_READERS = {
+    "coupling_from_qsystem": lambda q, cat: coupling_from_qsystem(cat, q),
+    "charged_field_basis": lambda q, cat: charged_field_basis(cat, q, 0, 0),
+    "frobenius_check": frobenius_check,
+    "is_local": is_local,
+    "charged_algebra": charged_algebra,
+    "fingerprint": fingerprint,
+    "search_qsystems": lambda q, cat: search_qsystems(cat, q.theta, n_starts=2),
+}
+
+
+@pytest.mark.parametrize("read", THETA_READERS.values(), ids=list(THETA_READERS))
+@pytest.mark.parametrize(
+    "theta, match", [((1, 0, 60), "multiplicity bound"), ((1, 0, 1, 0), "theta length")], ids=["over-bound", "length"]
+)
+def test_malformed_theta_is_rejected_before_theta_cubed(ising_data, read, theta, match):
+    """Every entry point that reads a Q-system with a category rejects a
+    wrong-length or over-bound theta as ``StructuralError`` before it builds an
+    array over slot triples (for theta = 1 + 60 psi, one such array is 3.6 MB)."""
+    cat = ising_data.presentation
+    q = QSystemSpec(theta, {(0, 0, 0): 1.0})
+    tracemalloc.start()
+    try:
+        with pytest.raises(StructuralError, match=match):
+            read(q, cat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_su2_4_simple_current_extension_is_local(su2_4_data):
     s4 = su2_4_data
     res = search_qsystems(s4.presentation, [1, 0, 0, 0, 1], n_starts=10, seed=3)
@@ -495,7 +528,7 @@ def test_fingerprints_match_the_per_triple_reference(ising_data, fib_data, su2_4
     keys = sorted(set().union(*(q.lam for q in stacked)))
     lams = np.array([[q.lam.get(key, 0) for key in keys] for q in stacked])
     want = [_reference_fingerprint(q, s4) for q in stacked]
-    assert _fingerprints(d4.theta, np.array(keys), lams, d4.d_theta(s4.ring)) == want
+    assert _fingerprints(d4, np.array(keys), lams, d4.d_theta(s4.ring)) == want
     assert want[0] == want[1] and not np.allclose(lams[0], lams[1])  # gauge invariant, on a lambda the gauge moved
 
 
