@@ -112,8 +112,8 @@ def minimal_model_characters(p: int, pp: int, order: int) -> dict:
 
 def evaluate_character(series: CharacterSeries, beta: float):
     """Value of the truncated character plus a rigorous truncation tail bound."""
-    if beta <= 0:
-        raise StructuralError("beta must be positive")
+    if not 0 < beta < math.inf:  # nan fails too
+        raise StructuralError(f"beta must be positive and finite, got {beta}")
     levels = np.arange(len(series.coeffs))
     pref = math.exp(-beta * (series.h - series.c / 24.0))
     weights = np.asarray(series.coeffs, dtype=float)

@@ -36,6 +36,7 @@ __all__ = [
     "regular_nimrep",
     "cardy_solve",
     "compatibility",
+    "check_coupling",
 ]
 
 
@@ -502,10 +503,8 @@ def compatibility(Z, nimrep: Nimrep, md: ModularData):
     the spectral projector P_t, or ``(False, {})`` if the nimrep has no
     modular spectrum (see :func:`_spectral_projectors`).
     """
-    Z = np.asarray(Z, dtype=np.int64)
     n = md.size
-    if Z.shape != (n, n):
-        raise StructuralError(f"Z must be {n}x{n}")
+    Z = check_coupling(Z, n)
     if len(nimrep.matrices) != n:
         raise StructuralError(f"expected {n} matrices, got {len(nimrep.matrices)}")
     if any(np.shape(mat) != (nimrep.size,) * 2 for mat in nimrep.matrices):
@@ -516,3 +515,17 @@ def compatibility(Z, nimrep: Nimrep, md: ModularData):
         return False, {}
     table = {t: int(round(np.trace(P[t]).real)) for t in range(n)}
     return all(table[t] == Z[t, t] for t in range(n)), table
+
+
+def check_coupling(Z, n: int) -> np.ndarray:
+    """``Z`` as an int64 array, if it is an n x n matrix of finite,
+    non-negative integers; anything else is malformed (StructuralError)."""
+    try:
+        Z = np.asarray(Z)
+    except ValueError:  # rows of different lengths
+        raise StructuralError(f"Z must be {n}x{n}") from None
+    if Z.shape != (n, n):
+        raise StructuralError(f"Z must be {n}x{n}")
+    if Z.dtype.kind not in "iuf" or not (np.isfinite(Z) & (Z >= 0) & (Z == np.round(Z))).all():
+        raise StructuralError("Z must hold finite non-negative integers")
+    return Z.astype(np.int64)

@@ -23,6 +23,7 @@ from .characters import (
 from .classify import (
     Nimrep,
     cardy_solve,
+    check_coupling,
     compatibility,
     enumerate_modular_invariants,
     enumerate_nimreps,
@@ -97,7 +98,7 @@ def cmd_invariants(args) -> int:
             "invariants",
             {"category": args.category},
             {**_settings(args), "max_entry": args.max_entry},
-            {"count": len(invs), "Z": [Z.tolist() for Z in invs]},
+            {"count": len(invs), "Z": invs},
         )
     return EXIT_OK
 
@@ -105,9 +106,7 @@ def cmd_invariants(args) -> int:
 def cmd_nimreps(args) -> int:
     data = load_category(args.category)
     if args.invariant:
-        Z = load_coupling_matrix(args.invariant)
-        if Z.shape != data.modular.S.shape:
-            raise StructuralError(f"Z has shape {Z.shape}, the category has {data.ring.size} sectors")
+        Z = check_coupling(load_coupling_matrix(args.invariant), data.ring.size)
     if args.invariant and args.size >= 1 and args.size != np.trace(Z):
         nims = []  # the projectors P_t sum to the identity: a compatible nimrep has tr Z boundaries
     else:
@@ -121,10 +120,7 @@ def cmd_nimreps(args) -> int:
             "nimreps",
             {"category": args.category, **({"invariant": args.invariant} if args.invariant else {})},
             {**_settings(args), "size": args.size},
-            {
-                "count": len(nims),
-                "nimreps": [{"n": [m.tolist() for m in nr.matrices]} for nr in nims],
-            },
+            {"count": len(nims), "nimreps": [{"n": nr.matrices} for nr in nims]},
         )
     return EXIT_OK
 
@@ -163,13 +159,10 @@ def cmd_induce(args) -> int:
                 continue
             basis = charged_field_basis(data.presentation, q, sigma, tau)
             fields[f"{sigma},{tau}"] = {
-                "dim": int(Z[sigma, tau]),
+                "dim": Z[sigma, tau],
                 # rounded as psi in cmd_cardy: the last digits carry the rounding of K's arithmetic
-                "projector": [
-                    [[round(z.real, 12) + 0.0, round(z.imag, 12) + 0.0] for z in row]
-                    for row in basis.projector
-                ],
-                "gram_residual": round(basis.gram_residual, 12) + 0.0,
+                "projector": [[[round(z.real, 12), round(z.imag, 12)] for z in row] for row in basis.projector],
+                "gram_residual": round(basis.gram_residual, 12),
             }
     if args.out:
         write_report(
@@ -178,8 +171,8 @@ def cmd_induce(args) -> int:
             {"category": args.category, "qsystem": args.qsystem},
             _settings(args),
             {
-                "Z": Z.tolist(),
-                "theta_plus": {"multiplicities": m.tolist(), "dimension": d_total},
+                "Z": Z,
+                "theta_plus": {"multiplicities": m, "dimension": d_total},
                 "ledger": ledger.as_dict(),
                 "charged_fields": fields,
             },
@@ -216,8 +209,8 @@ def cmd_cardy(args) -> int:
             {"category": args.category, "nimrep": args.nimrep},
             _settings(args),
             {
-                "psi": [[[round(z.real, 12) + 0.0, round(z.imag, 12) + 0.0] for z in row] for row in sol.psi],
-                "exponents": list(sol.exponents),
+                "psi": [[[round(z.real, 12), round(z.imag, 12)] for z in row] for row in sol.psi],
+                "exponents": sol.exponents,
                 "residual": sol.residual,
             },
         )
@@ -323,14 +316,7 @@ def cmd_qsearch(args) -> int:
                 "status": result.status,
                 "count": len(result.solutions),
                 "fingerprints": [
-                    [
-                        {
-                            "sectors": [int(x) for x in key],
-                            "gram_spectra": [[float(e) for e in mode] for mode in spectra],
-                            "exchange": list(exchange),
-                        }
-                        for key, spectra, exchange in fp
-                    ]
+                    [{"sectors": key, "gram_spectra": spectra, "exchange": exchange} for key, spectra, exchange in fp]
                     for fp in result.fingerprints
                 ],
             },
@@ -412,6 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if not 0 < args.tolerance < 1:  # nan fails too
+            raise StructuralError(f"--tolerance must lie in (0, 1), got {args.tolerance}")
         return args.func(args)
     except StructuralError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -54,7 +54,8 @@ from itertools import product
 import numpy as np
 
 from .category import CategoryPresentation, _runs
-from .errors import DataInconsistencyError, NumericDegeneracyError, StructuralError
+from .classify import check_coupling
+from .errors import DataInconsistencyError, NumericDegeneracyError
 from .qsystems import QSystemSpec, _check_lambda, _scatter
 from .rings import DEFAULT_TOL, FusionRing
 
@@ -239,10 +240,8 @@ def theta_plus(ring: FusionRing, Z: np.ndarray):
     ``m[u] = sum_{s,t} Z[s,t] N[s, dual(t), u]``; also returns its total
     dimension ``sum Z[s,t] d_s d_t``.
     """
-    Z = np.asarray(Z, dtype=np.int64)
     n = ring.size
-    if Z.shape != (n, n):
-        raise StructuralError(f"Z must be {n}x{n}")
+    Z = check_coupling(Z, n)
     dualN = ring.N[:, [ring.dual[t] for t in range(n)], :]
     m = np.einsum("st,stu->u", Z, dualN)
     d = ring.fp_dims
@@ -282,7 +281,7 @@ def index_ledger(
 ) -> IndexLedger:
     d = ring.fp_dims
     lam = q.d_theta(ring)
-    lam_plus = float(np.einsum("st,s,t->", np.asarray(Z, dtype=float), d, d))
+    lam_plus = float(np.einsum("st,s,t->", check_coupling(Z, ring.size).astype(float), d, d))
     mu_A = ring.global_dim
     dual_index = mu_A / lam_plus
     return IndexLedger(
@@ -298,7 +297,7 @@ def index_ledger(
 def dhr_orbit_thetas(Z: np.ndarray, nimrep, tol: float = DEFAULT_TOL):
     """Theta multiplicity vectors ``(theta_a)_s = n^s_aa`` along the orbit."""
     ring = nimrep.ring
-    Z = np.asarray(Z, dtype=np.int64)
+    Z = check_coupling(Z, ring.size)
     if int(np.trace(Z)) != nimrep.size:
         raise DataInconsistencyError(
             f"trace(Z) = {int(np.trace(Z))} does not match nimrep size {nimrep.size}"

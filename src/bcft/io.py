@@ -16,7 +16,6 @@ import json
 import math
 from collections.abc import Iterator
 from contextlib import contextmanager
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +51,8 @@ _ROW_TEXT = ('{"labels":[', ",", '],"value":[', "]}")
 
 
 def _fmt(value) -> str:
+    """Canonical JSON text of ``value``, the one converter of file and report values: tuples and
+    numpy arrays become arrays, numpy scalars numbers, floats 17 digits with ``-0.0`` written as ``0``."""
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -83,7 +84,7 @@ def dump_canonical(obj: dict) -> str:
 
 
 def _pair(z: complex):
-    return [float(np.real(z)), float(np.imag(z))]
+    return [np.real(z), np.imag(z)]
 
 
 def _check_keys(doc: dict, required, optional, what: str):
@@ -213,37 +214,34 @@ def _entry_rows(labels: np.ndarray, values: np.ndarray):
 def _entry_columns(items, width: int, what: str):
     """The entries ``{"labels": [width integers], "value": [re, im]}`` of a
     category file's F or R section as an int64 ``(M, width)`` label array and
-    the M complex values, in file order.  The checks are those of reading one
-    entry at a time, made on whole columns; a failure names the first
-    offending entry."""
+    the M complex values, in file order.  One pass checks each entry in turn
+    and names the first that fails; then the labels must be integers and the
+    values numbers."""
     if isinstance(items, tuple):  # the columns, read by _columns_doc
         return items
     if not isinstance(items, list):
         raise StructuralError(f"{what} must be an array of entries, got {type(items).__name__}")
-    if set(map(type, items)) - {dict}:
-        bad = next(item for item in items if type(item) is not dict)
-        raise StructuralError(f"{what} entries must be objects, got {bad!r}")
     members = {"labels", "value"}
-    if set(map(frozenset, items)) - {frozenset(members)}:
-        _check_keys(next(item for item in items if item.keys() != members), members, (), f"{what} entry")
-    labels = [item["labels"] for item in items]
-    if set(map(type, labels)) - {list} or set(map(len, labels)) - {width}:
-        bad = next(item for item in items if type(item["labels"]) is not list or len(item["labels"]) != width)
-        raise StructuralError(f"{what} labels must have {width} entries: {bad}")
-    if set(map(type, chain.from_iterable(labels))) - {int}:
-        for v in chain.from_iterable(labels):
+    labels, values = [], []
+    for item in items:
+        if type(item) is not dict:
+            raise StructuralError(f"{what} entries must be objects, got {item!r}")
+        if item.keys() != members:
+            _check_keys(item, members, (), f"{what} entry")
+        row, value = item["labels"], item["value"]
+        if type(row) is not list or len(row) != width:
+            raise StructuralError(f"{what} labels must have {width} entries: {item}")
+        if type(value) is not list or len(value) != 2:
+            raise StructuralError(f"{what} value must be [re, im], got {value!r}")
+        labels += row
+        values += value
+    if set(map(type, labels)) - {int}:
+        for v in labels:
             _int(v, f"{what} label")
-    values = [item["value"] for item in items]
-    if set(map(type, values)) - {list} or set(map(len, values)) - {2}:
-        bad = next(v for v in values if type(v) is not list or len(v) != 2)
-        raise StructuralError(f"{what} value must be [re, im], got {bad!r}")
-    if set(map(type, chain.from_iterable(values))) - {int, float}:
-        for v in chain.from_iterable(values):
+    if set(map(type, values)) - {int, float}:
+        for v in values:
             _real(v, f"{what} value")
-    return (
-        np.fromiter(chain.from_iterable(labels), np.int64, width * len(items)).reshape(-1, width),
-        np.fromiter(chain.from_iterable(values), float, 2 * len(items)).view(complex),
-    )
+    return np.array(labels, np.int64).reshape(-1, width), np.array(values, float).view(complex)
 
 
 def _columns_doc(text: bytes):
@@ -364,9 +362,9 @@ def _rows_columns(chunk: bytes, marks: np.ndarray, gaps: list, sectors: np.ndarr
 def _category_doc(data: CategoryData) -> dict:
     ring = data.ring
     doc = {
-        "labels": list(ring.labels),
-        "dual": list(ring.dual),
-        "N": np.column_stack([ring.r_key_array, ring.N[ring.N > 0]]).tolist(),
+        "labels": ring.labels,
+        "dual": ring.dual,
+        "N": np.column_stack([ring.r_key_array, ring.N[ring.N > 0]]),
         "S": [[_pair(z) for z in row] for row in data.modular.S],
         "T": [_pair(z) for z in data.modular.T],
     }
@@ -374,18 +372,13 @@ def _category_doc(data: CategoryData) -> dict:
         doc["F"] = _entry_rows(ring.f_key_array, data.presentation.f_values)
         doc["R"] = _entry_rows(ring.r_key_array, data.presentation.R[ring.N > 0])
     if data.central_charge is not None:
-        doc["central_charge"] = float(data.central_charge)
+        doc["central_charge"] = data.central_charge
     return doc
 
 
 @_document("category file")
 def dict_to_category(doc: dict, name: str = "file") -> CategoryData:
-    _check_keys(
-        doc,
-        required=("labels", "dual", "N", "S", "T"),
-        optional=("F", "R", "central_charge"),
-        what="category file",
-    )
+    _check_keys(doc, ("labels", "dual", "N", "S", "T"), ("F", "R", "central_charge"), "category file")
     labels = doc["labels"]
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise StructuralError("labels must be an array of strings")
@@ -413,9 +406,7 @@ def dict_to_category(doc: dict, name: str = "file") -> CategoryData:
     if ("F" in doc) != ("R" in doc):
         raise StructuralError("F and R must be supplied together")
     if "F" in doc:
-        F = _entry_columns(doc["F"], 6, "F")
-        R = _entry_columns(doc["R"], 3, "R")
-        cat = CategoryPresentation(ring, F, R)
+        cat = CategoryPresentation(ring, _entry_columns(doc["F"], 6, "F"), _entry_columns(doc["R"], 3, "R"))
     cc = _real(doc["central_charge"], "central_charge") if "central_charge" in doc else None
     return CategoryData(name, ring, md, cat, cc)
 

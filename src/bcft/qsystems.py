@@ -369,7 +369,8 @@ def gauge_transform(q: QSystemSpec, unitaries: dict) -> QSystemSpec:
     lam = np.zeros((len(U),) * 3, dtype=complex)
     for key, val in q.lam.items():
         lam[key] = val
-    lam = np.einsum("ap,bq,cr,pqr->abc", U, U, U.conj(), lam)
+    for mode, u in enumerate((U, U, U.conj())):  # one mode at a time: S^4 steps, not one S^6 loop
+        lam = np.moveaxis(np.tensordot(u, lam, axes=(1, mode)), 0, mode)
     return QSystemSpec(q.theta, {key: lam[key] for key in map(tuple, np.argwhere(np.abs(lam) > 1e-15).tolist())})
 
 

@@ -118,6 +118,9 @@ def test_evaluate_rejects_nonpositive_beta():
     c0, _, _ = ising_characters(10)
     with pytest.raises(StructuralError):
         evaluate_character(c0, 0.0)
+    for beta in (math.nan, math.inf):
+        with pytest.raises(StructuralError):
+            evaluate_character(c0, beta)
 
 
 def test_tail_divergence_error():

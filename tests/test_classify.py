@@ -200,6 +200,12 @@ def test_compatibility_tables(ising_data, fib_data, z3_data):
     for Z in (np.eye(4, dtype=np.int64), np.eye(2, dtype=np.int64), np.ones(3, dtype=np.int64)):
         with pytest.raises(StructuralError, match="Z must be 3x3"):
             compatibility(Z, reg, ising_data.modular)
+    with pytest.raises(StructuralError, match="Z must be 3x3"):
+        compatibility([[1, 0, 0], [0, 1], [0, 0, 1]], reg, ising_data.modular)
+    # Z holds finite non-negative integers: 1.5 I is not read as I
+    for Z in (1.5 * np.eye(3), np.diag([1, 1, -1]), np.full((3, 3), math.nan), np.diag([1, math.inf, 1])):
+        with pytest.raises(StructuralError, match="Z must hold finite non-negative integers"):
+            compatibility(Z, reg, ising_data.modular)
     with pytest.raises(StructuralError, match="expected 3 matrices, got 2"):
         compatibility(np.eye(3, dtype=np.int64), Nimrep(ising_data.ring, reg.matrices[:2]), ising_data.modular)
     mixed = Nimrep(ising_data.ring, (reg.matrices[0], np.eye(2, dtype=np.int64), reg.matrices[2]))

@@ -214,6 +214,20 @@ def test_dhr_orbit_thetas_ising(ising_data):
     assert thetas == [(1, 0, 0), (1, 0, 1), (1, 0, 0)]
 
 
+def test_coupling_inputs_are_checked(ising_data, ising_cat):
+    """theta_plus, index_ledger and dhr_orbit_thetas take Z as an n x n matrix
+    of finite non-negative integers; anything else is malformed input."""
+    ring, q, nr = ising_data.ring, car_qsystem(ising_cat), regular_nimrep(ising_data.ring)
+    calls = (lambda Z: theta_plus(ring, Z), lambda Z: index_ledger(ring, q, Z), lambda Z: dhr_orbit_thetas(Z, nr))
+    for call in calls:
+        with pytest.raises(StructuralError, match="Z must be 3x3"):
+            call(np.diag([1, 2]))  # its trace is the nimrep's size
+        for Z in (1.5 * np.eye(3), np.diag([1, 0, -1]), np.full((3, 3), np.nan)):
+            with pytest.raises(StructuralError, match="Z must hold finite non-negative integers"):
+                call(Z)
+        call(np.eye(3))  # integer values in a float array are read exactly
+
+
 def test_dhr_orbit_rejects_incompatible_nimrep(ising_data):
     nr = regular_nimrep(ising_data.ring)
     Z = np.eye(3, dtype=np.int64)

@@ -255,6 +255,16 @@ def test_cli_malformed_exits_2(tmp_path, ising_file, car_file, nimrep_file, coup
         # a level for a catalog without levels
         (["catalog", "ising", "--level", "5", "--out", bad], b"{}"),
         (["catalog", "fibonacci", "--level", "1", "--out", bad], b"{}"),
+        # a tolerance outside (0, 1), checked before any command runs
+        *((["--tolerance", t, "nimreps", str(ising_file), "--size", "2"], b"{}") for t in ("nan", "inf", "1e6")),
+        *((["--tolerance", t, "validate", str(ising_file)], b"{}") for t in ("nan", "0", "-1", "inf")),
+        # a non-finite beta
+        *((["partition", str(ising_file), str(nimrep_file), "--a", "0", "--b", "0", "--beta", b], b"{}")
+          for b in ("nan", "inf")),
+        # an F section that is not a list, an F without R
+        (["validate", bad], _replaced(ising_file, ("F",), 5)),
+        (["validate", bad],
+         json.dumps({k: v for k, v in json.loads(ising_file.read_text()).items() if k != "R"}).encode()),
     ]
     for argv, content in cases:
         Path(bad).write_bytes(content)
@@ -694,6 +704,31 @@ def test_column_reader_checks_row_text(tmp_path, su2_4_text, old, new):
     path = tmp_path / "edited.json"
     path.write_bytes(_joined(sections))
     assert _columns_doc(path.read_bytes()) is None
+    want = _outcome(lambda: dict_to_category(_read_json(path, "category file"), name=path.stem))
+    assert _outcome(lambda: load_category(path)) == want
+
+
+def _r_before_f(text: bytes) -> bytes:
+    head, f_rows, _, r_rows, tail = _sections(text)
+    return head[:-6] + b'"R":[{' + b"},{".join(r_rows) + b'}],"F":[{' + b"},{".join(f_rows) + tail
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _r_before_f,  # the members in another order
+        lambda text: text.replace(b'"1/2"', '"\u00bd"'.encode(), 1),  # a sector label that is not ASCII
+        lambda text: b'{"labels":"0"' + text[text.index(b"]") + 1 :],  # labels that are not a list
+        lambda text: text.replace(b'"value":[1,', b'"value":[1x,', 1),  # a value text float() rejects
+    ],
+    ids=["R before F", "non-ASCII label", "labels not a list", "not a float"],
+)
+def test_column_reader_falls_back_to_the_document(tmp_path, su2_4_text, edit):
+    text = edit(su2_4_text)
+    assert text != su2_4_text
+    path = tmp_path / "edited.json"
+    path.write_bytes(text)
+    assert _columns_doc(text) is None
     want = _outcome(lambda: dict_to_category(_read_json(path, "category file"), name=path.stem))
     assert _outcome(lambda: load_category(path)) == want
 

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -464,6 +465,15 @@ def test_su2_4_simple_current_extension_is_local(su2_4_data):
     assert len(res.solutions) == 1
     local, resid = is_local(res.solutions[0], s4.presentation)
     assert local and resid < 1e-9
+
+
+def test_gauge_transform_contracts_one_mode_at_a_time():
+    # 31 slots: one loop over all 31^6 slot tuples takes seconds, three one-mode contractions milliseconds
+    q = QSystemSpec((1, 0, 30), {(0, 0, 0): 1.0})
+    start = time.perf_counter()
+    g = gauge_transform(q, {})
+    assert time.perf_counter() - start < 1.0
+    assert g.theta == q.theta and g.lam == q.lam
 
 
 def test_gauge_transform_preserves_validity_and_fingerprint(ising_data, fib_data, spin8_data, spin8_qsystems, rng):
