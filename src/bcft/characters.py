@@ -115,7 +115,10 @@ def evaluate_character(series: CharacterSeries, beta: float):
     if not 0 < beta < math.inf:  # nan fails too
         raise StructuralError(f"beta must be positive and finite, got {beta}")
     levels = np.arange(len(series.coeffs))
-    pref = math.exp(-beta * (series.h - series.c / 24.0))
+    try:
+        pref = math.exp(-beta * (series.h - series.c / 24.0))
+    except OverflowError:
+        raise NumericDegeneracyError(f"character prefactor exceeds the float range at beta={beta:g}") from None
     weights = np.asarray(series.coeffs, dtype=float)
     value = pref * float(np.dot(weights, np.exp(-beta * levels)))
     m0 = series.order + 1

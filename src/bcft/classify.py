@@ -8,10 +8,10 @@ enumerated on stacks of matrices, ``CHUNK`` at a time.  Generator matrices
 are filled in one entry at a time on a stack of batches of partial matrices,
 pruned by spectrum: one stacked eigensolve drops the partial matrices whose
 spectral radius exceeds the Frobenius-Perron dimension, and a complete one is
-kept only if the minimal polynomial of the fusion matrix annihilates it
-exactly.  The other matrices are derived from the representation identity by
-batched products, deduplicated up to simultaneous boundary relabeling, and
-one representative per class is verified exactly.  Cardy solutions and
+kept only if its eigenvalues lie in the spectrum of the fusion matrix.  The
+other matrices are derived from the representation identity by batched
+products, deduplicated up to simultaneous boundary relabeling, and one
+representative per class is verified exactly.  Cardy solutions and
 compatibility tables read the joint eigenspaces of a nimrep off the
 closed-form projectors ``P_t = S_0t sum_s conj(S_st) n^s``.
 """
@@ -44,6 +44,7 @@ __all__ = [
 
 CHUNK = 2048  # rows per batch: pivot assignments, partial or derived nimrep matrices, relabelings
 PIVOT_TOL = 1e-6  # least residual norm of a pivot row (B has orthonormal columns)
+SPECTRUM_TOL = 1e-6  # largest deviation of a nimrep's eigenvalues or spectral projectors
 
 
 def _commutant_basis(md: ModularData, rcond: float = 1e-10):
@@ -215,75 +216,31 @@ def _select_generators(ring: FusionRing):
     raise StructuralError("fusion ring admits no derivation plan (degenerate N)")
 
 
-def _annihilates(coeffs, M) -> np.ndarray:
-    """Exact ``p(M) == 0`` for each matrix of the (m, n, n) stack M, by Horner's
-    rule, ``coeffs`` leading first.
-
-    Each Horner step multiplies by a matrix whose infinity norm R is its
-    largest absolute row sum, so ``sum |c_k| R^(deg-k)`` bounds every
-    intermediate entry and every partial sum of a product's row: a matrix is
-    checked in float64, where integers below 2^53 add and multiply exactly,
-    when that bound is below 2^53, and in Python integers otherwise.
-    """
-    deg = len(coeffs) - 1
-    R = np.abs(M).sum(axis=2).max(axis=1)
-    wide = [r for r in set(R.tolist()) if sum(abs(c) * r ** (deg - k) for k, c in enumerate(coeffs)) >= 2**53]
-    wide = np.isin(R, wide)
-    zero = np.empty(len(M), dtype=bool)
-    for part, dtype in ((~wide, np.float64), (wide, object)):
-        if part.any():
-            A = M[part].astype(dtype, copy=False)
-            diag = np.arange(A.shape[-1])
-            P = np.zeros_like(A)
-            for c in coeffs:
-                P = P @ A
-                P[:, diag, diag] += c
-            zero[part] = ~(P != 0).any(axis=(1, 2))
-    return zero
-
-
-def _minimal_polynomial(ring: FusionRing, g: int) -> tuple[int, ...]:
-    """Integer coefficients, leading first, of the minimal polynomial of N^g.
-
-    N^g is normal, so its minimal polynomial is the product of ``x - lam``
-    over its distinct eigenvalues lam; monic with algebraic-integer roots,
-    it has integer coefficients.  The rounded polynomial is accepted only if
-    it annihilates N^g exactly.
-    """
-    Ng = ring.N[g]
-    distinct = []
-    for lam in np.linalg.eigvals(Ng.astype(float)):
-        if all(abs(lam - mu) > 1e-6 for mu in distinct):
-            distinct.append(lam)
-    coeffs = tuple(int(c) for c in np.rint(np.poly(distinct).real))
-    if not _annihilates(coeffs, Ng[None])[0]:
-        raise NumericDegeneracyError(
-            f"rounded minimal polynomial of N^{g} does not annihilate it"
-        )
-    return coeffs
-
-
 def _candidate_generator_matrices(ring: FusionRing, g: int, size: int, tol: float) -> np.ndarray:
     """All n^g that pass the spectral conditions every nimrep meets, as an (m, size, size) stack.
 
     A nimrep matrix n^g is normal with eigenvalues among those of N^g, so
-    the minimal polynomial of N^g annihilates it and its spectral radius is
-    at most d_g.  Entries are set in order (mirrored when g is self-dual) and
-    unset entries are 0, so a partial matrix is entrywise below all its
-    completions.  A stack of batches of at most ``CHUNK`` partial matrices
-    is expanded one entry at a time: value 0 keeps a batch as it is, and
-    each larger value is tried on the matrices that kept the value below it.
+    its spectral radius is at most d_g.  Entries are set in order (mirrored
+    when g is self-dual, where n^g and N^g are symmetric) and unset entries
+    are 0, so a partial matrix is entrywise below all its completions.  A
+    stack of batches of at most ``CHUNK`` partial matrices is expanded one
+    entry at a time: value 0 keeps a batch as it is, and each larger value
+    is tried on the matrices that kept the value below it.
     Row and column square sums above ``floor(d_g^2)`` or a spectral radius
     above d_g (one stacked eigensolve; Perron-Frobenius monotonicity) drop a
     matrix for that value and all larger ones, and a value that no matrix
-    keeps ends the loop.  Complete batches are checked against the minimal
-    polynomial exactly.
+    keeps ends the loop.  A complete matrix is kept if each of its
+    eigenvalues lies within ``SPECTRUM_TOL`` of one of N^g: for a symmetric
+    matrix that holds exactly when the minimal polynomial of N^g annihilates
+    it, and what a non-symmetric one lets through is left to
+    :meth:`Nimrep.validate`.
     """
     d = ring.fp_dims[g]
     entry_bound = int(math.floor(d + tol))
     row_bound = int(math.floor(d**2 + tol))
     symmetric = ring.dual[g] == g
-    minpoly = _minimal_polynomial(ring, g)
+    eigvals = np.linalg.eigvalsh if symmetric else np.linalg.eigvals
+    spectrum = eigvals(ring.N[g].astype(float))
     cells = (
         [(i, j) for i in range(size) for j in range(i, size)]
         if symmetric
@@ -294,10 +251,8 @@ def _candidate_generator_matrices(ring: FusionRing, g: int, size: int, tol: floa
         """The matrices of ``batch`` whose rows and columns i, j and spectral radius are in bounds."""
         lines = np.concatenate([batch[:, [i, j], :], batch[:, :, [i, j]].transpose(0, 2, 1)], axis=1)
         batch = batch[np.max(np.sum(lines**2, axis=2), axis=1) <= row_bound]
-        if symmetric:
-            radius = np.linalg.eigvalsh(batch)[:, -1]
-        else:
-            radius = np.max(np.abs(np.linalg.eigvals(batch)), axis=1)
+        eig = eigvals(batch)
+        radius = eig[:, -1] if symmetric else np.max(np.abs(eig), axis=1)
         return batch[radius <= d + tol]
 
     found = []
@@ -305,7 +260,8 @@ def _candidate_generator_matrices(ring: FusionRing, g: int, size: int, tol: floa
     while stack:
         idx, batch = stack.pop()
         if idx == len(cells):
-            found.append(batch[_annihilates(minpoly, batch)])
+            off = np.min(np.abs(eigvals(batch)[:, :, None] - spectrum), axis=2)
+            found.append(batch[np.all(off <= SPECTRUM_TOL, axis=1)])
             continue
         i, j = cells[idx]
         rows, cols = ([i, j], [j, i]) if symmetric else ([i], [j])
@@ -391,7 +347,8 @@ def enumerate_nimreps(ring: FusionRing, size: int, tol: float = DEFAULT_TOL) -> 
     negative entry are dropped and the rest deduplicated up to simultaneous
     boundary relabeling.  Derivation, the sign test and the nimrep
     conditions all commute with relabeling, so one representative per class,
-    the canonical one, is verified exactly (:meth:`Nimrep.validate`).
+    the canonical one, is verified exactly (:meth:`Nimrep.validate`); that
+    check, not the spectral screen, decides which classes are nimreps.
     """
     if size < 1:
         raise StructuralError("nimrep size must be >= 1")
@@ -421,9 +378,6 @@ class CardySolution:
     psi: np.ndarray  # (size, size), columns ordered by exponent
     exponents: tuple  # sector index per column
     residual: float
-
-
-SPECTRUM_TOL = 1e-6  # largest deviation of the spectral projectors a nimrep may show
 
 
 def _spectral_projectors(nimrep: Nimrep, md: ModularData) -> np.ndarray:

@@ -182,9 +182,13 @@ def cmd_induce(args) -> int:
 
 def _load_nimrep(args):
     """The category and the nimrep named by ``args``; the nimrep is None,
-    once the first reason is printed, if it is invalid."""
+    once the first reason is printed, if it is invalid.  A file without one
+    matrix per sector is malformed."""
     data = load_category(args.category)
-    nr = Nimrep(data.ring, tuple(load_nimrep_matrices(args.nimrep)))
+    mats = load_nimrep_matrices(args.nimrep)
+    if len(mats) != data.ring.size:
+        raise StructuralError(f"expected {data.ring.size} matrices, got {len(mats)}")
+    nr = Nimrep(data.ring, tuple(mats))
     bad = nr.validate()
     if bad:
         print(f"nimrep invalid: {bad[0]}")

@@ -129,6 +129,13 @@ def test_tail_divergence_error():
         evaluate_character(c0, 0.05)
 
 
+def test_vacuum_prefactor_overflow_is_degenerate():
+    # exp(beta c / 24) leaves the float range above beta ~ 34,000 at c = 1/2
+    c0, _, _ = ising_characters(10)
+    with pytest.raises(NumericDegeneracyError, match="beta=100000"):
+        evaluate_character(c0, 1e5)
+
+
 def test_annulus_values_ising(ising_data):
     nr = regular_nimrep(ising_data.ring)
     chars = ising_characters(60)

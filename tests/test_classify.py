@@ -12,10 +12,9 @@ from bcft import classify
 from bcft.catalog import catalog
 from bcft.classify import (
     Nimrep,
-    _annihilates,
+    _candidate_generator_matrices,
     _canonical_key,
     _commutant_basis,
-    _minimal_polynomial,
     _pivot_rows,
     _span_basis,
     _spectral_projectors,
@@ -27,7 +26,7 @@ from bcft.classify import (
 )
 from bcft.errors import DataInconsistencyError, NumericDegeneracyError, StructuralError
 from bcft.modular import ModularData
-from bcft.rings import FusionRing
+from bcft.rings import DEFAULT_TOL, FusionRing
 
 
 def test_trivial_category_single_invariant():
@@ -283,71 +282,23 @@ def test_nimreps_do_not_depend_on_the_batch_cap(chunk, su2_4_data, monkeypatch):
     assert listed() == want
 
 
-def _horner_python_integers(coeffs, M):
-    M = M.astype(object)
-    P = np.zeros_like(M)
-    for c in coeffs:
-        P = P @ M + c * np.eye(len(M), dtype=object)
-    return not P.any()
+def test_complete_generator_matrices_are_screened_by_spectrum(ising_data, su2_4_data, z3_data):
+    """A complete n^g is kept only if its eigenvalues lie in the spectrum of N^g;
+    each matrix here passes the row and spectral-radius bounds."""
 
+    def candidates(ring, g, size):
+        return [m.tolist() for m in _candidate_generator_matrices(ring, g, size, DEFAULT_TOL)]
 
-def test_annihilates_mixes_float_and_python_integer_checks():
-    big = 2**32  # x^2 bounds its square by R^2 = 2^64: too wide for an exact float64 (or int64) check
-    stack = np.array(
-        [[[0, 1], [0, 0]], [[big, 0], [0, 0]], [[0, big], [0, 0]], [[1, 0], [0, 1]], [[1, 1], [0, 1]], [[big, 1], [0, 0]]],
-        dtype=np.int64,
-    )
-    assert not (stack[1] @ stack[1]).any()
-    for coeffs in [(1, 0, 0), (1, -1, 0), (1, -2, 1), (1, -big, 0)]:
-        want = [_horner_python_integers(coeffs, M) for M in stack]
-        assert _annihilates(coeffs, stack).tolist() == want, coeffs
-    assert [_horner_python_integers((1, 0, 0), M) for M in stack] == [True, False, True, False, False, False]
-
-
-def _horner_bound(coeffs, M):
-    R = int(np.abs(M).sum(axis=1).max())
-    return sum(abs(c) * R ** (len(coeffs) - 1 - k) for k, c in enumerate(coeffs))
-
-
-def test_annihilates_at_the_float64_bound():
-    """Stacks whose Horner bounds sit just below and just above 2^53 (float64
-    and Python-integer checks) agree with the Python-integer evaluation."""
-    a = 10**7  # (x - a)(x - a - 1) annihilates [[a, k], [0, a + 1]]; one more on an entry breaks it
-    coeffs = (1, -(2 * a + 1), a * (a + 1))
-    # the row sum R = a + k where R^2 + (2a + 1) R + a (a + 1) = 2^53
-    R = (math.isqrt((2 * a + 1) ** 2 - 4 * (a * (a + 1) - 2**53)) - (2 * a + 1)) // 2
-    stack = [
-        np.array([[a, k], [0, a + 1]]) + bump
-        for k in range(R - a - 3, R - a + 4)
-        for bump in (0, np.array([[0, 0], [0, 1]]), np.array([[0, 0], [1, 0]]))
-    ]
-    bounds = [_horner_bound(coeffs, M) for M in stack]
-    assert 2**53 - 2**30 < min(bounds) < 2**53 <= max(bounds) < 2**53 + 2**30
-    want = [_horner_python_integers(coeffs, M) for M in stack]
-    assert _annihilates(coeffs, np.array(stack)).tolist() == want
-    assert want.count(True) == 7 and want.count(False) == 14
-    # past the bound float64 rounds: 2^53 + 1 reads as 2^53, so x - 2^53 would seem to annihilate it
-    assert _annihilates((1, -(2**53)), np.array([[[2**53 + 1]]])).tolist() == [False]
-
-
-@pytest.mark.parametrize("name", ["ising", "fibonacci"] + [f"su2_{k}" for k in range(1, 11)])
-def test_minimal_polynomial_is_exact_with_modular_roots(name, su2_level):
-    data = _catalog(name, su2_level)
-    ring, S = data.ring, data.modular.S
-    for g in range(ring.size):
-        coeffs = _minimal_polynomial(ring, g)
-        assert all(type(c) is int for c in coeffs) and coeffs[0] == 1
-        Ng = ring.N[g].astype(object)
-        P = np.zeros_like(Ng)
-        for c in coeffs:
-            P = P @ Ng + c * np.eye(ring.size, dtype=object)
-        assert not P.any(), (data.name, g)
-        ratios = S[g] / S[0]
-        assert np.max(np.abs(ratios.imag)) < 1e-9  # self-dual catalogs
-        roots = np.roots(coeffs)
-        assert len(roots) == len({round(r, 6) for r in ratios.real}), (data.name, g)
-        assert max(np.min(np.abs(roots - r)) for r in ratios) < 1e-9, (data.name, g)
-        assert max(np.min(np.abs(ratios - r)) for r in roots) < 1e-9, (data.name, g)
+    # the path graph P3 has the eigenvalues 0 and +-sqrt(2): the A3 n^sigma of
+    # Ising, not in the spectrum {+-sqrt(3), +-1, 0} of su2_4's N^1
+    p3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+    assert p3 in candidates(ising_data.ring, 1, 3)
+    assert p3 not in candidates(su2_4_data.ring, 1, 3)
+    # Z_3, where n^1 is not symmetric: the shift N^1 is kept, a nilpotent
+    # matrix is dropped since 0 is not a cube root of 1
+    z3 = candidates(z3_data.ring, 1, 3)
+    assert z3_data.ring.N[1].tolist() in z3
+    assert [[0, 1, 0], [0, 0, 1], [0, 0, 0]] not in z3
 
 
 @pytest.mark.parametrize("name, size", [("fibonacci", 4), ("ising", 6)])

@@ -178,6 +178,7 @@ def _repeated(path, member, index, edit=lambda entry: entry) -> bytes:
 def test_cli_malformed_exits_2(tmp_path, ising_file, car_file, nimrep_file, coupling_file, capsys):
     bad = str(tmp_path / "bad.json")
     nan = [math.nan, 0.0]  # json writes NaN, which Python's json reads back
+    two_matrices = _replaced(nimrep_file, ("n",), json.loads(nimrep_file.read_text())["n"][:2])
     cases = [
         (["validate", bad], b'{"labels": ["0"], "oops": 1}'),
         (["cardy", str(ising_file), bad], b"{not json"),
@@ -219,6 +220,9 @@ def test_cli_malformed_exits_2(tmp_path, ising_file, car_file, nimrep_file, coup
         (["cardy", str(ising_file), bad], b'{"n": [[[]], [[]], [[]]]}'),
         (["partition", str(ising_file), bad, "--a", "0", "--b", "0", "--beta", "3.2"],
          json.dumps({"n": [[[1, 0, 0], [0, 1, 0]]] * 3}).encode()),
+        # a nimrep file with one matrix too few for the 3 Ising sectors
+        (["cardy", str(ising_file), bad], two_matrices),
+        (["partition", str(ising_file), bad, "--a", "0", "--b", "0", "--beta", "3.2"], two_matrices),
         (["nimreps", str(ising_file), "--size", "3", "--invariant", bad],
          _replaced(coupling_file, ("Z", 0, 0), 1.6)),
         (["nimreps", str(ising_file), "--size", "3", "--invariant", bad],
@@ -539,6 +543,14 @@ def test_cli_partition_short_order_exits_3(ising_file, nimrep_file):
         ]
     )
     assert code == 3
+
+
+def test_cli_partition_character_overflow_exits_3(ising_file, nimrep_file, capsys):
+    argv = ["partition", str(ising_file), str(nimrep_file), "--a", "0", "--b", "0", "--beta", "1e5"]
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric degeneracy: ") and "beta=100000" in err and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(
