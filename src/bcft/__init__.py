@@ -51,7 +51,6 @@ from .qsystems import (
     charged_algebra,
     fingerprint,
     frobenius_check,
-    gauge_transform,
     is_local,
     regular_qsystem,
     search_qsystems,

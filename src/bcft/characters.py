@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 DEFAULT_BETA_WINDOW = (math.pi, 4 * math.pi)
+TRANSFORM_TOL = 1e-6  # least tolerance of the annulus check; the truncation tail may not exceed it
 
 
 @dataclass
@@ -180,7 +181,6 @@ def cardy_transform_check(
     a: int,
     b: int,
     beta: float,
-    tol: float = 1e-6,
     window=DEFAULT_BETA_WINDOW,
 ) -> AnnulusReport:
     """Compare the annulus spectrum sum with its boundary-state transform.
@@ -213,9 +213,9 @@ def cardy_transform_check(
         transformed += (weight * v).real
         tail_t += abs(weight) * tl
     tail = tail_d + tail_t
-    if tail > tol:
+    if tail > TRANSFORM_TOL:
         raise NumericDegeneracyError(
-            f"truncation tail {tail:.2e} exceeds tolerance {tol:g}; "
+            f"truncation tail {tail:.2e} exceeds tolerance {TRANSFORM_TOL:g}; "
             "increase truncation order"
         )
     residual = abs(direct - transformed)
@@ -228,5 +228,5 @@ def cardy_transform_check(
         transformed=transformed,
         residual=residual,
         tail_bound=tail,
-        tolerance=max(tol, tail),
+        tolerance=max(TRANSFORM_TOL, tail),
     )

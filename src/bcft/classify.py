@@ -45,9 +45,10 @@ __all__ = [
 CHUNK = 2048  # rows per batch: pivot assignments, partial or derived nimrep matrices, relabelings
 PIVOT_TOL = 1e-6  # least residual norm of a pivot row (B has orthonormal columns)
 SPECTRUM_TOL = 1e-6  # largest deviation of a nimrep's eigenvalues or spectral projectors
+COMMUTANT_RCOND = 1e-10  # T phases closer than this are equal; relative singular-value cut of the commutant
 
 
-def _commutant_basis(md: ModularData, rcond: float = 1e-10):
+def _commutant_basis(md: ModularData):
     """Real basis of {M : SM = MS, TM = MT} as columns of an (n^2, m) array.
 
     T is diagonal, so ``TM = MT`` exactly when ``M[i,j] = 0`` wherever
@@ -55,13 +56,13 @@ def _commutant_basis(md: ModularData, rcond: float = 1e-10):
     """
     S, T, n = md.S, md.T, md.size
     dT = np.abs(T[:, None] - T[None, :]).reshape(-1)
-    if np.any((dT > rcond) & (dT < 1e4 * rcond)):
+    if np.any((dT > COMMUTANT_RCOND) & (dT < 1e4 * COMMUTANT_RCOND)):
         raise NumericDegeneracyError("T blocks are numerically ambiguous")
-    cols = np.flatnonzero(dT <= rcond)
+    cols = np.flatnonzero(dT <= COMMUTANT_RCOND)
     op = (np.kron(S, np.eye(n)) - np.kron(np.eye(n), S.T))[:, cols]
     # unknown M is real: nullspace over the reals
     _, s, vh = np.linalg.svd(np.vstack([op.real, op.imag]), full_matrices=False)
-    rank = int(np.sum(s > rcond * max(s[0], 1.0)))
+    rank = int(np.sum(s > COMMUTANT_RCOND * max(s[0], 1.0)))
     gap = s[rank - 1] / max(s[rank], 1e-300) if 0 < rank < len(s) else np.inf
     if gap < 1e4:
         raise NumericDegeneracyError(f"commutant rank is numerically ambiguous (gap {gap:.1f})")

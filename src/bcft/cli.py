@@ -1,8 +1,13 @@
 """Command-line surface tying the pipeline together.
 
-Exit codes: 0 success, 1 validation/verification failure, 2 malformed
-input, 3 numeric degeneracy.  Machine-readable output goes to files named
-by ``--out``; stdout carries human-readable summaries only.
+Each ``cmd_*`` takes the parsed arguments and the loaded category, prints a
+human-readable summary to stdout and returns its exit code with, if it has a
+report, its own settings and payload.  ``main`` owns the rest of the run:
+it loads the category, writes the ``--out`` report (operation = subcommand,
+inputs = fingerprints of the file arguments given, settings = ``tolerance``
+plus the command's own) and maps errors to exit codes: 0 success,
+1 validation/verification failure, 2 malformed input or an unreadable or
+unwritable file, 3 numeric degeneracy.
 """
 
 from __future__ import annotations
@@ -48,14 +53,10 @@ EXIT_MALFORMED = 2
 EXIT_DEGENERATE = 3
 
 
-def _settings(args) -> dict:
-    # runtime-only knobs (the search seed) never enter reports, so reports are
-    # byte-identical across reruns
-    return {"tolerance": args.tolerance}
+FILE_ARGUMENTS = ("category", "qsystem", "nimrep", "invariant")  # fingerprinted in a report
 
 
-def cmd_validate(args) -> int:
-    data = load_category(args.category)
+def cmd_validate(args, data: CategoryData):
     rows = []
     ring_bad = validate_ring(data.ring, args.tolerance)
     rows.append(("fusion ring axioms", "ok" if not ring_bad else "; ".join(ring_bad)))
@@ -83,28 +84,18 @@ def cmd_validate(args) -> int:
         print(f"{name:<{width}}  {status}")
     ok = not ring_bad and not mod_bad and verlinde_ok and axiom_ok
     print("VALID" if ok else "INVALID")
-    return EXIT_OK if ok else EXIT_INVALID
+    return (EXIT_OK if ok else EXIT_INVALID), None
 
 
-def cmd_invariants(args) -> int:
-    data = load_category(args.category)
+def cmd_invariants(args, data: CategoryData):
     invs = enumerate_modular_invariants(data.modular, args.max_entry, max(args.tolerance, 1e-7))
     print(f"{len(invs)} modular invariant(s)")
     for Z in invs:
         print(np.array2string(Z), "\n")
-    if args.out:
-        write_report(
-            args.out,
-            "invariants",
-            {"category": args.category},
-            {**_settings(args), "max_entry": args.max_entry},
-            {"count": len(invs), "Z": invs},
-        )
-    return EXIT_OK
+    return EXIT_OK, ({"max_entry": args.max_entry}, {"count": len(invs), "Z": invs})
 
 
-def cmd_nimreps(args) -> int:
-    data = load_category(args.category)
+def cmd_nimreps(args, data: CategoryData):
     if args.invariant:
         Z = check_coupling(load_coupling_matrix(args.invariant), data.ring.size)
     if args.invariant and args.size >= 1 and args.size != np.trace(Z):
@@ -114,15 +105,7 @@ def cmd_nimreps(args) -> int:
         if args.invariant:
             nims = [nr for nr in nims if compatibility(Z, nr, data.modular)[0]]
     print(f"{len(nims)} nimrep orbit(s) of size {args.size}")
-    if args.out:
-        write_report(
-            args.out,
-            "nimreps",
-            {"category": args.category, **({"invariant": args.invariant} if args.invariant else {})},
-            {**_settings(args), "size": args.size},
-            {"count": len(nims), "nimreps": [{"n": nr.matrices} for nr in nims]},
-        )
-    return EXIT_OK
+    return EXIT_OK, ({"size": args.size}, {"count": len(nims), "nimreps": [{"n": nr.matrices} for nr in nims]})
 
 
 def _require_invariant(Z, md, tol) -> None:
@@ -134,15 +117,14 @@ def _require_invariant(Z, md, tol) -> None:
         raise DataInconsistencyError("induced Z is not among the modular invariants of the category")
 
 
-def cmd_induce(args) -> int:
-    data = load_category(args.category)
+def cmd_induce(args, data: CategoryData):
     if data.presentation is None:
         raise StructuralError("induce requires F/R data in the category file")
     q = load_qsystem(args.qsystem)
     rep = validate_qsystem(q, data.presentation, args.tolerance)
     if not rep["valid"]:
         print(f"q-system invalid: {rep}")
-        return EXIT_INVALID
+        return EXIT_INVALID, None
     Z = coupling_from_qsystem(data.presentation, q)
     _require_invariant(Z, data.modular, max(args.tolerance, 1e-7))
     m, d_total = theta_plus(data.ring, Z)
@@ -164,27 +146,18 @@ def cmd_induce(args) -> int:
                 "projector": [[[round(z.real, 12), round(z.imag, 12)] for z in row] for row in basis.projector],
                 "gram_residual": round(basis.gram_residual, 12),
             }
-    if args.out:
-        write_report(
-            args.out,
-            "induce",
-            {"category": args.category, "qsystem": args.qsystem},
-            _settings(args),
-            {
-                "Z": Z,
-                "theta_plus": {"multiplicities": m, "dimension": d_total},
-                "ledger": ledger.as_dict(),
-                "charged_fields": fields,
-            },
-        )
-    return EXIT_OK
+    payload = {
+        "Z": Z,
+        "theta_plus": {"multiplicities": m, "dimension": d_total},
+        "ledger": ledger.as_dict(),
+        "charged_fields": fields,
+    }
+    return EXIT_OK, ({}, payload)
 
 
-def _load_nimrep(args):
-    """The category and the nimrep named by ``args``; the nimrep is None,
-    once the first reason is printed, if it is invalid.  A file without one
-    matrix per sector is malformed."""
-    data = load_category(args.category)
+def _load_nimrep(args, data: CategoryData):
+    """The nimrep named by ``args``; None, once the first reason is printed,
+    if it is invalid.  A file without one matrix per sector is malformed."""
     mats = load_nimrep_matrices(args.nimrep)
     if len(mats) != data.ring.size:
         raise StructuralError(f"expected {data.ring.size} matrices, got {len(mats)}")
@@ -192,33 +165,26 @@ def _load_nimrep(args):
     bad = nr.validate()
     if bad:
         print(f"nimrep invalid: {bad[0]}")
-        return data, None
-    return data, nr
+        return None
+    return nr
 
 
-def cmd_cardy(args) -> int:
-    data, nr = _load_nimrep(args)
+def cmd_cardy(args, data: CategoryData):
+    nr = _load_nimrep(args, data)
     if nr is None:
-        return EXIT_INVALID
+        return EXIT_INVALID, None
     sol = cardy_solve(nr, data.modular, args.tolerance)
     print("psi =")
     # + 0.0 turns a rounded -0.0 into 0.0 in both parts, so output does not carry the sign of noise
     print(np.array2string(np.round(sol.psi, 9) + (0.0 + 0.0j)))
     print("exponents:", list(sol.exponents))
     print(f"Cardy-equation residual: {sol.residual:.3e}")
-    if args.out:
-        write_report(
-            args.out,
-            "cardy",
-            {"category": args.category, "nimrep": args.nimrep},
-            _settings(args),
-            {
-                "psi": [[[round(z.real, 12), round(z.imag, 12)] for z in row] for row in sol.psi],
-                "exponents": sol.exponents,
-                "residual": sol.residual,
-            },
-        )
-    return EXIT_OK if sol.residual < max(args.tolerance, 1e-9) else EXIT_INVALID
+    payload = {
+        "psi": [[[round(z.real, 12), round(z.imag, 12)] for z in row] for row in sol.psi],
+        "exponents": sol.exponents,
+        "residual": sol.residual,
+    }
+    return (EXIT_OK if sol.residual < max(args.tolerance, 1e-9) else EXIT_INVALID), ({}, payload)
 
 
 def _characters_for(data: CategoryData, order: int):
@@ -257,10 +223,10 @@ def _characters_for(data: CategoryData, order: int):
     return out
 
 
-def cmd_partition(args) -> int:
-    data, nr = _load_nimrep(args)
+def cmd_partition(args, data: CategoryData):
+    nr = _load_nimrep(args, data)
     if nr is None:
-        return EXIT_INVALID
+        return EXIT_INVALID, None
     chars = _characters_for(data, args.order)
     value, tail = annulus_partition(nr, chars, args.a, args.b, args.beta)
     print(f"Z_({args.a},{args.b})(beta={args.beta:g}) = {value:.12g}  (tail <= {tail:.3e})")
@@ -279,19 +245,11 @@ def cmd_partition(args) -> int:
         payload["transform_residual"] = report.residual
         payload["transform_tolerance"] = report.tolerance
         ok = report.passed
-    if args.out:
-        write_report(
-            args.out,
-            "partition",
-            {"category": args.category, "nimrep": args.nimrep},
-            {**_settings(args), "a": args.a, "b": args.b, "beta": args.beta, "order": args.order},
-            payload,
-        )
-    return EXIT_OK if ok else EXIT_INVALID
+    settings = {"a": args.a, "b": args.b, "beta": args.beta, "order": args.order}
+    return (EXIT_OK if ok else EXIT_INVALID), (settings, payload)
 
 
-def cmd_qsearch(args) -> int:
-    data = load_category(args.category)
+def cmd_qsearch(args, data: CategoryData):
     if data.presentation is None:
         raise StructuralError("qsearch requires F/R data in the category file")
     try:
@@ -310,29 +268,23 @@ def cmd_qsearch(args) -> int:
     print(f"status: {result.status}; {len(result.solutions)} solution class(es)")
     for fp in result.fingerprints:
         print("  fingerprint:", fp)
-    if args.out:
-        write_report(
-            args.out,
-            "qsearch",
-            {"category": args.category},
-            {**_settings(args), "theta": theta, "starts": args.starts},
-            {
-                "status": result.status,
-                "count": len(result.solutions),
-                "fingerprints": [
-                    [{"sectors": key, "gram_spectra": spectra, "exchange": exchange} for key, spectra, exchange in fp]
-                    for fp in result.fingerprints
-                ],
-            },
-        )
-    return EXIT_OK if result.status == "ok" else EXIT_DEGENERATE
+    payload = {
+        "status": result.status,
+        "count": len(result.solutions),
+        "fingerprints": [
+            [{"sectors": key, "gram_spectra": spectra, "exchange": exchange} for key, spectra, exchange in fp]
+            for fp in result.fingerprints
+        ],
+    }
+    settings = {"theta": theta, "starts": args.starts}
+    return (EXIT_OK if result.status == "ok" else EXIT_DEGENERATE), (settings, payload)
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args, _category: None):
     data = catalog(args.name, args.level)
     save_category(data, args.out)
     print(f"wrote {args.name}{'_%d' % args.level if args.level else ''} to {args.out}")
-    return EXIT_OK
+    return EXIT_OK, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,16 +356,21 @@ def main(argv=None) -> int:
     try:
         if not 0 < args.tolerance < 1:  # nan fails too
             raise StructuralError(f"--tolerance must lie in (0, 1), got {args.tolerance}")
-        return args.func(args)
-    except StructuralError as exc:
+        data = load_category(args.category) if hasattr(args, "category") else None
+        code, report = args.func(args, data)
+        if report is not None and args.out:
+            settings, payload = report
+            inputs = {name: getattr(args, name) for name in FILE_ARGUMENTS if getattr(args, name, None)}
+            # runtime-only knobs (the search seed) never enter reports, so reports are
+            # byte-identical across reruns
+            write_report(args.out, args.command, inputs, {"tolerance": args.tolerance, **settings}, payload)
+        return code
+    except (StructuralError, OSError) as exc:  # malformed, missing, unreadable or unwritable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except NumericDegeneracyError as exc:
         print(f"numeric degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
     except BcftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

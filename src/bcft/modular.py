@@ -91,18 +91,18 @@ def validate_modular(md: ModularData, tol: float = DEFAULT_TOL) -> list[str]:
     return bad
 
 
-def verlinde_fusion(md: ModularData, tol: float = 1e-7) -> FusionRing:
+def verlinde_fusion(md: ModularData) -> FusionRing:
     """Fusion ring from the Verlinde formula.
 
     ``N[s,t,u] = sum_r S[s,r] S[t,r] conj(S[u,r]) / S[0,r]``, rounded to the
-    nearest integers; raises if the rounding residual is not clean.
+    nearest integers; raises if the rounding residual exceeds 1e-7.
     """
     S = md.S
     weights = 1.0 / S[0]
     Nc = np.einsum("sr,tr,ur,r->stu", S, S, S.conj(), weights)
     N = np.rint(Nc.real).astype(np.int64)
     resid = np.max(np.abs(Nc - N))
-    if resid > tol:
+    if resid > 1e-7:
         raise DataInconsistencyError(
             f"S is not the S-matrix of an integer fusion ring "
             f"(rounding residual {resid:.2e})"

@@ -40,7 +40,6 @@ __all__ = [
     "is_local",
     "charged_algebra",
     "search_qsystems",
-    "gauge_transform",
     "fingerprint",
     "trivial_qsystem",
     "car_qsystem",
@@ -351,29 +350,6 @@ def charged_algebra(q: QSystemSpec, cat: CategoryPresentation, tol: float = DEFA
     )
 
 
-def gauge_transform(q: QSystemSpec, unitaries: dict) -> QSystemSpec:
-    """Rotate the multiplicity space of each sector by a unitary.
-
-    ``unitaries[s]`` is an ``n_s x n_s`` unitary; the vacuum block must be 1.
-    """
-    sec = q.sectors
-    U = np.zeros((len(sec),) * 2, dtype=complex)  # block diagonal over the slots of each sector
-    for s, m in enumerate(q.theta):
-        if m:
-            u = np.asarray(unitaries.get(s, np.eye(m)), dtype=complex)
-            if u.shape != (m, m):
-                raise StructuralError(f"gauge unitary for sector {s} must be {m}x{m}")
-            U[np.ix_(sec == s, sec == s)] = u
-    if abs(U[0, 0] - 1.0) > 1e-12:
-        raise StructuralError("gauge must fix the vacuum summand")
-    lam = np.zeros((len(U),) * 3, dtype=complex)
-    for key, val in q.lam.items():
-        lam[key] = val
-    for mode, u in enumerate((U, U, U.conj())):  # one mode at a time: S^4 steps, not one S^6 loop
-        lam = np.moveaxis(np.tensordot(u, lam, axes=(1, mode)), 0, mode)
-    return QSystemSpec(q.theta, {key: lam[key] for key in map(tuple, np.argwhere(np.abs(lam) > 1e-15).tolist())})
-
-
 def fingerprint(q: QSystemSpec, cat: CategoryPresentation):
     """Gauge-invariant fingerprint of the Gamma tensor.
 
@@ -454,9 +430,10 @@ def regular_qsystem(cat: CategoryPresentation) -> QSystemSpec:
 
 
 _Fit = namedtuple("_Fit", "x fun status nfev")  # per start
+STOP_TOL = 1e-14  # MINPACK's xtol, ftol and gtol in least_squares
 
 
-def least_squares(fun, x0, jac, xtol: float, ftol: float, gtol: float) -> _Fit:
+def least_squares(fun, x0, jac) -> _Fit:
     """Minimize ``|fun(x)|^2`` by Levenberg-Marquardt from each row of the ``(m, n)`` stack ``x0``.
 
     ``fun`` and ``jac`` map a stack of points to its residuals and Jacobians;
@@ -465,11 +442,12 @@ def least_squares(fun, x0, jac, xtol: float, ftol: float, gtol: float) -> _Fit:
     and follows Nielsen's update (IMM-REP-1999-05): an accepted step with gain
     ratio ``rho`` scales it by ``max(1/3, 1 - (2 rho - 1)^3)``, a rejected one
     by ``nu``, which doubles on every rejection in a row.  The stopping tests
-    are MINPACK's (More, LNM 630), by status: 1, every column of ``J`` within
-    angle cosine ``gtol`` of orthogonal to ``f``; 2, an accepted step whose
-    actual and predicted relative reductions of ``|f|^2`` are both at most
-    ``ftol``; 3, a step no longer than ``xtol (|x| + xtol)``.  Status 0 means
-    ``max(100 n, 1)`` steps did not converge; ``nfev`` counts evaluations of ``fun``.
+    are MINPACK's (More, LNM 630) with ``xtol = ftol = gtol = STOP_TOL``, by
+    status: 1, every column of ``J`` within angle cosine ``gtol`` of orthogonal
+    to ``f``; 2, an accepted step whose actual and predicted relative reductions
+    of ``|f|^2`` are both at most ``ftol``; 3, a step no longer than
+    ``xtol (|x| + xtol)``.  Status 0 means ``max(100 n, 1)`` steps did not
+    converge; ``nfev`` counts evaluations of ``fun``.
     """
     x = np.array(x0, dtype=float)
     m, n = x.shape
@@ -479,12 +457,12 @@ def least_squares(fun, x0, jac, xtol: float, ftol: float, gtol: float) -> _Fit:
     status, nfev, act = np.zeros(m, dtype=int), np.ones(m, dtype=int), np.arange(m)
     for _ in range(max(100 * n, 1)):
         scale = np.sqrt(cost[act, None] * np.diagonal(A[act], axis1=1, axis2=2))
-        done = (cost[act] == 0) | np.all(np.abs(g[act]) <= gtol * scale, axis=1)
+        done = (cost[act] == 0) | np.all(np.abs(g[act]) <= STOP_TOL * scale, axis=1)
         status[act[done]], act = 1, act[~done]
         if not len(act):
             break
         h = np.linalg.solve(A[act] + mu[act, None, None] * np.eye(n), -g[act][..., None])[..., 0]
-        done = np.linalg.norm(h, axis=1) <= xtol * (np.linalg.norm(x[act], axis=1) + xtol)
+        done = np.linalg.norm(h, axis=1) <= STOP_TOL * (np.linalg.norm(x[act], axis=1) + STOP_TOL)
         status[act[done]], act, h = 3, act[~done], h[~done]
         f_new = fun(x[act] + h)
         nfev[act] += 1
@@ -494,7 +472,7 @@ def least_squares(fun, x0, jac, xtol: float, ftol: float, gtol: float) -> _Fit:
         up, ok = ~(rho > 0), rho > 0  # a worse or non-finite residual raises mu
         mu[act[up]], nu[act[up]] = mu[act[up]] * nu[act[up]], 2 * nu[act[up]]
         acc = act[ok]
-        small = (cost[acc] - cost_new[ok] <= ftol * cost[acc]) & (predicted[ok] <= ftol * cost[acc])
+        small = (cost[acc] - cost_new[ok] <= STOP_TOL * cost[acc]) & (predicted[ok] <= STOP_TOL * cost[acc])
         x[acc], f[acc], cost[acc] = x[acc] + h[ok], f_new[ok], cost_new[ok]
         status[acc[small]], grow = 2, acc[~small]
         J = jac(x[grow])
@@ -531,7 +509,7 @@ def search_qsystems(
     form = _RealForm(axioms, np.flatnonzero(free), np.where(unit, axioms.scale + 0j, 0j))
     rngs = (np.random.default_rng((seed, i)) for i in range(n_starts))
     x0 = np.array([rng.normal(scale=1.0 if i else 0.5, size=2 * free.sum()) for i, rng in enumerate(rngs)])
-    fit = least_squares(form, x0, jac=form.jacobian, xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    fit = least_squares(form, x0, jac=form.jacobian)
     final = np.max(np.abs(fit.fun), axis=1)
     keys, lams = channels[unit | free], form.lam(fit.x[final < tol])[:, unit | free]
     fps = _fingerprints(spec, keys, lams, spec.d_theta(cat.ring))

@@ -237,11 +237,11 @@ def validate_ring(ring: FusionRing, tol: float = DEFAULT_TOL) -> list[str]:
     return bad
 
 
-def fp_dimensions(ring: FusionRing, tol: float = DEFAULT_TOL) -> np.ndarray:
+def fp_dimensions(ring: FusionRing) -> np.ndarray:
     """Frobenius-Perron dimensions; checked to satisfy the dimension identity."""
     d = ring.fp_dims
     resid = np.max(np.abs(np.outer(d, d) - np.einsum("stu,u->st", ring.N, d)))
-    if resid > max(tol, 1e3 * np.finfo(float).eps * ring.size):
+    if resid > max(DEFAULT_TOL, 1e3 * np.finfo(float).eps * ring.size):
         raise StructuralError(
             f"Frobenius-Perron dimensions inconsistent (residual {resid:.2e}); "
             "is the ring valid?"

@@ -11,6 +11,7 @@ import pytest
 from bcft.catalog import CategoryData, fibonacci, ising, su2
 from bcft.category import CategoryPresentation
 from bcft.classify import Nimrep, _select_generators
+from bcft.errors import StructuralError
 from bcft.modular import ModularData
 from bcft.qsystems import QSystemSpec
 from bcft.rings import FusionRing
@@ -305,6 +306,29 @@ def random_vertex_gauge(cat, rng):
         for key in label_tuples(cat.ring.r_key_array)
     }
     return CategoryPresentation(cat.ring, *vertex_gauge(cat, u))
+
+
+def gauge_transform(q: QSystemSpec, unitaries: dict) -> QSystemSpec:
+    """Rotate the multiplicity space of each sector by a unitary.
+
+    ``unitaries[s]`` is an ``n_s x n_s`` unitary; the vacuum block must be 1.
+    """
+    sec = q.sectors
+    U = np.zeros((len(sec),) * 2, dtype=complex)  # block diagonal over the slots of each sector
+    for s, m in enumerate(q.theta):
+        if m:
+            u = np.asarray(unitaries.get(s, np.eye(m)), dtype=complex)
+            if u.shape != (m, m):
+                raise StructuralError(f"gauge unitary for sector {s} must be {m}x{m}")
+            U[np.ix_(sec == s, sec == s)] = u
+    if abs(U[0, 0] - 1.0) > 1e-12:
+        raise StructuralError("gauge must fix the vacuum summand")
+    lam = np.zeros((len(U),) * 3, dtype=complex)
+    for key, val in q.lam.items():
+        lam[key] = val
+    for mode, u in enumerate((U, U, U.conj())):  # one mode at a time: S^4 steps, not one S^6 loop
+        lam = np.moveaxis(np.tensordot(u, lam, axes=(1, mode)), 0, mode)
+    return QSystemSpec(q.theta, {key: lam[key] for key in map(tuple, np.argwhere(np.abs(lam) > 1e-15).tolist())})
 
 
 def reference_axiom_residuals(cat):

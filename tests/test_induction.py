@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import group_algebra, random_vertex_gauge
+from conftest import gauge_transform, group_algebra, random_vertex_gauge
 from morphisms import Morphism, assemble_x, braiding, compose, conjugation_pair, frobenius_residual, hom_dim, identity
 from morphisms import simple_word, sum_word, tensor
 
@@ -27,7 +27,6 @@ from bcft.qsystems import (
     charged_algebra,
     fingerprint,
     frobenius_check,
-    gauge_transform,
     is_local,
     regular_qsystem,
     search_qsystems,

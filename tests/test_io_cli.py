@@ -179,6 +179,8 @@ def test_cli_malformed_exits_2(tmp_path, ising_file, car_file, nimrep_file, coup
     bad = str(tmp_path / "bad.json")
     nan = [math.nan, 0.0]  # json writes NaN, which Python's json reads back
     two_matrices = _replaced(nimrep_file, ("n",), json.loads(nimrep_file.read_text())["n"][:2])
+    folder = tmp_path / "folder"
+    folder.mkdir()
     cases = [
         (["validate", bad], b'{"labels": ["0"], "oops": 1}'),
         (["cardy", str(ising_file), bad], b"{not json"),
@@ -269,6 +271,10 @@ def test_cli_malformed_exits_2(tmp_path, ising_file, car_file, nimrep_file, coup
         (["validate", bad], _replaced(ising_file, ("F",), 5)),
         (["validate", bad],
          json.dumps({k: v for k, v in json.loads(ising_file.read_text()).items() if k != "R"}).encode()),
+        # a directory where a file is read or written
+        (["validate", str(folder)], b"{}"),
+        (["invariants", str(ising_file), "--out", str(folder)], b"{}"),
+        (["nimreps", str(ising_file), "--size", "3", "--invariant", str(folder)], b"{}"),
     ]
     for argv, content in cases:
         Path(bad).write_bytes(content)
@@ -358,6 +364,37 @@ def test_cli_induce_report(tmp_path, ising_file, car_file, capsys):
     assert doc["payload"]["ledger"]["mu_B_plus"] == pytest.approx(1.0)
     assert doc["payload"]["ledger"]["haag_dual"] is True
     assert set(doc["inputs"]) == {"category", "qsystem"}
+
+
+@pytest.mark.parametrize(
+    "argv, inputs, settings",
+    [
+        (["invariants", "{category}"], ["category"], {"max_entry": None}),
+        (["invariants", "{category}", "--max-entry", "1"], ["category"], {"max_entry": 1}),
+        (["nimreps", "{category}", "--size", "3"], ["category"], {"size": 3}),
+        (["nimreps", "{category}", "--size", "3", "--invariant", "{invariant}"], ["category", "invariant"], {"size": 3}),
+        (["induce", "{category}", "{qsystem}"], ["category", "qsystem"], {}),
+        (["cardy", "{category}", "{nimrep}"], ["category", "nimrep"], {}),
+        # --check-transform changes the payload, not the settings
+        (["partition", "{category}", "{nimrep}", "--a", "0", "--b", "1", "--beta", "6.283", "--check-transform"],
+         ["category", "nimrep"], {"a": 0, "b": 1, "beta": 6.283, "order": 60}),
+        # the seed is runtime only and never enters a report
+        (["--seed", "7", "qsearch", "{category}", "--theta", "1,0,1", "--starts", "4"],
+         ["category"], {"theta": [1, 0, 1], "starts": 4}),
+    ],
+)
+@pytest.mark.parametrize("tolerance", [None, 1e-8])
+def test_cli_report_envelope(tmp_path, ising_file, car_file, nimrep_file, coupling_file, argv, inputs, settings, tolerance):
+    """A report names its subcommand, fingerprints the file arguments given and
+    records the tolerance plus the command's own options."""
+    files = {"category": ising_file, "qsystem": car_file, "nimrep": nimrep_file, "invariant": coupling_file}
+    out = tmp_path / "report.json"
+    prefix = ["--tolerance", repr(tolerance)] if tolerance else []
+    assert main([*prefix, *(arg.format(**files) for arg in argv), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["operation"] == next(arg for arg in argv if arg.isalpha())
+    assert doc["inputs"] == {name: file_fingerprint(files[name]) for name in inputs}
+    assert doc["settings"] == {"tolerance": tolerance or 1e-9, **settings}
 
 
 def test_cli_induce_checks_its_invariant(ising_file, car_file, monkeypatch, capsys):

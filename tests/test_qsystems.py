@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import random_vertex_gauge
+from conftest import gauge_transform, random_vertex_gauge
 from morphisms import Morphism, Word, assemble_x, braiding, compose, identity, sum_word, tensor
 
 from bcft.category import validate_axioms
@@ -17,14 +17,13 @@ from bcft.qsystems import (
     charged_algebra,
     fingerprint,
     frobenius_check,
-    gauge_transform,
     is_local,
     regular_qsystem,
     search_qsystems,
     trivial_qsystem,
     validate_qsystem,
 )
-from bcft.qsystems import _AxiomMap, _dense, _fingerprints, _Fit, _RealForm
+from bcft.qsystems import STOP_TOL, _AxiomMap, _dense, _fingerprints, _Fit, _RealForm
 
 
 def test_trivial_qsystem(ising_data):
@@ -201,11 +200,11 @@ def test_search_jacobian_matches_central_differences(jacobian_cases, rng, monkey
 
     solve, checked = qs.least_squares, []
 
-    def checking_solver(fun, x0, jac, **kw):
+    def checking_solver(fun, x0, jac):
         x = rng.normal(size=x0.shape)
         np.testing.assert_allclose(jac(x), _central_differences(fun, x), rtol=1e-6, atol=1e-9)
         checked.append(x0.shape[1])
-        return solve(fun, x0, jac=jac, **kw)
+        return solve(fun, x0, jac=jac)
 
     monkeypatch.setattr(qs, "least_squares", checking_solver)
     for theta, cat in jacobian_cases:
@@ -213,7 +212,7 @@ def test_search_jacobian_matches_central_differences(jacobian_cases, rng, monkey
     assert len(checked) == len(jacobian_cases) and min(checked) > 0
 
 
-def _sequential_least_squares(fun, x0, jac, xtol, ftol, gtol):
+def _sequential_least_squares(fun, x0, jac):
     """The one-start Levenberg-Marquardt loop the lockstep solver replaced (same
     damping and stopping tests), kept as an oracle; returns ``(x, f, status)``."""
     x = np.asarray(x0, dtype=float)
@@ -222,10 +221,10 @@ def _sequential_least_squares(fun, x0, jac, xtol, ftol, gtol):
     cost, A, g = f @ f, J.T @ J, J.T @ f
     mu, nu = 1e-3 * np.max(np.diag(A)), 2.0
     for _ in range(100 * len(x)):
-        if cost == 0.0 or np.all(np.abs(g) <= gtol * np.sqrt(cost * np.diag(A))):
+        if cost == 0.0 or np.all(np.abs(g) <= STOP_TOL * np.sqrt(cost * np.diag(A))):
             return x, f, 1
         h = np.linalg.solve(A + mu * np.eye(len(x)), -g)
-        if np.linalg.norm(h) <= xtol * (np.linalg.norm(x) + xtol):
+        if np.linalg.norm(h) <= STOP_TOL * (np.linalg.norm(x) + STOP_TOL):
             return x, f, 3
         f_new = fun(x + h)
         cost_new = f_new @ f_new
@@ -234,7 +233,7 @@ def _sequential_least_squares(fun, x0, jac, xtol, ftol, gtol):
         if not rho > 0:
             mu, nu = mu * nu, 2 * nu
             continue
-        small = cost - cost_new <= ftol * cost and predicted <= ftol * cost
+        small = cost - cost_new <= STOP_TOL * cost and predicted <= STOP_TOL * cost
         x, f, cost = x + h, f_new, cost_new
         if small:
             return x, f, 2
@@ -244,9 +243,9 @@ def _sequential_least_squares(fun, x0, jac, xtol, ftol, gtol):
     return x, f, 0
 
 
-def _sequential_solver(fun, x0, jac, **kw):
+def _sequential_solver(fun, x0, jac):
     """The oracle run start by start on the search's stacked residual and Jacobian."""
-    fits = [_sequential_least_squares(lambda x: fun(x[None])[0], x, lambda x: jac(x[None])[0], **kw) for x in x0]
+    fits = [_sequential_least_squares(lambda x: fun(x[None])[0], x, lambda x: jac(x[None])[0]) for x in x0]
     x, f, status = map(np.array, zip(*fits))
     return _Fit(x, f, status, np.ones(len(x0), dtype=int))
 
@@ -258,8 +257,8 @@ def test_lockstep_solver_matches_sequential_oracle(jacobian_cases, monkeypatch):
 
     solve, fits = qs.least_squares, []
 
-    def recording_solver(fun, x0, jac, **kw):
-        fits.append((solve(fun, x0, jac=jac, **kw), _sequential_solver(fun, x0, jac, **kw)))
+    def recording_solver(fun, x0, jac):
+        fits.append((solve(fun, x0, jac=jac), _sequential_solver(fun, x0, jac)))
         return fits[-1][0]
 
     for theta, cat in jacobian_cases:
@@ -278,20 +277,20 @@ def test_start_alone_matches_start_in_stack(jacobian_cases, monkeypatch):
 
     solve, problems = qs.least_squares, []
 
-    def recording_solver(fun, x0, jac, **kw):
-        problems.append((fun, x0, jac, kw))
-        return solve(fun, x0, jac=jac, **kw)
+    def recording_solver(fun, x0, jac):
+        problems.append((fun, x0, jac))
+        return solve(fun, x0, jac=jac)
 
     monkeypatch.setattr(qs, "least_squares", recording_solver)
     for theta, cat in jacobian_cases:
         search_qsystems(cat, theta, n_starts=12, seed=3)
-    for fun, x0, jac, kw in problems:
+    for fun, x0, jac in problems:
         rows = []  # the points each call of fun evaluates
-        stack = solve(lambda v: rows.append(len(v)) or fun(v), x0, jac, **kw)
+        stack = solve(lambda v: rows.append(len(v)) or fun(v), x0, jac)
         assert sum(rows) == sum(stack.nfev)
         for i in range(len(x0)):
             rows.clear()
-            alone = solve(lambda v: rows.append(len(v)) or fun(v), x0[i : i + 1], jac, **kw)
+            alone = solve(lambda v: rows.append(len(v)) or fun(v), x0[i : i + 1], jac)
             assert alone.status[0] == stack.status[i] and alone.nfev[0] == stack.nfev[i] == sum(rows)
             np.testing.assert_allclose(alone.x[0], stack.x[i], rtol=0, atol=1e-12)
             np.testing.assert_allclose(alone.fun[0], stack.fun[i], rtol=0, atol=1e-12)
@@ -569,7 +568,7 @@ def test_search_reports_non_convergence_as_inconclusive(ising_data, monkeypatch)
     """A solver that stops early must surface as an explicit status."""
     import bcft.qsystems as qs
 
-    def stuck_solver(fun, x0, **kw):  # every start at the step limit without convergence
+    def stuck_solver(fun, x0, jac):  # every start at the step limit without convergence
         return _Fit(x0, fun(x0), np.zeros(len(x0), dtype=int), np.ones(len(x0), dtype=int))
 
     monkeypatch.setattr(qs, "least_squares", stuck_solver)
@@ -601,8 +600,8 @@ def test_search_reports_each_start(ising_data, su2_4_data, monkeypatch):
     # a solver that reports the first start at the step limit
     solve = qs.least_squares
 
-    def limited_solver(fun, x0, jac, **kw):
-        fit = solve(fun, x0, jac=jac, **kw)
+    def limited_solver(fun, x0, jac):
+        fit = solve(fun, x0, jac=jac)
         fit.status[0] = 0
         return fit
 
