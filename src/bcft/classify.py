@@ -9,9 +9,12 @@ are filled in one entry at a time on a stack of batches of partial matrices,
 pruned by spectrum: one stacked eigensolve drops the partial matrices whose
 spectral radius exceeds the Frobenius-Perron dimension, and a complete one is
 kept only if its eigenvalues lie in the spectrum of the fusion matrix.  The
-other matrices are derived from the representation identity by batched
-products, deduplicated up to simultaneous boundary relabeling, and one
-representative per class is verified exactly.  Cardy solutions and
+first generator is searched up to relabeling: only matrices whose row sums
+do not increase, since sorting the boundaries by row sum puts one matrix of
+each orbit in that order.  The other matrices are derived from the
+representation identity by batched products, deduplicated up to
+simultaneous boundary relabeling, and one representative per class is
+verified exactly.  Cardy solutions and
 compatibility tables read the joint eigenspaces of a nimrep off the
 closed-form projectors ``P_t = S_0t sum_s conj(S_st) n^s``.
 """
@@ -217,7 +220,9 @@ def _select_generators(ring: FusionRing):
     raise StructuralError("fusion ring admits no derivation plan (degenerate N)")
 
 
-def _candidate_generator_matrices(ring: FusionRing, g: int, size: int, tol: float) -> np.ndarray:
+def _candidate_generator_matrices(
+    ring: FusionRing, g: int, size: int, tol: float, ordered: bool = False
+) -> np.ndarray:
     """All n^g that pass the spectral conditions every nimrep meets, as an (m, size, size) stack.
 
     A nimrep matrix n^g is normal with eigenvalues among those of N^g, so
@@ -230,11 +235,23 @@ def _candidate_generator_matrices(ring: FusionRing, g: int, size: int, tol: floa
     Row and column square sums above ``floor(d_g^2)`` or a spectral radius
     above d_g (one stacked eigensolve; Perron-Frobenius monotonicity) drop a
     matrix for that value and all larger ones, and a value that no matrix
-    keeps ends the loop.  A complete matrix is kept if each of its
-    eigenvalues lies within ``SPECTRUM_TOL`` of one of N^g: for a symmetric
-    matrix that holds exactly when the minimal polynomial of N^g annihilates
-    it, and what a non-symmetric one lets through is left to
-    :meth:`Nimrep.validate`.
+    keeps ends the loop.  Each partial matrix carries the eigenvalues of its
+    last eigensolve, so a complete one is decomposed no more than once: it
+    is kept if each of its eigenvalues lies within ``SPECTRUM_TOL`` of one
+    of N^g.  For a symmetric matrix that holds exactly when the minimal
+    polynomial of N^g annihilates it, and what a non-symmetric one lets
+    through is left to :meth:`Nimrep.validate`.
+
+    With ``ordered``, only matrices whose row sums do not increase are
+    kept: while row i > 0 is filled, every child at a cell, value 0
+    included (row i may sum to more than row i - 1 from mirrored entries
+    alone), is dropped if row i sums to more than the complete row i - 1.
+    Entries are non-negative, so this too drops a matrix for all larger
+    values.  Every screen above is invariant under relabeling the rows and
+    columns together, and sorting the boundaries by row sum puts any n^g in
+    this order, so the ordered stack still meets every orbit of the
+    unordered one.  One relabeling acts on all the matrices of a nimrep at
+    once, so only one generator of a nimrep may be ordered.
     """
     d = ring.fp_dims[g]
     entry_bound = int(math.floor(d + tol))
@@ -248,34 +265,47 @@ def _candidate_generator_matrices(ring: FusionRing, g: int, size: int, tol: floa
         else [(i, j) for i in range(size) for j in range(size)]
     )
 
+    def in_order(batch, i):
+        """Which matrices of ``batch`` keep the row order at row i (all unless ``ordered``)."""
+        if not ordered or i == 0:
+            return np.ones(len(batch), dtype=bool)
+        sums = batch[:, i - 1 : i + 1].sum(axis=2)
+        return sums[:, 1] <= sums[:, 0]
+
     def admissible(batch, i, j):
-        """The matrices of ``batch`` whose rows and columns i, j and spectral radius are in bounds."""
+        """The matrices of ``batch`` whose rows and columns i, j, row order and
+        spectral radius are in bounds, with their eigenvalues."""
         lines = np.concatenate([batch[:, [i, j], :], batch[:, :, [i, j]].transpose(0, 2, 1)], axis=1)
-        batch = batch[np.max(np.sum(lines**2, axis=2), axis=1) <= row_bound]
+        batch = batch[(np.max(np.sum(lines**2, axis=2), axis=1) <= row_bound) & in_order(batch, i)]
         eig = eigvals(batch)
         radius = eig[:, -1] if symmetric else np.max(np.abs(eig), axis=1)
-        return batch[radius <= d + tol]
+        keep = radius <= d + tol
+        return batch[keep], eig[keep]
 
     found = []
-    stack = [(0, np.zeros((1, size, size), dtype=np.int64))]
+    zero = np.zeros((1, size, size), dtype=np.int64)
+    stack = [(0, zero, eigvals(zero))]
     while stack:
-        idx, batch = stack.pop()
+        idx, batch, eig = stack.pop()
         if idx == len(cells):
-            off = np.min(np.abs(eigvals(batch)[:, :, None] - spectrum), axis=2)
+            off = np.min(np.abs(eig[:, :, None] - spectrum), axis=2)
             found.append(batch[np.all(off <= SPECTRUM_TOL, axis=1)])
             continue
         i, j = cells[idx]
         rows, cols = ([i, j], [j, i]) if symmetric else ([i], [j])
-        children = [batch]  # value 0 leaves the partial matrices unchanged
+        keep = in_order(batch, i)
+        children = [(batch[keep], eig[keep])]  # value 0 leaves the partial matrices unchanged
         for v in range(1, entry_bound + 1):
-            batch = batch.copy()
+            batch = children[-1][0].copy()
             batch[:, rows, cols] = v
-            batch = admissible(batch, i, j)
+            batch, eig = admissible(batch, i, j)
             if not len(batch):
                 break
-            children.append(batch)
-        level = np.concatenate(children)
-        stack.extend((idx + 1, level[s : s + CHUNK]) for s in range(0, len(level), CHUNK))
+            children.append((batch, eig))
+        level, spectra = (np.concatenate(part) for part in zip(*children))
+        stack.extend(
+            (idx + 1, level[s : s + CHUNK], spectra[s : s + CHUNK]) for s in range(0, len(level), CHUNK)
+        )
     return np.concatenate(found)
 
 
@@ -343,6 +373,12 @@ def enumerate_nimreps(ring: FusionRing, size: int, tol: float = DEFAULT_TOL) -> 
     Reducible nimreps (direct sums) are included: Fibonacci at size 4 gives
     the regular nimrep taken twice.  Generator matrices come from a batched
     search with spectral pruning (see :func:`_candidate_generator_matrices`).
+    The first generator's search keeps only matrices whose row sums do not
+    increase: every nimrep has a relabeling with its n^gens[0] in that
+    order, and the screens of every generator are invariant under
+    relabeling.  The other generators are searched unordered, because one
+    relabeling acts on all the matrices of a nimrep at once and cannot
+    order two of them in general.
     Their combinations, ``CHUNK`` at a time, derive the remaining matrices
     from the representation identity as stacked arrays; tuples with a
     negative entry are dropped and the rest deduplicated up to simultaneous
@@ -356,7 +392,7 @@ def enumerate_nimreps(ring: FusionRing, size: int, tol: float = DEFAULT_TOL) -> 
     if ring.size == 1:
         return [Nimrep(ring, (np.eye(size, dtype=np.int64),))] if size == 1 else []
     gens, plan = _select_generators(ring)
-    candidates = [_candidate_generator_matrices(ring, g, size, tol) for g in gens]
+    candidates = [_candidate_generator_matrices(ring, g, size, tol, ordered=k == 0) for k, g in enumerate(gens)]
     counts = [len(c) for c in candidates]
     total = math.prod(counts)
     keys = set()

@@ -245,11 +245,18 @@ def _cyclic_ring(order):
         # Z_3 and Z_4 have sectors that are not self-dual: n^1 is not symmetric
         ("z3", 1, 4),
         ("z4", 1, 4),
+        # Z_2 x Z_2 has two generators, of which only the first is row-ordered
+        ("spin8", 1, 5),
     ],
 )
-def test_nimreps_match_row_norm_oracle(name, first, last, su2_level):
-    # the spectral pruning drops no nimrep and keeps the orbit order
-    ring = _cyclic_ring(int(name[1:])) if name.startswith("z") else _catalog(name, su2_level).ring
+def test_nimreps_match_row_norm_oracle(name, first, last, su2_level, spin8_data):
+    # the spectral pruning and the row order drop no nimrep and keep the orbit order
+    if name == "spin8":
+        ring = spin8_data.ring
+    elif name.startswith("z"):
+        ring = _cyclic_ring(int(name[1:]))
+    else:
+        ring = _catalog(name, su2_level).ring
     for size in range(first, last + 1):
         fast = [nr.matrices for nr in enumerate_nimreps(ring, size)]
         slow = brute_force_nimreps(ring, size)
@@ -299,6 +306,37 @@ def test_complete_generator_matrices_are_screened_by_spectrum(ising_data, su2_4_
     z3 = candidates(z3_data.ring, 1, 3)
     assert z3_data.ring.N[1].tolist() in z3
     assert [[0, 1, 0], [0, 0, 1], [0, 0, 0]] not in z3
+
+
+@pytest.mark.parametrize("name", ["ising", "fibonacci", "su2_1", "su2_2", "su2_3", "su2_4", "su2_5", "su2_6", "z3", "z4"])
+def test_ordered_candidates_meet_every_relabeling_class(name, su2_level):
+    # z3 and z4 have sectors that are not self-dual: the general eigensolver
+    ring = _cyclic_ring(int(name[1:])) if name.startswith("z") else _catalog(name, su2_level).ring
+    for size in range(1, 6):
+        for g in range(1, ring.size):
+            unordered = _candidate_generator_matrices(ring, g, size, DEFAULT_TOL)
+            ordered = _candidate_generator_matrices(ring, g, size, DEFAULT_TOL, ordered=True)
+            assert np.all(np.diff(ordered.sum(axis=2), axis=1) <= 0), (name, g, size)
+            assert {_canonical_key([m], size) for m in ordered} == {
+                _canonical_key([m], size) for m in unordered
+            }, (name, g, size)
+
+
+def test_ordered_candidates_are_fewer(su2_4_data):
+    unordered = _candidate_generator_matrices(su2_4_data.ring, 1, 5, DEFAULT_TOL)
+    ordered = _candidate_generator_matrices(su2_4_data.ring, 1, 5, DEFAULT_TOL, ordered=True)
+    assert len(ordered) < len(unordered)
+
+
+def test_only_the_first_generator_is_row_ordered(fib_data):
+    # Fibonacci x Fibonacci, generators t1 = N^t (x) 1 and 1t = 1 (x) N^t: no
+    # labelling of the regular nimrep has the row sums of both non-increasing
+    N = np.einsum("ace,bdf->abcdef", fib_data.ring.N, fib_data.ring.N).reshape(4, 4, 4)
+    ring = FusionRing(["11", "1t", "t1", "tt"], [0, 1, 2, 3], N)
+    keys = [_canonical_key(nr.matrices, 4) for nr in enumerate_nimreps(ring, 4)]
+    # the row-norm oracle finds these two orbits too
+    assert len(keys) == 2
+    assert _canonical_key(regular_nimrep(ring).matrices, 4) in keys
 
 
 @pytest.mark.parametrize("name, size", [("fibonacci", 4), ("ising", 6)])
@@ -518,15 +556,20 @@ def test_cardy_psi_is_independent_of_the_degenerate_basis(ising_data, su2_4_data
         assert np.max(np.abs(sol.psi - _phase_fixed(np.hstack(blocks)))) < 1e-12
 
 
-def _e6_nimrep(ring):
-    """The E6 nimrep of su2_10: n^1 the adjacency matrix of the E6 Dynkin
-    diagram, n^(j+1) = n^1 n^j - n^(j-1)."""
-    mats = [np.eye(6, dtype=np.int64), np.zeros((6, 6), dtype=np.int64)]
-    for a, b in [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)]:
+def _graph_nimrep(ring, edges):
+    """The su2 nimrep of a graph: n^1 its adjacency matrix, n^(j+1) = n^1 n^j - n^(j-1)."""
+    size = 1 + max(max(edge) for edge in edges)
+    mats = [np.eye(size, dtype=np.int64), np.zeros((size, size), dtype=np.int64)]
+    for a, b in edges:
         mats[1][a, b] = mats[1][b, a] = 1
     while len(mats) < ring.size:
         mats.append(mats[1] @ mats[-1] - mats[-2])
     return Nimrep(ring, tuple(mats))
+
+
+def _e6_nimrep(ring):
+    """The E6 nimrep of su2_10: n^1 the adjacency matrix of the E6 Dynkin diagram."""
+    return _graph_nimrep(ring, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
 
 
 def test_su2_10_size_6_is_the_e6_nimrep(su2_level):
@@ -536,6 +579,21 @@ def test_su2_10_size_6_is_the_e6_nimrep(su2_level):
     assert _canonical_key(nims[0].matrices, 6) == _canonical_key(_e6_nimrep(data.ring).matrices, 6)
     e6 = _block_invariant(11, [[0, 6], [3, 7], [4, 10]])
     assert compatibility(e6, nims[0], data.modular)[0]
+
+
+def test_su2_16_size_7_is_the_e7_nimrep(su2_level):
+    # E7: the chain 0-1-2-3-4-5 with 6 on node 3.  Of A17, D10 and E7, only
+    # E7 has trace 7, so the nimrep is compatible with E7 alone
+    data = su2_level(16)
+    nims = enumerate_nimreps(data.ring, 7)
+    assert len(nims) == 1
+    e7 = _graph_nimrep(data.ring, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (3, 6)])
+    assert _canonical_key(nims[0].matrices, 7) == _canonical_key(e7.matrices, 7)
+    invariants = enumerate_modular_invariants(data.modular)
+    assert sorted(int(np.trace(Z)) for Z in invariants) == [7, 10, 17]
+    assert [compatibility(Z, nims[0], data.modular)[0] for Z in invariants] == [
+        np.trace(Z) == 7 for Z in invariants
+    ]
 
 
 def _spectral_corpus(ising_data, fib_data, z3_data, su2_4_data):
