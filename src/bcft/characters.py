@@ -148,7 +148,7 @@ def annulus_partition(nimrep: Nimrep, chars, a: int, b: int, beta: float):
     value = 0.0
     tail = 0.0
     for s in range(nsec):
-        mult = int(nimrep.matrices[s][a, b])
+        mult = int(nimrep.matrices[s, a, b])
         if mult == 0:
             continue
         v, t = evaluate_character(chars[s], beta)

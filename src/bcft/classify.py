@@ -14,9 +14,10 @@ do not increase, since sorting the boundaries by row sum puts one matrix of
 each orbit in that order.  The other matrices are derived from the
 representation identity by batched products, deduplicated up to
 simultaneous boundary relabeling, and one representative per class is
-verified exactly.  Cardy solutions and
-compatibility tables read the joint eigenspaces of a nimrep off the
-closed-form projectors ``P_t = S_0t sum_s conj(S_st) n^s``.
+verified exactly.  A :class:`Nimrep` checks its own shape when it is built,
+so Cardy solutions and compatibility tables read the joint eigenspaces of a
+nimrep off the closed-form projectors ``P_t = S_0t sum_s conj(S_st) n^s``
+without re-checking it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import DataInconsistencyError, NumericDegeneracyError, StructuralError
 from .modular import ModularData
-from .rings import DEFAULT_TOL, FusionRing
+from .rings import DEFAULT_TOL, FusionRing, check_integers
 
 __all__ = [
     "Nimrep",
@@ -141,36 +142,45 @@ def enumerate_modular_invariants(
 
 @dataclass
 class Nimrep:
-    """Non-negative integer matrix representation of the fusion ring."""
+    """Non-negative integer matrix representation of the fusion ring.
+
+    ``matrices``, a sequence of matrices or an array, is kept as one read-only
+    int64 array, checked at construction (StructuralError): one square matrix
+    per sector, all of one size, integer entries.  :meth:`validate` checks the rest.
+    """
 
     ring: FusionRing
-    matrices: tuple  # one (size x size) int matrix per sector
+    matrices: np.ndarray  # (n, size, size): n^s[a, b] = matrices[s, a, b]
+
+    def __post_init__(self):
+        try:
+            mats = np.asarray(self.matrices)
+        except ValueError:  # matrices of different shapes
+            mats = None
+        if mats is None or mats.ndim != 3 or mats.shape[1] != mats.shape[2] or not mats.shape[1]:
+            raise StructuralError("nimrep matrices must be square and same-sized")
+        if len(mats) != self.ring.size:
+            raise StructuralError(f"expected {self.ring.size} matrices, got {len(mats)}")
+        self.matrices = check_integers(mats, "nimrep entries")
+        self.matrices.setflags(write=False)
 
     @property
     def size(self) -> int:
-        return self.matrices[0].shape[0]
+        return self.matrices.shape[1]
 
     def validate(self) -> list[str]:
-        ring = self.ring
-        n = ring.size
-        bad = []
-        if len(self.matrices) != n:
-            return [f"expected {n} matrices, got {len(self.matrices)}"]
-        size = self.size
-        for s, mat in enumerate(self.matrices):
-            if mat.shape != (size, size):
-                bad.append(f"matrix {s} has shape {mat.shape}")
-            if np.any(mat < 0):
-                bad.append(f"matrix {s} has negative entries")
+        """The nimrep conditions, as a list of violations (empty iff a nimrep):
+        non-negative entries, the vacuum matrix the identity, ``n^dual(s)``
+        the transpose of ``n^s`` and ``n^s n^t = sum_u N_st^u n^u``."""
+        ring, mats = self.ring, self.matrices
+        bad = [f"matrix {s} has negative entries" for s in np.flatnonzero(np.any(mats < 0, axis=(1, 2)))]
         if bad:
             return bad
-        if not np.array_equal(self.matrices[0], np.eye(size, dtype=np.int64)):
+        if not np.array_equal(mats[0], np.eye(self.size, dtype=np.int64)):
             bad.append("vacuum matrix is not the identity")
-        for s in range(n):
-            if not np.array_equal(self.matrices[ring.dual[s]], self.matrices[s].T):
-                bad.append(f"duality fails: n^dual({s}) != transpose(n^{s})")
+        fails = np.any(mats[list(ring.dual)] != mats.transpose(0, 2, 1), axis=(1, 2))
+        bad.extend(f"duality fails: n^dual({s}) != transpose(n^{s})" for s in np.flatnonzero(fails))
         # n^s n^t against sum_u N_st^u n^u, for all (s, t) at once
-        mats = np.array(self.matrices)
         fails = np.any(
             np.einsum("sij,tjk->stik", mats, mats) != np.einsum("stu,uik->stik", ring.N, mats),
             axis=(2, 3),
@@ -183,8 +193,7 @@ class Nimrep:
 
 def regular_nimrep(ring: FusionRing) -> Nimrep:
     """Boundaries labeled by sectors; ``n^s = N^s`` (the Cardy case)."""
-    mats = tuple(ring.N[s].copy() for s in range(ring.size))
-    return Nimrep(ring, mats)
+    return Nimrep(ring, ring.N)
 
 
 def _generator_plan(ring: FusionRing, gens: tuple[int, ...]):
@@ -400,7 +409,7 @@ def enumerate_nimreps(ring: FusionRing, size: int, tol: float = DEFAULT_TOL) -> 
         picks = np.unravel_index(np.arange(start, min(start + CHUNK, total)), counts)
         derived = _derive(ring, plan, gens, [c[p] for c, p in zip(candidates, picks)])
         keys.update(_canonical_key(mats, size) for mats in derived)
-    canon = (Nimrep(ring, tuple(np.array(k, dtype=np.int64).reshape(size, size) for k in key)) for key in sorted(keys))
+    canon = (Nimrep(ring, np.reshape(key, (ring.size, size, size))) for key in sorted(keys))
     return [nr for nr in canon if not nr.validate()]
 
 
@@ -422,9 +431,13 @@ def _spectral_projectors(nimrep: Nimrep, md: ModularData) -> np.ndarray:
 
     A Cardy psi gives ``n^s = sum_t (S_st / S_0t) P_t``, with P_t the
     projector onto its columns of exponent t; S is unitary, so P_t has this
-    closed form.  Raises unless every P_t is Hermitian and idempotent and the
-    P_t reproduce every n^s, all within ``SPECTRUM_TOL``.
+    closed form.  A nimrep of another ring than ``md``'s is malformed
+    (StructuralError).  Raises DataInconsistencyError unless every P_t is
+    Hermitian and idempotent and the P_t reproduce every n^s, all within
+    ``SPECTRUM_TOL``.
     """
+    if nimrep.ring != md.ring:
+        raise StructuralError("the nimrep and the modular data have different fusion rings")
     S = md.S
     mats = np.array(nimrep.matrices, dtype=float)
     P = np.einsum("t,st,sij->tij", S[0], S.conj(), mats)
@@ -492,14 +505,10 @@ def compatibility(Z, nimrep: Nimrep, md: ModularData):
 
     Returns ``(ok, table)`` with ``table[t]`` the rank ``round(tr P_t)`` of
     the spectral projector P_t, or ``(False, {})`` if the nimrep has no
-    modular spectrum (see :func:`_spectral_projectors`).
+    modular spectrum (see :func:`_spectral_projectors`).  Z is read by :func:`check_coupling`.
     """
     n = md.size
     Z = check_coupling(Z, n)
-    if len(nimrep.matrices) != n:
-        raise StructuralError(f"expected {n} matrices, got {len(nimrep.matrices)}")
-    if any(np.shape(mat) != (nimrep.size,) * 2 for mat in nimrep.matrices):
-        raise StructuralError("nimrep matrices must be square and same-sized")
     try:
         P = _spectral_projectors(nimrep, md)
     except DataInconsistencyError:

@@ -157,11 +157,8 @@ def cmd_induce(args, data: CategoryData):
 
 def _load_nimrep(args, data: CategoryData):
     """The nimrep named by ``args``; None, once the first reason is printed,
-    if it is invalid.  A file without one matrix per sector is malformed."""
-    mats = load_nimrep_matrices(args.nimrep)
-    if len(mats) != data.ring.size:
-        raise StructuralError(f"expected {data.ring.size} matrices, got {len(mats)}")
-    nr = Nimrep(data.ring, tuple(mats))
+    if it is invalid.  :class:`Nimrep` rejects a malformed one (StructuralError)."""
+    nr = Nimrep(data.ring, load_nimrep_matrices(args.nimrep))
     bad = nr.validate()
     if bad:
         print(f"nimrep invalid: {bad[0]}")

@@ -302,15 +302,13 @@ def dhr_orbit_thetas(Z: np.ndarray, nimrep, tol: float = DEFAULT_TOL):
         raise DataInconsistencyError(
             f"trace(Z) = {int(np.trace(Z))} does not match nimrep size {nimrep.size}"
         )
-    out = []
-    for a in range(nimrep.size):
-        vec = tuple(int(nimrep.matrices[s][a, a]) for s in range(ring.size))
+    i = np.arange(nimrep.size)
+    diag = nimrep.matrices[:, i, i].T  # row a: (n^s_aa)_s
+    over = diag > np.floor(ring.fp_dims + tol)
+    thetas = [tuple(vec) for vec in diag.tolist()]
+    for a, vec in enumerate(thetas):
         if vec[0] != 1:
             raise DataInconsistencyError(f"boundary {a}: vacuum multiplicity {vec[0]} != 1")
-        for s, m in enumerate(vec):
-            if m > np.floor(ring.fp_dims[s] + tol):
-                raise DataInconsistencyError(
-                    f"boundary {a}: multiplicity bound violated at sector {s}"
-                )
-        out.append(vec)
-    return out
+        if over[a].any():
+            raise DataInconsistencyError(f"boundary {a}: multiplicity bound violated at sector {np.argmax(over[a])}")
+    return thetas

@@ -475,13 +475,11 @@ def load_qsystem(path) -> QSystemSpec:
 
 @_document("nimrep file")
 def load_nimrep_matrices(path) -> list[np.ndarray]:
-    """Nimrep file: ``{"n": [matrix per sector]}`` with integer entries."""
+    """Nimrep file: ``{"n": [matrix per sector]}`` with integer entries, whose
+    shapes and count :class:`~bcft.classify.Nimrep` checks when built from them."""
     doc = _read_json(path, "nimrep file")
     _check_keys(doc, ("n",), (), "nimrep file")
-    mats = [_int_matrix(m, "nimrep entry") for m in doc["n"]]
-    if not mats or any(m.shape != (len(mats[0]),) * 2 for m in mats):
-        raise StructuralError("nimrep matrices must be square and same-sized")
-    return mats
+    return [_int_matrix(m, "nimrep entry") for m in doc["n"]]
 
 
 @_document("coupling file")

@@ -29,7 +29,7 @@ import numpy as np
 
 from .category import CategoryPresentation
 from .errors import DataInconsistencyError, StructuralError
-from .rings import DEFAULT_TOL
+from .rings import DEFAULT_TOL, check_integers
 
 __all__ = [
     "QSystemSpec",
@@ -48,10 +48,15 @@ __all__ = [
 
 
 class QSystemSpec:
-    """Multiplicity vector of theta plus the coefficient tensor of x."""
+    """Multiplicity vector of theta plus the coefficient tensor of x.
+
+    Theta entries and lambda keys must be integers (:func:`check_integers`;
+    ``2.0`` counts, ``1.6`` is rejected, never truncated) and lambda values
+    finite, or construction raises StructuralError.
+    """
 
     def __init__(self, theta, lam: dict):
-        theta = tuple(int(m) for m in theta)
+        theta = tuple(check_integers(theta, "theta entries").tolist())
         if not theta or theta[0] != 1:
             raise StructuralError("theta must have vacuum multiplicity exactly 1")
         if any(m < 0 for m in theta):
@@ -59,10 +64,13 @@ class QSystemSpec:
         nslots = sum(theta)
         clean = {}
         for key, val in lam.items():
-            p, q, r = (int(i) for i in key)
+            p, q, r = check_integers(key, "lambda keys").tolist()
             if not all(0 <= i < nslots for i in (p, q, r)):
                 raise StructuralError(f"lambda key {key} out of slot range")
-            clean[(p, q, r)] = complex(val)
+            val = complex(val)
+            if not np.isfinite(val):
+                raise StructuralError(f"lambda value at {key} must be finite, got {val}")
+            clean[(p, q, r)] = val
         self.theta = theta
         self.lam = clean
 
@@ -496,11 +504,10 @@ def search_qsystems(
     cat: CategoryPresentation, theta, n_starts: int = 24, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> SearchResult:
     """Best-effort search for all Q-systems with the given theta, up to gauge."""
-    theta = tuple(int(m) for m in theta)
+    spec = QSystemSpec(theta, {})
     if n_starts < 1:
         raise StructuralError(f"the search needs at least one start, got {n_starts}")
-    _require_bound(theta, cat.ring, tol)
-    spec = QSystemSpec(theta, {})
+    _require_bound(spec.theta, cat.ring, tol)
     axioms = _AxiomMap(cat, spec)
     channels = np.array(axioms.channels)
     p, q, r = channels.T
@@ -515,7 +522,7 @@ def search_qsystems(
     fps = _fingerprints(spec, keys, lams, spec.d_theta(cat.ring))
     found = dict(zip(fps[::-1], lams[::-1]))  # fingerprint -> lambda of the first start with it
     prints = tuple(sorted(found))
-    solutions = [QSystemSpec(theta, dict(zip(map(tuple, keys.tolist()), found[fp]))) for fp in prints]
+    solutions = [QSystemSpec(spec.theta, dict(zip(map(tuple, keys.tolist()), found[fp]))) for fp in prints]
     best, starts = float(np.min(final)), list(zip(fit.status.tolist(), fit.nfev.tolist(), final.tolist()))
     status = "inconclusive" if not solutions and (best < 1e-3 or np.any(fit.status == 0)) else "ok"
     return SearchResult(solutions, status, best, prints, starts)

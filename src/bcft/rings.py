@@ -3,7 +3,8 @@
 A :class:`FusionRing` is the combinatorial skeleton of a rational sector
 theory: an ordered list of sector labels (index 0 is the vacuum), a
 conjugation involution and the multiplicity tensor ``N[s, t, u]`` counting
-channels in ``s x t -> u``.  Construction only checks shapes; the axioms are
+channels in ``s x t -> u``.  Construction checks shapes and, through
+:func:`check_integers`, that ``dual`` and ``N`` hold integers; the axioms are
 checked by :func:`validate_ring`, which returns a list of human-readable
 violations (empty iff the ring is valid).
 """
@@ -25,6 +26,20 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+
+
+def check_integers(values, what: str) -> np.ndarray:
+    """``values`` as a new int64 array, if every entry is an integer; integral
+    floats such as ``2.0`` count.  A fraction, a NaN, an infinity, a value
+    outside int64, a non-zero imaginary part or a non-number is malformed
+    (StructuralError), never truncated."""
+    values = np.asarray(values)
+    if values.dtype.kind in "biu":
+        return values.astype(np.int64)
+    # comparisons with NaN are False, so NaN fails both tests
+    if values.dtype.kind not in "fc" or not np.all((np.abs(values) < 2.0**63) & (values == np.rint(values.real))):
+        raise StructuralError(f"{what} must be finite integers")
+    return values.real.astype(np.int64)
 
 
 class FBlockIndex(NamedTuple):
@@ -52,20 +67,16 @@ class FusionRing:
             raise StructuralError("a fusion ring needs at least the vacuum sector")
         if len(set(labels)) != n:
             raise StructuralError("sector labels must be distinct")
-        dual = tuple(int(d) for d in dual)
-        if len(dual) != n or any(not 0 <= d < n for d in dual):
+        dual = check_integers(dual, "dual entries")
+        if dual.shape != (n,) or np.any((dual < 0) | (dual >= n)):
             raise StructuralError("dual must be a length-%d list of sector indices" % n)
+        dual = tuple(dual.tolist())
         N = np.asarray(N)
         if N.shape != (n, n, n):
             raise StructuralError(
                 f"N must have shape ({n}, {n}, {n}), got {N.shape}"
             )
-        if not np.issubdtype(N.dtype, np.integer):
-            rounded = np.rint(np.real(N)).astype(np.int64)
-            if np.max(np.abs(N - rounded)) > 0:
-                raise StructuralError("N entries must be integers")
-            N = rounded
-        N = N.astype(np.int64)
+        N = check_integers(N, "N entries")
         N.setflags(write=False)
         self.labels = labels
         self.dual = dual

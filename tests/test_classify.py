@@ -83,7 +83,8 @@ def test_regular_nimrep_valid(all_catalogs):
 
 
 def test_nimrep_validate_messages(ising_data):
-    """Every message of ``Nimrep.validate`` on broken Ising regular nimreps."""
+    """Every message of ``Nimrep.validate`` on broken Ising regular nimreps; a
+    wrong matrix count or shape is raised at construction."""
     ring = ising_data.ring
     reg = regular_nimrep(ring).matrices
 
@@ -93,8 +94,10 @@ def test_nimrep_validate_messages(ising_data):
             mats[int(name[1:])] = np.array(mat, dtype=np.int64)
         assert Nimrep(ring, tuple(mats)).validate() == want
 
-    check(reg[:2], ["expected 3 matrices, got 2"])
-    check(reg, ["matrix 1 has shape (2, 2)"], n1=np.eye(2))
+    with pytest.raises(StructuralError, match="expected 3 matrices, got 2"):
+        check(reg[:2], None)
+    with pytest.raises(StructuralError, match="nimrep matrices must be square and same-sized"):
+        check(reg, None, n1=np.eye(2))
     check(reg, ["matrix 2 has negative entries"], n2=[[0, 0, 1], [0, -1, 0], [1, 0, 0]])
     check(reg, ["vacuum matrix is not the identity", "representation property fails at (0,0)"], n0=reg[2])
     check(
@@ -104,6 +107,36 @@ def test_nimrep_validate_messages(ising_data):
     )
     # n^1 n^1 = n^0 + n^2 holds, n^1 n^2 = n^1 fails: (1,2) comes before (2,1) row-major
     check(reg, ["representation property fails at (1,2)"], n1=[[0, 1, 0], [1, 0, 0], [0, 0, 1]], n2=np.zeros((3, 3)))
+
+
+def test_malformed_nimreps_raise_at_construction(ising_data):
+    """Each malformed matrix stack is rejected when the Nimrep is built, so no
+    consumer (Cardy, compatibility, orbit thetas, annulus) ever reads one."""
+    ring, reg = ising_data.ring, regular_nimrep(ising_data.ring).matrices
+    fractional, nan = reg.astype(float), reg.astype(float)
+    fractional[1, 0, 1] = 1.5
+    nan[2, 2, 0] = math.nan
+    square = "nimrep matrices must be square and same-sized"
+    cases = [
+        (reg[:2], "expected 3 matrices, got 2"),
+        ((reg[0], np.eye(2, dtype=np.int64), reg[2]), square),  # a 2x2 matrix among 3x3 ones
+        (np.zeros((3, 0, 0), dtype=np.int64), square),
+        (fractional, "nimrep entries must be finite integers"),
+        (nan, "nimrep entries must be finite integers"),
+    ]
+    for mats, match in cases:
+        with pytest.raises(StructuralError, match=match):
+            Nimrep(ring, mats)
+
+
+def test_nimrep_holds_one_read_only_integer_stack(ising_data):
+    ring = ising_data.ring
+    given = [np.asarray(m, dtype=float) for m in ring.N]  # integral floats are integers
+    nr = Nimrep(ring, given)
+    assert nr.matrices.dtype == np.int64 and nr.matrices.shape == (3, 3, 3) and nr.size == 3
+    assert not nr.matrices.flags.writeable and np.array_equal(nr.matrices, ring.N)
+    given[1][0, 0] = 7.0  # the stack is a copy
+    assert np.array_equal(nr.matrices, ring.N) and nr.validate() == []
 
 
 def test_fibonacci_regular_nimrep(fib_data):
@@ -176,6 +209,16 @@ def test_cardy_rejects_foreign_spectrum(ising_data, fib_data):
         )
 
 
+def test_nimrep_of_another_ring_is_malformed(ising_data, fib_data):
+    """A nimrep read against the modular data of another ring raises
+    StructuralError, not a broadcasting error of the projector sum."""
+    fib = regular_nimrep(fib_data.ring)
+    with pytest.raises(StructuralError, match="different fusion rings"):
+        compatibility(np.eye(3, dtype=np.int64), fib, ising_data.modular)
+    with pytest.raises(StructuralError, match="different fusion rings"):
+        cardy_solve(fib, ising_data.modular)
+
+
 def test_compatibility_tables(ising_data, fib_data, z3_data):
     reg = regular_nimrep(ising_data.ring)
     ok, table = compatibility(np.eye(3, dtype=np.int64), reg, ising_data.modular)
@@ -205,10 +248,11 @@ def test_compatibility_tables(ising_data, fib_data, z3_data):
     for Z in (1.5 * np.eye(3), np.diag([1, 1, -1]), np.full((3, 3), math.nan), np.diag([1, math.inf, 1])):
         with pytest.raises(StructuralError, match="Z must hold finite non-negative integers"):
             compatibility(Z, reg, ising_data.modular)
+    # the nimrep's count and shape are checked when it is built, before compatibility reads it
     with pytest.raises(StructuralError, match="expected 3 matrices, got 2"):
         compatibility(np.eye(3, dtype=np.int64), Nimrep(ising_data.ring, reg.matrices[:2]), ising_data.modular)
-    mixed = Nimrep(ising_data.ring, (reg.matrices[0], np.eye(2, dtype=np.int64), reg.matrices[2]))
     with pytest.raises(StructuralError, match="nimrep matrices must be square and same-sized"):
+        mixed = Nimrep(ising_data.ring, (reg.matrices[0], np.eye(2, dtype=np.int64), reg.matrices[2]))
         compatibility(np.eye(3, dtype=np.int64), mixed, ising_data.modular)
 
 

@@ -529,6 +529,35 @@ def test_cli_cardy_report_psi_pinned(tmp_path, ising_file, nimrep_file, su2_4_da
     assert got == CARDY_REPORT_SHA256
 
 
+# SHA-256 of the whole `--out` report of the commands that read a nimrep's
+# matrix stack: the `nimreps` payload lists every matrix, and `partition`
+# reads its entries and, with --check-transform, solves for psi
+NIMREP_REPORT_SHA256 = {
+    "nimreps su2_4 size 4": "6b9210b8ea7fcc5af6b5e2a753e78766a8976a5a7f6bda1182426f586f2458e2",
+    "nimreps su2_4 size 5": "8a067370af4e4255da171e57e4d3f989a7474774c2c1ac36a04401f45d5b61d9",
+    "nimreps ising size 3": "f51305e1799d03d38ecba5b7c0d0b23a65730f1acffa33091fdad692578ed40b",
+    "partition ising regular": "129c366c17a9d367e74f19fbb3316d785b18ecce27cbd6a7b2f128dc973ae0f2",
+}
+
+
+def test_cli_nimrep_reports_pinned(tmp_path, ising_file, nimrep_file, su2_4_data):
+    category = tmp_path / "su2_4.json"
+    save_category(su2_4_data, category)
+    runs = {
+        "nimreps su2_4 size 4": ["nimreps", str(category), "--size", "4"],
+        "nimreps su2_4 size 5": ["nimreps", str(category), "--size", "5"],
+        "nimreps ising size 3": ["nimreps", str(ising_file), "--size", "3"],
+        "partition ising regular": ["partition", str(ising_file), str(nimrep_file),
+                                    "--a", "0", "--b", "1", "--beta", str(2 * math.pi), "--check-transform"],
+    }
+    got = {}
+    for name, argv in runs.items():
+        out = tmp_path / "report.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        got[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == NIMREP_REPORT_SHA256
+
+
 def test_cli_invalid_nimrep_exits_1(tmp_path, ising_file, ising_data, capsys):
     # the Ising fusion matrices with n^1 and n^2 swapped: square, right-sized, not a representation
     bad = tmp_path / "bad.json"

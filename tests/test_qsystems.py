@@ -557,6 +557,34 @@ def test_local_implies_trivial_monodromy_on_channels(su2_4_data):
         assert mono == pytest.approx(1.0, abs=1e-9)
 
 
+def test_qsystem_spec_takes_integer_labels_and_finite_values(ising_data):
+    """A fractional theta entry or lambda key is rejected, not truncated into
+    the CAR Q-system, and a non-finite lambda value is rejected before any
+    reader (SVD, charged algebra, fingerprint) sees it; integral values such
+    as 2.0 and np.int64(2) keep working."""
+    cat = ising_data.presentation
+    car = car_qsystem(cat)
+    value = car.lam[(0, 1, 1)]
+    rest = {k: v for k, v in car.lam.items() if k != (0, 1, 1)}
+    with pytest.raises(StructuralError, match="theta entries must be finite integers"):
+        QSystemSpec((1, 0, 1.6), car.lam)
+    with pytest.raises(StructuralError, match="lambda keys must be finite integers"):
+        QSystemSpec(car.theta, {**rest, (0, 1.9, 1): value})
+    for bad in (math.nan, math.inf, complex(0, math.nan), complex(-math.inf, 1)):
+        with pytest.raises(StructuralError, match=r"lambda value at \(1, 1, 0\) must be finite"):
+            QSystemSpec(car.theta, {**car.lam, (1, 1, 0): bad})
+    integral = QSystemSpec((1.0, np.int64(0), 1), {**rest, (0.0, np.int64(1), 1.0): value})
+    assert integral.theta == car.theta and integral.lam == {**rest, (0, 1, 1): value}
+    assert validate_qsystem(integral, cat)["valid"]
+
+
+def test_search_reads_theta_through_the_spec(ising_data):
+    with pytest.raises(StructuralError, match="theta entries must be finite integers"):
+        search_qsystems(ising_data.presentation, (1, 0, 1.5), n_starts=1)
+    res = search_qsystems(ising_data.presentation, (1.0, 0, np.int64(1)), n_starts=4, seed=1)
+    assert [q.theta for q in res.solutions] == [(1, 0, 1)]
+
+
 def test_vacuum_multiplicity_enforced():
     with pytest.raises(StructuralError, match="vacuum multiplicity"):
         QSystemSpec([2, 0], {})

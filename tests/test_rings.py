@@ -31,6 +31,20 @@ def test_ising_ring_valid(ising_data):
     assert validate_ring(ising_data.ring) == []
 
 
+def test_ring_entries_are_integers_never_truncated(ising_data):
+    """dual and N take integers, integral floats such as 2.0 included; a
+    fraction, a NaN or an infinity is malformed, never cast."""
+    labels, dual, N = ising_data.ring.labels, ising_data.ring.dual, ising_data.ring.N
+    assert FusionRing(labels, [np.int64(0), 1.0, 2], N.astype(float)) == ising_data.ring
+    with pytest.raises(StructuralError, match="dual entries must be finite integers"):
+        FusionRing(labels, (0, 1.7, 2), N)
+    for bad in (0.5, math.nan, math.inf):
+        fractional = N.astype(float)
+        fractional[1, 1, 2] = bad
+        with pytest.raises(StructuralError, match="N entries must be finite integers"):
+            FusionRing(labels, dual, fractional)
+
+
 def test_ising_sigma_matrix_is_a3_path(ising_data):
     # sigma row/column pattern of the A3 path graph
     n_sigma = ising_data.ring.fusion_matrix(1)
