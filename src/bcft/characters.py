@@ -19,6 +19,7 @@ import numpy as np
 from .classify import CardySolution, Nimrep
 from .errors import NumericDegeneracyError, StructuralError
 from .modular import ModularData
+from .rings import check_integers
 
 __all__ = [
     "CharacterSeries",
@@ -66,9 +67,11 @@ def minimal_model_characters(p: int, pp: int, order: int) -> dict:
     """Characters of the (p, p') minimal model as ``{(r, s): CharacterSeries}``.
 
     Both Kac labels of each field appear ((r, s) and (p-r, p'-s) give equal
-    series).  Coefficients are exact integers.
+    series).  Coefficients are exact integers.  ``p``, ``p'`` and ``order`` must
+    be integers (:func:`check_integers`), never truncated.
     """
-    p, pp = int(p), int(pp)
+    p, pp = check_integers((p, pp), "minimal-model labels").tolist()
+    order = int(check_integers(order, "truncation order"))
     if p < 2 or pp < 2 or p >= pp or math.gcd(p, pp) != 1:
         raise StructuralError("need coprime 2 <= p < p'")
     if order > 10**4:
@@ -143,6 +146,7 @@ def annulus_partition(nimrep: Nimrep, chars, a: int, b: int, beta: float):
     nsec = nimrep.ring.size
     if len(chars) != nsec:
         raise StructuralError("need one character per sector")
+    a, b = check_integers((a, b), "boundary labels").tolist()
     if not (0 <= a < nimrep.size and 0 <= b < nimrep.size):
         raise StructuralError("boundary label out of range")
     value = 0.0

@@ -102,15 +102,18 @@ def enumerate_modular_invariants(
 ) -> list[np.ndarray]:
     """All non-negative integer Z with ``Z[0,0] = 1``, ``ZS = SZ``, ``ZT = TZ``.
 
-    Entries are bounded by ``floor(d_s d_t)`` (or ``max_entry``); the list is
-    complete within those bounds and lexicographically ordered.
+    Entries are bounded by ``floor(d_s d_t)`` (or ``max_entry``, an integer); the
+    list is complete within those bounds and lexicographically ordered.  The
+    bound is taken with ``DEFAULT_TOL`` as its rounding guard; ``tol`` thresholds
+    the rounding of the pivot solve and the S and T checks.
     """
-    if max_entry is not None and max_entry < 0:
-        raise StructuralError(f"max_entry must be >= 0, got {max_entry}")
     n, d = md.size, md.ring.fp_dims
-    bound = np.floor(np.outer(d, d) + tol).astype(int).reshape(-1)
+    bound = np.floor(np.outer(d, d) + DEFAULT_TOL).astype(int).reshape(-1)
     if max_entry is not None:
-        bound = np.minimum(bound, int(max_entry))
+        max_entry = int(check_integers(max_entry, "max_entry"))
+        if max_entry < 0:
+            raise StructuralError(f"max_entry must be >= 0, got {max_entry}")
+        bound = np.minimum(bound, max_entry)
     B = _commutant_basis(md)
     if B.shape[1] == 0:
         return []
@@ -140,13 +143,14 @@ def enumerate_modular_invariants(
 # -- nimreps -----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class Nimrep:
     """Non-negative integer matrix representation of the fusion ring.
 
     ``matrices``, a sequence of matrices or an array, is kept as one read-only
     int64 array, checked at construction (StructuralError): one square matrix
     per sector, all of one size, integer entries.  :meth:`validate` checks the rest.
+    Two nimreps are equal when their rings and their stacks are.
     """
 
     ring: FusionRing
@@ -163,6 +167,9 @@ class Nimrep:
             raise StructuralError(f"expected {self.ring.size} matrices, got {len(mats)}")
         self.matrices = check_integers(mats, "nimrep entries")
         self.matrices.setflags(write=False)
+
+    def __eq__(self, other):
+        return isinstance(other, Nimrep) and self.ring == other.ring and np.array_equal(self.matrices, other.matrices)
 
     @property
     def size(self) -> int:
@@ -235,16 +242,18 @@ def _candidate_generator_matrices(
     """All n^g that pass the spectral conditions every nimrep meets, as an (m, size, size) stack.
 
     A nimrep matrix n^g is normal with eigenvalues among those of N^g, so
-    its spectral radius is at most d_g.  Entries are set in order (mirrored
-    when g is self-dual, where n^g and N^g are symmetric) and unset entries
-    are 0, so a partial matrix is entrywise below all its completions.  A
-    stack of batches of at most ``CHUNK`` partial matrices is expanded one
-    entry at a time: value 0 keeps a batch as it is, and each larger value
-    is tried on the matrices that kept the value below it.
-    Row and column square sums above ``floor(d_g^2)`` or a spectral radius
-    above d_g (one stacked eigensolve; Perron-Frobenius monotonicity) drop a
-    matrix for that value and all larger ones, and a value that no matrix
-    keeps ends the loop.  Each partial matrix carries the eigenvalues of its
+    its spectral radius, and with it each entry, is at most d_g: entries run
+    up to ``ring.dim_floor[g]``, the ring's floor(d_g).  Entries are set in
+    order (mirrored when g is self-dual, where n^g and N^g are symmetric) and
+    unset entries are 0, so a partial matrix is entrywise below all its
+    completions.  A stack of batches of at most ``CHUNK`` partial matrices is
+    expanded one entry at a time: value 0 keeps a batch as it is, and each
+    larger value is tried on the matrices that kept the value below it.
+    Row and column square sums above ``floor(d_g^2)`` (with ``DEFAULT_TOL``
+    as its rounding guard) or a spectral radius above ``d_g + tol`` (one
+    stacked eigensolve; Perron-Frobenius monotonicity) drop a matrix for
+    that value and all larger ones, and a value that no matrix keeps ends
+    the loop.  Each partial matrix carries the eigenvalues of its
     last eigensolve, so a complete one is decomposed no more than once: it
     is kept if each of its eigenvalues lies within ``SPECTRUM_TOL`` of one
     of N^g.  For a symmetric matrix that holds exactly when the minimal
@@ -263,8 +272,8 @@ def _candidate_generator_matrices(
     once, so only one generator of a nimrep may be ordered.
     """
     d = ring.fp_dims[g]
-    entry_bound = int(math.floor(d + tol))
-    row_bound = int(math.floor(d**2 + tol))
+    entry_bound = int(ring.dim_floor[g])
+    row_bound = int(math.floor(d**2 + DEFAULT_TOL))
     symmetric = ring.dual[g] == g
     eigvals = np.linalg.eigvalsh if symmetric else np.linalg.eigvals
     spectrum = eigvals(ring.N[g].astype(float))

@@ -44,8 +44,8 @@ from .io import (
     write_report,
 )
 from .modular import quantum_dimensions, validate_modular, verlinde_fusion
-from .qsystems import search_qsystems, validate_qsystem
-from .rings import validate_ring
+from .qsystems import DEFAULT_STARTS, search_qsystems, validate_qsystem
+from .rings import DEFAULT_TOL, validate_ring
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bcft",
         description="Boundary CFT classification pipeline over braided fusion categories",
     )
-    ap.add_argument("--tolerance", type=float, default=1e-9, help="numeric tolerance")
+    ap.add_argument("--tolerance", type=float, default=DEFAULT_TOL, help="residual tolerance")
     ap.add_argument("--seed", type=int, default=0, help="search seed (runtime only)")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qsearch", help="search Q-systems for a given theta")
     p.add_argument("category")
     p.add_argument("--theta", required=True, help="comma-separated multiplicities")
-    p.add_argument("--starts", type=int, default=24)
+    p.add_argument("--starts", type=int, default=DEFAULT_STARTS)
     p.add_argument("--out")
     p.set_defaults(func=cmd_qsearch)
 

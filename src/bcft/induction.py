@@ -294,8 +294,13 @@ def index_ledger(
     )
 
 
-def dhr_orbit_thetas(Z: np.ndarray, nimrep, tol: float = DEFAULT_TOL):
-    """Theta multiplicity vectors ``(theta_a)_s = n^s_aa`` along the orbit."""
+def dhr_orbit_thetas(Z: np.ndarray, nimrep):
+    """Theta multiplicity vectors ``(theta_a)_s = n^s_aa`` along the orbit.
+
+    ``trace(Z)`` must be the nimrep's size, and each diagonal must have
+    ``n^0_aa = 1`` and ``n^s_aa <= floor(d_s)`` (``ring.dim_floor``), or
+    DataInconsistencyError; no tolerance enters these integer tests.
+    """
     ring = nimrep.ring
     Z = check_coupling(Z, ring.size)
     if int(np.trace(Z)) != nimrep.size:
@@ -304,7 +309,7 @@ def dhr_orbit_thetas(Z: np.ndarray, nimrep, tol: float = DEFAULT_TOL):
         )
     i = np.arange(nimrep.size)
     diag = nimrep.matrices[:, i, i].T  # row a: (n^s_aa)_s
-    over = diag > np.floor(ring.fp_dims + tol)
+    over = diag > ring.dim_floor
     thetas = [tuple(vec) for vec in diag.tolist()]
     for a, vec in enumerate(thetas):
         if vec[0] != 1:

@@ -452,8 +452,6 @@ def dict_to_qsystem(doc: dict) -> QSystemSpec:
     for item in doc["lambda"]:
         _check_keys(item, ("summands", "channel", "value"), (), "lambda entry")
         key = tuple(_int(v, "lambda summand") for v in item["summands"])
-        if len(key) != 3:
-            raise StructuralError(f"lambda summands must have 3 entries: {item}")
         if key in lam:
             raise StructuralError(f"duplicate lambda entry {key}")
         if _int(item["channel"], "lambda channel") != 0:

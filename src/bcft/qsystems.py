@@ -51,8 +51,9 @@ class QSystemSpec:
     """Multiplicity vector of theta plus the coefficient tensor of x.
 
     Theta entries and lambda keys must be integers (:func:`check_integers`;
-    ``2.0`` counts, ``1.6`` is rejected, never truncated) and lambda values
-    finite, or construction raises StructuralError.
+    ``2.0`` counts, ``1.6`` is rejected, never truncated), each key a triple
+    of summand slots, and lambda values finite, or construction raises
+    StructuralError.
     """
 
     def __init__(self, theta, lam: dict):
@@ -64,7 +65,10 @@ class QSystemSpec:
         nslots = sum(theta)
         clean = {}
         for key, val in lam.items():
-            p, q, r = check_integers(key, "lambda keys").tolist()
+            slots = check_integers(key, "lambda keys")
+            if slots.shape != (3,):
+                raise StructuralError(f"lambda key {key} must name 3 summand slots")
+            p, q, r = slots.tolist()
             if not all(0 <= i < nslots for i in (p, q, r)):
                 raise StructuralError(f"lambda key {key} out of slot range")
             val = complex(val)
@@ -96,10 +100,10 @@ class QSystemSpec:
         return f"QSystemSpec(theta={self.theta})"
 
 
-def _dense(q: QSystemSpec, ring, tol: float = DEFAULT_TOL) -> tuple:
+def _dense(q: QSystemSpec, ring) -> tuple:
     """The slot sectors, and ``lam`` dense over slot triples once theta has the ring's length
     and keeps the bound; every key of ``lam``, even one valued 0, must be a fusion channel."""
-    _require_bound(q.theta, ring, tol)
+    _require_bound(q.theta, ring)
     sec = q.sectors
     keys = np.array(list(q.lam), dtype=int).reshape(-1, 3)
     off = np.flatnonzero(ring.N[tuple(sec[keys].T)] == 0)
@@ -250,17 +254,18 @@ class _RealForm:
         return self.L + quad.reshape(len(v), *self.L.shape)
 
 
-def _over_bound(theta, ring, tol) -> dict:
-    """``{sector: m}`` where theta breaks the multiplicity bound ``m_s <= floor(d_s)``;
-    a theta whose length is not the ring's size is malformed."""
+def _over_bound(theta, ring) -> dict:
+    """``{sector: m}`` where theta breaks the multiplicity bound ``m_s <= floor(d_s)``
+    (``ring.dim_floor``, at any tolerance); a theta whose length is not the ring's
+    size is malformed."""
     if len(theta) != ring.size:
         raise StructuralError("theta length must equal the number of sectors")
-    return {s: m for s, m in enumerate(theta) if m > math.floor(ring.fp_dims[s] + tol)}
+    return {s: m for s, m in enumerate(theta) if m > ring.dim_floor[s]}
 
 
-def _require_bound(theta, ring, tol) -> None:
+def _require_bound(theta, ring) -> None:
     """The one check of theta against the ring, before anything of size theta^3."""
-    over = _over_bound(theta, ring, tol)
+    over = _over_bound(theta, ring)
     if over:
         s = min(over)
         raise StructuralError(f"theta violates the multiplicity bound at sector {s}: {over[s]} > floor(d_{s})")
@@ -268,16 +273,16 @@ def _require_bound(theta, ring, tol) -> None:
 
 def validate_qsystem(q: QSystemSpec, cat: CategoryPresentation, tol: float = DEFAULT_TOL) -> dict:
     """Residuals of the Q-system axioms; ``valid`` iff all below tolerance."""
-    over = _over_bound(q.theta, cat.ring, tol)
+    over = _over_bound(q.theta, cat.ring)
     if over:  # not a Q-system; the residuals would need all of theta^3
         return {**{f"bound_sector_{s}": float(m) for s, m in over.items()}, "valid": False}
-    report = _axiom_residuals(q, cat, tol)
+    report = _axiom_residuals(q, cat)
     return {**report, "valid": all(v < tol for v in report.values())}
 
 
-def _axiom_residuals(q: QSystemSpec, cat: CategoryPresentation, tol: float) -> dict:
+def _axiom_residuals(q: QSystemSpec, cat: CategoryPresentation) -> dict:
     """The largest residual of each axiom, from the arrays of ``_dense``."""
-    _, lam = _dense(q, cat.ring, tol)
+    _, lam = _dense(q, cat.ring)
     axioms = _AxiomMap(cat, q)
     z = np.abs(axioms.rows(lam[axioms.index >= 0]))
     return {name: float(np.max(z[part], initial=0.0)) for name, part in axioms.parts.items()}
@@ -311,7 +316,7 @@ def is_local(q: QSystemSpec, cat: CategoryPresentation, tol: float = DEFAULT_TOL
     The braiding moves ``lam[a, b, c]`` to the tree of ``lam[b, a, c]``, times
     ``R[sec a, sec b, sec c]``; off the fusion channels both sides are 0.
     """
-    sec, lam = _dense(q, cat.ring, tol)
+    sec, lam = _dense(q, cat.ring)
     resid = float(np.max(np.abs(cat.R[np.ix_(sec, sec, sec)] * lam - lam.transpose(1, 0, 2))))
     return resid < tol, resid
 
@@ -336,7 +341,7 @@ def charged_algebra(q: QSystemSpec, cat: CategoryPresentation, tol: float = DEFA
     ``Gamma^k_{0j} = Gamma^k_{j0} = delta_jk`` are ``sqrt(d(theta))`` times
     the unit residuals.
     """
-    res = _axiom_residuals(q, cat, tol)
+    res = _axiom_residuals(q, cat)
     dth = q.d_theta(cat.ring)
     root = math.sqrt(dth)
     unit = root * max(res["unit_left"], res["unit_right"])
@@ -369,7 +374,7 @@ def fingerprint(q: QSystemSpec, cat: CategoryPresentation):
     (the two cocycle classes of the Z2 x Z2 algebra); the exchange can.  For
     multiplicity-free theta the spectra reduce to the channel moduli (squared).
     """
-    _require_bound(q.theta, cat.ring, DEFAULT_TOL)
+    _require_bound(q.theta, cat.ring)
     keys = np.array(list(q.lam), dtype=int).reshape(-1, 3)
     return _fingerprints(q, keys, np.array([list(q.lam.values())]), q.d_theta(cat.ring))[0]
 
@@ -439,6 +444,7 @@ def regular_qsystem(cat: CategoryPresentation) -> QSystemSpec:
 
 _Fit = namedtuple("_Fit", "x fun status nfev")  # per start
 STOP_TOL = 1e-14  # MINPACK's xtol, ftol and gtol in least_squares
+DEFAULT_STARTS = 24  # randomized starts of search_qsystems and of `bcft qsearch`
 
 
 def least_squares(fun, x0, jac) -> _Fit:
@@ -501,13 +507,13 @@ class SearchResult:
 
 
 def search_qsystems(
-    cat: CategoryPresentation, theta, n_starts: int = 24, seed: int = 0, tol: float = DEFAULT_TOL
+    cat: CategoryPresentation, theta, n_starts: int = DEFAULT_STARTS, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> SearchResult:
     """Best-effort search for all Q-systems with the given theta, up to gauge."""
     spec = QSystemSpec(theta, {})
     if n_starts < 1:
         raise StructuralError(f"the search needs at least one start, got {n_starts}")
-    _require_bound(spec.theta, cat.ring, tol)
+    _require_bound(spec.theta, cat.ring)
     axioms = _AxiomMap(cat, spec)
     channels = np.array(axioms.channels)
     p, q, r = channels.T

@@ -196,6 +196,17 @@ class FusionRing:
         )
 
     @cached_property
+    def dim_floor(self) -> np.ndarray:
+        """``floor(d_s)`` of each sector as a read-only int64 array: the bound on
+        a Q-system's multiplicities, on nimrep entries and on nimrep diagonals.
+        It is the only floor of ``fp_dims`` taken; ``DEFAULT_TOL`` keeps an
+        integer dimension that the eigensolver returns a hair low at its value,
+        and no caller's tolerance moves it."""
+        floor = np.floor(self.fp_dims + DEFAULT_TOL).astype(np.int64)
+        floor.setflags(write=False)
+        return floor
+
+    @cached_property
     def global_dim(self) -> float:
         return float(np.sum(self.fp_dims**2))
 

@@ -9,7 +9,7 @@ from bcft.characters import (
     evaluate_character,
     minimal_model_characters,
 )
-from bcft.classify import cardy_solve, regular_nimrep
+from bcft.classify import cardy_solve, enumerate_modular_invariants, regular_nimrep
 from bcft.errors import NumericDegeneracyError, StructuralError
 from bcft.modular import ModularData
 from bcft.rings import FusionRing
@@ -87,6 +87,43 @@ def test_input_validation():
         minimal_model_characters(4, 3, 10)  # p >= p'
     with pytest.raises(StructuralError):
         minimal_model_characters(3, 4, 10**4 + 1)
+
+
+INTEGER_ARGUMENTS = {
+    "minimal-model labels": lambda data, nr, chars: minimal_model_characters(3.7, 4, 10),
+    "truncation order": lambda data, nr, chars: minimal_model_characters(3, 4, 10.5),
+    "max_entry": lambda data, nr, chars: enumerate_modular_invariants(data.modular, max_entry=1.5),
+    "boundary labels": lambda data, nr, chars: annulus_partition(nr, chars, 0.5, 0, 2 * math.pi),
+}
+
+
+@pytest.mark.parametrize("what", INTEGER_ARGUMENTS)
+def test_integer_arguments_are_never_truncated(ising_data, what):
+    """A fractional label, order, entry bound or boundary is malformed input:
+    not truncated (3.7 into the Ising model (3, 4), 1.5 into max_entry 1), and
+    not a bare TypeError or IndexError."""
+    nr, chars = regular_nimrep(ising_data.ring), ising_characters(10)
+    with pytest.raises(StructuralError, match=f"{what} must be finite integers"):
+        INTEGER_ARGUMENTS[what](ising_data, nr, chars)
+
+
+def test_integral_values_count_as_integers(ising_data):
+    nr, chars = regular_nimrep(ising_data.ring), ising_characters(10)
+    got = minimal_model_characters(3.0, np.int64(4), 10.0)
+    assert {key: s.coeffs.tolist() for key, s in got.items()} == {
+        key: s.coeffs.tolist() for key, s in minimal_model_characters(3, 4, 10).items()
+    }
+    assert [Z.tolist() for Z in enumerate_modular_invariants(ising_data.modular, max_entry=1.0)] == [np.eye(3).tolist()]
+    assert annulus_partition(nr, chars, 1.0, np.int64(1), 5.0) == annulus_partition(nr, chars, 1, 1, 5.0)
+
+
+def test_annulus_partition_checks_its_inputs(ising_data):
+    nr, chars = regular_nimrep(ising_data.ring), ising_characters(10)
+    with pytest.raises(StructuralError, match="need one character per sector"):
+        annulus_partition(nr, chars[:2], 0, 0, 5.0)
+    for a, b in ((3, 0), (0, -1)):
+        with pytest.raises(StructuralError, match="boundary label out of range"):
+            annulus_partition(nr, chars, a, b, 5.0)
 
 
 def test_evaluate_monotone_and_positive():

@@ -139,6 +139,20 @@ def test_nimrep_holds_one_read_only_integer_stack(ising_data):
     assert np.array_equal(nr.matrices, ring.N) and nr.validate() == []
 
 
+def test_nimrep_equality_is_ring_and_stack(ising_data, fib_data):
+    ring = ising_data.ring
+    nr = regular_nimrep(ring)
+    same = Nimrep(FusionRing(ring.labels, ring.dual, ring.N), [m.astype(float) for m in ring.N])
+    swap = [1, 0, 2]
+    relabeled = Nimrep(ring, nr.matrices[:, swap][:, :, swap])  # boundaries 0 and 1 swapped
+    assert nr == regular_nimrep(ring) and nr == same and not nr != same
+    assert nr != relabeled and relabeled.validate() == []
+    assert nr != Nimrep(ring, np.stack([np.eye(4, dtype=np.int64)] * 3))  # another size
+    assert nr != regular_nimrep(fib_data.ring)
+    for other in (nr.matrices, ring.N, ring, None, 3):
+        assert nr != other and not nr == other
+
+
 def test_fibonacci_regular_nimrep(fib_data):
     nr = regular_nimrep(fib_data.ring)
     assert nr.matrices[1].tolist() == [[0, 1], [1, 1]]

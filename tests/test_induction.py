@@ -7,7 +7,7 @@ from morphisms import Morphism, assemble_x, braiding, compose, conjugation_pair,
 from morphisms import simple_word, sum_word, tensor
 
 from bcft.category import validate_axioms
-from bcft.classify import enumerate_modular_invariants, regular_nimrep
+from bcft.classify import Nimrep, enumerate_modular_invariants, regular_nimrep
 from bcft.errors import DataInconsistencyError, NumericDegeneracyError, StructuralError
 from bcft.induction import (
     _kernel_matrices,
@@ -233,6 +233,21 @@ def test_dhr_orbit_rejects_incompatible_nimrep(ising_data):
     Z[2, 2] = 0
     with pytest.raises(DataInconsistencyError):
         dhr_orbit_thetas(Z, nr)
+
+
+def test_dhr_orbit_thetas_reject_what_is_no_theta(fib_data):
+    """A boundary whose diagonal has vacuum multiplicity other than 1, or breaks
+    n^s_aa <= floor(d_s), gives no theta; the bound is the ring's, and no
+    tolerance can be passed to move it (theta = 1 + 2 tau at floor(phi) = 1)."""
+    ring, Z = fib_data.ring, np.diag([1, 0])
+    with pytest.raises(DataInconsistencyError, match="boundary 0: vacuum multiplicity 2 != 1"):
+        dhr_orbit_thetas(Z, Nimrep(ring, [[[2]], [[1]]]))
+    over = Nimrep(ring, [[[1]], [[2]]])
+    with pytest.raises(DataInconsistencyError, match="boundary 0: multiplicity bound violated at sector 1"):
+        dhr_orbit_thetas(Z, over)
+    with pytest.raises(TypeError):
+        dhr_orbit_thetas(Z, over, tol=0.5)
+    assert dhr_orbit_thetas(Z, Nimrep(ring, [[[1]], [[1]]])) == [(1, 1)]
 
 
 def test_orbit_invariance_ising(ising_data, ising_cat):

@@ -29,7 +29,8 @@ from bcft.io import (
     save_category,
     save_qsystem,
 )
-from bcft.qsystems import car_qsystem, fingerprint, regular_qsystem
+from bcft.qsystems import DEFAULT_STARTS, car_qsystem, fingerprint, regular_qsystem
+from bcft.rings import DEFAULT_TOL
 
 
 @pytest.fixture()
@@ -214,6 +215,9 @@ def test_cli_malformed_exits_2(tmp_path, ising_file, car_file, nimrep_file, coup
         (["induce", str(ising_file), bad], _replaced(car_file, ("theta", 2), 1.5)),
         (["induce", str(ising_file), bad], _replaced(car_file, ("theta", 0), True)),
         (["induce", str(ising_file), bad], _replaced(car_file, ("lambda", 1, "summands", 1), 1.2)),
+        # a lambda entry that names 2 or 4 summands, not 3
+        (["induce", str(ising_file), bad], _replaced(car_file, ("lambda", 1, "summands"), [0, 1])),
+        (["induce", str(ising_file), bad], _replaced(car_file, ("lambda", 1, "summands"), [0, 1, 1, 0])),
         (["induce", str(ising_file), bad], _replaced(car_file, ("lambda", 0, "channel"), 0.5)),
         (["cardy", str(ising_file), bad], _replaced(nimrep_file, ("n", 1, 1, 0), 1.6)),
         # non-square nimrep matrices, 2x3 and 1x0, are malformed, not an invalid nimrep
@@ -282,6 +286,23 @@ def test_cli_malformed_exits_2(tmp_path, ising_file, car_file, nimrep_file, coup
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_cli_tolerance_leaves_the_multiplicity_bound(tmp_path, fib_data, capsys):
+    """theta = 1 + 2 tau breaks m_tau <= floor(phi) at every --tolerance: the
+    tolerance thresholds residuals, and the bound is the ring's."""
+    category = tmp_path / "fib.json"
+    save_category(fib_data, category)
+    for prefix in ([], ["--tolerance", "0.5"]):
+        capsys.readouterr()
+        assert main([*prefix, "qsearch", str(category), "--theta", "1,2"]) == 2, prefix
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: theta violates the multiplicity bound at sector 1: 2 > floor(d_1)\n"
+
+
+def test_cli_defaults_are_the_library_defaults():
+    args = cli.build_parser().parse_args(["qsearch", "fib.json", "--theta", "1,1"])
+    assert args.tolerance == DEFAULT_TOL == 1e-9 and args.starts == DEFAULT_STARTS == 24
 
 
 def test_duplicate_entries_name_their_labels(ising_file, car_file, tmp_path):

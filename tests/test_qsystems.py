@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 
@@ -24,6 +25,7 @@ from bcft.qsystems import (
     validate_qsystem,
 )
 from bcft.qsystems import STOP_TOL, _AxiomMap, _dense, _fingerprints, _Fit, _RealForm
+from bcft.rings import DEFAULT_TOL
 
 
 def test_trivial_qsystem(ising_data):
@@ -576,6 +578,29 @@ def test_qsystem_spec_takes_integer_labels_and_finite_values(ising_data):
     integral = QSystemSpec((1.0, np.int64(0), 1), {**rest, (0.0, np.int64(1), 1.0): value})
     assert integral.theta == car.theta and integral.lam == {**rest, (0, 1, 1): value}
     assert validate_qsystem(integral, cat)["valid"]
+
+
+def test_qsystem_spec_rejects_bad_shapes_and_ranges():
+    """theta = 1 + psi has two summand slots: a key is a triple of slots 0 and
+    1, and no multiplicity is negative."""
+    with pytest.raises(StructuralError, match="theta multiplicities must be non-negative"):
+        QSystemSpec((1, -1, 1), {})
+    with pytest.raises(StructuralError, match=r"lambda key \(0, 0, 2\) out of slot range"):
+        QSystemSpec((1, 0, 1), {(0, 0, 2): 1.0})
+    for key in ((0, 0), (0, 0, 0, 0), 0):
+        with pytest.raises(StructuralError, match=rf"lambda key {re.escape(str(key))} must name 3 summand slots"):
+            QSystemSpec((1, 0, 1), {key: 1.0})
+
+
+def test_multiplicity_bound_is_the_rings_at_any_tolerance(fib_data):
+    """theta = 1 + 2 tau breaks m_tau <= floor(phi) = 1 however loose the
+    residual tolerance: the bound is the ring's ``dim_floor``."""
+    cat, q = fib_data.presentation, QSystemSpec((1, 2), {(0, 0, 0): 1.0})
+    for tol in (DEFAULT_TOL, 0.5):
+        assert validate_qsystem(q, cat, tol) == {"bound_sector_1": 2.0, "valid": False}
+        for read in (is_local, charged_algebra, lambda q, cat, tol: search_qsystems(cat, q.theta, 1, tol=tol)):
+            with pytest.raises(StructuralError, match=r"multiplicity bound at sector 1: 2 > floor\(d_1\)"):
+                read(q, cat, tol)
 
 
 def test_search_reads_theta_through_the_spec(ising_data):

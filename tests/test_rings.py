@@ -45,6 +45,23 @@ def test_ring_entries_are_integers_never_truncated(ising_data):
             FusionRing(labels, dual, fractional)
 
 
+def test_dim_floor_is_the_read_only_floor_of_each_dimension(all_catalogs, su2_level):
+    """floor(d_s), against the closed form d_j = sin(pi (j+1)/(k+2)) / sin(pi/(k+2))
+    of su2_k, whose only integer dimensions are 1 and, at k = 4, d_2 = 2; the
+    pointed rings of the fixtures have d_s = 1."""
+    for k in range(1, 11):
+        d = [math.sin(math.pi * (j + 1) / (k + 2)) / math.sin(math.pi / (k + 2)) for j in range(k + 1)]
+        want = [round(x) if abs(x - round(x)) < 1e-6 else math.floor(x) for x in d]
+        assert su2_level(k).ring.dim_floor.tolist() == want
+    want = {"ising": [1, 1, 1], "fibonacci": [1, 1], "su2_2": [1, 1, 1], "su2_4": [1, 1, 2, 1, 1], "z3": [1] * 3}
+    for data in all_catalogs:
+        assert data.ring.dim_floor.tolist() == want.get(data.name, [1] * 4), data.name  # spin8_1: Z2 x Z2
+    floor = all_catalogs[0].ring.dim_floor  # cached, read-only int64
+    assert floor.dtype == np.int64 and not floor.flags.writeable and all_catalogs[0].ring.dim_floor is floor
+    with pytest.raises(ValueError):
+        floor[1] = 2
+
+
 def test_ising_sigma_matrix_is_a3_path(ising_data):
     # sigma row/column pattern of the A3 path graph
     n_sigma = ising_data.ring.fusion_matrix(1)
