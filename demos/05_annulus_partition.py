@@ -15,15 +15,13 @@ from bcft import (
     cardy_transform_check,
     catalog,
     evaluate_character,
-    minimal_model_characters,
     regular_nimrep,
+    sector_characters,
 )
 
 data = catalog("ising")
 
-chars = minimal_model_characters(3, 4, order=60)
-by_h = {round(s.h, 9): s for s in chars.values()}
-sector_chars = [by_h[0.0], by_h[round(1 / 16, 9)], by_h[0.5]]
+sector_chars = sector_characters(data, order=60)
 print("character level degeneracies (first 8 levels):")
 for label, series in zip(data.labels, sector_chars):
     print(f"   h = {label:>4}: {series.coeffs[:8].tolist()}")

@@ -17,6 +17,7 @@ from .characters import (
     cardy_transform_check,
     evaluate_character,
     minimal_model_characters,
+    sector_characters,
 )
 from .classify import (
     CardySolution,

@@ -24,6 +24,7 @@ from .rings import check_integers
 __all__ = [
     "CharacterSeries",
     "minimal_model_characters",
+    "sector_characters",
     "evaluate_character",
     "annulus_partition",
     "AnnulusReport",
@@ -66,9 +67,10 @@ def _partitions(order: int) -> list:
 def minimal_model_characters(p: int, pp: int, order: int) -> dict:
     """Characters of the (p, p') minimal model as ``{(r, s): CharacterSeries}``.
 
-    Both Kac labels of each field appear ((r, s) and (p-r, p'-s) give equal
-    series).  Coefficients are exact integers.  ``p``, ``p'`` and ``order`` must
-    be integers (:func:`check_integers`), never truncated.
+    Each of the (p-1)(p'-1)/2 fields appears once, under its Kac label with
+    p' r > p s (its partner (p-r, p'-s) gives the same series).  Coefficients
+    are exact integers.  ``p``, ``p'`` and ``order`` must be integers
+    (:func:`check_integers`), never truncated.
     """
     p, pp = check_integers((p, pp), "minimal-model labels").tolist()
     order = int(check_integers(order, "truncation order"))
@@ -83,7 +85,7 @@ def minimal_model_characters(p: int, pp: int, order: int) -> dict:
     out = {}
     nmax = int(math.isqrt(order // (p * pp) + 4)) + 2
     for r in range(1, p):
-        for s in range(1, pp):
+        for s in range(1, pp * r // p + 1):  # p s < p' r, never equal as p does not divide p' r
             A = pp * r - p * s
             B = pp * r + p * s
             h = (A * A - (pp - p) ** 2) / (4.0 * p * pp)
@@ -111,6 +113,34 @@ def minimal_model_characters(p: int, pp: int, order: int) -> dict:
             out[(r, s)] = CharacterSeries(
                 c=c, h=h, coeffs=arr, weight_density=1.0 / math.sqrt(p * pp)
             )
+    return out
+
+
+def sector_characters(data, order: int) -> list:
+    """Each sector's character, truncated at ``order``, for a :class:`~bcft.catalog.CategoryData`:
+    in the (p, p') minimal model whose c is ``data.central_charge``, the one Kac
+    field whose h matches the sector's T phase mod 1.  Anything else is refused
+    (StructuralError)."""
+    c = data.central_charge
+    if c is None:
+        raise StructuralError("partition requires central_charge in the category file")
+    found = next(
+        ((p, pp) for p in range(2, 60) for pp in range(p + 1, 61)
+         if math.gcd(p, pp) == 1 and abs(1.0 - 6.0 * (pp - p) ** 2 / (p * pp) - c) < 1e-8),
+        None,
+    )
+    if found is None:
+        raise StructuralError(f"central charge {c} is not a minimal-model value")
+    fields = minimal_model_characters(*found, order).values()
+    out = []
+    for label, phase in zip(data.ring.labels, data.modular.T):
+        h_frac = float(np.angle(phase) / (2 * math.pi)) % 1.0
+        hits = [series for series in fields if abs((series.h - h_frac + 0.5) % 1.0 - 0.5) < 1e-8]
+        if len(hits) != 1:
+            raise StructuralError(
+                f"sector {label}: T phase matches {len(hits)} Kac weights; cannot infer the character"
+            )
+        out.extend(hits)
     return out
 
 
@@ -143,21 +173,26 @@ def evaluate_character(series: CharacterSeries, beta: float):
 
 def annulus_partition(nimrep: Nimrep, chars, a: int, b: int, beta: float):
     """``Z_ab(beta) = sum_s n^s_ab chi_s(beta)`` with combined tail bound."""
-    nsec = nimrep.ring.size
-    if len(chars) != nsec:
+    if len(chars) != nimrep.ring.size:
         raise StructuralError("need one character per sector")
     a, b = check_integers((a, b), "boundary labels").tolist()
     if not (0 <= a < nimrep.size and 0 <= b < nimrep.size):
         raise StructuralError("boundary label out of range")
+    return _character_sum(chars, enumerate(nimrep.matrices[:, a, b].tolist()), beta)
+
+
+def _character_sum(chars, terms, beta: float):
+    """``sum_i w chi_i(beta)`` (real part) with its tail bound ``sum_i |w| tail_i``,
+    over the ``(i, w)`` pairs of ``terms`` in their order; a term with
+    ``|w| < 1e-14`` is skipped."""
     value = 0.0
     tail = 0.0
-    for s in range(nsec):
-        mult = int(nimrep.matrices[s, a, b])
-        if mult == 0:
+    for i, w in terms:
+        if abs(w) < 1e-14:
             continue
-        v, t = evaluate_character(chars[s], beta)
-        value += mult * v
-        tail += mult * t
+        v, t = evaluate_character(chars[i], beta)
+        value += (w * v).real
+        tail += abs(w) * t
     return value, tail
 
 
@@ -194,6 +229,8 @@ def cardy_transform_check(
     ``beta_hat = 4 pi^2 / beta``; the ``1/S_0t`` weight is what the unitary
     normalization of psi requires for the two sides to agree.
     """
+    if cardy.nimrep.ring != md.ring:
+        raise StructuralError("the nimrep and the modular data have different fusion rings")
     if md.size == 1:
         raise StructuralError(
             "one-sector data has no honest modular check; supply a genuine "
@@ -205,17 +242,13 @@ def cardy_transform_check(
         )
     beta_hat = 4.0 * math.pi**2 / beta
     direct, tail_d = annulus_partition(cardy.nimrep, chars, a, b, beta)
-    transformed = 0.0
-    tail_t = 0.0
     S0 = md.S[0].real
     psi = cardy.psi
-    for col, t in enumerate(cardy.exponents):
-        weight = psi[a, col] * np.conj(psi[b, col]) / S0[t]
-        if abs(weight) < 1e-14:
-            continue
-        v, tl = evaluate_character(chars[t], beta_hat)
-        transformed += (weight * v).real
-        tail_t += abs(weight) * tl
+    transformed, tail_t = _character_sum(
+        chars,
+        ((t, psi[a, col] * np.conj(psi[b, col]) / S0[t]) for col, t in enumerate(cardy.exponents)),
+        beta_hat,
+    )
     tail = tail_d + tail_t
     if tail > TRANSFORM_TOL:
         raise NumericDegeneracyError(
@@ -232,5 +265,5 @@ def cardy_transform_check(
         transformed=transformed,
         residual=residual,
         tail_bound=tail,
-        tolerance=max(TRANSFORM_TOL, tail),
+        tolerance=TRANSFORM_TOL,
     )

@@ -408,7 +408,7 @@ def enumerate_nimreps(ring: FusionRing, size: int, tol: float = DEFAULT_TOL) -> 
     if size < 1:
         raise StructuralError("nimrep size must be >= 1")
     if ring.size == 1:
-        return [Nimrep(ring, (np.eye(size, dtype=np.int64),))] if size == 1 else []
+        return [Nimrep(ring, (np.eye(size, dtype=np.int64),))]
     gens, plan = _select_generators(ring)
     candidates = [_candidate_generator_matrices(ring, g, size, tol, ordered=k == 0) for k, g in enumerate(gens)]
     counts = [len(c) for c in candidates]

@@ -20,11 +20,7 @@ import numpy as np
 
 from .catalog import CATALOG_NAMES, CategoryData, catalog
 from .category import validate_axioms
-from .characters import (
-    annulus_partition,
-    cardy_transform_check,
-    minimal_model_characters,
-)
+from .characters import annulus_partition, cardy_transform_check, sector_characters
 from .classify import (
     Nimrep,
     cardy_solve,
@@ -184,47 +180,11 @@ def cmd_cardy(args, data: CategoryData):
     return (EXIT_OK if sol.residual < max(args.tolerance, 1e-9) else EXIT_INVALID), ({}, payload)
 
 
-def _characters_for(data: CategoryData, order: int):
-    """Match sectors to minimal-model Kac fields through c and the T phases."""
-    if data.central_charge is None:
-        raise StructuralError("partition requires central_charge in the category file")
-    c = data.central_charge
-    found = None
-    for p in range(2, 60):
-        for pp in range(p + 1, 61):
-            if math.gcd(p, pp) != 1:
-                continue
-            if abs(1.0 - 6.0 * (pp - p) ** 2 / (p * pp) - c) < 1e-8:
-                found = (p, pp)
-                break
-        if found:
-            break
-    if not found:
-        raise StructuralError(f"central charge {c} is not a minimal-model value")
-    chars = minimal_model_characters(*found, order)
-    out = []
-    for s in range(data.ring.size):
-        phase = data.modular.T[s]
-        h_frac = float(np.angle(phase) / (2 * math.pi)) % 1.0
-        hits = {
-            round(series.h, 9): series
-            for series in chars.values()
-            if abs((series.h - h_frac + 0.5) % 1.0 - 0.5) < 1e-8
-        }
-        if len(hits) != 1:
-            raise StructuralError(
-                f"sector {data.ring.labels[s]}: T phase matches {len(hits)} "
-                f"Kac weights; cannot infer the character"
-            )
-        out.append(next(iter(hits.values())))
-    return out
-
-
 def cmd_partition(args, data: CategoryData):
     nr = _load_nimrep(args, data)
     if nr is None:
         return EXIT_INVALID, None
-    chars = _characters_for(data, args.order)
+    chars = sector_characters(data, args.order)
     value, tail = annulus_partition(nr, chars, args.a, args.b, args.beta)
     print(f"Z_({args.a},{args.b})(beta={args.beta:g}) = {value:.12g}  (tail <= {tail:.3e})")
     payload = {"value": value, "tail_bound": tail}

@@ -56,7 +56,7 @@ import numpy as np
 from .category import CategoryPresentation, _runs
 from .classify import check_coupling
 from .errors import DataInconsistencyError, NumericDegeneracyError
-from .qsystems import QSystemSpec, _check_lambda, _scatter
+from .qsystems import QSystemSpec, _check_lambda, _require_bound, _scatter
 from .rings import DEFAULT_TOL, FusionRing
 
 __all__ = [
@@ -279,6 +279,9 @@ class IndexLedger:
 def index_ledger(
     ring: FusionRing, q: QSystemSpec, Z: np.ndarray, tol: float = DEFAULT_TOL
 ) -> IndexLedger:
+    """Index bookkeeping of theta and Z.  A theta whose length is not the ring's
+    size, or that breaks ``m_s <= floor(d_s)``, is malformed (StructuralError)."""
+    _require_bound(q.theta, ring)
     d = ring.fp_dims
     lam = q.d_theta(ring)
     lam_plus = float(np.einsum("st,s,t->", check_coupling(Z, ring.size).astype(float), d, d))

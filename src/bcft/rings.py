@@ -34,10 +34,11 @@ def check_integers(values, what: str) -> np.ndarray:
     outside int64, a non-zero imaginary part or a non-number is malformed
     (StructuralError), never truncated."""
     values = np.asarray(values)
-    if values.dtype.kind in "biu":
+    kind = values.dtype.kind
+    if kind in "bi" or (kind == "u" and not np.any(values > 2**63 - 1)):
         return values.astype(np.int64)
     # comparisons with NaN are False, so NaN fails both tests
-    if values.dtype.kind not in "fc" or not np.all((np.abs(values) < 2.0**63) & (values == np.rint(values.real))):
+    if kind not in "fc" or not np.all((np.abs(values) < 2.0**63) & (values == np.rint(values.real))):
         raise StructuralError(f"{what} must be finite integers")
     return values.real.astype(np.int64)
 

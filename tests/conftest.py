@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -75,6 +76,28 @@ def pointed_category(name, order, add, c, central_charge):
     F = dict.fromkeys(label_tuples(ring.f_key_array), 1.0)
     R = {(a, b, ab): c(a, b) for a, b, ab in label_tuples(ring.r_key_array)}
     return CategoryData(name, ring, md, CategoryPresentation(ring, F, R), central_charge)
+
+
+def _moved_phase(data):
+    """``data`` with the T phase of sector 1 moved to h = 0.3 mod 1."""
+    T = data.modular.T.copy()
+    T[1] = np.exp(2j * math.pi * 0.3)
+    return dataclasses.replace(data, modular=ModularData(data.ring, data.modular.S, T))
+
+
+# categories whose sectors get no minimal-model character, with the refusal
+SECTOR_REFUSALS = {
+    "no central charge": (
+        lambda: dataclasses.replace(ising(), central_charge=None),
+        "partition requires central_charge in the category file",
+    ),
+    "su2_1": (lambda: su2(1), "central charge 1.0 is not a minimal-model value"),
+    # no c = 1/2 field has h = 0.3 mod 1
+    "no Kac weight": (
+        lambda: _moved_phase(ising()),
+        "sector 1/16: T phase matches 0 Kac weights; cannot infer the character",
+    ),
+}
 
 
 def group_algebra(data, subgroup, psi=lambda a, b: 1.0):

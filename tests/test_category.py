@@ -308,6 +308,27 @@ def test_multiplicity_rejected(fib_data):
         CategoryPresentation(ring, {}, {})
 
 
+def test_non_commutative_fusion_rejected():
+    """The group ring of S3 is multiplicity-free but not commutative, so it has no braiding."""
+    group = list(itertools.permutations(range(3)))
+    times = lambda g, h: tuple(g[i] for i in h)  # noqa: E731
+    N = np.zeros((6, 6, 6), dtype=np.int64)
+    for (i, g), (j, h) in itertools.product(enumerate(group), repeat=2):
+        N[i, j, group.index(times(g, h))] = 1
+    dual = [next(j for j, h in enumerate(group) if times(g, h) == group[0]) for g in group]
+    ring = FusionRing([str(g) for g in group], dual, N)
+    with pytest.raises(StructuralError, match="braidable fusion rules must be commutative"):
+        CategoryPresentation(ring, {}, {})
+
+
+def test_mapping_key_of_the_wrong_width_is_structural(ising_data):
+    F, R = fr_tables(ising_data.presentation)
+    with pytest.raises(StructuralError, match=r"inadmissible F entry supplied: \(0, 0, 0\)"):
+        CategoryPresentation(ising_data.ring, {**F, (0, 0, 0): 1.0}, R)
+    with pytest.raises(StructuralError, match=r"inadmissible R entry supplied: \(0, 0, 0, 0\)"):
+        CategoryPresentation(ising_data.ring, F, {**R, (0, 0, 0, 0): 1.0})
+
+
 def _hom_space_dim(ring, src, tgt):
     return sum(hom_dim(ring, src, c) * hom_dim(ring, tgt, c) for c in range(ring.size))
 

@@ -1,13 +1,18 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from conftest import SECTOR_REFUSALS
 
+from bcft.catalog import ising
 from bcft.characters import (
+    TRANSFORM_TOL,
     annulus_partition,
     cardy_transform_check,
     evaluate_character,
     minimal_model_characters,
+    sector_characters,
 )
 from bcft.classify import cardy_solve, enumerate_modular_invariants, regular_nimrep
 from bcft.errors import NumericDegeneracyError, StructuralError
@@ -44,11 +49,31 @@ def fermionic_oracle(order):
 
 
 def ising_characters(order):
-    chars = minimal_model_characters(3, 4, order)
-    by_h = {}
-    for series in chars.values():
-        by_h[round(series.h, 9)] = series
-    return by_h[0.0], by_h[round(1 / 16, 9)], by_h[0.5]
+    return tuple(sector_characters(ising(), order))
+
+
+@pytest.mark.parametrize("p, pp", [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (5, 6), (6, 7)])
+@pytest.mark.parametrize("order", [0, 1, 60])
+def test_each_kac_field_appears_once(p, pp, order):
+    """(r, s) and (p-r, p'-s) name one field: it appears once, under p' r > p s,
+    and the fields have distinct weights, the h_{r,s} of the whole Kac table."""
+    chars = minimal_model_characters(p, pp, order)
+    assert len(chars) == (p - 1) * (pp - 1) // 2
+    assert all(pp * r > p * s for r, s in chars)
+    kac = {
+        round(((pp * r - p * s) ** 2 - (pp - p) ** 2) / (4 * p * pp), 12)
+        for r in range(1, p)
+        for s in range(1, pp)
+    }
+    assert sorted(round(series.h, 12) for series in chars.values()) == sorted(kac)
+    assert all(series.order == order and series.coeffs[0] == 1 for series in chars.values())
+
+
+@pytest.mark.parametrize("case", SECTOR_REFUSALS)
+def test_sector_characters_refusals(case):
+    make, message = SECTOR_REFUSALS[case]
+    with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+        sector_characters(make(), 10)
 
 
 def test_rocha_caridi_matches_fermionic_oracle_to_order_100():
@@ -87,6 +112,8 @@ def test_input_validation():
         minimal_model_characters(4, 3, 10)  # p >= p'
     with pytest.raises(StructuralError):
         minimal_model_characters(3, 4, 10**4 + 1)
+    with pytest.raises(StructuralError, match="truncation order must be finite integers"):
+        minimal_model_characters(3, 4, 2**63)  # beyond int64, not wrapped to a negative order
 
 
 INTEGER_ARGUMENTS = {
@@ -215,6 +242,13 @@ def test_cardy_transform_all_pairs(ising_data, beta):
             assert report.passed
             assert report.residual < 1e-6
             assert report.beta_hat == pytest.approx(4 * math.pi**2 / beta)
+            assert report.tolerance == TRANSFORM_TOL
+
+
+def test_transform_check_rejects_modular_data_of_another_ring(ising_data, fib_data):
+    sol = cardy_solve(regular_nimrep(ising_data.ring), ising_data.modular)
+    with pytest.raises(StructuralError, match="the nimrep and the modular data have different fusion rings"):
+        cardy_transform_check(sol, fib_data.modular, ising_characters(60), 0, 0, 2 * math.pi)
 
 
 def test_window_enforced(ising_data):

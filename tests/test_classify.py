@@ -172,11 +172,14 @@ def test_ising_size2_empty(ising_data):
     assert enumerate_nimreps(ising_data.ring, 2) == []
 
 
-def test_trivial_ring_size1():
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_trivial_ring_every_size(size):
+    """The one nimrep of the vacuum alone is the identity, a direct sum of size copies of [[1]]."""
     ring = FusionRing(["0"], [0], np.ones((1, 1, 1), dtype=np.int64))
-    nims = enumerate_nimreps(ring, 1)
+    nims = enumerate_nimreps(ring, size)
     assert len(nims) == 1
-    assert nims[0].matrices[0].tolist() == [[1]]
+    assert nims[0].matrices.tolist() == [np.eye(size, dtype=int).tolist()]
+    assert nims[0].validate() == []
 
 
 def test_fibonacci_size2_is_regular(fib_data):

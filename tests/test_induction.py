@@ -207,6 +207,22 @@ def test_index_ledger_fibonacci(fib_data):
     assert led.haag_dual
 
 
+@pytest.mark.parametrize(
+    "theta, message",
+    [
+        ((1, 0), "theta length must equal the number of sectors"),
+        ((1, 0, 1, 0, 0), "theta length must equal the number of sectors"),
+        ((1, 5, 0), r"multiplicity bound at sector 1: 5 > floor\(d_1\)"),
+    ],
+    ids=["short", "long", "over-bound"],
+)
+def test_index_ledger_checks_theta(ising_data, theta, message):
+    """lambda = d(theta) is read only from a theta the ring admits: no silent
+    truncation to the first sectors, no IndexError, no theta over floor(d_s)."""
+    with pytest.raises(StructuralError, match=message):
+        index_ledger(ising_data.ring, QSystemSpec(theta, {}), np.eye(3, dtype=np.int64))
+
+
 def test_dhr_orbit_thetas_ising(ising_data):
     nr = regular_nimrep(ising_data.ring)
     thetas = dhr_orbit_thetas(np.eye(3, dtype=np.int64), nr)

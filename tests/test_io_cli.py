@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import SECTOR_REFUSALS
 
 from bcft.catalog import catalog, fibonacci, ising
 from bcft.classify import compatibility, enumerate_modular_invariants, enumerate_nimreps, regular_nimrep
@@ -638,6 +639,34 @@ def test_cli_partition_character_overflow_exits_3(ising_file, nimrep_file, capsy
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric degeneracy: ") and "beta=100000" in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("case", SECTOR_REFUSALS)
+def test_cli_partition_refuses_sectors_without_a_character(tmp_path, case, capsys):
+    make, message = SECTOR_REFUSALS[case]
+    data = make()
+    category, nimrep = tmp_path / "category.json", tmp_path / "nimrep.json"
+    save_category(data, category)
+    nimrep.write_text(json.dumps({"n": regular_nimrep(data.ring).matrices.tolist()}))
+    capsys.readouterr()
+    assert main(["partition", str(category), str(nimrep), "--a", "0", "--b", "0", "--beta", "5"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_out_of_range_n_entry_and_lambda_channel_are_malformed(ising_file, car_file, tmp_path, capsys):
+    """An N entry naming sector 3 of 3, or a lambda entry on channel 1, is
+    refused by the loader with its own message (exit 2 through the CLI)."""
+    bad = tmp_path / "bad.json"
+    cases = [
+        (["validate", str(bad)], _replaced(ising_file, ("N", 0), [0, 0, 3, 1]), "N entry out of range: [0, 0, 3, 1]"),
+        (["induce", str(ising_file), str(bad)], _replaced(car_file, ("lambda", 0, "channel"), 1),
+         "multiplicity-free categories have a single fusion channel; channel must be 0"),
+    ]
+    for argv, content, message in cases:
+        bad.write_bytes(content)
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import pytest
 from bcft.errors import StructuralError
 from bcft.rings import (
     FusionRing,
+    check_integers,
     fp_dimensions,
     global_dimension,
     validate_ring,
@@ -175,11 +176,26 @@ def test_tree_cache_freed_with_ring(ising_data):
     assert ref() is None
 
 
+def test_unsigned_integers_beyond_int64_are_malformed():
+    """numpy reads a Python int above 2^63 - 1 as uint64; it is out of int64
+    range and must not wrap to a negative value."""
+    for bad in (2**63, np.array([2**64 - 1], dtype=np.uint64)):
+        with pytest.raises(StructuralError, match="x must be finite integers"):
+            check_integers(bad, "x")
+    assert check_integers(np.array([2**63 - 1, 3], dtype=np.uint64), "x").tolist() == [2**63 - 1, 3]
+
+
 def test_structural_errors():
     with pytest.raises(StructuralError):
         FusionRing(["0", "x"], [0, 1], np.zeros((2, 2)))  # bad shape
     with pytest.raises(StructuralError):
         FusionRing(["0"], [0], np.array([[[0.5]]]))  # non-integer
+    with pytest.raises(StructuralError, match="at least the vacuum sector"):
+        FusionRing([], [], np.zeros((0, 0, 0), dtype=np.int64))
+    with pytest.raises(StructuralError, match="sector labels must be distinct"):
+        FusionRing(["0", "0"], [0, 1], np.zeros((2, 2, 2), dtype=np.int64))
+    with pytest.raises(StructuralError, match="dual must be a length-2 list of sector indices"):
+        FusionRing(["0", "1"], [0, 2], np.zeros((2, 2, 2), dtype=np.int64))
 
 
 @pytest.mark.parametrize("n_mutations", [100])
