@@ -98,6 +98,9 @@ class CategoryPresentation:
     array and the values in the same row order (as the category file loader
     and the su2 catalog do).  All admissible entries must be supplied once
     (including those with vacuum legs), and no others, and all must be finite.
+
+    ``axiom_maps`` maps each theta to its Q-system axiom map, filled on first
+    use by ``qsystems._axiom_map``; F and R are read-only, so no map goes stale.
     """
 
     def __init__(self, ring: FusionRing, F, R):
@@ -114,6 +117,7 @@ class CategoryPresentation:
         self.R = np.zeros(ring.N.shape, dtype=complex)
         self.R[ring.N > 0] = _symbol_values("R", R, ring.r_key_array, ring.size)  # r_key_array order
         self.R.setflags(write=False)
+        self.axiom_maps = {}
 
     def f(self, a, b, c, d, e, f) -> np.ndarray:
         """``F[a,b,c,d,e,f]`` at broadcast label arrays in ``0..n-1`` (others raise

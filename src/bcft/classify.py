@@ -527,14 +527,19 @@ def compatibility(Z, nimrep: Nimrep, md: ModularData):
 
 
 def check_coupling(Z, n: int) -> np.ndarray:
-    """``Z`` as an int64 array, if it is an n x n matrix of finite,
-    non-negative integers; anything else is malformed (StructuralError)."""
+    """``Z`` as an int64 array, if it is an n x n matrix of real numbers that
+    :func:`check_integers` reads as non-negative integers; anything else,
+    booleans included, is malformed (StructuralError)."""
     try:
         Z = np.asarray(Z)
     except ValueError:  # rows of different lengths
         raise StructuralError(f"Z must be {n}x{n}") from None
     if Z.shape != (n, n):
         raise StructuralError(f"Z must be {n}x{n}")
-    if Z.dtype.kind not in "iuf" or not (np.isfinite(Z) & (Z >= 0) & (Z == np.round(Z))).all():
+    try:
+        ints = check_integers(Z, "Z entries") if Z.dtype.kind in "iuf" else None
+    except StructuralError:
+        ints = None
+    if ints is None or np.any(ints < 0):
         raise StructuralError("Z must hold finite non-negative integers")
-    return Z.astype(np.int64)
+    return ints

@@ -46,13 +46,6 @@ class ModularData:
     def size(self) -> int:
         return self.ring.size
 
-    def conjugation_matrix(self) -> np.ndarray:
-        n = self.size
-        C = np.zeros((n, n), dtype=complex)
-        for s in range(n):
-            C[s, self.ring.dual[s]] = 1.0
-        return C
-
 
 def validate_modular(md: ModularData, tol: float = DEFAULT_TOL) -> list[str]:
     """Check unitarity, symmetry, S^2 = C and (ST)^3 = S^2 up to a global phase."""
@@ -72,8 +65,7 @@ def validate_modular(md: ModularData, tol: float = DEFAULT_TOL) -> list[str]:
     if r > tol:
         bad.append(f"T entries not unimodular (residual {r:.2e})")
 
-    C = md.conjugation_matrix()
-    r = np.max(np.abs(S @ S - C))
+    r = np.max(np.abs(S @ S - np.eye(n)[list(md.ring.dual)]))  # C[s, dual s] = 1
     if r > tol:
         bad.append(f"S^2 != C (residual {r:.2e})")
 

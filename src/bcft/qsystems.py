@@ -7,9 +7,11 @@ coefficient tensor ``lam[(p, q, r)]`` over summand slots of ``theta``
 prefactor), and ``w`` is the canonical isometry onto the vacuum summand.
 
 The axioms are polynomials of degree at most 2 in ``lam``; ``_AxiomMap`` writes
-them once per theta as a sparse quadratic map, which ``validate_qsystem`` and
-``charged_algebra`` evaluate.  ``_dense``, the one checked reader of a Q-system,
-rejects a wrong-length or over-bound theta before it builds theta^3, then a
+them as a sparse quadratic map, which ``_axiom_map`` builds once per theta and
+keeps on the presentation.  ``search_qsystems``, ``validate_qsystem``,
+``charged_algebra`` and the isometry check of the induction maps read it.
+``_dense``, the one checked reader of a Q-system, rejects a wrong-length or
+over-bound theta before it builds theta^3, then a
 ``lam`` entry off the fusion channels; every map of ``lam`` takes its arrays, and
 the tests check them all against a morphism calculus.  ``search_qsystems`` writes
 the map as ``_RealForm``, real and quadratic in the free channels, and solves the
@@ -21,6 +23,7 @@ update.  It reports an explicit status and never silently drops a non-converged 
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -52,8 +55,8 @@ class QSystemSpec:
 
     Theta entries and lambda keys must be integers (:func:`check_integers`;
     ``2.0`` counts, ``1.6`` is rejected, never truncated), each key a triple
-    of summand slots, and lambda values finite, or construction raises
-    StructuralError.
+    of summand slots, and lambda values finite numbers, Python or numpy, or
+    construction raises StructuralError.
     """
 
     def __init__(self, theta, lam: dict):
@@ -71,6 +74,8 @@ class QSystemSpec:
             p, q, r = slots.tolist()
             if not all(0 <= i < nslots for i in (p, q, r)):
                 raise StructuralError(f"lambda key {key} out of slot range")
+            if not isinstance(val, numbers.Number):
+                raise StructuralError(f"lambda value at {key} must be a number, got {val!r}")
             val = complex(val)
             if not np.isfinite(val):
                 raise StructuralError(f"lambda value at {key} must be finite, got {val}")
@@ -117,17 +122,11 @@ def _dense(q: QSystemSpec, ring) -> tuple:
 
 
 def _check_lambda(q: QSystemSpec, cat: CategoryPresentation) -> tuple:
-    """``_dense(q, cat.ring)`` after checking that ``x* x = id``.
-
-    ``x* x`` is block diagonal over charge: its entry at two slots ``(a, b)``
-    of one sector is ``sum_{p,q} conj(lam[p,q,a]) lam[p,q,b]``.
-    """
-    sec, lam = _dense(q, cat.ring)
-    gram = np.einsum("pqa,pqb->ab", lam.conj(), lam) - np.eye(len(sec))
-    resid = float(np.max(np.abs(gram[sec[:, None] == sec])))
+    """``_dense(q, cat.ring)`` after checking that ``x* x = id``, the isometry axiom of ``_axiom_residuals``."""
+    resid = _axiom_residuals(q, cat)["isometry"]
     if resid > 1e-6:
         raise DataInconsistencyError(f"lambda does not define an isometry (residual {resid:.2e})")
-    return sec, lam
+    return _dense(q, cat.ring)
 
 
 def _scatter(at: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
@@ -201,6 +200,15 @@ class _AxiomMap:
         """The complex residual rows at ``lam``."""
         y = np.concatenate([lam, lam.conj(), [1.0]])
         return self.r0 + _scatter(self.row, self.coef * (y[self.i] * y[self.j]), len(self.r0))
+
+
+def _axiom_map(cat: CategoryPresentation, spec: QSystemSpec) -> _AxiomMap:
+    """The axiom map at the theta of ``spec``, kept in ``cat.axiom_maps``; the
+    first use checks the multiplicity bound and builds it."""
+    if spec.theta not in cat.axiom_maps:
+        _require_bound(spec.theta, cat.ring)
+        cat.axiom_maps[spec.theta] = _AxiomMap(cat, spec)
+    return cat.axiom_maps[spec.theta]
 
 
 def _stacked_sums(at: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
@@ -283,7 +291,7 @@ def validate_qsystem(q: QSystemSpec, cat: CategoryPresentation, tol: float = DEF
 def _axiom_residuals(q: QSystemSpec, cat: CategoryPresentation) -> dict:
     """The largest residual of each axiom, from the arrays of ``_dense``."""
     _, lam = _dense(q, cat.ring)
-    axioms = _AxiomMap(cat, q)
+    axioms = _axiom_map(cat, q)
     z = np.abs(axioms.rows(lam[axioms.index >= 0]))
     return {name: float(np.max(z[part], initial=0.0)) for name, part in axioms.parts.items()}
 
@@ -513,8 +521,7 @@ def search_qsystems(
     spec = QSystemSpec(theta, {})
     if n_starts < 1:
         raise StructuralError(f"the search needs at least one start, got {n_starts}")
-    _require_bound(spec.theta, cat.ring)
-    axioms = _AxiomMap(cat, spec)
+    axioms = _axiom_map(cat, spec)
     channels = np.array(axioms.channels)
     p, q, r = channels.T
     unit = ((p == 0) & (q == r)) | ((q == 0) & (p == r))

@@ -102,10 +102,6 @@ class FusionRing:
     def __repr__(self):
         return f"FusionRing({list(self.labels)})"
 
-    def fusion_matrix(self, s: int) -> np.ndarray:
-        """Matrix ``(N^s)[t, u] = N[s, t, u]``."""
-        return self.N[s]
-
     @cached_property
     def r_key_array(self) -> np.ndarray:
         """Admissible R-symbol labels as a read-only int64 ``(M, 3)`` array: the

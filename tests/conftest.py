@@ -85,6 +85,10 @@ def _moved_phase(data):
     return dataclasses.replace(data, modular=ModularData(data.ring, data.modular.S, T))
 
 
+# 3 x 3 couplings whose entries fall outside int64: a cast would wrap them, to -1 and to -2^63
+OUT_OF_RANGE_Z = (np.diag(np.array([1, 2**64 - 1, 1], dtype=np.uint64)), np.diag([1.0, 1e300, 1.0]))
+
+
 # categories whose sectors get no minimal-model character, with the refusal
 SECTOR_REFUSALS = {
     "no central charge": (
@@ -277,12 +281,21 @@ def reference_canonical_key(matrices, size):
 def brute_force_nimreps(ring, size: int, tol: float = 1e-9):
     """Oracle: nimrep orbits from generator matrices bounded only by entry
     size and row norm, derived one tuple at a time, verified, deduplicated by
-    :func:`reference_canonical_key` and listed in key order."""
+    :func:`reference_canonical_key` and listed in key order.  The fusion ring
+    is commutative, so every nimrep has ``n^g n^h = n^h n^g``: one stacked test
+    per pair of generators drops the tuples that break it before any is derived."""
     gens, plan = _select_generators(ring)
-    candidate_lists = [_row_norm_generator_matrices(ring, g, size, tol) for g in gens]
+    candidate_lists = [np.array(_row_norm_generator_matrices(ring, g, size, tol)) for g in gens]
+    commute = {
+        (i, j): np.all(np.einsum("axy,byz->abxz", A, B) == np.einsum("bxy,ayz->abxz", B, A), axis=(2, 3))
+        for (i, A), (j, B) in itertools.combinations(enumerate(candidate_lists), 2)
+    }
     found = {}
     eye = np.eye(size, dtype=np.int64)
-    for combo in itertools.product(*candidate_lists):
+    for picks in itertools.product(*map(range, map(len, candidate_lists))):
+        if not all(ok[picks[i], picks[j]] for (i, j), ok in commute.items()):
+            continue
+        combo = [cands[k] for cands, k in zip(candidate_lists, picks)]
         mats = reference_derive_all(ring, {0: eye, **dict(zip(gens, combo))}, plan)
         if mats is None:
             continue

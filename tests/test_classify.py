@@ -6,7 +6,13 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import brute_force_invariants, brute_force_nimreps, reference_canonical_key, reference_commutant
+from conftest import (
+    OUT_OF_RANGE_Z,
+    brute_force_invariants,
+    brute_force_nimreps,
+    reference_canonical_key,
+    reference_commutant,
+)
 
 from bcft import classify
 from bcft.catalog import catalog
@@ -262,7 +268,7 @@ def test_compatibility_tables(ising_data, fib_data, z3_data):
     with pytest.raises(StructuralError, match="Z must be 3x3"):
         compatibility([[1, 0, 0], [0, 1], [0, 0, 1]], reg, ising_data.modular)
     # Z holds finite non-negative integers: 1.5 I is not read as I
-    for Z in (1.5 * np.eye(3), np.diag([1, 1, -1]), np.full((3, 3), math.nan), np.diag([1, math.inf, 1])):
+    for Z in (1.5 * np.eye(3), np.diag([1, 1, -1]), np.full((3, 3), math.nan), np.diag([1, math.inf, 1]), *OUT_OF_RANGE_Z):
         with pytest.raises(StructuralError, match="Z must hold finite non-negative integers"):
             compatibility(Z, reg, ising_data.modular)
     # the nimrep's count and shape are checked when it is built, before compatibility reads it

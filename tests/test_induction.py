@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import gauge_transform, group_algebra, random_vertex_gauge
+from conftest import OUT_OF_RANGE_Z, gauge_transform, group_algebra, random_vertex_gauge
 from morphisms import Morphism, assemble_x, braiding, compose, conjugation_pair, frobenius_residual, hom_dim, identity
 from morphisms import simple_word, sum_word, tensor
 
@@ -237,7 +237,7 @@ def test_coupling_inputs_are_checked(ising_data, ising_cat):
     for call in calls:
         with pytest.raises(StructuralError, match="Z must be 3x3"):
             call(np.diag([1, 2]))  # its trace is the nimrep's size
-        for Z in (1.5 * np.eye(3), np.diag([1, 0, -1]), np.full((3, 3), np.nan)):
+        for Z in (1.5 * np.eye(3), np.diag([1, 0, -1]), np.full((3, 3), np.nan), *OUT_OF_RANGE_Z):
             with pytest.raises(StructuralError, match="Z must hold finite non-negative integers"):
                 call(Z)
         call(np.eye(3))  # integer values in a float array are read exactly

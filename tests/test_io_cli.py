@@ -30,7 +30,7 @@ from bcft.io import (
     save_category,
     save_qsystem,
 )
-from bcft.qsystems import DEFAULT_STARTS, car_qsystem, fingerprint, regular_qsystem
+from bcft.qsystems import DEFAULT_STARTS, QSystemSpec, car_qsystem, fingerprint, regular_qsystem
 from bcft.rings import DEFAULT_TOL
 
 
@@ -431,6 +431,30 @@ def test_cli_induce_checks_its_invariant(ising_file, car_file, monkeypatch, caps
         assert main(["induce", str(ising_file), str(car_file)]) == 1
         out, err = capsys.readouterr()
         assert out == "" and message in err
+
+
+def test_cli_induce_reports_an_invalid_qsystem(tmp_path, ising_file, ising_data, capsys):
+    """A Q-system that fails validate_qsystem (the Ising CAR with lambda(0, 1, 1)
+    doubled) is a verification failure: exit 1, its residuals on stdout."""
+    car = car_qsystem(ising_data.presentation)
+    doubled = tmp_path / "doubled.json"
+    save_qsystem(QSystemSpec(car.theta, {**car.lam, (0, 1, 1): 2 * car.lam[(0, 1, 1)]}), doubled)
+    capsys.readouterr()
+    assert main(["induce", str(ising_file), str(doubled)]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("q-system invalid: ") and err == ""
+
+
+def test_cli_fr_commands_refuse_a_file_without_fr(tmp_path, ising_file, car_file, capsys):
+    """induce and qsearch need F and R; a category file without them is malformed input."""
+    doc = json.loads(ising_file.read_text())
+    del doc["F"], doc["R"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(doc))
+    for command, argv in (("induce", [str(car_file)]), ("qsearch", ["--theta", "1,0,1"])):
+        capsys.readouterr()
+        assert main([command, str(bare), *argv]) == 2, command
+        assert capsys.readouterr() == ("", f"error: {command} requires F/R data in the category file\n")
 
 
 def test_cli_induce_reruns_identical(tmp_path, ising_file, car_file):

@@ -8,7 +8,8 @@ import pytest
 from conftest import gauge_transform, random_vertex_gauge
 from morphisms import Morphism, Word, assemble_x, braiding, compose, identity, sum_word, tensor
 
-from bcft.category import validate_axioms
+from bcft import qsystems
+from bcft.category import CategoryPresentation, validate_axioms
 from bcft.errors import DataInconsistencyError, StructuralError
 from bcft.induction import charged_field_basis, coupling_from_qsystem
 from bcft.io import dump_canonical, qsystem_to_dict
@@ -24,7 +25,7 @@ from bcft.qsystems import (
     trivial_qsystem,
     validate_qsystem,
 )
-from bcft.qsystems import STOP_TOL, _AxiomMap, _dense, _fingerprints, _Fit, _RealForm
+from bcft.qsystems import STOP_TOL, _AxiomMap, _check_lambda, _dense, _fingerprints, _Fit, _RealForm
 from bcft.rings import DEFAULT_TOL
 
 
@@ -142,6 +143,37 @@ def test_axiom_map_matches_morphism_residuals(ising_data, fib_data, su2_4_data, 
         x = assemble_x(q, cat, require_isometry=False)
         want = compose(braiding(cat, th, th), x).residual(x)
         assert is_local(q, cat)[1] == pytest.approx(want, abs=1e-13)
+
+
+def test_each_theta_builds_one_axiom_map(su2_level, monkeypatch):
+    """The E6 chain at su2_10 (search, validate, charged algebra, coupling and
+    the 12 field bases) builds its axiom map once, on a fresh presentation; the
+    isometry check of the induction maps reads that map too."""
+    data = su2_level(10)
+    ring, shared = data.ring, data.presentation
+    cat = CategoryPresentation(ring, (ring.f_key_array, shared.f_values), (ring.r_key_array, shared.R[ring.N > 0]))
+    built = []
+
+    class CountedAxiomMap(_AxiomMap):
+        def __init__(self, cat, spec):
+            built.append(spec.theta)
+            super().__init__(cat, spec)
+
+    monkeypatch.setattr(qsystems, "_AxiomMap", CountedAxiomMap)
+    e6 = tuple(1 if a in (0, 6) else 0 for a in range(11))
+    q = search_qsystems(cat, e6, n_starts=12, seed=1).solutions[0]
+    assert validate_qsystem(q, cat)["valid"]
+    charged_algebra(q, cat)
+    Z = coupling_from_qsystem(cat, q)
+    pairs = list(zip(*np.nonzero(Z)))
+    assert len(pairs) == 12
+    for sigma, tau in pairs:
+        charged_field_basis(cat, q, int(sigma), int(tau))
+    assert built == [e6] and list(cat.axiom_maps) == [e6]
+    doubled = QSystemSpec(q.theta, {key: 2 * value for key, value in q.lam.items()})
+    with pytest.raises(DataInconsistencyError, match="lambda does not define an isometry"):
+        _check_lambda(doubled, cat)
+    assert built == [e6]
 
 
 def _central_differences(fun, x, h=1e-3):
@@ -561,9 +593,10 @@ def test_local_implies_trivial_monodromy_on_channels(su2_4_data):
 
 def test_qsystem_spec_takes_integer_labels_and_finite_values(ising_data):
     """A fractional theta entry or lambda key is rejected, not truncated into
-    the CAR Q-system, and a non-finite lambda value is rejected before any
-    reader (SVD, charged algebra, fingerprint) sees it; integral values such
-    as 2.0 and np.int64(2) keep working."""
+    the CAR Q-system, and a non-finite lambda value, or one that is not a
+    number, is rejected before any reader (SVD, charged algebra, fingerprint)
+    sees it; integral values such as 2.0 and np.int64(2) keep working, and so
+    do Python and numpy numbers as lambda values."""
     cat = ising_data.presentation
     car = car_qsystem(cat)
     value = car.lam[(0, 1, 1)]
@@ -575,6 +608,11 @@ def test_qsystem_spec_takes_integer_labels_and_finite_values(ising_data):
     for bad in (math.nan, math.inf, complex(0, math.nan), complex(-math.inf, 1)):
         with pytest.raises(StructuralError, match=r"lambda value at \(1, 1, 0\) must be finite"):
             QSystemSpec(car.theta, {**car.lam, (1, 1, 0): bad})
+    for bad in (None, "x", "1", [1, 2]):
+        with pytest.raises(StructuralError, match=r"lambda value at \(1, 1, 0\) must be a number"):
+            QSystemSpec(car.theta, {**car.lam, (1, 1, 0): bad})
+    for number in (1, 0.5j, np.float64(0.5), np.complex128(0.5j), np.int64(1)):
+        assert QSystemSpec(car.theta, {**car.lam, (1, 1, 0): number}).lam[(1, 1, 0)] == complex(number)
     integral = QSystemSpec((1.0, np.int64(0), 1), {**rest, (0.0, np.int64(1), 1.0): value})
     assert integral.theta == car.theta and integral.lam == {**rest, (0, 1, 1): value}
     assert validate_qsystem(integral, cat)["valid"]

@@ -24,7 +24,7 @@ def trivial_ring():
 
 def test_trivial_ring_valid():
     assert validate_ring(trivial_ring()) == []
-    assert trivial_ring().fusion_matrix(0).tolist() == [[1]]
+    assert trivial_ring().N[0].tolist() == [[1]]
     assert global_dimension(trivial_ring()) == pytest.approx(1.0)
 
 
@@ -65,12 +65,12 @@ def test_dim_floor_is_the_read_only_floor_of_each_dimension(all_catalogs, su2_le
 
 def test_ising_sigma_matrix_is_a3_path(ising_data):
     # sigma row/column pattern of the A3 path graph
-    n_sigma = ising_data.ring.fusion_matrix(1)
+    n_sigma = ising_data.ring.N[1]
     assert n_sigma.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
 
 
 def test_fibonacci_tau_matrix(fib_data):
-    assert fib_data.ring.fusion_matrix(1).tolist() == [[0, 1], [1, 1]]
+    assert fib_data.ring.N[1].tolist() == [[0, 1], [1, 1]]
 
 
 def test_fp_dimensions(ising_data, fib_data):
