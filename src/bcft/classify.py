@@ -5,13 +5,15 @@ the blocks of equal T gives the commutant of {S, T}, pivot entries are taken
 vacuum first (Z[0,0] = 1), then by ascending bound, their integer assignments
 are solved in batches and every candidate is re-verified.  Nimreps are
 enumerated on stacks of matrices, ``CHUNK`` at a time.  Generator matrices
-are filled in one entry at a time on a stack of batches of partial matrices,
-pruned by spectrum: one stacked eigensolve drops the partial matrices whose
-spectral radius exceeds the Frobenius-Perron dimension, and a complete one is
-kept only if its eigenvalues lie in the spectrum of the fusion matrix.  The
-first generator is searched up to relabeling: only matrices whose row sums
-do not increase, since sorting the boundaries by row sum puts one matrix of
-each orbit in that order.  The other matrices are derived from the
+are filled in one row at a time on a stack of batches of partial matrices:
+each batch is joined with a table of the rows within the entry and square-sum
+bounds, one stacked eigensolve drops the partial matrices whose spectral
+radius exceeds the Frobenius-Perron dimension, and a complete one is kept
+only if its eigenvalues lie in the spectrum of the fusion matrix.  The first
+generator is searched up to relabeling: its row sums do not increase, and
+each pair of neighbouring rows of equal sum is lexicographically least under
+their swap, which the lexicographically least labeling of each orbit with
+non-increasing row sums satisfies.  The other matrices are derived from the
 representation identity by batched products, deduplicated up to
 simultaneous boundary relabeling, and one representative per class is
 verified exactly.  A :class:`Nimrep` checks its own shape when it is built,
@@ -242,88 +244,78 @@ def _candidate_generator_matrices(
     """All n^g that pass the spectral conditions every nimrep meets, as an (m, size, size) stack.
 
     A nimrep matrix n^g is normal with eigenvalues among those of N^g, so
-    its spectral radius, and with it each entry, is at most d_g: entries run
-    up to ``ring.dim_floor[g]``, the ring's floor(d_g).  Entries are set in
-    order (mirrored when g is self-dual, where n^g and N^g are symmetric) and
-    unset entries are 0, so a partial matrix is entrywise below all its
-    completions.  A stack of batches of at most ``CHUNK`` partial matrices is
-    expanded one entry at a time: value 0 keeps a batch as it is, and each
-    larger value is tried on the matrices that kept the value below it.
-    Row and column square sums above ``floor(d_g^2)`` (with ``DEFAULT_TOL``
-    as its rounding guard) or a spectral radius above ``d_g + tol`` (one
-    stacked eigensolve; Perron-Frobenius monotonicity) drop a matrix for
-    that value and all larger ones, and a value that no matrix keeps ends
-    the loop.  Each partial matrix carries the eigenvalues of its
-    last eigensolve, so a complete one is decomposed no more than once: it
-    is kept if each of its eigenvalues lies within ``SPECTRUM_TOL`` of one
-    of N^g.  For a symmetric matrix that holds exactly when the minimal
-    polynomial of N^g annihilates it, and what a non-symmetric one lets
-    through is left to :meth:`Nimrep.validate`.
+    its spectral radius, and with it each row and column square sum, is at
+    most d_g: entries run up to ``ring.dim_floor[g]`` and square sums up to
+    ``floor(d_g^2)`` (with ``DEFAULT_TOL`` as its rounding guard).  The
+    matrix is filled one row at a time, and unset entries are 0, so a
+    partial matrix is entrywise below all its completions.  Row i takes
+    every vector of a table of rows within those bounds: columns i..size-1,
+    mirrored into column i, when g is self-dual (n^g and N^g are
+    symmetric), else the whole row.  A stack of batches of at most
+    ``CHUNK`` partial matrices is expanded a row at a time: the batch is
+    joined with the table, children whose row or column square sums exceed
+    the bound are dropped, and one stacked eigensolve drops those whose
+    spectral radius exceeds ``d_g + tol`` (Perron-Frobenius monotonicity).
+    A complete matrix is kept if each of its eigenvalues lies within
+    ``SPECTRUM_TOL`` of one of N^g.  For a symmetric matrix that holds
+    exactly when the minimal polynomial of N^g annihilates it, and what a
+    non-symmetric one lets through is left to :meth:`Nimrep.validate`.
 
-    With ``ordered``, only matrices whose row sums do not increase are
-    kept: while row i > 0 is filled, every child at a cell, value 0
-    included (row i may sum to more than row i - 1 from mirrored entries
-    alone), is dropped if row i sums to more than the complete row i - 1.
-    Entries are non-negative, so this too drops a matrix for all larger
-    values.  Every screen above is invariant under relabeling the rows and
-    columns together, and sorting the boundaries by row sum puts any n^g in
-    this order, so the ordered stack still meets every orbit of the
-    unordered one.  One relabeling acts on all the matrices of a nimrep at
-    once, so only one generator of a nimrep may be ordered.
+    With ``ordered``, few labelings of each relabeling class are kept.
+    Once row i is set, rows 0..i are complete, and a matrix M is dropped
+    if row i sums to more than row i - 1, or if the two sums are equal and
+    rows 0..i of M, read row-major, are lexicographically larger than those
+    of P M P, with P the swap of i - 1 and i.  Every screen above is
+    invariant under relabeling the rows and columns together, so the
+    lexicographically least relabeling M of a candidate with non-increasing
+    row sums meets its orbit, and M passes both rules: swapping two
+    neighbours of equal sum keeps the row sums non-increasing, so P M P is
+    no smaller than M, and rows 0..i decide any comparison in which they
+    differ.  One relabeling acts on all the matrices of a nimrep at once,
+    so only one generator of a nimrep may be ordered.
     """
     d = ring.fp_dims[g]
-    entry_bound = int(ring.dim_floor[g])
     row_bound = int(math.floor(d**2 + DEFAULT_TOL))
     symmetric = ring.dual[g] == g
     eigvals = np.linalg.eigvalsh if symmetric else np.linalg.eigvals
     spectrum = eigvals(ring.N[g].astype(float))
-    cells = (
-        [(i, j) for i in range(size) for j in range(i, size)]
-        if symmetric
-        else [(i, j) for i in range(size) for j in range(size)]
-    )
-
-    def in_order(batch, i):
-        """Which matrices of ``batch`` keep the row order at row i (all unless ``ordered``)."""
-        if not ordered or i == 0:
-            return np.ones(len(batch), dtype=bool)
-        sums = batch[:, i - 1 : i + 1].sum(axis=2)
-        return sums[:, 1] <= sums[:, 0]
-
-    def admissible(batch, i, j):
-        """The matrices of ``batch`` whose rows and columns i, j, row order and
-        spectral radius are in bounds, with their eigenvalues."""
-        lines = np.concatenate([batch[:, [i, j], :], batch[:, :, [i, j]].transpose(0, 2, 1)], axis=1)
-        batch = batch[(np.max(np.sum(lines**2, axis=2), axis=1) <= row_bound) & in_order(batch, i)]
-        eig = eigvals(batch)
-        radius = eig[:, -1] if symmetric else np.max(np.abs(eig), axis=1)
-        keep = radius <= d + tol
-        return batch[keep], eig[keep]
-
-    found = []
-    zero = np.zeros((1, size, size), dtype=np.int64)
-    stack = [(0, zero, eigvals(zero))]
+    values = np.arange(ring.dim_floor[g] + 1)
+    tables = [np.zeros((1, 0), dtype=np.int64)]  # tables[m]: the rows of length m within the bounds
+    for _ in range(size):
+        t = np.column_stack([np.repeat(values, len(tables[-1])), np.tile(tables[-1], (len(values), 1))])
+        tables.append(t[np.sum(t**2, axis=1) <= row_bound])
+    found = [np.zeros((0, size, size), dtype=np.int64)]
+    stack = [(0, np.zeros((1, size, size), dtype=np.int64))]
     while stack:
-        idx, batch, eig = stack.pop()
-        if idx == len(cells):
-            off = np.min(np.abs(eig[:, :, None] - spectrum), axis=2)
-            found.append(batch[np.all(off <= SPECTRUM_TOL, axis=1)])
-            continue
-        i, j = cells[idx]
-        rows, cols = ([i, j], [j, i]) if symmetric else ([i], [j])
-        keep = in_order(batch, i)
-        children = [(batch[keep], eig[keep])]  # value 0 leaves the partial matrices unchanged
-        for v in range(1, entry_bound + 1):
-            batch = children[-1][0].copy()
-            batch[:, rows, cols] = v
-            batch, eig = admissible(batch, i, j)
-            if not len(batch):
-                break
-            children.append((batch, eig))
-        level, spectra = (np.concatenate(part) for part in zip(*children))
-        stack.extend(
-            (idx + 1, level[s : s + CHUNK], spectra[s : s + CHUNK]) for s in range(0, len(level), CHUNK)
-        )
+        i, batch = stack.pop()
+        lo = i if symmetric else 0
+        table = tables[size - lo]
+        squares = table**2
+        # the square sums of row i and of columns lo.. over rows 0..i
+        ok = np.sum(batch[:, i, :lo] ** 2, axis=1)[:, None] + squares.sum(axis=1) <= row_bound
+        ok &= np.all(np.sum(batch[:, :i, lo:] ** 2, axis=1)[:, None] + squares <= row_bound, axis=2)
+        if ordered and i:
+            ok &= batch[:, i, :lo].sum(axis=1)[:, None] + table.sum(axis=1) <= batch[:, i - 1].sum(axis=1)[:, None]
+            perm = np.arange(size)
+            perm[[i - 1, i]] = i, i - 1
+        parent, pick = np.nonzero(ok)
+        for s in range(0, len(parent), CHUNK):
+            kids = batch[parent[s : s + CHUNK]]
+            kids[:, i, lo:] = table[pick[s : s + CHUNK]]
+            if symmetric:
+                kids[:, lo:, i] = kids[:, i, lo:]
+            if ordered and i:
+                diff = (kids[:, perm[: i + 1, None], perm] - kids[:, : i + 1]).reshape(len(kids), -1)
+                first = diff[np.arange(len(kids)), np.argmax(diff != 0, axis=1)]
+                sums = kids[:, i - 1 : i + 1].sum(axis=2)
+                kids = kids[(sums[:, 0] != sums[:, 1]) | (first >= 0)]
+            eig = eigvals(kids)
+            keep = (eig[:, -1] if symmetric else np.max(np.abs(eig), axis=1)) <= d + tol
+            if i + 1 < size:
+                stack.append((i + 1, kids[keep]))
+            else:
+                off = np.min(np.abs(eig[keep][:, :, None] - spectrum), axis=2)
+                found.append(kids[keep][np.all(off <= SPECTRUM_TOL, axis=1)])
     return np.concatenate(found)
 
 
@@ -391,13 +383,14 @@ def enumerate_nimreps(ring: FusionRing, size: int, tol: float = DEFAULT_TOL) -> 
     Reducible nimreps (direct sums) are included: Fibonacci at size 4 gives
     the regular nimrep taken twice.  Generator matrices come from a batched
     search with spectral pruning (see :func:`_candidate_generator_matrices`).
-    The first generator's search keeps only matrices whose row sums do not
-    increase: every nimrep has a relabeling with its n^gens[0] in that
-    order, and the screens of every generator are invariant under
-    relabeling.  The other generators are searched unordered, because one
-    relabeling acts on all the matrices of a nimrep at once and cannot
-    order two of them in general.
-    Their combinations, ``CHUNK`` at a time, derive the remaining matrices
+    The first generator's search keeps few labelings of each class (those
+    with non-increasing row sums, each equal-sum neighbour pair
+    lexicographically least under its swap): every nimrep has a relabeling
+    with its n^gens[0] among them, and the screens of every generator are
+    invariant under relabeling.  The other generators are searched
+    unordered, because one relabeling acts on all the matrices of a nimrep
+    at once and cannot order two of them in general.  Their combinations,
+    ``CHUNK`` at a time, derive the remaining matrices
     from the representation identity as stacked arrays; tuples with a
     negative entry are dropped and the rest deduplicated up to simultaneous
     boundary relabeling.  Derivation, the sign test and the nimrep

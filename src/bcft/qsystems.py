@@ -56,7 +56,7 @@ class QSystemSpec:
     Theta entries and lambda keys must be integers (:func:`check_integers`;
     ``2.0`` counts, ``1.6`` is rejected, never truncated), each key a triple
     of summand slots, and lambda values finite numbers, Python or numpy, or
-    construction raises StructuralError.
+    construction raises StructuralError; a boolean, Python or numpy, is not a number.
     """
 
     def __init__(self, theta, lam: dict):
@@ -74,7 +74,7 @@ class QSystemSpec:
             p, q, r = slots.tolist()
             if not all(0 <= i < nslots for i in (p, q, r)):
                 raise StructuralError(f"lambda key {key} out of slot range")
-            if not isinstance(val, numbers.Number):
+            if isinstance(val, (bool, np.bool_)) or not isinstance(val, numbers.Number):
                 raise StructuralError(f"lambda value at {key} must be a number, got {val!r}")
             val = complex(val)
             if not np.isfinite(val):
@@ -123,10 +123,11 @@ def _dense(q: QSystemSpec, ring) -> tuple:
 
 def _check_lambda(q: QSystemSpec, cat: CategoryPresentation) -> tuple:
     """``_dense(q, cat.ring)`` after checking that ``x* x = id``, the isometry axiom of ``_axiom_residuals``."""
-    resid = _axiom_residuals(q, cat)["isometry"]
+    sec, lam = _dense(q, cat.ring)
+    resid = _axiom_residuals(q, cat, lam)["isometry"]
     if resid > 1e-6:
         raise DataInconsistencyError(f"lambda does not define an isometry (residual {resid:.2e})")
-    return _dense(q, cat.ring)
+    return sec, lam
 
 
 def _scatter(at: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
@@ -284,13 +285,12 @@ def validate_qsystem(q: QSystemSpec, cat: CategoryPresentation, tol: float = DEF
     over = _over_bound(q.theta, cat.ring)
     if over:  # not a Q-system; the residuals would need all of theta^3
         return {**{f"bound_sector_{s}": float(m) for s, m in over.items()}, "valid": False}
-    report = _axiom_residuals(q, cat)
+    report = _axiom_residuals(q, cat, _dense(q, cat.ring)[1])
     return {**report, "valid": all(v < tol for v in report.values())}
 
 
-def _axiom_residuals(q: QSystemSpec, cat: CategoryPresentation) -> dict:
-    """The largest residual of each axiom, from the arrays of ``_dense``."""
-    _, lam = _dense(q, cat.ring)
+def _axiom_residuals(q: QSystemSpec, cat: CategoryPresentation, lam: np.ndarray) -> dict:
+    """The largest residual of each axiom, from ``lam`` as ``_dense`` returns it."""
     axioms = _axiom_map(cat, q)
     z = np.abs(axioms.rows(lam[axioms.index >= 0]))
     return {name: float(np.max(z[part], initial=0.0)) for name, part in axioms.parts.items()}
@@ -349,7 +349,7 @@ def charged_algebra(q: QSystemSpec, cat: CategoryPresentation, tol: float = DEFA
     ``Gamma^k_{0j} = Gamma^k_{j0} = delta_jk`` are ``sqrt(d(theta))`` times
     the unit residuals.
     """
-    res = _axiom_residuals(q, cat)
+    res = _axiom_residuals(q, cat, _dense(q, cat.ring)[1])
     dth = q.d_theta(cat.ring)
     root = math.sqrt(dth)
     unit = root * max(res["unit_left"], res["unit_right"])

@@ -395,6 +395,72 @@ def test_ordered_candidates_are_fewer(su2_4_data):
     assert len(ordered) < len(unordered)
 
 
+def test_ordered_candidate_counts_are_pinned(su2_level):
+    # one labeling per class, nearly: 55 and 131 candidates with the row order alone
+    for k, size, count, before in [(4, 5, 15, 55), (6, 7, 6, 131)]:
+        ordered = _candidate_generator_matrices(su2_level(k).ring, 1, size, DEFAULT_TOL, ordered=True)
+        assert len(ordered) == count < before, k
+
+
+def _swap_is_smaller(m, i):
+    """Whether swapping boundaries i - 1 and i makes rows 0..i of m, read row-major, lexicographically smaller."""
+    perm = np.arange(len(m))
+    perm[[i - 1, i]] = i, i - 1
+    return m[np.ix_(perm, perm)][: i + 1].reshape(-1).tolist() < m[: i + 1].reshape(-1).tolist()
+
+
+@pytest.mark.parametrize("name", ["su2_4", "z4"])
+def test_ordered_candidates_pass_the_equal_sum_swap_rule(name, su2_4_data):
+    # su2_4: the path A5 labelled 3-0-2-1-4, where swapping boundaries 0 and 1
+    # (row sums 2 and 2) gives 4-0-2-1-3, smaller in row 0.  Z_4 (n^1 not
+    # symmetric): the 4-cycle 0->2->1->3->0, where the swap gives 0->3->1->2->0
+    if name == "su2_4":
+        ring, size = su2_4_data.ring, 5
+        dropped = [[0, 0, 1, 1, 0], [0, 0, 1, 0, 1], [1, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]
+    else:
+        ring, size = _cyclic_ring(4), 4
+        dropped = [[0, 0, 1, 0], [0, 0, 0, 1], [0, 1, 0, 0], [1, 0, 0, 0]]
+    unordered = _candidate_generator_matrices(ring, 1, size, DEFAULT_TOL)
+    ordered = _candidate_generator_matrices(ring, 1, size, DEFAULT_TOL, ordered=True)
+    assert dropped in unordered.tolist() and dropped not in ordered.tolist()
+    # the row order and the swap rule are the only screens the ordered search adds
+    want = []
+    for m in unordered:
+        sums = m.sum(axis=1)
+        if np.all(np.diff(sums) <= 0) and not any(
+            sums[i - 1] == sums[i] and _swap_is_smaller(m, i) for i in range(1, size)
+        ):
+            want.append(m.tolist())
+    assert sorted(ordered.tolist()) == sorted(want)
+
+
+@pytest.mark.parametrize(
+    "k, branch, orbit",
+    [(16, (3, 6), "01942b1440a5"), (28, (4, 7), "218f74abc3b4"), (8, (7, 8), "78bc5287af74")],
+    ids=["E7", "E8", "A9"],
+)
+def test_e7_e8_and_a9_orbits_from_the_ring_alone(k, branch, orbit):
+    # E7 at su2_16 and E8 at su2_28 (Behrend-Pearce-Petkova-Zuber): a chain
+    # with one more node on a branch node; A9 at su2_8, the chain 0-...-8.
+    # The fusion ring alone, without F; an orbit's hash is SHA-256 over its
+    # matrices as little-endian int64
+    size = branch[1] + 1
+    ring = _su2_modular(k).ring
+    nims = enumerate_nimreps(ring, size)
+    graph = _graph_nimrep(ring, [(a, a + 1) for a in range(size - 2)] + [branch])
+    assert [hashlib.sha256(nr.matrices.astype("<i8").tobytes()).hexdigest()[:12] for nr in nims] == [orbit]
+    assert _canonical_key(nims[0].matrices, size) == _canonical_key(graph.matrices, size)
+
+
+@pytest.mark.slow
+def test_su2_10_size_11_is_the_path_a11():
+    nims = enumerate_nimreps(_su2_modular(10).ring, 11)
+    edges = [(a, a + 1) for a in range(10)]
+    assert [_canonical_key(nr.matrices, 11) for nr in nims] == [
+        _canonical_key(_graph_nimrep(nims[0].ring, edges).matrices, 11)
+    ]
+
+
 def test_only_the_first_generator_is_row_ordered(fib_data):
     # Fibonacci x Fibonacci, generators t1 = N^t (x) 1 and 1t = 1 (x) N^t: no
     # labelling of the regular nimrep has the row sums of both non-increasing

@@ -618,6 +618,14 @@ def test_qsystem_spec_takes_integer_labels_and_finite_values(ising_data):
     assert validate_qsystem(integral, cat)["valid"]
 
 
+@pytest.mark.parametrize("flag", [True, np.True_, np.bool_(False)])
+def test_qsystem_spec_rejects_boolean_lambda_values(flag, ising_data):
+    """A boolean is not a number, Python or numpy alike, as for a coupling matrix."""
+    car = car_qsystem(ising_data.presentation)
+    with pytest.raises(StructuralError, match=r"lambda value at \(1, 1, 0\) must be a number"):
+        QSystemSpec(car.theta, {**car.lam, (1, 1, 0): flag})
+
+
 def test_qsystem_spec_rejects_bad_shapes_and_ranges():
     """theta = 1 + psi has two summand slots: a key is a triple of slots 0 and
     1, and no multiplicity is negative."""
