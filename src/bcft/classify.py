@@ -265,7 +265,10 @@ def _candidate_generator_matrices(
     Once row i is set, rows 0..i are complete, and a matrix M is dropped
     if row i sums to more than row i - 1, or if the two sums are equal and
     rows 0..i of M, read row-major, are lexicographically larger than those
-    of P M P, with P the swap of i - 1 and i.  Every screen above is
+    of P M P, with P the swap of i - 1 and i.  When g is self-dual, M is
+    also dropped early if a row below i, whose sum can only grow, already
+    sums to more than row i: no matrix with non-increasing row sums is
+    lost, so the result is the same.  Every screen above is
     invariant under relabeling the rows and columns together, so the
     lexicographically least relabeling M of a candidate with non-increasing
     row sums meets its orbit, and M passes both rules: swapping two
@@ -293,11 +296,15 @@ def _candidate_generator_matrices(
         squares = table**2
         # the square sums of row i and of columns lo.. over rows 0..i
         ok = np.sum(batch[:, i, :lo] ** 2, axis=1)[:, None] + squares.sum(axis=1) <= row_bound
-        ok &= np.all(np.sum(batch[:, :i, lo:] ** 2, axis=1)[:, None] + squares <= row_bound, axis=2)
-        if ordered and i:
-            ok &= batch[:, i, :lo].sum(axis=1)[:, None] + table.sum(axis=1) <= batch[:, i - 1].sum(axis=1)[:, None]
-            perm = np.arange(size)
-            perm[[i - 1, i]] = i, i - 1
+        ok &= np.all(squares <= row_bound - np.sum(batch[:, :i, lo:] ** 2, axis=1)[:, None], axis=2)
+        if ordered:  # row i sums to at most row i - 1, and to at least each row below, whose sum only grows
+            head, rest = batch[:, i, :lo].sum(axis=1)[:, None], table.sum(axis=1)
+            if symmetric:
+                ok &= np.all((batch[:, i + 1 :, :i].sum(axis=2) - head)[:, None] <= rest[:, None] - table[:, 1:], axis=2)
+            if i:
+                ok &= head + rest <= batch[:, i - 1].sum(axis=1)[:, None]
+                perm = np.arange(size)
+                perm[[i - 1, i]] = i, i - 1
         parent, pick = np.nonzero(ok)
         for s in range(0, len(parent), CHUNK):
             kids = batch[parent[s : s + CHUNK]]
