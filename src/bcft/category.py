@@ -26,6 +26,7 @@ summed terms.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import reduce
@@ -101,6 +102,8 @@ class CategoryPresentation:
 
     ``axiom_maps`` maps each theta to its Q-system axiom map, filled on first
     use by ``qsystems._axiom_map``; F and R are read-only, so no map goes stale.
+    ``inductions`` maps each live ``QSystemSpec`` (weakly, so an entry goes with
+    its Q-system) to its checked kernel problems, filled by ``induction._induction``.
     """
 
     def __init__(self, ring: FusionRing, F, R):
@@ -118,6 +121,7 @@ class CategoryPresentation:
         self.R[ring.N > 0] = _symbol_values("R", R, ring.r_key_array, ring.size)  # r_key_array order
         self.R.setflags(write=False)
         self.axiom_maps = {}
+        self.inductions = weakref.WeakKeyDictionary()
 
     def f(self, a, b, c, d, e, f) -> np.ndarray:
         """``F[a,b,c,d,e,f]`` at broadcast label arrays in ``0..n-1`` (others raise

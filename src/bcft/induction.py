@@ -12,7 +12,9 @@ on ``n in Hom(theta tau, sigma)``:
 Both maps of this module are written in fusion-tree coordinates, as explicit
 expressions in ``lam``, F and R; ``s(p)`` is the sector of the theta slot
 ``p``.  Both take the slot sectors and dense ``lam`` that ``_check_lambda``
-returns, so each public map reads and checks the Q-system once.
+returns.  ``_induction`` keeps these and every pair's kernel matrix in
+``cat.inductions``, beside ``cat.axiom_maps``, so a Q-system is checked once and
+each matrix gathered once and split (``_split``) when its pair is first read.
 
 * The kernel matrix (``_kernel_matrices``).  Its columns are the slots ``p0``
   with ``N[s(p0), tau, sigma]``, i.e. the basis of ``Hom(theta tau, sigma)``.
@@ -49,7 +51,7 @@ calculus built from tensor products, braidings and the standard cup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -153,14 +155,30 @@ def kernel_split(M: np.ndarray):
     return dim, vh.conj().T[:, k - dim :], gap
 
 
+def _induction(cat: CategoryPresentation, q: QSystemSpec) -> tuple:
+    """The checked slot sectors and dense ``lam`` of ``q``, and its kernel matrix per
+    sector pair, kept in ``cat.inductions`` while ``q`` lives; a ``q`` that fails
+    the isometry check raises here and is not kept."""
+    if q not in cat.inductions:
+        sec, lam = _check_lambda(q, cat)
+        pairs = list(product(range(cat.ring.size), repeat=2))
+        cat.inductions[q] = sec, lam, dict(zip(pairs, _kernel_matrices(cat, sec, lam, pairs)))
+    return cat.inductions[q]
+
+
+def _split(splits: dict, pair: tuple) -> tuple:
+    """``(dim, kernel)`` at the sector ``pair``, which replaces its matrix in
+    ``splits``; a matrix without a clean gap stays, and raises on every read."""
+    entry = splits[pair]
+    if isinstance(entry, np.ndarray):
+        entry = splits[pair] = kernel_split(entry)[:2]
+    return entry
+
+
 def coupling_from_qsystem(cat: CategoryPresentation, q: QSystemSpec) -> np.ndarray:
     """Coupling matrix ``Z[sigma, tau] = dim ker K`` over all sector pairs."""
-    sec, lam = _check_lambda(q, cat)
-    n = cat.ring.size
-    Z = np.zeros((n, n), dtype=np.int64)
-    pairs = list(product(range(n), repeat=2))
-    for (sigma, tau), M in zip(pairs, _kernel_matrices(cat, sec, lam, pairs)):
-        Z[sigma, tau], _, _ = kernel_split(M)
+    splits, n = _induction(cat, q)[2], cat.ring.size
+    Z = np.array([_split(splits, pair)[0] for pair in product(range(n), repeat=2)], dtype=np.int64).reshape(n, n)
     if Z[0, 0] != 1:
         raise DataInconsistencyError(
             f"Z[0,0] = {Z[0, 0]} != 1: the Q-system is not irreducible or the "
@@ -197,9 +215,8 @@ def charged_field_basis(
     of ``phi_i* phi_j`` is ``d_sigma d_tau`` times the identity.  Each field
     is returned as its tree-basis blocks ``{charge: ndarray}``.
     """
-    sec, lam = _check_lambda(q, cat)
-    ring = cat.ring
-    dim, kernel, _ = kernel_split(_kernel_matrices(cat, sec, lam, [(sigma, tau)])[0])
+    (sec, lam, splits), ring = _induction(cat, q), cat.ring
+    dim, kernel = _split(splits, (sigma, tau))
     lift, index = _lift_matrix(cat, sec, lam, sigma, tau)
     # the trees of theta sigma tau-bar per charge c, i.e. the lift's rows per slot of sector c
     rows = q.theta @ ring.N[:, sigma] @ ring.N[:, ring.dual[tau]]
@@ -217,11 +234,10 @@ def charged_field_basis(
         gram = coeffs[:, :n_vac].conj() @ coeffs[:, :n_vac].T
         gram_resid = float(np.max(np.abs(gram - d_st * np.eye(dim))))
     # phi's block at charge c has one column per copy of c in theta: the rows of that slot
-    shapes = list(zip(q.theta, rows))
-    ends = np.cumsum([m * d for m, d in shapes])
+    shapes = list(zip(q.theta, rows.tolist()))
+    ends = [0, *accumulate(m * d for m, d in shapes)]
     fields = tuple(
-        {c: part.reshape(shape).T for c, (part, shape) in enumerate(zip(np.split(vec, ends[:-1]), shapes))}
-        for vec in coeffs
+        {c: vec[ends[c] : ends[c + 1]].reshape(shape).T for c, shape in enumerate(shapes)} for vec in coeffs
     )
     return BoundaryFieldBasis(
         sigma=sigma,

@@ -27,6 +27,7 @@ import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -57,6 +58,8 @@ class QSystemSpec:
     ``2.0`` counts, ``1.6`` is rejected, never truncated), each key a triple
     of summand slots, and lambda values finite numbers, Python or numpy, or
     construction raises StructuralError; a boolean, Python or numpy, is not a number.
+    Theta is a tuple and ``lam`` a read-only mapping, so what a presentation
+    keeps for a spec, such as its induction, cannot go stale.
     """
 
     def __init__(self, theta, lam: dict):
@@ -81,7 +84,7 @@ class QSystemSpec:
                 raise StructuralError(f"lambda value at {key} must be finite, got {val}")
             clean[(p, q, r)] = val
         self.theta = theta
-        self.lam = clean
+        self.lam = MappingProxyType(clean)
 
     @cached_property
     def slots(self) -> tuple:

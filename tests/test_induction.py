@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import numpy as np
@@ -6,10 +7,11 @@ from conftest import OUT_OF_RANGE_Z, gauge_transform, group_algebra, random_vert
 from morphisms import Morphism, assemble_x, braiding, compose, conjugation_pair, frobenius_residual, hom_dim, identity
 from morphisms import simple_word, sum_word, tensor
 
-from bcft.category import validate_axioms
+from bcft.category import CategoryPresentation, validate_axioms
 from bcft.classify import Nimrep, enumerate_modular_invariants, regular_nimrep
 from bcft.errors import DataInconsistencyError, NumericDegeneracyError, StructuralError
 from bcft.induction import (
+    _induction,
     _kernel_matrices,
     _lift_matrix,
     charged_field_basis,
@@ -491,6 +493,78 @@ def test_z3_regular_algebra_gives_charge_conjugation(z3_data):
     led = index_ledger(z3_data.ring, q, Z)
     assert (led.lam, led.lam_plus, led.mu_A) == pytest.approx((3.0, 3.0, 3.0))
     assert led.haag_dual
+
+
+def _fresh(cat):
+    """A new presentation of the F and R of ``cat``, with nothing kept yet."""
+    ring = cat.ring
+    return CategoryPresentation(ring, (ring.f_key_array, cat.f_values), (ring.r_key_array, cat.R[ring.N > 0]))
+
+
+def _d4(data):
+    res = search_qsystems(data.presentation, (1, 0, 0, 0, 1), n_starts=10, seed=3)
+    assert res.status == "ok" and len(res.solutions) == 1
+    return res.solutions[0]
+
+
+@pytest.mark.parametrize("case", ["su2_4 D4", "spin8_1 1+v+s+c"])
+def test_induction_outputs_do_not_depend_on_call_order(case, su2_4_data, spin8_data, spin8_qsystems):
+    """Field bases read before the coupling, after it, and on a presentation that
+    never computed Z are the same bytes, at every pair; so is Z, whichever call
+    came first, and a caller writing into its Z changes no later Z."""
+    if case == "su2_4 D4":
+        cat, q = su2_4_data.presentation, _d4(su2_4_data)
+    else:
+        cat, q = spin8_data.presentation, spin8_qsystems["1+v+s+c"]
+    pairs = list(itertools.product(range(cat.ring.size), repeat=2))
+
+    def bases(cat):
+        return [
+            (basis.projector.tobytes(), basis.coefficients.tobytes())
+            for basis in (charged_field_basis(cat, q, sigma, tau) for sigma, tau in pairs)
+        ]
+
+    bases_first, z_first = _fresh(cat), _fresh(cat)
+    before = bases(bases_first)
+    Z = coupling_from_qsystem(bases_first, q)
+    assert np.array_equal(Z, Z.T) == (case == "su2_4 D4")  # Spin(8)_1's 3-cycle is not symmetric
+    want = Z.tobytes()
+    Z[...] = 7
+    assert coupling_from_qsystem(bases_first, q).tobytes() == want
+    assert coupling_from_qsystem(z_first, q).tobytes() == want == coupling_from_qsystem(cat, q).tobytes()
+    assert bases(z_first) == before == bases(_fresh(cat)) == bases(cat) == bases(bases_first)
+
+
+def test_inductions_are_kept_per_live_qsystem(su2_4_data):
+    """One induction per Q-system, dropped with it; a Q-system that fails the
+    isometry check raises on every call and leaves nothing behind."""
+    cat, q = _fresh(su2_4_data.presentation), _d4(su2_4_data)
+    doubled = QSystemSpec(q.theta, {key: 2 * value for key, value in q.lam.items()})
+    Z = coupling_from_qsystem(cat, q)
+    for sigma, tau in zip(*np.nonzero(Z)):
+        charged_field_basis(cat, q, int(sigma), int(tau))
+    assert len(cat.inductions) == 1
+    del q
+    gc.collect()
+    assert len(cat.inductions) == 0
+    for _ in range(2):
+        with pytest.raises(DataInconsistencyError, match="lambda does not define an isometry"):
+            coupling_from_qsystem(cat, doubled)
+        with pytest.raises(DataInconsistencyError, match="lambda does not define an isometry"):
+            charged_field_basis(cat, doubled, 0, 0)
+    assert len(cat.inductions) == 0
+
+
+def test_degenerate_pair_raises_only_where_read(ising_cat):
+    """A pair whose kernel has no clean gap raises when it, or Z, is read, every
+    time; the other pairs' field bases are unaffected."""
+    cat, q = _fresh(ising_cat), car_qsystem(ising_cat)
+    _induction(cat, q)[2][1, 1] = np.diag([1.0, 2e-7, 0.9e-7])
+    for _ in range(2):
+        for call in (lambda: charged_field_basis(cat, q, 1, 1), lambda: coupling_from_qsystem(cat, q)):
+            with pytest.raises(NumericDegeneracyError, match="no clear singular-value gap"):
+                call()
+    assert charged_field_basis(cat, q, 2, 2).projector.tobytes() == charged_field_basis(ising_cat, q, 2, 2).projector.tobytes()
 
 
 def test_lambda_errors_from_induction(ising_cat):

@@ -30,7 +30,7 @@ from bcft.io import (
     save_category,
     save_qsystem,
 )
-from bcft.qsystems import DEFAULT_STARTS, QSystemSpec, car_qsystem, fingerprint, regular_qsystem
+from bcft.qsystems import DEFAULT_STARTS, QSystemSpec, car_qsystem, fingerprint, regular_qsystem, search_qsystems
 from bcft.rings import DEFAULT_TOL
 
 
@@ -602,6 +602,38 @@ def test_cli_nimrep_reports_pinned(tmp_path, ising_file, nimrep_file, su2_4_data
         assert main([*argv, "--out", str(out)]) == 0
         got[name] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert got == NIMREP_REPORT_SHA256
+
+
+# SHA-256 of the whole `bcft induce --out` report: Z, Theta_plus, the ledger
+# and the projector of every nonzero field space (E6: su2_10 theta = 0+6)
+INDUCE_REPORT_SHA256 = {
+    "ising CAR": "8242c81f0e50fb53294ad3a815849881ebf7efa21006947e7a0101f4712d324f",
+    "fibonacci regular": "7ec8200e4701ed3689dfc441263fd4aff07587b6dc4757435626e3e0ecacdd73",
+    "su2_4 D4": "7972c59a1a75e7889532eb6d239f579aca27a19baa79253ead229d029de69b7d",
+    "su2_10 E6": "4be55c248cf72511ac11ce58948972b779544d5f64206c0bad8849044ffc340d",
+}
+
+
+def test_cli_induce_reports_pinned(tmp_path, ising_data, fib_data, su2_level):
+    def searched(k, theta, starts, seed):
+        res = search_qsystems(su2_level(k).presentation, theta, n_starts=starts, seed=seed)
+        assert res.status == "ok" and len(res.solutions) == 1, (k, theta)
+        return su2_level(k), res.solutions[0]
+
+    cases = {
+        "ising CAR": (ising_data, car_qsystem(ising_data.presentation)),
+        "fibonacci regular": (fib_data, regular_qsystem(fib_data.presentation)),
+        "su2_4 D4": searched(4, (1, 0, 0, 0, 1), 10, 3),
+        "su2_10 E6": searched(10, (1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0), 12, 1),
+    }
+    got = {}
+    for name, (data, q) in cases.items():
+        category, qsystem, out = (tmp_path / f"{name}.{part}.json" for part in ("category", "qsystem", "report"))
+        save_category(data, category)
+        save_qsystem(q, qsystem)
+        assert main(["induce", str(category), str(qsystem), "--out", str(out)]) == 0
+        got[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == INDUCE_REPORT_SHA256
 
 
 def test_cli_invalid_nimrep_exits_1(tmp_path, ising_file, ising_data, capsys):

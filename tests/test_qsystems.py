@@ -626,6 +626,16 @@ def test_qsystem_spec_rejects_boolean_lambda_values(flag, ising_data):
         QSystemSpec(car.theta, {**car.lam, (1, 1, 0): flag})
 
 
+def test_qsystem_spec_is_immutable(ising_data):
+    """Lambda cannot be written into after construction, so nothing kept for a
+    spec goes stale; copies and comparisons with dicts still work."""
+    car = car_qsystem(ising_data.presentation)
+    with pytest.raises(TypeError):
+        car.lam[(1, 1, 0)] = 2.0
+    assert isinstance(car.theta, tuple)
+    assert {**car.lam} == car.lam == dict(car.lam) and car.lam == car_qsystem(ising_data.presentation).lam
+
+
 def test_qsystem_spec_rejects_bad_shapes_and_ranges():
     """theta = 1 + psi has two summand slots: a key is a triple of slots 0 and
     1, and no multiplicity is negative."""
