@@ -18,10 +18,10 @@ F is stored once, at the rows of ``ring.f_key_array``, and every reader finds
 an entry by position, never by search: the keys with prefix ``(a, b, c, d)``
 form one block, its rows ``e`` times its columns ``f``, laid out row-major,
 so ``ring.f_block_index`` places any label tuple from ``N`` alone.  The
-validators sum over one row of a block at a time (the ``h`` of a pentagon
-term, the ``f`` of a hexagon term), a contiguous run of positions, and gather
-the other factors at their positions, in chunks bounded by their number of
-summed terms.
+validators sum over the columns of one row of a block (the ``h`` of a
+pentagon term, the ``f`` of a hexagon term) by column rank, one term per sum
+and rank, and gather the factors at their positions, in chunks bounded by
+their number of summed terms.
 """
 
 from __future__ import annotations
@@ -126,8 +126,8 @@ class CategoryPresentation:
     def f(self, a, b, c, d, e, f) -> np.ndarray:
         """``F[a,b,c,d,e,f]`` at broadcast label arrays in ``0..n-1`` (others raise
         ``ValueError``); 0 off the admissible keys.  Read by position in ``ring.f_block_index``."""
-        at = self.ring.f_positions(a, b, c, d, e, f)
-        return np.where(at >= 0, self.f_values.take(at, mode="clip"), 0.0)
+        at, off = self.ring._f_at(a, b, c, d, e, f)
+        return np.where(off, 0.0, self.f_values.take(at, mode="clip"))
 
 
 @dataclass
@@ -146,7 +146,7 @@ class AxiomReport:
         )
 
 
-# summed terms per pentagon and hexagon chunk: bounds the pair and term arrays
+# summed terms per pentagon and hexagon chunk: bounds the arrays over a chunk's pairs and rows
 _TERMS = 1 << 13
 
 
@@ -162,96 +162,114 @@ def _chunks(cost):
     return zip([0] + cut, cut + [len(cost)])
 
 
-def _worst(worst, lhs, owner, terms):
-    """Max of ``worst`` and ``|lhs[i] - sum(terms[owner == i])|``, summed in array order."""
-    re, im = (np.bincount(owner, part, len(lhs)) for part in (terms.real, terms.imag))
-    return np.max(np.hypot(lhs.real - re, lhs.imag - im), initial=worst)
+def _gap(lhs, rhs):
+    """``max |lhs - rhs|``, each modulus by ``hypot``."""
+    gap = lhs - rhs
+    return np.max(np.hypot(gap.real, gap.imag))
 
 
 def _row_positions(ring: FusionRing):
-    """``(row_at, width, col)`` flat as in ``FBlockIndex``: the position of row
-    ``x`` of block ``abcd`` at ``x * n^4 + abcd``, the block's width, and the
-    rank of its column ``x``.  So the F key ``(a,b,c,d,e,f)`` is at
-    ``row_at[e * n^4 + abcd] + col[f * n^4 + abcd]``."""
+    """``(row_at, width, col, col_label)`` of the blocks, by the code ``abcd`` as in
+    ``FBlockIndex``: the position of row ``x`` at ``row_at[abcd * n + x]``, the
+    width, the rank of column ``x`` at ``col[x * n^4 + abcd]``, and the label of
+    the column of rank ``i`` at ``col_label[abcd * n + i]``."""
     start, width, row, col = ring.f_block_index
-    row_at = row.reshape(ring.size, -1) * width
-    row_at += start
-    return row_at.reshape(-1), width, col
+    n, rank = ring.size, col.reshape(ring.size, -1)
+    row_at = np.empty((n**4, n), width.dtype)
+    np.multiply(row.reshape(n, -1).T, width[:, None], out=row_at)
+    row_at += start[:, None]
+    col_label = np.zeros((n**4, n), col.dtype)
+    x, abcd = np.nonzero(rank >= 0)
+    col_label[abcd, rank[x, abcd]] = x
+    return row_at.reshape(-1), width, col, col_label.reshape(-1)
 
 
-def _pentagon_residual(cat: CategoryPresentation) -> float:
+def _pentagon_residual(cat: CategoryPresentation, at) -> float:
     """Pentagon over every pair of F keys ``(f,c,d,e,g,l)``, ``(a,b,l,e,f,k)``: the
     right side sums ``F[a,b,c,g,f,h] F[a,h,d,e,g,k] F[b,c,d,k,h,l]`` over ascending ``h``.
 
-    F is read by position (``FusionRing.f_block_index``), never searched.  The
-    pairs come from a counting sort of the inner keys by ``(f, l, e)``.  The
-    ``h`` of a pair are row ``f`` of block ``(a,b,c,g)``, one run of positions,
-    kept where ``N[h,d,k] > 0``; the other factors are gathered at row ``g``,
-    column ``k`` of block ``(a,h,d,e)`` and at row ``h``, column ``l`` of block
-    ``(b,c,d,k)``.  Their codes are a part from the inner key plus a part from
-    the outer key, computed once per pair, plus a multiple of ``h``.  A chunk's
+    F is read by position (``at``), never searched.  The pairs come from a
+    counting sort of the inner keys by ``(f, l, e)``; each code a pair reads is
+    an outer part plus an inner part.  The ``h`` are the columns of row ``f`` of
+    block ``(a,b,c,g)``, so the sum runs over their rank ``i``, adding one term
+    per pair whose block is wider than ``i`` (a suffix, once sorted by width).
+    ``F[a,h,d,e,g,k]`` comes from a table dense in ``h`` that reads 0 where
+    ``N[h,d,k] = 0``: a signed zero, so each sum keeps its bits.  A chunk's
     pairs times its widest ``(., ., c, g)`` block bound its terms.
     """
     ring, F = cat.ring, cat.f_values
     n, labels = ring.size, ring.f_key_array.T
-    row_at, width, col = _row_positions(ring)
-    adm = ring.N.reshape(-1) > 0
+    row_at, width, col, col_label = at
+    # F[a,h,d,e,g,k] at B_at[B_row[(a,g,k,d,e)] + h]; row 0 and the absent h hold M, and F0[M] = 0
+    a, h, d, e, g, k = labels
+    rows, inverse = np.unique(_code(n, a, g, k, d, e), return_inverse=True)
+    B_at = np.full((len(rows) + 1) * n, len(F), row_at.dtype)
+    B_at[(inverse + 1) * n + h] = np.arange(len(F))
+    B_row = np.zeros(n**5, np.int32 if (len(rows) + 1) * n < 2**31 else np.int64)
+    B_row[rows] = np.arange(n, (len(rows) + 1) * n, n)
+    F0 = np.append(F, 0)
     # the inner keys grouped by (f, l, e), each group in ascending key order
     fle = (labels[4] * n + labels[2]) * n + labels[3]
     by_fle = np.argsort(fle, kind="stable")
     size = np.bincount(fle, minlength=n**3)
     first = np.cumsum(size) - size
-    a, b, inner_k = labels[0, by_fle], labels[1, by_fle], labels[5, by_fle]
-    inner_ab, inner_a, inner_bk, inner_F = (a * n + b) * n**2, a * n**3, b * n**3 + inner_k, F[by_fle]
+    a, b, k = labels[0, by_fle], labels[1, by_fle], labels[5, by_fle]
+    inner_abcg, inner_bcdk, inner_B, inner_F = (a * n + b) * n**2, b * n**3 + k, (a * n**3 + k * n) * n, F[by_fle]
+    del rows, inverse, fle, by_fle, a, b, k  # this pentagon sets the memory peak of validating su2_k
     group = (labels[0] * n + labels[5]) * n + labels[3]
     widest = width.reshape(n * n, n * n).max(axis=0)  # [c, g]: max over a, b of width[a,b,c,g]
     worst = 0.0
     for lo, hi in _chunks(size[group] * widest[labels[1] * n + labels[4]]):
-        count = size[group[lo:hi]]
-        _, at = _runs(first[group[lo:hi]], count)
-        f, c, d, e, g, l = (np.repeat(x, count) for x in labels[:, lo:hi])
-        k = inner_k[at]
-        abcg = inner_ab[at] + c * n + g
-        term, h_pos = _runs(row_at[f * n**4 + abcg], width[abcg])
-        hn2 = labels[5, h_pos] * n**2
-        keep = np.flatnonzero(adm[hn2 + (d * n + k)[term]])  # a gather beats a boolean mask here
-        term, h_pos, hn2 = term[keep], h_pos[keep], hn2[keep]
-        ade = inner_a[at] + d * n + e  # the code of block (a,h,d,e) is ade + h n^2
-        bcdk = inner_bk[at] + (c * n + d) * n  # the code of block (b,c,d,k)
-        rhs = F[h_pos] * F[row_at[hn2 + (ade + g * n**4)[term]] + col[hn2 + (ade + k * n**4)[term]]]
-        rhs *= F[row_at[hn2 * n**2 + bcdk[term]] + col[l * n**4 + bcdk][term]]
-        worst = _worst(worst, np.repeat(F[lo:hi], count) * inner_F[at], term, rhs)
+        owner, pair = _runs(first[group[lo:hi]], size[group[lo:hi]])
+        f, c, d, e, g, l = labels[:, lo:hi]
+        abcg = inner_abcg.take(pair) + (c * n + g).take(owner)
+        by_width = np.argsort(width.take(abcg))
+        owner, pair, abcg = owner.take(by_width), pair.take(by_width), abcg.take(by_width)
+        wide, abcg = width.take(abcg), abcg * n
+        row_A = row_at.take(abcg + f.take(owner))
+        bcdk = inner_bcdk.take(pair) + ((c * n + d) * n).take(owner)
+        col_C, bcdk = col.take(bcdk + (l * n**4).take(owner)), bcdk * n
+        base = B_row.take(inner_B.take(pair) + ((g * n**2 + d) * n + e).take(owner))
+        acc = np.zeros(len(pair), complex)
+        for i, j in enumerate(np.searchsorted(wide, np.arange(wide[-1]), "right").tolist()):
+            h = col_label.take(abcg[j:] + i)
+            term = F.take(row_A[j:] + i) * F0.take(B_at.take(base[j:] + h))
+            term *= F.take(row_at.take(bcdk[j:] + h) + col_C[j:], mode="clip")  # any value where B is 0
+            acc[j:] += term
+        worst = max(worst, _gap(F[lo:hi].take(owner) * inner_F.take(pair), acc))
     return float(worst)
 
 
-def _hexagon_residual(cat: CategoryPresentation) -> float:
+def _hexagon_residual(cat: CategoryPresentation, at) -> float:
     """Both hexagon orientations for the braiding against the associator.
 
     The rows ``(a,b,c,d,e,g)`` are the F keys ``(b,a,c,d,e,g)``, since the
     fusion rules are commutative; the right sides sum
-    ``F[a,b,c,d,e,f] F[b,c,a,d,f,g]`` times a braid phase over ascending ``f``.
-    F is read by position, never searched: the ``f`` of a row are row ``e`` of
-    block ``(a,b,c,d)``, one run of positions, and ``F[b,c,a,d,f,g]`` is
-    gathered at row ``f``, column ``g`` of block ``(b,c,a,d)``.  Chunks are
-    bounded by their exact term count.
+    ``F[a,b,c,d,e,f] F[b,c,a,d,f,g]`` times a braid phase over ascending
+    ``f``, the columns of row ``e`` of block ``(a,b,c,d)``, by rank as in the
+    pentagon.  Chunks are bounded by their exact term count.
     """
     ring, F, R = cat.ring, cat.f_values, cat.R
     n, labels = ring.size, ring.f_key_array.T
-    row_at, width, col = _row_positions(ring)
-    b, a, c, d = labels[:4]
-    abcd = ((a * n + b) * n + c) * n + d
+    row_at, width, col, col_label = at
+    R_p, R_m = R.transpose(0, 2, 1).reshape(-1), np.conj(R.transpose(1, 2, 0)).reshape(-1)  # [a,d,f]: R[a,f,d], R*[f,a,d]
+    abcd = _code(n, labels[1], labels[0], labels[2], labels[3])
     worst = 0.0
     for lo, hi in _chunks(width[abcd]):
-        b, a, c, d, e, g = labels[:, lo:hi]
-        rows = F[lo:hi]
+        key = np.argsort(width.take(abcd[lo:hi])) + lo
+        b, a, c, d, e, g = labels.take(key, axis=1)
+        rows, block, bcad = F.take(key), abcd.take(key), _code(n, b, c, a, d)  # block (b,c,a,d)
         lhs_p = R[a, b, e] * rows * R[a, c, g]
         lhs_m = np.conj(R[b, a, e]) * rows * np.conj(R[c, a, g])
-        term, f_pos = _runs(row_at[e * n**4 + abcd[lo:hi]], width[abcd[lo:hi]])
-        bcad = ((b * n + c) * n + a) * n + d  # block (b,c,a,d)
-        f, a, d = labels[5, f_pos], a[term], d[term]
-        prod = F[f_pos] * F[row_at[f * n**4 + bcad[term]] + col[g * n**4 + bcad][term]]
-        worst = _worst(worst, lhs_p, term, prod * R[a, f, d])
-        worst = _worst(worst, lhs_m, term, prod * np.conj(R[f, a, d]))
+        wide, row, col_g = width.take(block), row_at.take(block * n + e), col.take(g * n**4 + bcad)
+        block, bcad, ad = block * n, bcad * n, (a * n + d) * n
+        acc_p, acc_m = np.zeros(hi - lo, complex), np.zeros(hi - lo, complex)
+        for i, j in enumerate(np.searchsorted(wide, np.arange(wide[-1]), "right").tolist()):
+            f = col_label.take(block[j:] + i)
+            prod = F.take(row[j:] + i) * F.take(row_at.take(bcad[j:] + f) + col_g[j:])
+            acc_p[j:] += prod * R_p.take(ad[j:] + f)
+            acc_m[j:] += prod * R_m.take(ad[j:] + f)
+        worst = max(worst, _gap(lhs_p, acc_p), _gap(lhs_m, acc_m))
     return float(worst)
 
 
@@ -271,9 +289,10 @@ def _unitarity_residual(cat: CategoryPresentation) -> float:
 
 def validate_axioms(cat: CategoryPresentation, tol: float = DEFAULT_TOL) -> AxiomReport:
     """Pentagon, hexagon (both orientations) and unitarity residuals."""
+    at = _row_positions(cat.ring)
     return AxiomReport(
-        pentagon_residual=_pentagon_residual(cat),
-        hexagon_residual=_hexagon_residual(cat),
+        pentagon_residual=_pentagon_residual(cat, at),
+        hexagon_residual=_hexagon_residual(cat, at),
         unitarity_residual=_unitarity_residual(cat),
         tol=tol,
     )

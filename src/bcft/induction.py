@@ -57,7 +57,7 @@ import numpy as np
 
 from .category import CategoryPresentation, _runs
 from .classify import check_coupling
-from .errors import DataInconsistencyError, NumericDegeneracyError
+from .errors import DataInconsistencyError, NumericDegeneracyError, StructuralError
 from .qsystems import QSystemSpec, _check_lambda, _require_bound, _scatter
 from .rings import DEFAULT_TOL, FusionRing
 
@@ -213,8 +213,13 @@ def charged_field_basis(
     ``phi = (id (x) n (x) id) . (x (x) id) . (id_theta (x) cup_tau)``
     (``_lift_matrix``), and normalized so that the vacuum-channel Gram matrix
     of ``phi_i* phi_j`` is ``d_sigma d_tau`` times the identity.  Each field
-    is returned as its tree-basis blocks ``{charge: ndarray}``.
+    is returned as its tree-basis blocks ``{charge: ndarray}``.  A label that
+    is not an integer in ``0..n-1`` (a float or a bool, say) is structural.
     """
+    n = cat.ring.size
+    for label in (sigma, tau):
+        if isinstance(label, (bool, np.bool_)) or not isinstance(label, (int, np.integer)) or not 0 <= label < n:
+            raise StructuralError(f"sector label must be an integer in 0..{n - 1}, got {label!r}")
     (sec, lam, splits), ring = _induction(cat, q), cat.ring
     dim, kernel = _split(splits, (sigma, tau))
     lift, index = _lift_matrix(cat, sec, lam, sigma, tau)

@@ -178,12 +178,16 @@ class FusionRing:
     def f_positions(self, a, b, c, d, e, f) -> np.ndarray:
         """Positions in ``f_key_array`` of the broadcast labels ``(a,b,c,d,e,f)``,
         -1 off the admissible keys; a label outside ``0..n-1`` raises ``ValueError``."""
+        at, off = self._f_at(a, b, c, d, e, f)
+        return np.where(off, -1, at)
+
+    def _f_at(self, a, b, c, d, e, f) -> tuple:
+        """``(at, off)``: ``off`` is True off the admissible keys, ``at`` the position on them."""
         n, (start, width, row, col) = self.size, self.f_block_index
         block = np.ravel_multi_index((a, b, c, d), (n,) * 4)  # each call range-checks its labels
         rank_e = row.take(np.ravel_multi_index((e, block), (n, n**4)))
         rank_f = col.take(np.ravel_multi_index((f, block), (n, n**4)))
-        at = start.take(block) + rank_e * width.take(block) + rank_f
-        return np.where(np.minimum(rank_e, rank_f) >= 0, at, -1)
+        return start.take(block) + rank_e * width.take(block) + rank_f, (rank_e | rank_f) < 0  # a rank is -1 off
 
     @cached_property
     def fp_dims(self) -> np.ndarray:

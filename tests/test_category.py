@@ -217,6 +217,66 @@ def test_noisy_axioms_match_reference_across_chunks(su2_level, rng, monkeypatch)
     assert _residuals(noisy) == default
 
 
+def _o1_noise(cat):
+    """``cat`` with seeded O(1) complex noise added to every F and R entry."""
+    rng, ring = np.random.default_rng(0), cat.ring
+    M, m = len(ring.f_key_array), len(ring.r_key_array)
+    F = cat.f_values + rng.normal(size=M) + 1j * rng.normal(size=M)
+    R = cat.R[ring.N > 0] + rng.normal(size=m) + 1j * rng.normal(size=m)
+    return CategoryPresentation(ring, (ring.f_key_array, F), (ring.r_key_array, R))
+
+
+def _residual_bits(cat):
+    return tuple(float(x).hex() for x in _residuals(cat))
+
+
+# (pentagon, hexagon, unitarity) residuals as float.hex, recorded with validators
+# that expanded one array entry per summed term and summed them by bincount;
+# the column-rank sums add the same products in the same order
+_RESIDUAL_BITS = {
+    (8, False): ("0x1.3c00000000000p-49", "0x1.6d34f03cda114p-49", "0x1.c000000000000p-50"),
+    (10, False): ("0x1.1800000000000p-48", "0x1.616b27d372e28p-48", "0x1.a000000000000p-49"),
+    (12, False): ("0x1.c000000000000p-48", "0x1.3cfc5da84b818p-48", "0x1.c000000000000p-48"),
+    (6, True): ("0x1.342e49a07ac19p+5", "0x1.2d20521f6a38cp+5", "0x1.3ae4d7dc4596ep+4"),
+    (8, True): ("0x1.cbd8b82528048p+5", "0x1.565c2dd916c8fp+5", "0x1.aed3b7302072cp+4"),
+}
+
+
+@pytest.mark.parametrize("level, noisy", [(8, False), (10, False), (6, True), (8, True)])
+def test_axiom_residuals_keep_their_bits(su2_level, level, noisy):
+    cat = su2_level(level).presentation
+    assert _residual_bits(_o1_noise(cat) if noisy else cat) == _RESIDUAL_BITS[level, noisy]
+
+
+@pytest.mark.slow
+def test_axiom_residuals_keep_their_bits_at_su2_12(su2_level):
+    # the only pinned level whose pentagon blocks reach 7 columns (su2_10 reaches 6)
+    assert _residual_bits(su2_level(12).presentation) == _RESIDUAL_BITS[12, False]
+
+
+def test_non_square_axiom_residuals_keep_their_bits(ising_data):
+    ring = _non_square_ising_ring(ising_data)
+    F, R = (ring.f_key_array, np.ones(len(ring.f_key_array))), (ring.r_key_array, np.ones(len(ring.r_key_array)))
+    assert _residual_bits(CategoryPresentation(ring, F, R)) == ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "inf")
+
+
+def test_validate_axioms_peak_memory(su2_level):
+    # a fresh su2_8 presentation, so the validators' tables are built here; the
+    # validators that expanded one array entry per summed term peaked at
+    # 1,925,388 traced bytes (315 per F key), and that is the bound
+    data = su2_level(8)
+    ring = FusionRing(data.ring.labels, data.ring.dual, data.ring.N)
+    F, R = (ring.f_key_array, data.presentation.f_values), (ring.r_key_array, data.presentation.R[ring.N > 0])
+    cat = CategoryPresentation(ring, F, R)
+    tracemalloc.start()
+    try:
+        validate_axioms(cat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_925_388, peak / len(ring.f_key_array)
+
+
 def test_axioms_match_reference_per_entry(ising_data, fib_data, z3_data, spin8_data):
     for data in (ising_data, fib_data, z3_data, spin8_data):
         F, R = _fr_dicts(data)

@@ -169,6 +169,16 @@ def test_charged_field_basis_car(ising_cat):
         assert basis.gram_residual < 1e-9
 
 
+@pytest.mark.parametrize("label", [-1, 3, np.int64(-1), 1.0, True, np.True_])
+def test_charged_field_basis_rejects_labels(ising_cat, label):
+    # a label outside 0..n-1, a float or a bool is never read as a sector, in either slot
+    q = car_qsystem(ising_cat)
+    for sigma, tau in [(label, 0), (1, label)]:
+        with pytest.raises(StructuralError, match="sector label") as err:
+            charged_field_basis(ising_cat, q, sigma, tau)
+        assert repr(label) in str(err.value)
+
+
 def test_theta_plus_ising(ising_data):
     m, d = theta_plus(ising_data.ring, np.eye(3, dtype=np.int64))
     assert m.tolist() == [3, 0, 1]
