@@ -171,9 +171,10 @@ def _racah_values(keys: np.ndarray, qint: np.ndarray, fact: np.ndarray) -> np.nd
 
 
 def su2(k: int) -> CategoryData:
-    """SU(2) level k: sectors j = 0, 1/2, ..., k/2."""
-    if k < 1:
-        raise StructuralError("su2 level must be >= 1")
+    """SU(2) level k, an integer >= 1: sectors j = 0, 1/2, ..., k/2."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise StructuralError(f"su2 catalog requires an integer level >= 1, got {k!r}")
+    k = int(k)
     n = k + 1  # label index a corresponds to twice the spin
     labels = tuple(str(a // 2) if a % 2 == 0 else f"{a}/2" for a in range(n))
     dual = tuple(range(n))
@@ -216,7 +217,5 @@ def catalog(name: str, level: int | None = None) -> CategoryData:
             raise StructuralError(f"the {name} catalog takes no level, got {level!r}")
         return ising() if name == "ising" else fibonacci()
     if name == "su2":
-        if isinstance(level, bool) or not isinstance(level, (int, np.integer)):
-            raise StructuralError(f"su2 catalog requires an integer level >= 1, got {level!r}")
-        return su2(int(level))
+        return su2(level)
     raise StructuralError(f"unknown catalog {name!r}; choose from {CATALOG_NAMES}")

@@ -51,6 +51,7 @@ __all__ = [
 CHUNK = 2048  # rows per batch: pivot assignments, partial or derived nimrep matrices, relabelings
 PIVOT_TOL = 1e-6  # least residual norm of a pivot row (B has orthonormal columns)
 SPECTRUM_TOL = 1e-6  # largest deviation of a nimrep's eigenvalues or spectral projectors
+INVARIANT_TOL = 1e-7  # largest rounding residual of a pivot solve, and largest entry of ZS - SZ and ZT - TZ
 COMMUTANT_RCOND = 1e-10  # T phases closer than this are equal; relative singular-value cut of the commutant
 
 
@@ -99,15 +100,14 @@ def _pivot_rows(B: np.ndarray, bound: np.ndarray) -> np.ndarray:
     return order[taken]
 
 
-def enumerate_modular_invariants(
-    md: ModularData, max_entry: int | None = None, tol: float = 1e-7
-) -> list[np.ndarray]:
+def enumerate_modular_invariants(md: ModularData, max_entry: int | None = None) -> list[np.ndarray]:
     """All non-negative integer Z with ``Z[0,0] = 1``, ``ZS = SZ``, ``ZT = TZ``.
 
     Entries are bounded by ``floor(d_s d_t)`` (or ``max_entry``, an integer); the
     list is complete within those bounds and lexicographically ordered.  The
-    bound is taken with ``DEFAULT_TOL`` as its rounding guard; ``tol`` thresholds
-    the rounding of the pivot solve and the S and T checks.
+    bound is taken with ``DEFAULT_TOL`` as its rounding guard, and
+    ``INVARIANT_TOL`` thresholds the rounding of the pivot solve and the S and
+    T checks: the list is exact data and takes no caller tolerance.
     """
     n, d = md.size, md.ring.fp_dims
     bound = np.floor(np.outer(d, d) + DEFAULT_TOL).astype(int).reshape(-1)
@@ -132,12 +132,12 @@ def enumerate_modular_invariants(
         digits = np.unravel_index(np.arange(start, min(start + CHUNK, total)), radix)
         vec = B @ np.linalg.solve(Bp, np.array(digits, dtype=float) + low[:, None])
         Z = np.rint(vec)
-        ok = (np.max(np.abs(vec - Z), axis=0) <= tol) & (Z[0] == 1)
+        ok = (np.max(np.abs(vec - Z), axis=0) <= INVARIANT_TOL) & (Z[0] == 1)
         ok &= np.all((Z >= 0) & (Z <= bound[:, None]), axis=0)
         found.append(Z[:, ok].T.reshape(-1, n, n))
     Z, S, T = np.concatenate(found), md.S, md.T
-    ok = np.max(np.abs(S @ Z - Z @ S), axis=(1, 2), initial=0.0) <= tol
-    ok &= np.max(np.abs(T[:, None] * Z - Z * T), axis=(1, 2), initial=0.0) <= tol
+    ok = np.max(np.abs(S @ Z - Z @ S), axis=(1, 2), initial=0.0) <= INVARIANT_TOL
+    ok &= np.max(np.abs(T[:, None] * Z - Z * T), axis=(1, 2), initial=0.0) <= INVARIANT_TOL
     Z = Z[ok].astype(np.int64).reshape(-1, n * n)  # distinct pivot values: no duplicates
     return list(Z[np.lexsort(Z.T[::-1])].reshape(-1, n, n))
 
@@ -238,9 +238,7 @@ def _select_generators(ring: FusionRing):
     raise StructuralError("fusion ring admits no derivation plan (degenerate N)")
 
 
-def _candidate_generator_matrices(
-    ring: FusionRing, g: int, size: int, tol: float, ordered: bool = False
-) -> np.ndarray:
+def _candidate_generator_matrices(ring: FusionRing, g: int, size: int, *, ordered: bool = False) -> np.ndarray:
     """All n^g that pass the spectral conditions every nimrep meets, as an (m, size, size) stack.
 
     A nimrep matrix n^g is normal with eigenvalues among those of N^g, so
@@ -255,7 +253,7 @@ def _candidate_generator_matrices(
     ``CHUNK`` partial matrices is expanded a row at a time: the batch is
     joined with the table, children whose row or column square sums exceed
     the bound are dropped, and one stacked eigensolve drops those whose
-    spectral radius exceeds ``d_g + tol`` (Perron-Frobenius monotonicity).
+    spectral radius exceeds ``d_g + DEFAULT_TOL`` (Perron-Frobenius monotonicity).
     A complete matrix is kept if each of its eigenvalues lies within
     ``SPECTRUM_TOL`` of one of N^g.  For a symmetric matrix that holds
     exactly when the minimal polynomial of N^g annihilates it, and what a
@@ -317,7 +315,7 @@ def _candidate_generator_matrices(
                 sums = kids[:, i - 1 : i + 1].sum(axis=2)
                 kids = kids[(sums[:, 0] != sums[:, 1]) | (first >= 0)]
             eig = eigvals(kids)
-            keep = (eig[:, -1] if symmetric else np.max(np.abs(eig), axis=1)) <= d + tol
+            keep = (eig[:, -1] if symmetric else np.max(np.abs(eig), axis=1)) <= d + DEFAULT_TOL
             if i + 1 < size:
                 stack.append((i + 1, kids[keep]))
             else:
@@ -404,13 +402,14 @@ def enumerate_nimreps(ring: FusionRing, size: int, tol: float = DEFAULT_TOL) -> 
     conditions all commute with relabeling, so one representative per class,
     the canonical one, is verified exactly (:meth:`Nimrep.validate`); that
     check, not the spectral screen, decides which classes are nimreps.
+    Every guard is fixed, so the list is exact data: ``tol`` is not read.
     """
     if size < 1:
         raise StructuralError("nimrep size must be >= 1")
     if ring.size == 1:
         return [Nimrep(ring, (np.eye(size, dtype=np.int64),))]
     gens, plan = _select_generators(ring)
-    candidates = [_candidate_generator_matrices(ring, g, size, tol, ordered=k == 0) for k, g in enumerate(gens)]
+    candidates = [_candidate_generator_matrices(ring, g, size, ordered=k == 0) for k, g in enumerate(gens)]
     counts = [len(c) for c in candidates]
     total = math.prod(counts)
     keys = set()

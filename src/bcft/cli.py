@@ -22,6 +22,7 @@ from .catalog import CATALOG_NAMES, CategoryData, catalog
 from .category import validate_axioms
 from .characters import annulus_partition, cardy_transform_check, sector_characters
 from .classify import (
+    INVARIANT_TOL,
     Nimrep,
     cardy_solve,
     check_coupling,
@@ -54,7 +55,7 @@ FILE_ARGUMENTS = ("category", "qsystem", "nimrep", "invariant")  # fingerprinted
 
 def cmd_validate(args, data: CategoryData):
     rows = []
-    ring_bad = validate_ring(data.ring, args.tolerance)
+    ring_bad = validate_ring(data.ring)
     rows.append(("fusion ring axioms", "ok" if not ring_bad else "; ".join(ring_bad)))
     mod_bad = validate_modular(data.modular, args.tolerance)
     rows.append(("modular S/T", "ok" if not mod_bad else "; ".join(mod_bad)))
@@ -84,7 +85,7 @@ def cmd_validate(args, data: CategoryData):
 
 
 def cmd_invariants(args, data: CategoryData):
-    invs = enumerate_modular_invariants(data.modular, args.max_entry, max(args.tolerance, 1e-7))
+    invs = enumerate_modular_invariants(data.modular, args.max_entry)
     print(f"{len(invs)} modular invariant(s)")
     for Z in invs:
         print(np.array2string(Z), "\n")
@@ -97,19 +98,20 @@ def cmd_nimreps(args, data: CategoryData):
     if args.invariant and args.size >= 1 and args.size != np.trace(Z):
         nims = []  # the projectors P_t sum to the identity: a compatible nimrep has tr Z boundaries
     else:
-        nims = enumerate_nimreps(data.ring, args.size, args.tolerance)
+        nims = enumerate_nimreps(data.ring, args.size)
         if args.invariant:
             nims = [nr for nr in nims if compatibility(Z, nr, data.modular)[0]]
     print(f"{len(nims)} nimrep orbit(s) of size {args.size}")
     return EXIT_OK, ({"size": args.size}, {"count": len(nims), "nimreps": [{"n": nr.matrices} for nr in nims]})
 
 
-def _require_invariant(Z, md, tol) -> None:
-    """An induced Z commutes with S and T and is one of the enumerated modular invariants."""
+def _require_invariant(Z, md) -> None:
+    """An induced Z commutes with S and T, within the enumeration's ``INVARIANT_TOL``,
+    and is one of the enumerated modular invariants."""
     off = max(np.max(np.abs(md.S @ Z - Z @ md.S)), np.max(np.abs(md.T[:, None] * Z - Z * md.T)))
-    if off > tol:
+    if off > INVARIANT_TOL:
         raise DataInconsistencyError(f"induced Z does not commute with S and T (residual {off:.2e})")
-    if not any(np.array_equal(Z, W) for W in enumerate_modular_invariants(md, tol=tol)):
+    if not any(np.array_equal(Z, W) for W in enumerate_modular_invariants(md)):
         raise DataInconsistencyError("induced Z is not among the modular invariants of the category")
 
 
@@ -122,7 +124,7 @@ def cmd_induce(args, data: CategoryData):
         print(f"q-system invalid: {rep}")
         return EXIT_INVALID, None
     Z = coupling_from_qsystem(data.presentation, q)
-    _require_invariant(Z, data.modular, max(args.tolerance, 1e-7))
+    _require_invariant(Z, data.modular)
     m, d_total = theta_plus(data.ring, Z)
     ledger = index_ledger(data.ring, q, Z, args.tolerance)
     print("Z =")
@@ -166,7 +168,7 @@ def cmd_cardy(args, data: CategoryData):
     nr = _load_nimrep(args, data)
     if nr is None:
         return EXIT_INVALID, None
-    sol = cardy_solve(nr, data.modular, args.tolerance)
+    sol = cardy_solve(nr, data.modular)
     print("psi =")
     # + 0.0 turns a rounded -0.0 into 0.0 in both parts, so output does not carry the sign of noise
     print(np.array2string(np.round(sol.psi, 9) + (0.0 + 0.0j)))
@@ -190,7 +192,7 @@ def cmd_partition(args, data: CategoryData):
     payload = {"value": value, "tail_bound": tail}
     ok = True
     if args.check_transform:
-        sol = cardy_solve(nr, data.modular, args.tolerance)
+        sol = cardy_solve(nr, data.modular)
         report = cardy_transform_check(
             sol, data.modular, chars, args.a, args.b, args.beta,
             window=(min(args.beta, math.pi), max(args.beta, 4 * math.pi)),

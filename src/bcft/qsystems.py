@@ -385,7 +385,7 @@ def fingerprint(q: QSystemSpec, cat: CategoryPresentation):
     (the two cocycle classes of the Z2 x Z2 algebra); the exchange can.  For
     multiplicity-free theta the spectra reduce to the channel moduli (squared).
     """
-    _require_bound(q.theta, cat.ring)
+    _dense(q, cat.ring)  # theta within the bound, every key a fusion channel
     keys = np.array(list(q.lam), dtype=int).reshape(-1, 3)
     return _fingerprints(q, keys, np.array([list(q.lam.values())]), q.d_theta(cat.ring))[0]
 
@@ -522,8 +522,11 @@ def search_qsystems(
 ) -> SearchResult:
     """Best-effort search for all Q-systems with the given theta, up to gauge."""
     spec = QSystemSpec(theta, {})
+    n_starts, seed = (int(check_integers(x, what)) for x, what in ((n_starts, "the number of starts"), (seed, "the seed")))
     if n_starts < 1:
         raise StructuralError(f"the search needs at least one start, got {n_starts}")
+    if seed < 0:
+        raise StructuralError(f"the seed must be >= 0, got {seed}")
     axioms = _axiom_map(cat, spec)
     channels = np.array(axioms.channels)
     p, q, r = channels.T

@@ -175,12 +175,6 @@ class FusionRing:
             part.setflags(write=False)
         return index
 
-    def f_positions(self, a, b, c, d, e, f) -> np.ndarray:
-        """Positions in ``f_key_array`` of the broadcast labels ``(a,b,c,d,e,f)``,
-        -1 off the admissible keys; a label outside ``0..n-1`` raises ``ValueError``."""
-        at, off = self._f_at(a, b, c, d, e, f)
-        return np.where(off, -1, at)
-
     def _f_at(self, a, b, c, d, e, f) -> tuple:
         """``(at, off)``: ``off`` is True off the admissible keys, ``at`` the position on them."""
         n, (start, width, row, col) = self.size, self.f_block_index

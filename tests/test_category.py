@@ -126,14 +126,20 @@ def _s3_ring():
     return FusionRing([str(p) for p in perms], dual, N)
 
 
+def _f_positions(ring, *labels):
+    """Positions in ``f_key_array`` of the broadcast labels, -1 off the admissible keys."""
+    at, off = ring._f_at(*labels)
+    return np.where(off, -1, at)
+
+
 def test_f_block_index_places_every_key(all_catalogs, ising_data):
     # the positions come from N alone: the admissible keys land on 0..M-1 in
     # order, and every other label tuple on -1; S_3 shows the index assumes
     # no commutativity
     for ring in [data.ring for data in all_catalogs] + [_non_square_ising_ring(ising_data), _s3_ring()]:
         keys, n = ring.f_key_array, ring.size
-        assert np.array_equal(ring.f_positions(*keys.T), np.arange(len(keys))), ring
-        grid = ring.f_positions(*np.indices((n,) * 6)).reshape(-1)
+        assert np.array_equal(_f_positions(ring, *keys.T), np.arange(len(keys))), ring
+        grid = _f_positions(ring, *np.indices((n,) * 6)).reshape(-1)
         admissible = np.zeros(n**6, dtype=bool)
         admissible[np.ravel_multi_index(tuple(keys.T), (n,) * 6)] = True
         assert np.array_equal(grid[admissible], np.arange(len(keys))) and (grid[~admissible] == -1).all(), ring

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import math
 from collections import Counter
@@ -32,7 +33,7 @@ from bcft.classify import (
 )
 from bcft.errors import DataInconsistencyError, NumericDegeneracyError, StructuralError
 from bcft.modular import ModularData
-from bcft.rings import DEFAULT_TOL, FusionRing
+from bcft.rings import FusionRing
 
 
 def test_trivial_category_single_invariant():
@@ -81,6 +82,20 @@ def test_enumeration_deterministic(su2_4_data):
     a = enumerate_modular_invariants(su2_4_data.modular)
     b = enumerate_modular_invariants(su2_4_data.modular)
     assert [Z.tolist() for Z in a] == [Z.tolist() for Z in b]
+
+
+def test_enumerations_take_no_tolerance(ising_data, su2_level):
+    """Invariants and nimreps are exact data: the invariant enumeration has no
+    tolerance, and the one ``enumerate_nimreps`` keeps is not read.  At 1e-16
+    a tolerance once emptied both lists."""
+    assert "tol" not in inspect.signature(enumerate_modular_invariants).parameters
+    assert [Z.tolist() for Z in enumerate_modular_invariants(su2_level(4).modular)] == [
+        np.eye(5, dtype=int).tolist(),
+        [[1, 0, 0, 0, 1], [0, 0, 0, 0, 0], [0, 0, 2, 0, 0], [0, 0, 0, 0, 0], [1, 0, 0, 0, 1]],
+    ]
+    for ring, size in ((ising_data.ring, 3), (su2_level(3).ring, 4), (su2_level(4).ring, 5)):
+        runs = [enumerate_nimreps(ring, size, tol) for tol in (0.0, 1e-16, 1e-9, 0.3)]
+        assert runs[0] and all(run == runs[0] for run in runs), (ring, size)
 
 
 def test_regular_nimrep_valid(all_catalogs):
@@ -361,7 +376,7 @@ def test_complete_generator_matrices_are_screened_by_spectrum(ising_data, su2_4_
     each matrix here passes the row and spectral-radius bounds."""
 
     def candidates(ring, g, size):
-        return [m.tolist() for m in _candidate_generator_matrices(ring, g, size, DEFAULT_TOL)]
+        return [m.tolist() for m in _candidate_generator_matrices(ring, g, size)]
 
     # the path graph P3 has the eigenvalues 0 and +-sqrt(2): the A3 n^sigma of
     # Ising, not in the spectrum {+-sqrt(3), +-1, 0} of su2_4's N^1
@@ -381,8 +396,8 @@ def test_ordered_candidates_meet_every_relabeling_class(name, su2_level):
     ring = _cyclic_ring(int(name[1:])) if name.startswith("z") else _catalog(name, su2_level).ring
     for size in range(1, 6):
         for g in range(1, ring.size):
-            unordered = _candidate_generator_matrices(ring, g, size, DEFAULT_TOL)
-            ordered = _candidate_generator_matrices(ring, g, size, DEFAULT_TOL, ordered=True)
+            unordered = _candidate_generator_matrices(ring, g, size)
+            ordered = _candidate_generator_matrices(ring, g, size, ordered=True)
             assert np.all(np.diff(ordered.sum(axis=2), axis=1) <= 0), (name, g, size)
             assert {_canonical_key([m], size) for m in ordered} == {
                 _canonical_key([m], size) for m in unordered
@@ -390,15 +405,15 @@ def test_ordered_candidates_meet_every_relabeling_class(name, su2_level):
 
 
 def test_ordered_candidates_are_fewer(su2_4_data):
-    unordered = _candidate_generator_matrices(su2_4_data.ring, 1, 5, DEFAULT_TOL)
-    ordered = _candidate_generator_matrices(su2_4_data.ring, 1, 5, DEFAULT_TOL, ordered=True)
+    unordered = _candidate_generator_matrices(su2_4_data.ring, 1, 5)
+    ordered = _candidate_generator_matrices(su2_4_data.ring, 1, 5, ordered=True)
     assert len(ordered) < len(unordered)
 
 
 def test_ordered_candidate_counts_are_pinned(su2_level):
     # one labeling per class, nearly: 55 and 131 candidates with the row order alone
     for k, size, count, before in [(4, 5, 15, 55), (6, 7, 6, 131)]:
-        ordered = _candidate_generator_matrices(su2_level(k).ring, 1, size, DEFAULT_TOL, ordered=True)
+        ordered = _candidate_generator_matrices(su2_level(k).ring, 1, size, ordered=True)
         assert len(ordered) == count < before, k
 
 
@@ -420,8 +435,8 @@ def test_ordered_candidates_pass_the_equal_sum_swap_rule(name, su2_4_data):
     else:
         ring, size = _cyclic_ring(4), 4
         dropped = [[0, 0, 1, 0], [0, 0, 0, 1], [0, 1, 0, 0], [1, 0, 0, 0]]
-    unordered = _candidate_generator_matrices(ring, 1, size, DEFAULT_TOL)
-    ordered = _candidate_generator_matrices(ring, 1, size, DEFAULT_TOL, ordered=True)
+    unordered = _candidate_generator_matrices(ring, 1, size)
+    ordered = _candidate_generator_matrices(ring, 1, size, ordered=True)
     assert dropped in unordered.tolist() and dropped not in ordered.tolist()
     # the row order and the swap rule are the only screens the ordered search adds
     want = []

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import SECTOR_REFUSALS
 
-from bcft.catalog import catalog, fibonacci, ising
+from bcft.catalog import catalog, fibonacci, ising, su2
 from bcft.classify import compatibility, enumerate_modular_invariants, enumerate_nimreps, regular_nimrep
 from bcft import cli
 from bcft.cli import main
@@ -235,9 +235,10 @@ def test_cli_malformed_exits_2(tmp_path, ising_file, car_file, nimrep_file, coup
         (["nimreps", str(ising_file), "--size", "3", "--invariant", bad],
          _replaced(coupling_file, ("Z",), [[1, 0], [0, 1]])),  # a 2x2 Z for 3 sectors
         (["qsearch", str(ising_file), "--theta", "1,x,1"], b"{}"),
-        # a search without starts, a negative truncation order or entry bound
+        # a search without starts or with a negative seed, a negative truncation order or entry bound
         (["qsearch", str(ising_file), "--theta", "1,0,1", "--starts", "0"], b"{}"),
         (["qsearch", str(ising_file), "--theta", "1,0,1", "--starts", "-3"], b"{}"),
+        (["--seed", "-1", "qsearch", str(ising_file), "--theta", "1,0,1", "--starts", "2"], b"{}"),
         (["partition", str(ising_file), str(nimrep_file), "--a", "0", "--b", "0",
           "--beta", "3.2", "--order", "-1"], b"{}"),
         (["invariants", str(ising_file), "--max-entry", "-1"], b"{}"),
@@ -299,6 +300,34 @@ def test_cli_tolerance_leaves_the_multiplicity_bound(tmp_path, fib_data, capsys)
         assert main([*prefix, "qsearch", str(category), "--theta", "1,2"]) == 2, prefix
         out, err = capsys.readouterr()
         assert out == "" and err == "error: theta violates the multiplicity bound at sector 1: 2 > floor(d_1)\n"
+
+
+def test_cli_tolerance_leaves_the_enumerations(tmp_path, ising_data, su2_level, capsys):
+    """The invariants and the nimreps are exact data: every --tolerance prints
+    and reports what the default run does, and only ``settings.tolerance``
+    differs.  At 1e-16 the tolerance once emptied su2_3's size-4 nimreps."""
+    counts = {}
+    for data, sizes in ((ising_data, (1, 2, 3, 4)), (su2_level(3), (2, 4)), (su2_level(4), (4, 5))):
+        category = tmp_path / f"{data.name}.json"
+        save_category(data, category)
+        for command in (["invariants"], *(["nimreps", "--size", str(s)] for s in sizes)):
+            runs = {}
+            for tolerance in (None, 1e-17, 1e-16, 1e-9, 0.5):
+                out = tmp_path / "report.json"
+                prefix = ["--tolerance", repr(tolerance)] if tolerance else []
+                capsys.readouterr()
+                assert main([*prefix, command[0], str(category), *command[1:], "--out", str(out)]) == 0
+                doc = json.loads(out.read_text())
+                assert doc["settings"].pop("tolerance") == (tolerance or DEFAULT_TOL)
+                runs[tolerance] = capsys.readouterr(), doc
+            assert all(run == runs[None] for run in runs.values()), (data.name, command)
+            assert not runs[None][0].err, (data.name, command)
+            counts[data.name, *command[2:]] = runs[None][1]["payload"]["count"]
+    assert counts == {
+        ("ising",): 1, ("ising", "1"): 0, ("ising", "2"): 0, ("ising", "3"): 1, ("ising", "4"): 0,
+        ("su2_3",): 1, ("su2_3", "2"): 1, ("su2_3", "4"): 2,
+        ("su2_4",): 2, ("su2_4", "4"): 1, ("su2_4", "5"): 1,
+    }
 
 
 def test_cli_defaults_are_the_library_defaults():
@@ -731,6 +760,23 @@ def test_out_of_range_n_entry_and_lambda_channel_are_malformed(ising_file, car_f
 def test_catalog_rejects_bad_level(name, level):
     with pytest.raises(StructuralError, match="level"):
         catalog(name, level)
+
+
+def test_su2_checks_its_own_level():
+    """su2 and catalog("su2", ...) share one level check, with one message."""
+    for level in (0, -2, True, 2.0, None):
+        message = f"su2 catalog requires an integer level >= 1, got {level!r}"
+        for build in (su2, lambda k: catalog("su2", k)):
+            with pytest.raises(StructuralError) as err:
+                build(level)
+            assert str(err.value) == message
+    assert su2(np.int64(1)).name == "su2_1"
+
+
+def test_unknown_catalog_name_is_structural():
+    with pytest.raises(StructuralError) as err:
+        catalog("potts")
+    assert str(err.value) == "unknown catalog 'potts'; choose from ('ising', 'fibonacci', 'su2')"
 
 
 def test_cli_su2_catalog_level_required(tmp_path):

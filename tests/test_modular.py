@@ -37,6 +37,17 @@ def test_catalog_modular_valid(all_catalogs):
         assert validate_modular(data.modular) == [], data.name
 
 
+def test_validate_modular_names_a_broken_t(ising_data):
+    S, T = ising_data.modular.S, ising_data.modular.T
+    scaled, boson = T.copy(), T.copy()
+    scaled[1] *= 2  # |T_sigma| = 2
+    boson[2] *= -1  # T_psi = 1: unimodular, but (ST)^3 is no longer S^2 up to a phase
+    assert validate_modular(ModularData(ising_data.ring, S, scaled)) == ["T entries not unimodular (residual 1.00e+00)"]
+    assert validate_modular(ModularData(ising_data.ring, S, boson)) == [
+        "(ST)^3 != S^2 up to global phase (residual 1.41e+00)"
+    ]
+
+
 def test_ising_flipped_sign_reported(ising_data):
     S = ising_data.modular.S.copy()
     S[1, 0] = -S[1, 0]

@@ -452,6 +452,34 @@ def test_validate_reports_bound_violation_without_residuals(ising_data):
     assert validate_qsystem(q, ising_data.presentation) == {"bound_sector_1": 2.0, "valid": False}
 
 
+def test_fingerprint_rejects_a_key_off_the_fusion_channels(ising_data):
+    """psi x psi -> psi is no channel: fingerprint rejects the key as every other reader does."""
+    cat = ising_data.presentation
+    car = car_qsystem(cat)
+    off = QSystemSpec(car.theta, {**car.lam, (1, 1, 1): 0.3})
+    for read in (fingerprint, is_local, frobenius_check, charged_algebra, validate_qsystem):
+        with pytest.raises(StructuralError, match=re.escape("lambda entry (1, 1, 1) has no fusion channel 2 x 2 -> 2")):
+            read(off, cat)
+
+
+def test_search_takes_integer_starts_and_a_non_negative_seed(ising_data):
+    cat = ising_data.presentation
+    for kwargs, message in [
+        ({"seed": 1.5}, "the seed must be finite integers"),
+        ({"seed": "1"}, "the seed must be finite integers"),
+        ({"seed": -1}, "the seed must be >= 0, got -1"),
+        ({"n_starts": 2.5}, "the number of starts must be finite integers"),
+        ({"n_starts": 0}, "the search needs at least one start, got 0"),
+    ]:
+        with pytest.raises(StructuralError) as err:
+            search_qsystems(cat, [1, 0, 1], **{"n_starts": 2, **kwargs})
+        assert str(err.value) == message, kwargs
+    # integral values are the integers they equal
+    a = search_qsystems(cat, [1, 0, 1], n_starts=2.0, seed=np.int64(3))
+    b = search_qsystems(cat, [1, 0, 1], n_starts=2, seed=3)
+    assert a.starts == b.starts and a.fingerprints == b.fingerprints
+
+
 def test_is_local_rejects_malformed_theta(ising_data):
     cat = ising_data.presentation
     with pytest.raises(StructuralError, match="multiplicity bound"):
@@ -552,13 +580,14 @@ def _reference_fingerprint(q, cat):
 
 def test_fingerprints_match_the_per_triple_reference(ising_data, fib_data, su2_4_data, spin8_data, spin8_qsystems, rng):
     """Single and stacked fingerprints agree with the per-triple loop, with
-    multiplicities, a unitary gauge on them, and triples at the 1e-6 cut."""
+    multiplicities, a unitary gauge on them, and a triple at the 1e-6 cut
+    (psi psi -> 1, on its fusion channel, at 1e-9 and at 1e-3j)."""
     ising, s4 = ising_data.presentation, su2_4_data.presentation
     car, d4 = car_qsystem(ising), search_qsystems(s4, [1, 0, 2, 0, 1], n_starts=12, seed=9).solutions[0]
     u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
     cases = [
         (car, ising),
-        *((QSystemSpec(car.theta, {**car.lam, (1, 1, 1): z}), ising) for z in (1e-9, 1e-3j)),  # psi psi psi
+        *((QSystemSpec(car.theta, {**car.lam, (1, 1, 0): z}), ising) for z in (1e-9, 1e-3j)),  # psi psi -> 1
         (regular_qsystem(fib_data.presentation), fib_data.presentation),
         *((q, spin8_data.presentation) for q in spin8_qsystems.values()),
         (d4, s4),

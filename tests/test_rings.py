@@ -103,6 +103,27 @@ def test_mutated_ising_associativity_violation(ising_data):
     assert any("associativity" in b or "reciprocity" in b for b in bad)
 
 
+def _z2_ring(dual):
+    N = np.zeros((2, 2, 2), dtype=np.int64)
+    for a in range(2):
+        for b in range(2):
+            N[a, b, (a + b) % 2] = 1
+    return FusionRing(["0", "1"], dual, N)
+
+
+def test_validate_ring_names_each_broken_axiom(ising_data):
+    """One case per check that the catalogs and mutations leave unreached."""
+    ring = ising_data.ring
+    N = ring.N.copy()
+    N[1, 1, 2] = -1
+    assert validate_ring(FusionRing(ring.labels, ring.dual, N))[0] == "negative multiplicity N[1,1,2] = -1"
+    assert validate_ring(_z2_ring([0, 1])) == []
+    assert validate_ring(_z2_ring([1, 0]))[0] == "dual(0) != 0"
+    bad = validate_ring(FusionRing(ring.labels, [0, 2, 0], ring.N))
+    assert bad[0] == "dual is not an involution at sector 1"
+    assert sum("involution" in b for b in bad) == 1  # reported at the first sector only
+
+
 def test_fusion_matrices_commute(all_catalogs):
     for data in all_catalogs:
         N = data.ring.N
