@@ -20,8 +20,23 @@ form one block, its rows ``e`` times its columns ``f``, laid out row-major,
 so ``ring.f_block_index`` places any label tuple from ``N`` alone.  The
 validators sum over the columns of one row of a block (the ``h`` of a
 pentagon term, the ``f`` of a hexagon term) by column rank, one term per sum
-and rank, and gather the factors at their positions, in chunks bounded by
-their number of summed terms.
+and rank, and gather the factors at their positions, in chunks of at most
+``_CHUNK`` pentagon pairs or hexagon rows, the length of every array of a
+chunk:
+
+* a chunk puts its pairs in order of block width by a stable counting sort of
+  a narrow-int copy of the widths, so the pairs that take a term at rank
+  ``i`` are a suffix; codes and positions are int32 while ``n**6 < 2**31``;
+* a residual is the largest ``hypot`` of ``lhs - rhs``.  ``np.abs`` is about
+  ten times cheaper and differs in the last bits only, so it picks the
+  entries that can hold that maximum (``_gap``) and the residual keeps its bits;
+* ``_CHUNK`` trades memory for fewer numpy calls.  It comes from a sweep at
+  su2_8 with the traced peak of ``validate_axioms`` as the limit, which the
+  chunks of 8192 summed terms before it set at 1.71 MB: 4096, 6144, 8192,
+  10240, 12288 and 16384 pairs peak at 1.18, 1.36, 1.54, 1.73, 1.91 and
+  2.28 MB, and the pentagon's best times are 21.6, 20.4, 19.6, 19.3, 20.1
+  and 20.0 ms, against 27.2 ms before.  8192 is the largest bound under the
+  limit.
 """
 
 from __future__ import annotations
@@ -146,8 +161,9 @@ class AxiomReport:
         )
 
 
-# summed terms per pentagon and hexagon chunk: bounds the arrays over a chunk's pairs and rows
-_TERMS = 1 << 13
+# pairs per pentagon chunk and rows per hexagon chunk: every array of a chunk is
+# over them, so this bounds a chunk's memory (chosen by the sweep in the module docstring)
+_CHUNK = 1 << 13
 
 
 def _runs(first, count):
@@ -156,32 +172,43 @@ def _runs(first, count):
     return owner, np.arange(owner.size) + np.repeat(first - np.cumsum(count) + count, count)
 
 
-def _chunks(cost):
-    """Consecutive ``(lo, hi)`` key ranges costing at most ``_TERMS`` plus the cost of one key."""
-    cut = (np.flatnonzero(np.diff(np.cumsum(cost) // _TERMS)) + 1).tolist()
-    return zip([0] + cut, cut + [len(cost)])
+def _chunks(count):
+    """Consecutive ``(lo, hi)`` key ranges of at most ``_CHUNK`` pairs plus the ``count`` of one key."""
+    cut = (np.flatnonzero(np.diff(np.cumsum(count) // _CHUNK)) + 1).tolist()
+    return zip([0] + cut, cut + [len(count)])
+
+
+def _by_width(wide):
+    """``(order, starts)``: a stable counting sort of the narrow widths ``wide``, and
+    for each column rank ``i`` the first sorted position of a block wider than ``i``."""
+    return np.argsort(wide, kind="stable"), np.cumsum(np.bincount(wide))[:-1].tolist()
 
 
 def _gap(lhs, rhs):
-    """``max |lhs - rhs|``, each modulus by ``hypot``."""
+    """``max |lhs - rhs|``, each modulus by ``hypot``.  ``np.abs`` differs from
+    ``hypot`` in the last bits only, so the largest ``hypot`` is among the entries
+    within a relative ``1e-12`` of the largest ``np.abs``, and only those get a
+    ``hypot``; a NaN or inf maximum keeps every entry."""
     gap = lhs - rhs
+    mod = np.abs(gap)
+    top = mod.max()
+    if np.isfinite(top):
+        gap = gap[mod >= top * (1 - 1e-12)]
     return np.max(np.hypot(gap.real, gap.imag))
 
 
 def _row_positions(ring: FusionRing):
-    """``(row_at, width, col, col_label)`` of the blocks, by the code ``abcd`` as in
+    """``(row_at, wide, col, col_of)`` of the blocks, by the code ``abcd`` as in
     ``FBlockIndex``: the position of row ``x`` at ``row_at[abcd * n + x]``, the
-    width, the rank of column ``x`` at ``col[x * n^4 + abcd]``, and the label of
-    the column of rank ``i`` at ``col_label[abcd * n + i]``."""
+    width ``wide[abcd]``, the rank of column ``x`` at ``col[x * n^4 + abcd]``, and
+    the column label of each F key; widths and labels are narrow ints."""
     start, width, row, col = ring.f_block_index
-    n, rank = ring.size, col.reshape(ring.size, -1)
+    n = ring.size
     row_at = np.empty((n**4, n), width.dtype)
     np.multiply(row.reshape(n, -1).T, width[:, None], out=row_at)
     row_at += start[:, None]
-    col_label = np.zeros((n**4, n), col.dtype)
-    x, abcd = np.nonzero(rank >= 0)
-    col_label[abcd, rank[x, abcd]] = x
-    return row_at.reshape(-1), width, col, col_label.reshape(-1)
+    narrow = np.min_scalar_type(n)
+    return row_at.reshape(-1), width.astype(narrow), col, ring.f_key_array[:, 5].astype(narrow)
 
 
 def _pentagon_residual(cat: CategoryPresentation, at) -> float:
@@ -192,51 +219,68 @@ def _pentagon_residual(cat: CategoryPresentation, at) -> float:
     counting sort of the inner keys by ``(f, l, e)``; each code a pair reads is
     an outer part plus an inner part.  The ``h`` are the columns of row ``f`` of
     block ``(a,b,c,g)``, so the sum runs over their rank ``i``, adding one term
-    per pair whose block is wider than ``i`` (a suffix, once sorted by width).
-    ``F[a,h,d,e,g,k]`` comes from a table dense in ``h`` that reads 0 where
-    ``N[h,d,k] = 0``: a signed zero, so each sum keeps its bits.  A chunk's
-    pairs times its widest ``(., ., c, g)`` block bound its terms.
+    per pair whose block is wider than ``i`` (a suffix, once sorted by width);
+    the term of rank ``i`` reads ``F`` and the label ``h`` at the row's position
+    plus ``i``.  ``F[a,h,d,e,g,k]`` comes from a table dense in ``h`` that reads
+    0 where ``N[h,d,k] = 0``: a signed zero, so each sum keeps its bits.
     """
     ring, F = cat.ring, cat.f_values
     n, labels = ring.size, ring.f_key_array.T
-    row_at, width, col, col_label = at
-    # F[a,h,d,e,g,k] at B_at[B_row[(a,g,k,d,e)] + h]; row 0 and the absent h hold M, and F0[M] = 0
+    row_at, wide, col, col_of = at
+    code = np.int32 if n**6 < 2**31 else np.int64  # every code and position is below n^6
+    # F[a,h,d,e,g,k] at B_at[B_row[(a,g,k,d,e)] * n + h]; row 0 and the absent h hold M, and F0[M] = 0
     a, h, d, e, g, k = labels
-    rows, inverse = np.unique(_code(n, a, g, k, d, e), return_inverse=True)
-    B_at = np.full((len(rows) + 1) * n, len(F), row_at.dtype)
-    B_at[(inverse + 1) * n + h] = np.arange(len(F))
-    B_row = np.zeros(n**5, np.int32 if (len(rows) + 1) * n < 2**31 else np.int64)
-    B_row[rows] = np.arange(n, (len(rows) + 1) * n, n)
+    agkde = _code(n, a, g, k, d, e)
+    B_row = np.zeros(n**5, bool)
+    B_row[agkde] = True
+    rows = np.count_nonzero(B_row)
+    B_row = np.cumsum(B_row, dtype=np.min_scalar_type(rows)) * B_row  # row numbers from 1 in code order
+    B_at = np.full((rows + 1) * n, len(F), row_at.dtype)
+    B_at[B_row.take(agkde).astype(code) * n + h] = np.arange(len(F), dtype=B_at.dtype)
+    del agkde  # this pentagon sets the memory peak of validating su2_k
     F0 = np.append(F, 0)
     # the inner keys grouped by (f, l, e), each group in ascending key order
     fle = (labels[4] * n + labels[2]) * n + labels[3]
     by_fle = np.argsort(fle, kind="stable")
     size = np.bincount(fle, minlength=n**3)
+    del fle
     first = np.cumsum(size) - size
-    a, b, k = labels[0, by_fle], labels[1, by_fle], labels[5, by_fle]
-    inner_abcg, inner_bcdk, inner_B, inner_F = (a * n + b) * n**2, b * n**3 + k, (a * n**3 + k * n) * n, F[by_fle]
-    del rows, inverse, fle, by_fle, a, b, k  # this pentagon sets the memory peak of validating su2_k
-    group = (labels[0] * n + labels[5]) * n + labels[3]
-    widest = width.reshape(n * n, n * n).max(axis=0)  # [c, g]: max over a, b of width[a,b,c,g]
+    a, b, k = labels[0].take(by_fle), labels[1].take(by_fle), labels[5].take(by_fle)
+    inner_abcg = ((a * n + b) * n**2).astype(code)
+    inner_bcdk = (b * n**3 + k).astype(code)
+    inner_B = ((a * n**3 + k * n) * n).astype(code)
+    inner_F = F.take(by_fle)
+    del by_fle, a, b, k
+    group = ((labels[0] * n + labels[5]) * n + labels[3]).astype(code)
     worst = 0.0
-    for lo, hi in _chunks(size[group] * widest[labels[1] * n + labels[4]]):
+    for lo, hi in _chunks(size[group]):
         owner, pair = _runs(first[group[lo:hi]], size[group[lo:hi]])
-        f, c, d, e, g, l = labels[:, lo:hi]
+        f, c, d, e, g, l = labels[:, lo:hi].astype(code)
         abcg = inner_abcg.take(pair) + (c * n + g).take(owner)
-        by_width = np.argsort(width.take(abcg))
-        owner, pair, abcg = owner.take(by_width), pair.take(by_width), abcg.take(by_width)
-        wide, abcg = width.take(abcg), abcg * n
-        row_A = row_at.take(abcg + f.take(owner))
+        order, starts = _by_width(wide.take(abcg))
+        # one array at a time, and the products in place: a chunk's peak is here
+        owner = owner.take(order)
+        pair = pair.take(order)
+        abcg = abcg.take(order)
+        del order
+        lhs = F[lo:hi].take(owner)
+        lhs *= inner_F.take(pair)
+        abcg *= n
+        abcg += f.take(owner)
+        row_A = row_at.take(abcg)
         bcdk = inner_bcdk.take(pair) + ((c * n + d) * n).take(owner)
         col_C, bcdk = col.take(bcdk + (l * n**4).take(owner)), bcdk * n
-        base = B_row.take(inner_B.take(pair) + ((g * n**2 + d) * n + e).take(owner))
-        acc = np.zeros(len(pair), complex)
-        for i, j in enumerate(np.searchsorted(wide, np.arange(wide[-1]), "right").tolist()):
-            h = col_label.take(abcg[j:] + i)
-            term = F.take(row_A[j:] + i) * F0.take(B_at.take(base[j:] + h))
+        base = inner_B.take(pair) + ((g * n**2 + d) * n + e).take(owner)
+        del owner, pair, abcg  # the loop holds only what it reads
+        base = np.multiply(B_row.take(base), n, dtype=code)
+        acc = np.zeros(len(lhs), complex)
+        for i, j in enumerate(starts):
+            h = col_of[i:].take(row_A[j:])
+            term = F[i:].take(row_A[j:])
+            term *= F0.take(B_at.take(base[j:] + h))
             term *= F.take(row_at.take(bcdk[j:] + h) + col_C[j:], mode="clip")  # any value where B is 0
             acc[j:] += term
-        worst = max(worst, _gap(F[lo:hi].take(owner) * inner_F.take(pair), acc))
+        worst = max(worst, _gap(lhs, acc))
     return float(worst)
 
 
@@ -247,26 +291,30 @@ def _hexagon_residual(cat: CategoryPresentation, at) -> float:
     fusion rules are commutative; the right sides sum
     ``F[a,b,c,d,e,f] F[b,c,a,d,f,g]`` times a braid phase over ascending
     ``f``, the columns of row ``e`` of block ``(a,b,c,d)``, by rank as in the
-    pentagon.  Chunks are bounded by their exact term count.
+    pentagon.
     """
     ring, F, R = cat.ring, cat.f_values, cat.R
     n, labels = ring.size, ring.f_key_array.T
-    row_at, width, col, col_label = at
+    row_at, wide, col, col_of = at
+    code = np.int32 if n**6 < 2**31 else np.int64
     R_p, R_m = R.transpose(0, 2, 1).reshape(-1), np.conj(R.transpose(1, 2, 0)).reshape(-1)  # [a,d,f]: R[a,f,d], R*[f,a,d]
-    abcd = _code(n, labels[1], labels[0], labels[2], labels[3])
+    abcd = _code(n, labels[1], labels[0], labels[2], labels[3]).astype(code)
     worst = 0.0
-    for lo, hi in _chunks(width[abcd]):
-        key = np.argsort(width.take(abcd[lo:hi])) + lo
-        b, a, c, d, e, g = labels.take(key, axis=1)
-        rows, block, bcad = F.take(key), abcd.take(key), _code(n, b, c, a, d)  # block (b,c,a,d)
+    for lo in range(0, len(F), _CHUNK):
+        hi = lo + _CHUNK
+        order, starts = _by_width(wide.take(abcd[lo:hi]))
+        b, a, c, d, e, g = labels[:, lo:hi].astype(code).take(order, axis=1)
+        rows, block, bcad = F[lo:hi].take(order), abcd[lo:hi].take(order), _code(n, b, c, a, d)  # block (b,c,a,d)
         lhs_p = R[a, b, e] * rows * R[a, c, g]
         lhs_m = np.conj(R[b, a, e]) * rows * np.conj(R[c, a, g])
-        wide, row, col_g = width.take(block), row_at.take(block * n + e), col.take(g * n**4 + bcad)
-        block, bcad, ad = block * n, bcad * n, (a * n + d) * n
-        acc_p, acc_m = np.zeros(hi - lo, complex), np.zeros(hi - lo, complex)
-        for i, j in enumerate(np.searchsorted(wide, np.arange(wide[-1]), "right").tolist()):
-            f = col_label.take(block[j:] + i)
-            prod = F.take(row[j:] + i) * F.take(row_at.take(bcad[j:] + f) + col_g[j:])
+        row, col_g = row_at.take(block * n + e), col.take(g * n**4 + bcad)
+        bcad, ad = bcad * n, (a * n + d) * n
+        del order, rows, block, a, b, c, d, e, g  # the loop holds only what it reads
+        acc_p, acc_m = np.zeros(len(row), complex), np.zeros(len(row), complex)
+        for i, j in enumerate(starts):
+            f = col_of[i:].take(row[j:])
+            prod = F[i:].take(row[j:])
+            prod *= F.take(row_at.take(bcad[j:] + f) + col_g[j:])
             acc_p[j:] += prod * R_p.take(ad[j:] + f)
             acc_m[j:] += prod * R_m.take(ad[j:] + f)
         worst = max(worst, _gap(lhs_p, acc_p), _gap(lhs_m, acc_m))

@@ -301,7 +301,10 @@ def index_ledger(
     ring: FusionRing, q: QSystemSpec, Z: np.ndarray, tol: float = DEFAULT_TOL
 ) -> IndexLedger:
     """Index bookkeeping of theta and Z.  A theta whose length is not the ring's
-    size, or that breaks ``m_s <= floor(d_s)``, is malformed (StructuralError)."""
+    size, or that breaks ``m_s <= floor(d_s)``, is malformed (StructuralError).
+
+    ``haag_dual`` is the exact statement ``dual_index == 1``, decided by the
+    fixed guard ``|dual_index - 1| < 1e-8``; ``tol`` is not read."""
     _require_bound(q.theta, ring)
     d = ring.fp_dims
     lam = q.d_theta(ring)
@@ -314,7 +317,7 @@ def index_ledger(
         mu_A=mu_A,
         dual_index=dual_index,
         mu_B_plus=dual_index**3,
-        haag_dual=bool(abs(dual_index - 1.0) < max(tol, 1e-9) * 10),
+        haag_dual=bool(abs(dual_index - 1.0) < 1e-8),
     )
 
 

@@ -185,10 +185,9 @@ class FusionRing:
 
     @cached_property
     def fp_dims(self) -> np.ndarray:
-        """Frobenius-Perron dimension of each sector."""
-        return np.array(
-            [max(np.abs(np.linalg.eigvals(self.N[s]))) for s in range(self.size)]
-        )
+        """Frobenius-Perron dimension of each sector: the largest eigenvalue
+        modulus of its fusion matrix, all sectors in one stacked ``eigvals``."""
+        return np.max(np.abs(np.linalg.eigvals(self.N.astype(float))), axis=1)
 
     @cached_property
     def dim_floor(self) -> np.ndarray:

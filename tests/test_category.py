@@ -182,7 +182,7 @@ def _residuals(cat):
 
 
 def test_axioms_match_reference_on_catalogs(all_catalogs, su2_level):
-    # su2_6 and su2_8 (1680 and 6105 F keys) take 11 and 90 pentagon chunks, 1 and 2 hexagon chunks
+    # su2_6 and su2_8 (1680 and 6105 F keys) take 5 and 32 pentagon chunks, 1 hexagon chunk each
     for cat in [data.presentation for data in all_catalogs] + [su2_level(6).presentation, su2_level(8).presentation]:
         assert _residuals(cat) == pytest.approx(reference_axiom_residuals(cat), rel=1e-12, abs=1e-15)
 
@@ -206,9 +206,10 @@ def test_axioms_match_reference_in_noisy_gauge(all_catalogs, rng):
 
 
 def test_noisy_axioms_match_reference_across_chunks(su2_level, rng, monkeypatch):
-    # su2_6 (1680 F keys) at O(1) residuals: a term budget far below one key's
-    # terms puts nearly every key in a chunk of its own, and the default budget
-    # few; the residuals must agree bitwise and with the reference
+    # su2_6 (1680 F keys, 37208 pentagon pairs) at O(1) residuals: a bound far
+    # below one key's pairs puts every key in a chunk of its own, 1024 pairs
+    # give 37 pentagon chunks, the default bound 5, and a huge one a single
+    # chunk; the residuals must agree bitwise and with the reference
     data = su2_level(6)
     ring, cat = data.ring, data.presentation
     M, m = len(ring.f_key_array), len(ring.r_key_array)
@@ -219,8 +220,62 @@ def test_noisy_axioms_match_reference_across_chunks(su2_level, rng, monkeypatch)
     assert min(want[:2]) > 1.0
     default = _residuals(noisy)
     assert default == pytest.approx(want, rel=1e-12, abs=0)
-    monkeypatch.setattr(category, "_TERMS", 7)
-    assert _residuals(noisy) == default
+    for bound in (7, 1 << 10, 1 << 30):
+        monkeypatch.setattr(category, "_CHUNK", bound)
+        assert _residuals(noisy) == default, bound
+
+
+def _hypot_max_bits(gap):
+    return float(np.max(np.hypot(gap.real, gap.imag))).hex()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300, 1e-310, 1e-322])
+def test_screened_gap_is_the_hypot_maximum(rng, scale):
+    # _gap gives a hypot only to the entries that np.abs puts near its maximum;
+    # the result must be the maximum hypot of all entries, bit for bit, on
+    # random arrays, on near-ties (moduli a few ulps apart at random phases),
+    # on pairs that np.abs and hypot order oppositely, on a single entry, and
+    # from normal down to subnormal magnitudes
+    cases = []
+    for size in (1, 2, 9, 4000):
+        cases.append((rng.normal(size=size) + 1j * rng.normal(size=size)) * scale)
+        radius = rng.uniform(0.5, 2.0) * scale * (1 + rng.integers(-4, 5, size=size) * 2.0**-52)
+        cases.append(radius * np.exp(2j * np.pi * rng.uniform(size=size)))
+    big = cases[-2]
+    # one modulus at random phases: pairs whose np.abs and hypot order them oppositely
+    ring = rng.uniform(0.5, 2.0) * scale * np.exp(2j * np.pi * rng.uniform(size=4000))
+    mod, hyp = np.abs(ring), np.hypot(ring.real, ring.imag)
+    order = np.lexsort((hyp, mod))
+    flips = np.flatnonzero((np.diff(mod[order]) > 0) & (np.diff(hyp[order]) < 0))
+    cases += [ring[order[k : k + 2]] for k in flips[:20].tolist()]
+    if scale == 1.0:
+        # about a third of the entries round differently under np.abs and hypot,
+        # and a screen that kept only the largest np.abs would miss a flipped pair
+        assert np.count_nonzero(np.abs(big) != np.hypot(big.real, big.imag)) > len(big) // 5
+        assert len(flips) > 0
+    for gap in cases:
+        assert float(category._gap(gap, np.zeros_like(gap))).hex() == _hypot_max_bits(gap)
+        assert float(category._gap(np.zeros_like(gap), gap)).hex() == _hypot_max_bits(gap)
+
+
+@pytest.mark.parametrize(
+    "gap",
+    [
+        np.zeros(1, complex),
+        np.zeros(50, complex),
+        np.array([3 + 4j]),
+        np.array([1 + 1j, complex(math.inf, 0), 2j]),
+        np.array([1 + 1j, complex(-math.inf, math.nan), 2j]),
+        np.array([1 + 1j, complex(math.nan, 0), 2j]),
+        np.array([complex(math.nan, 5), 1e308 + 1e308j]),
+        np.array([1e308 + 1e308j, 1 + 1j]),
+    ],
+    ids=["zero", "zeros", "single", "inf", "inf-nan", "nan", "nan-overflow", "overflow"],
+)
+def test_screened_gap_keeps_zeros_and_non_finite_entries(gap):
+    # a NaN or inf maximum of np.abs keeps every entry, so NaN and inf come
+    # through as they do from the maximum hypot
+    assert float(category._gap(gap, np.zeros_like(gap))).hex() == _hypot_max_bits(gap)
 
 
 def _o1_noise(cat):
@@ -238,11 +293,14 @@ def _residual_bits(cat):
 
 # (pentagon, hexagon, unitarity) residuals as float.hex, recorded with validators
 # that expanded one array entry per summed term and summed them by bincount;
-# the column-rank sums add the same products in the same order
+# the column-rank sums add the same products in the same order.  su2_16 was
+# recorded with the column-rank sums in chunks of 8192 summed terms, each
+# residual's moduli all by hypot
 _RESIDUAL_BITS = {
     (8, False): ("0x1.3c00000000000p-49", "0x1.6d34f03cda114p-49", "0x1.c000000000000p-50"),
     (10, False): ("0x1.1800000000000p-48", "0x1.616b27d372e28p-48", "0x1.a000000000000p-49"),
     (12, False): ("0x1.c000000000000p-48", "0x1.3cfc5da84b818p-48", "0x1.c000000000000p-48"),
+    (16, False): ("0x1.30f0000000000p-46", "0x1.a6d2c2f3bd2a4p-47", "0x1.f800000000000p-48"),
     (6, True): ("0x1.342e49a07ac19p+5", "0x1.2d20521f6a38cp+5", "0x1.3ae4d7dc4596ep+4"),
     (8, True): ("0x1.cbd8b82528048p+5", "0x1.565c2dd916c8fp+5", "0x1.aed3b7302072cp+4"),
 }
@@ -260,6 +318,12 @@ def test_axiom_residuals_keep_their_bits_at_su2_12(su2_level):
     assert _residual_bits(su2_level(12).presentation) == _RESIDUAL_BITS[12, False]
 
 
+@pytest.mark.slow
+def test_axiom_residuals_keep_their_bits_at_su2_16(su2_level):
+    # pentagon blocks reach 9 columns, and every code and position is still int32
+    assert _residual_bits(su2_level(16).presentation) == _RESIDUAL_BITS[16, False]
+
+
 def test_non_square_axiom_residuals_keep_their_bits(ising_data):
     ring = _non_square_ising_ring(ising_data)
     F, R = (ring.f_key_array, np.ones(len(ring.f_key_array))), (ring.r_key_array, np.ones(len(ring.r_key_array)))
@@ -268,8 +332,10 @@ def test_non_square_axiom_residuals_keep_their_bits(ising_data):
 
 def test_validate_axioms_peak_memory(su2_level):
     # a fresh su2_8 presentation, so the validators' tables are built here; the
-    # validators that expanded one array entry per summed term peaked at
-    # 1,925,388 traced bytes (315 per F key), and that is the bound
+    # validators with chunks of 8192 summed terms peaked at 1,711,196 traced
+    # bytes (280 per F key), and the bound is that plus a 0.5% margin, so a
+    # larger chunk bound cannot buy speed with memory unnoticed: 8192 pairs
+    # read 1.54 MB, and 10240 pairs 1.73 MB
     data = su2_level(8)
     ring = FusionRing(data.ring.labels, data.ring.dual, data.ring.N)
     F, R = (ring.f_key_array, data.presentation.f_values), (ring.r_key_array, data.presentation.R[ring.N > 0])
@@ -280,7 +346,7 @@ def test_validate_axioms_peak_memory(su2_level):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1_925_388, peak / len(ring.f_key_array)
+    assert peak <= 1_720_000, peak / len(ring.f_key_array)
 
 
 def test_axioms_match_reference_per_entry(ising_data, fib_data, z3_data, spin8_data):

@@ -201,6 +201,14 @@ def test_index_ledger_car(ising_data, ising_cat):
     assert led.haag_dual
 
 
+@pytest.mark.parametrize("tol", [1e-9, 0.5])
+def test_index_ledger_haag_dual_takes_no_tolerance(ising_data, ising_cat, tol):
+    # Z = diag(1, 0, 1) has dual index 2: not Haag dual, whatever the residual tolerance
+    led = index_ledger(ising_data.ring, car_qsystem(ising_cat), np.diag([1, 0, 1]), tol)
+    assert led.dual_index == pytest.approx(2.0)
+    assert led.haag_dual is False
+
+
 def test_index_ledger_trivial_category():
     ring = FusionRing(["0"], [0], np.ones((1, 1, 1), dtype=np.int64))
     led = index_ledger(ring, QSystemSpec([1], {(0, 0, 0): 1.0}), np.eye(1, dtype=np.int64))

@@ -88,6 +88,17 @@ def test_fp_dimensions(ising_data, fib_data):
         assert resid < 1e-9
 
 
+def test_fp_dims_keep_the_bits_of_one_eigensolve_per_sector(all_catalogs):
+    # the stacked eigvals reads each sector's dimension with the bits of the
+    # per-sector loop it replaced, on every catalog (Z_3 is not self-dual)
+    rings = [data.ring for data in all_catalogs] + [_su2_ring(k) for k in range(1, 17)]
+    for ring in rings:
+        want = [max(np.abs(np.linalg.eigvals(ring.N[s]))) for s in range(ring.size)]
+        got = FusionRing(ring.labels, ring.dual, ring.N).fp_dims
+        assert got.dtype == np.float64 and got.shape == (ring.size,), ring
+        assert [x.hex() for x in got.tolist()] == [float(x).hex() for x in want], ring
+
+
 def test_global_dimension(ising_data, fib_data):
     assert global_dimension(ising_data.ring) == pytest.approx(4.0, abs=1e-12)
     phi = (1 + math.sqrt(5)) / 2
